@@ -74,7 +74,6 @@ from .lie import (
     induced_leibniz,
     semidirect_product,
     trivial_representation,
-    validate_lie,
 )
 from .linalg import Matrix, Tensor, enumerate_linear_maps, kernel_basis, rank, solve_affine
 from .multilinear import AltMap, MultiMap

@@ -115,10 +115,16 @@ def _verdict_report(verdict: Verdict, field, data=None):
     )
 
 
-def _write_output(doc_obj, path):
-    text = docs.dump_document(doc_obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _finish_conversion(out_doc, args, data):
+    """Pass report carrying the output document, or written to --output."""
+    if args.output:
+        text = docs.dump_document(out_doc)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        data["output"] = args.output
+    else:
+        data["document"] = out_doc
+    return _finish(_report("pass", data=data))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,7 @@ def cmd_check(args):
         obj = docs.load_document(args.path)
         if args.field_check:
             # re-parse only: shapes and scalars, no algebraic laws
-            _check_field_only(obj)
+            docs.PARSERS[obj["kind"]](obj)
             return _finish(_report("pass", data={"kind": obj["kind"]}))
         verdict, field, data = _check_dispatch(obj)
         data["kind"] = obj["kind"]
@@ -216,23 +222,6 @@ def _doc_field(path):
             return field_from_string(json.load(fh).get("field", "Q"))
     except Exception:
         return QQ
-
-
-def _check_field_only(obj):
-    kind = obj["kind"]
-    parsers = {
-        "lie_algebra": docs.parse_lie,
-        "averaging_lie_algebra": docs.parse_averaging,
-        "representation": docs.parse_representation,
-        "cochain": docs.parse_cochain,
-        "nonabelian_cocycle": docs.parse_cocycle,
-        "extension": docs.parse_extension,
-        "automorphism_pair": docs.parse_pair,
-        "two_term": docs.parse_two_term,
-        "crossed_module": docs.parse_crossed,
-        "matrix": docs.parse_bare_matrix,
-    }
-    parsers[kind](obj)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +254,7 @@ def cmd_extension(args):
             c = docs.realize_cocycle(docs.load_document(args.paths[0]))
             e = build_extension(c)
             out = docs.extension_doc(e)
-            data = {"total_dim": e.total.dim}
-            if args.output:
-                _write_output(out, args.output)
-                data["output"] = args.output
-            else:
-                data["document"] = out
-            return _finish(_report("pass", data=data))
+            return _finish_conversion(out, args, {"total_dim": e.total.dim})
         if args.sub == "extract":
             e = docs.realize_extension(docs.load_document(args.paths[0]))
             section = None
@@ -279,16 +262,8 @@ def cmd_extension(args):
                 section = docs.parse_bare_matrix(docs.load_document(args.section))
             c = extract_cocycle(e, section)
             out = docs.cocycle_doc(c)
-            data = {
-                "chi_zero": c.chi.is_zero(),
-                "Phi_zero": c.Phi.is_zero(),
-            }
-            if args.output:
-                _write_output(out, args.output)
-                data["output"] = args.output
-            else:
-                data["document"] = out
-            return _finish(_report("pass", data=data))
+            data = {"chi_zero": c.chi.is_zero(), "Phi_zero": c.Phi.is_zero()}
+            return _finish_conversion(out, args, data)
         if args.sub == "audit":
             e = docs.realize_extension(docs.load_document(args.paths[0]))
             v = audit_round_trip(e)
@@ -425,15 +400,6 @@ def cmd_homotopy(args):
         return _finish(_parse_error_report(exc))
     except ValidationError as exc:
         return _finish(_verdict_report(exc.verdict, _doc_field(args.paths[0])))
-
-
-def _finish_conversion(out_doc, args, data):
-    if args.output:
-        _write_output(out_doc, args.output)
-        data["output"] = args.output
-    else:
-        data["document"] = out_doc
-    return _finish(_report("pass", data=data))
 
 
 # ---------------------------------------------------------------------------

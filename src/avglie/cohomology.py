@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import DimensionMismatch
-from .lie import Representation
+from .lie import Representation, psi_of_vec
 from .linalg import (
     Matrix,
     rank,
@@ -65,10 +65,6 @@ class Cochain:
             return Cochain(field, dim, vdim, 0, None, None)
         f = AltMap.zero(field, dim, degree, vdim)
         theta = MultiMap.zero(field, dim, degree - 1, vdim) if degree >= 2 else None
-        return Cochain(field, dim, vdim, degree, f, theta)
-
-    @staticmethod
-    def make(field, dim, vdim, degree, f, theta=None):
         return Cochain(field, dim, vdim, degree, f, theta)
 
     def is_zero(self):
@@ -220,13 +216,7 @@ def partial_leib(r: Representation, theta: MultiMap) -> MultiMap:
     n = theta.arity + 1
     mats = r.psi_mats()
     pcols = [r.base.P.col(j) for j in range(g.dim)]
-    pmats = []
-    for i in range(g.dim):
-        m = Matrix.zero(fld, r.vdim, r.vdim)
-        for k, coeff in enumerate(pcols[i]):
-            if coeff != fld.zero:
-                m = m.add(mats[k].scale(coeff))
-        pmats.append(m)
+    pmats = [psi_of_vec(fld, r.vdim, mats, pcols[i]) for i in range(g.dim)]
     out = []
     for tup in product(range(g.dim), repeat=n):
         acc = vec_zero(fld, r.vdim)
@@ -308,12 +298,7 @@ def assemble_delta_matrix(r: Representation, degree: int) -> Matrix:
 
 def cohomology_dim(r: Representation, degree: int) -> int:
     """dim ker(delta^n) - rank(delta^{n-1}), with the degree-0 group zero."""
-    if degree < 1:
-        raise DimensionMismatch("cohomology degree must be >= 1")
-    m = assemble_delta_matrix(r, degree)
-    ker_dim = m.cols - rank(m)
-    prev_rank = rank(assemble_delta_matrix(r, degree - 1)) if degree >= 2 else 0
-    return ker_dim - prev_rank
+    return cohomology_report(r, degree)["dim_cohomology"]
 
 
 def is_cocycle(r: Representation, c: Cochain) -> bool:
@@ -334,6 +319,8 @@ def is_coboundary(r: Representation, c: Cochain):
 
 def cohomology_report(r: Representation, degree: int) -> dict:
     """Dimensions and ranks the CLI prints for one degree."""
+    if degree < 1:
+        raise DimensionMismatch("cohomology degree must be >= 1")
     m = assemble_delta_matrix(r, degree)
     prev = assemble_delta_matrix(r, degree - 1) if degree >= 2 else None
     rk = rank(m)

@@ -22,20 +22,6 @@ from .lie import AveragingLieAlgebra, LieAlgebra, Representation
 from .linalg import Matrix, Tensor
 from .multilinear import AltMap, MultiMap
 
-KINDS = (
-    "lie_algebra",
-    "averaging_lie_algebra",
-    "representation",
-    "cochain",
-    "nonabelian_cocycle",
-    "extension",
-    "automorphism_pair",
-    "two_term",
-    "crossed_module",
-    "matrix",
-)
-
-
 # ---------------------------------------------------------------------------
 # Low-level pieces.
 
@@ -316,6 +302,22 @@ def realize_crossed(obj) -> CrossedModule:
 def parse_bare_matrix(obj):
     field = _field_of(obj, "matrix")
     return parse_matrix(field, _want(obj, "matrix", "matrix"), "matrix", None, None)
+
+
+# Every document kind with its parser; a kind missing here is not a document.
+PARSERS = {
+    "lie_algebra": parse_lie,
+    "averaging_lie_algebra": parse_averaging,
+    "representation": parse_representation,
+    "cochain": parse_cochain,
+    "nonabelian_cocycle": parse_cocycle,
+    "extension": parse_extension,
+    "automorphism_pair": parse_pair,
+    "two_term": parse_two_term,
+    "crossed_module": parse_crossed,
+    "matrix": parse_bare_matrix,
+}
+KINDS = tuple(PARSERS)
 
 
 def load_document(path) -> dict:

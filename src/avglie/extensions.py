@@ -36,7 +36,9 @@ from .lie import (
     LieAlgebra,
     Representation,
     check_averaging,
+    column_mismatch,
     psi_matrices,
+    psi_of_vec,
 )
 from .linalg import (
     Matrix,
@@ -109,15 +111,7 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
     mats = c.psi_mats()
     pcols = [c.base.P.col(j) for j in range(n)]
     Q = c.coef.P
-
-    def psi_of(vec):
-        out = Matrix.zero(f, m, m)
-        for k, coeff in enumerate(vec):
-            if coeff != f.zero:
-                out = out.add(mats[k].scale(coeff))
-        return out
-
-    pm = [psi_of(pcols[i]) for i in range(n)]
+    pm = [psi_of_vec(f, m, mats, pcols[i]) for i in range(n)]
     phic = [c.Phi.col(i) for i in range(n)]
     failures = {}
 
@@ -142,7 +136,7 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
     for i in range(n):
         for j in range(i + 1, n):
             defect = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i])).sub(
-                psi_of(g.bracket_basis(i, j))
+                psi_of_vec(f, m, mats, g.bracket_basis(i, j))
             )
             chival = c.chi.eval_basis((i, j))
             for a in range(m):
@@ -323,10 +317,23 @@ def default_section(e: ExtensionData) -> Matrix:
     return Matrix.from_cols(f, cols, rows_hint=e.total.dim)
 
 
+def _section(e: ExtensionData, section: Matrix | None = None) -> Matrix:
+    """The given section, else the extension's own, else the default one."""
+    if section is not None:
+        return section
+    return e.s if e.s is not None else default_section(e)
+
+
+def _tau(e: ExtensionData, s: Matrix) -> Matrix:
+    """tau(x, h) = s(x) + i(h), from base + coef coordinates to the total space."""
+    cols = [s.col(j) for j in range(e.base.dim)]
+    cols += [e.i.col(a) for a in range(e.coef.dim)]
+    return Matrix.from_cols(e.total.field, cols, e.total.dim)
+
+
 def perturbed_section(e: ExtensionData, mu: Matrix) -> Matrix:
     """Another section: s + i o mu for any linear mu: base -> coef."""
-    s = e.s if e.s is not None else default_section(e)
-    return s.add(e.i.mul(mu))
+    return _section(e).add(e.i.mul(mu))
 
 
 def build_extension(c: NonAbelianCocycle) -> ExtensionData:
@@ -395,8 +402,7 @@ def extract_cocycle(e: ExtensionData, s: Matrix | None = None) -> NonAbelianCocy
     """
     f = e.total.field
     n, m = e.base.dim, e.coef.dim
-    if s is None:
-        s = e.s if e.s is not None else default_section(e)
+    s = _section(e, s)
     if e.p.mul(s) != Matrix.identity(f, n):
         raise NotASection(
             Verdict.failed("section", (), e.p.mul(s).flat(), Matrix.identity(f, n).flat())
@@ -441,16 +447,10 @@ def audit_round_trip(e: ExtensionData, section: Matrix | None = None) -> Verdict
     tau must be an invertible averaging morphism intertwining both legs of
     the diagram; the verdict notes carry the rebuilt extension.
     """
-    f = e.total.field
-    n, m = e.base.dim, e.coef.dim
-    s = section if section is not None else (e.s if e.s is not None else default_section(e))
+    s = _section(e, section)
     c = extract_cocycle(e, s)
     rebuilt = build_extension(c)
-    tau = Matrix.from_cols(
-        f,
-        [s.col(j) for j in range(n)] + [e.i.col(a) for a in range(m)],
-        e.total.dim,
-    )
+    tau = _tau(e, s)
     if tau.inverse() is None:
         return Verdict.failed("tau-invertible", (), tau.flat(), ())
     for a in range(e.total.dim):
@@ -757,13 +757,9 @@ def transform_cocycle(pair: AutomorphismPair, c: NonAbelianCocycle) -> NonAbelia
     ]
     chi = AltMap(f, n, 2, m, chi_comps)
     mats = c.psi_mats()
-    new_mats = []
-    for i in range(n):
-        acc = Matrix.zero(f, m, m)
-        for k, coeff in enumerate(ainv.col(i)):
-            if coeff != f.zero:
-                acc = acc.add(mats[k].scale(coeff))
-        new_mats.append(pair.beta.mul(acc).mul(binv))
+    new_mats = [
+        pair.beta.mul(psi_of_vec(f, m, mats, ainv.col(i))).mul(binv) for i in range(n)
+    ]
     psi = Tensor.build(f, (n, m, m), lambda i, b, a: new_mats[i][b, a])
     Phi = pair.beta.mul(c.Phi).mul(ainv)
     out = NonAbelianCocycle(c.base, c.coef, chi, psi, Phi)
@@ -836,7 +832,7 @@ def lift_automorphism(
     """
     f = e.total.field
     n, m, dim = e.base.dim, e.coef.dim, e.total.dim
-    s = section if section is not None else (e.s if e.s is not None else default_section(e))
+    s = _section(e, section)
     cols = []
     for j in range(dim):
         ej = vec_basis(f, dim, j)
@@ -884,8 +880,7 @@ def project_automorphism(
             )
         beta_cols.append(sol[0])
     beta = Matrix.from_cols(f, beta_cols, rows_hint=m)
-    s = section if section is not None else (e.s if e.s is not None else default_section(e))
-    alpha = e.p.mul(gamma).mul(s)
+    alpha = e.p.mul(gamma).mul(_section(e, section))
     pair = AutomorphismPair(beta, alpha)
     pv = check_automorphism_pair(pair, e.base, e.coef)
     if not pv:
@@ -964,16 +959,10 @@ def check_compatible_pair(pair: AutomorphismPair, r: Representation) -> Verdict:
     f = r.field
     mats = r.psi_mats()
     for i in range(r.dim):
-        acc = Matrix.zero(f, r.vdim, r.vdim)
-        for k, coeff in enumerate(pair.alpha.col(i)):
-            if coeff != f.zero:
-                acc = acc.add(mats[k].scale(coeff))
-        lhs = pair.beta.mul(mats[i])
-        rhs = acc.mul(pair.beta)
-        if lhs != rhs:
-            for a in range(r.vdim):
-                if lhs.col(a) != rhs.col(a):
-                    return Verdict.failed("compatible", (i, a), lhs.col(a), rhs.col(a))
+        acc = psi_of_vec(f, r.vdim, mats, pair.alpha.col(i))
+        v = column_mismatch("compatible", i, pair.beta.mul(mats[i]), acc.mul(pair.beta))
+        if v is not None:
+            return v
     return Verdict.passed()
 
 
@@ -1043,7 +1032,7 @@ def check_split_semidirect(e: ExtensionData, limit: int = ENUM_LIMIT) -> Verdict
         raise NotAbelian(Verdict.failed("abelian", (), (), ()))
     f = e.total.field
     n, m = e.base.dim, e.coef.dim
-    s = e.s if e.s is not None else default_section(e)
+    s = _section(e)
     for i_ in range(n):
         for j_ in range(i_ + 1, n):
             lhs = e.total.algebra.bracket_vec(s.col(i_), s.col(j_))
@@ -1062,12 +1051,8 @@ def check_split_semidirect(e: ExtensionData, limit: int = ENUM_LIMIT) -> Verdict
     auth = extension_automorphisms(e, limit)
     cpairs = compatible_pairs(e, limit)
     fixing = kernel_fixing_automorphisms(e, limit)
-    # tau(x, h) = s(x) + i(h); rho(pair) = tau (alpha + beta) tau^{-1}.
-    tau = Matrix.from_cols(
-        f,
-        [s.col(j) for j in range(n)] + [e.i.col(a) for a in range(m)],
-        e.total.dim,
-    )
+    # rho(pair) = tau (alpha + beta) tau^{-1}.
+    tau = _tau(e, s)
     tinv = tau.inverse()
     if tinv is None:
         raise InternalError("splitting coordinates are singular")
@@ -1114,15 +1099,14 @@ def exact_sequence_audit(e: ExtensionData, samples: int | None = None, limit: in
     f = e.total.field
     auth = extension_automorphisms(e, limit)
     ident = (Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
+    s = _section(e)
     image = set()
     kernel_failures = []
     for g in auth:
         pair = project_automorphism(e, g)
         image.add((pair.beta, pair.alpha))
         in_kernel = (pair.beta, pair.alpha) == ident
-        fixes = g.mul(e.i) == e.i and e.p.mul(g).mul(
-            e.s if e.s is not None else default_section(e)
-        ) == Matrix.identity(f, e.base.dim)
+        fixes = g.mul(e.i) == e.i and e.p.mul(g).mul(s) == ident[1]
         if in_kernel != fixes:
             kernel_failures.append(g)
     pairs = [

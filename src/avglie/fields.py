@@ -17,18 +17,35 @@ _Q_RE = re.compile(r"^-?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^-?\d+$")
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015); above it the test could be fooled.
+PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality of {n} is undecided at or above {PRIME_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -192,7 +209,14 @@ def field_from_string(text: str) -> Field:
         return QQ
     m = re.match(r"^F(\d+)$", text)
     if m:
-        p = int(m.group(1))
+        digits = m.group(1).lstrip("0") or "0"
+        # the length test comes first: int() refuses over 4300 digits
+        if len(digits) > len(str(PRIME_BOUND)) or int(digits) >= PRIME_BOUND:
+            raise ParseError(
+                f"field modulus in {text!r} is at or above {PRIME_BOUND}, the bound"
+                " below which primality is decided exactly"
+            )
+        p = int(digits)
         if not is_prime(p):
             raise ParseError(f"field modulus {p} is not prime")
         return GF(p)

@@ -30,6 +30,8 @@ from .lie import (
     Representation,
     check_averaging,
     check_representation,
+    psi_matrices,
+    psi_of_vec,
 )
 from .linalg import (
     Matrix,
@@ -37,9 +39,9 @@ from .linalg import (
     solve_affine,
     vec_add,
     vec_basis,
+    vec_bilinear,
     vec_is_zero,
     vec_neg,
-    vec_scale,
     vec_sub,
     vec_zero,
 )
@@ -70,34 +72,16 @@ class TwoTermLinf:
 
     # bracket of basis elements; vectors live in the indicated level
     def br00(self, i, j):
-        return tuple(self.l2_00.get(i, j, k) for k in range(self.n0))
+        return self.l2_00.fibre(i, j)
 
     def br00_vec(self, u, v):
-        f = self.field
-        out = vec_zero(f, self.n0)
-        for i, a in enumerate(u):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(v):
-                if b == f.zero:
-                    continue
-                out = vec_add(f, out, vec_scale(f, f.mul(a, b), self.br00(i, j)))
-        return out
+        return vec_bilinear(self.field, self.n0, u, v, self.br00)
 
     def br01(self, i, a):
-        return tuple(self.l2_01.get(i, a, b) for b in range(self.n1))
+        return self.l2_01.fibre(i, a)
 
     def br01_vec(self, x, h):
-        f = self.field
-        out = vec_zero(f, self.n1)
-        for i, ci in enumerate(x):
-            if ci == f.zero:
-                continue
-            for a, ca in enumerate(h):
-                if ca == f.zero:
-                    continue
-                out = vec_add(f, out, vec_scale(f, f.mul(ci, ca), self.br01(i, a)))
-        return out
+        return vec_bilinear(self.field, self.n1, x, h, self.br01)
 
 
 @dataclass(frozen=True)
@@ -388,20 +372,14 @@ class CrossedModule:
         if self.rho.shape != (self.g0.dim, self.g1.dim, self.g1.dim):
             raise DimensionMismatch("action tensor shape mismatch")
 
-    def rho_mats(self):
-        f = self.g0.field
-        n0, n1 = self.g0.dim, self.g1.dim
-        return tuple(
-            Matrix(f, [[self.rho.get(i, a, b) for a in range(n1)] for b in range(n1)])
-            for i in range(n0)
-        )
-
 
 def check_crossed_module(c: CrossedModule) -> Verdict:
     """Morphism, action, representation-chain, anchor and Peiffer clauses."""
     f = c.g0.field
     n0, n1 = c.g0.dim, c.g1.dim
-    mats = c.rho_mats()
+    # psi[i, b, a] = rho[i, a, b]: the action as matrices on column vectors
+    psi = Tensor.build(f, (n0, n1, n1), lambda i, bb, aa: c.rho.get(i, aa, bb))
+    mats = psi_matrices(f, n1, psi)
     # d is an averaging Lie algebra morphism.
     for a in range(n1):
         for b in range(n1):
@@ -430,7 +408,6 @@ def check_crossed_module(c: CrossedModule) -> Verdict:
                 if lhs != rhs:
                     return Verdict.failed("rho-derivation", (i, a, b), lhs, rhs)
     # rho is a Lie homomorphism and makes g1 a representation of g0.
-    psi = Tensor.build(f, (n0, n1, n1), lambda i, bb, aa: c.rho.get(i, aa, bb))
     rep_v = check_representation(c.g0, n1, psi, c.g1.P)
     if not rep_v:
         clause = {
@@ -448,11 +425,9 @@ def check_crossed_module(c: CrossedModule) -> Verdict:
                 return Verdict.failed("cm-anchor", (i, a), lhs, rhs)
     # Peiffer: rho_{dh} k = [h, k].
     for a in range(n1):
+        act = psi_of_vec(f, n1, mats, c.d.col(a))
         for b in range(n1):
-            acc = vec_zero(f, n1)
-            for i, coeff in enumerate(c.d.col(a)):
-                if coeff != f.zero:
-                    acc = vec_add(f, acc, vec_scale(f, coeff, mats[i].col(b)))
+            acc = act.col(b)
             rhs = c.g1.algebra.bracket_basis(a, b)
             if acc != rhs:
                 return Verdict.failed("cm-peiffer", (a, b), acc, rhs)

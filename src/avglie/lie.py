@@ -24,7 +24,16 @@ from .errors import (
     NotAveraging,
     Verdict,
 )
-from .linalg import Matrix, Tensor, vec_add, vec_basis, vec_is_zero, vec_scale, vec_zero
+from .linalg import (
+    Matrix,
+    Tensor,
+    vec_add,
+    vec_basis,
+    vec_bilinear,
+    vec_is_zero,
+    vec_scale,
+    vec_zero,
+)
 
 
 def _bracket_table(field, dim, bracket):
@@ -106,21 +115,10 @@ class LieAlgebra:
         return LieAlgebra(field, dim, Tensor.zero(field, (dim, dim, dim)))
 
     def bracket_basis(self, i, j):
-        return tuple(self.bracket.get(i, j, k) for k in range(self.dim))
+        return self.bracket.fibre(i, j)
 
     def bracket_vec(self, u, v):
-        f = self.field
-        out = vec_zero(f, self.dim)
-        for i, a in enumerate(u):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(v):
-                if b == f.zero:
-                    continue
-                out = vec_add(
-                    f, out, vec_scale(f, f.mul(a, b), self.bracket_basis(i, j))
-                )
-        return out
+        return vec_bilinear(self.field, self.dim, u, v, self.bracket_basis)
 
     def is_abelian(self):
         return self.bracket.is_zero()
@@ -131,30 +129,16 @@ def check_leibniz(field, dim, bracket: Tensor) -> Verdict:
     if bracket.shape != (dim, dim, dim):
         raise DimensionMismatch(f"bracket tensor must have shape {(dim,) * 3}")
     f = field
-
-    def br_basis(i, j):
-        return tuple(bracket.get(i, j, k) for k in range(dim))
-
-    def br_vec_right(i, vec):
-        out = vec_zero(f, dim)
-        for t, c in enumerate(vec):
-            if c != f.zero:
-                out = vec_add(f, out, vec_scale(f, c, br_basis(i, t)))
-        return out
-
-    def br_vec_left(vec, j):
-        out = vec_zero(f, dim)
-        for t, c in enumerate(vec):
-            if c != f.zero:
-                out = vec_add(f, out, vec_scale(f, c, br_basis(t, j)))
-        return out
-
+    br = bracket.fibre
+    basis = [vec_basis(f, dim, i) for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                lhs = br_vec_right(i, br_basis(j, k))
+                lhs = vec_bilinear(f, dim, basis[i], br(j, k), br)
                 rhs = vec_add(
-                    f, br_vec_left(br_basis(i, j), k), br_vec_right(j, br_basis(i, k))
+                    f,
+                    vec_bilinear(f, dim, br(i, j), basis[k], br),
+                    vec_bilinear(f, dim, basis[j], br(i, k), br),
                 )
                 if lhs != rhs:
                     return Verdict.failed("leibniz", (i, j, k), lhs, rhs)
@@ -315,19 +299,35 @@ def psi_matrices(field, vdim, psi: Tensor):
     )
 
 
+def psi_of_vec(field, vdim, mats, x):
+    """The action matrix sum_k x_k psi_{e_k} of an algebra vector x, from
+    the basis action matrices `mats`."""
+    out = Matrix.zero(field, vdim, vdim)
+    for k, coeff in enumerate(x):
+        if coeff != field.zero:
+            out = out.add(mats[k].scale(coeff))
+    return out
+
+
+def column_mismatch(clause, i, lhs: Matrix, rhs: Matrix):
+    """Failed verdict at the first column a where lhs and rhs differ,
+    witnessed on (i, a); None when the matrices are equal."""
+    if lhs == rhs:
+        return None
+    for a in range(lhs.cols):
+        if lhs.col(a) != rhs.col(a):
+            return Verdict.failed(clause, (i, a), lhs.col(a), rhs.col(a))
+
+
 def check_lie_representation(g: LieAlgebra, vdim, psi: Tensor) -> Verdict:
     """psi_[x,y] = psi_x psi_y - psi_y psi_x on basis pairs."""
     if psi.shape != (g.dim, vdim, vdim):
         raise DimensionMismatch("psi tensor shape mismatch")
     f = g.field
     mats = psi_matrices(f, vdim, psi)
-    zero = Matrix.zero(f, vdim, vdim)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = zero
-            for k, coeff in enumerate(g.bracket_basis(i, j)):
-                if coeff != f.zero:
-                    lhs = lhs.add(mats[k].scale(coeff))
+            lhs = psi_of_vec(f, vdim, mats, g.bracket_basis(i, j))
             rhs = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i]))
             if lhs != rhs:
                 return Verdict.failed(
@@ -351,22 +351,15 @@ def check_representation(base: AveragingLieAlgebra, vdim, psi: Tensor, Q: Matrix
     f = base.field
     mats = psi_matrices(f, vdim, psi)
     for i in range(base.dim):
-        pm = Matrix.zero(f, vdim, vdim)
-        for k in range(base.dim):
-            coeff = base.P[k, i]
-            if coeff != f.zero:
-                pm = pm.add(mats[k].scale(coeff))
-        lhs1 = pm.mul(Q)
+        pm = psi_of_vec(f, vdim, mats, base.P.col(i))
         mid = Q.mul(pm)
-        rhs2 = Q.mul(mats[i]).mul(Q)
-        if lhs1 != mid:
-            for a in range(vdim):
-                if lhs1.col(a) != mid.col(a):
-                    return Verdict.failed("rep-chain-1", (i, a), lhs1.col(a), mid.col(a))
-        if mid != rhs2:
-            for a in range(vdim):
-                if mid.col(a) != rhs2.col(a):
-                    return Verdict.failed("rep-chain-2", (i, a), mid.col(a), rhs2.col(a))
+        for clause, lhs, rhs in (
+            ("rep-chain-1", pm.mul(Q), mid),
+            ("rep-chain-2", mid, Q.mul(mats[i]).mul(Q)),
+        ):
+            v = column_mismatch(clause, i, lhs, rhs)
+            if v is not None:
+                return v
     return Verdict.passed()
 
 
@@ -396,19 +389,6 @@ class Representation:
 
     def psi_mats(self):
         return psi_matrices(self.field, self.vdim, self.psi)
-
-    def psi_of_vec(self, x):
-        """The action matrix of an arbitrary algebra vector."""
-        f = self.field
-        mats = self.psi_mats()
-        out = Matrix.zero(f, self.vdim, self.vdim)
-        for k, coeff in enumerate(x):
-            if coeff != f.zero:
-                out = out.add(mats[k].scale(coeff))
-        return out
-
-    def act_basis(self, i, v):
-        return self.psi_mats()[i].matvec(v)
 
 
 def adjoint_representation(a: AveragingLieAlgebra) -> Representation:
@@ -442,10 +422,7 @@ def check_embedding_tensor(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> Verdi
     mats = psi_matrices(f, vdim, psi)
     tcols = [T.col(a) for a in range(vdim)]
     for a in range(vdim):
-        act = Matrix.zero(f, vdim, vdim)
-        for k, coeff in enumerate(tcols[a]):
-            if coeff != f.zero:
-                act = act.add(mats[k].scale(coeff))
+        act = psi_of_vec(f, vdim, mats, tcols[a])
         for b in range(vdim):
             lhs = g.bracket_vec(tcols[a], tcols[b])
             rhs = T.matvec(act.matvec(vec_basis(f, vdim, b)))
@@ -493,6 +470,3 @@ def embedding_to_averaging(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> Avera
             rows[r][n + a] = T[r, a]
     return AveragingLieAlgebra.validate(total, Matrix(f, rows))
 
-
-def validate_lie(field, dim, bracket) -> LieAlgebra:
-    return LieAlgebra.validate(field, dim, bracket)

@@ -45,6 +45,23 @@ def vec_is_zero(fld, u):
     return all(a == fld.zero for a in u)
 
 
+def vec_bilinear(fld, n, u, v, row):
+    """sum_{i,j} u_i v_j row(i, j): a bilinear map given by its basis rows.
+
+    row(i, j) is the length-n value on the basis pair (e_i, e_j); it is
+    called only for pairs with both coefficients nonzero.
+    """
+    out = vec_zero(fld, n)
+    for i, a in enumerate(u):
+        if a == fld.zero:
+            continue
+        for j, b in enumerate(v):
+            if b == fld.zero:
+                continue
+            out = vec_add(fld, out, vec_scale(fld, fld.mul(a, b), row(i, j)))
+    return out
+
+
 class Matrix:
     """Immutable dense matrix over an exact field."""
 
@@ -196,13 +213,6 @@ class Matrix:
                 acc = f.add(acc, f.mul(self.entries[r][k], v[k]))
             out.append(acc)
         return tuple(out)
-
-    def transpose(self):
-        return Matrix(
-            self.field,
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)],
-            cols=self.rows,
-        )
 
     def hstack(self, other):
         self._check_same_field(other)
@@ -393,6 +403,13 @@ class Tensor:
             raise DimensionMismatch("tensor index arity mismatch")
         off = sum(i * s for i, s in zip(idx, self._strides))
         return self.entries[off]
+
+    def fibre(self, *idx):
+        """Entries along the last axis at the given leading indices."""
+        if len(idx) != len(self.shape) - 1:
+            raise DimensionMismatch("tensor index arity mismatch")
+        off = sum(i * s for i, s in zip(idx, self._strides))
+        return self.entries[off : off + self.shape[-1]]
 
     def __eq__(self, other):
         return (

@@ -1,14 +1,19 @@
 """Alternating and dense multilinear maps with values in a vector space.
 
+Both kinds store one value vector per basis tuple of their layout and
+share that storage, its shape checks and the vector-space operations
+through one base class.  They differ in the layout and in evaluation.
 Alternating maps are stored on strictly increasing basis tuples only
 (lexicographic order); evaluation anywhere else expands by the sign of the
 sorting permutation and is zero on repeated indices, so skew-symmetry is a
-storage invariant rather than a runtime check.
+storage invariant rather than a runtime check.  Dense maps store every
+argument tuple in row-major order.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import comb
 
 from .errors import DimensionMismatch
 from .linalg import Matrix, vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub, vec_zero
@@ -34,44 +39,109 @@ def increasing_tuples(dim, arity):
     return list(combinations(range(dim), arity))
 
 
-class AltMap:
-    """Alternating multilinear map on arity-many copies of a dim-space."""
+class _ComponentMap:
+    """A map on arity-many copies of a dim-space into a vdim-space, stored
+    as count(dim, arity) component vectors of length vdim.
 
-    __slots__ = ("field", "dim", "arity", "vdim", "comps", "_pos")
+    Equality, hashing and arithmetic are type-strict: an alternating and a
+    dense map never compare equal or combine, whatever their components.
+    """
+
+    __slots__ = ("field", "dim", "arity", "vdim", "comps")
+    noun = "map"
+
+    @staticmethod
+    def count(dim, arity):
+        raise NotImplementedError
 
     def __init__(self, field, dim, arity, vdim, comps):
         self.field = field
         self.dim = dim
         self.arity = arity
         self.vdim = vdim
-        tuples = increasing_tuples(dim, arity)
+        n = self.count(dim, arity)
         comps = tuple(tuple(field.coerce(x) for x in c) for c in comps)
-        if len(comps) != len(tuples) or any(len(c) != vdim for c in comps):
+        if len(comps) != n or any(len(c) != vdim for c in comps):
             raise DimensionMismatch(
-                f"alternating map wants {len(tuples)} components of length {vdim}"
+                f"{self.noun} wants {n} components of length {vdim}"
             )
         self.comps = comps
-        self._pos = {t: k for k, t in enumerate(tuples)}
 
-    @staticmethod
-    def zero(field, dim, arity, vdim):
-        n = len(increasing_tuples(dim, arity))
-        return AltMap(field, dim, arity, vdim, [(field.zero,) * vdim] * n)
+    @classmethod
+    def zero(cls, field, dim, arity, vdim):
+        n = cls.count(dim, arity)
+        return cls(field, dim, arity, vdim, [(field.zero,) * vdim] * n)
 
-    @staticmethod
-    def from_flat(field, dim, arity, vdim, flat):
-        n = len(increasing_tuples(dim, arity))
+    @classmethod
+    def from_flat(cls, field, dim, arity, vdim, flat):
+        n = cls.count(dim, arity)
         flat = list(flat)
         if len(flat) != n * vdim:
             raise DimensionMismatch(
-                f"alternating map wants {n * vdim} entries, got {len(flat)}"
+                f"{cls.noun} wants {n * vdim} entries, got {len(flat)}"
             )
-        return AltMap(
+        return cls(
             field, dim, arity, vdim, [flat[k * vdim : (k + 1) * vdim] for k in range(n)]
         )
 
     def flat(self):
         return tuple(x for c in self.comps for x in c)
+
+    def _like(self, other):
+        return (
+            type(other) is type(self)
+            and self.field == other.field
+            and (self.dim, self.arity, self.vdim)
+            == (other.dim, other.arity, other.vdim)
+        )
+
+    def _combine(self, other, op):
+        if not self._like(other):
+            raise DimensionMismatch(f"{self.noun} shape mismatch")
+        f = self.field
+        return type(self)(
+            f,
+            self.dim,
+            self.arity,
+            self.vdim,
+            [op(f, a, b) for a, b in zip(self.comps, other.comps)],
+        )
+
+    def add(self, other):
+        return self._combine(other, vec_add)
+
+    def sub(self, other):
+        return self._combine(other, vec_sub)
+
+    def neg(self):
+        f = self.field
+        return type(self)(
+            f, self.dim, self.arity, self.vdim, [vec_neg(f, c) for c in self.comps]
+        )
+
+    def is_zero(self):
+        return all(vec_is_zero(self.field, c) for c in self.comps)
+
+    def __eq__(self, other):
+        return self._like(other) and self.comps == other.comps
+
+    def __hash__(self):
+        return hash((self.field, self.dim, self.arity, self.vdim, self.comps))
+
+
+class AltMap(_ComponentMap):
+    """Alternating multilinear map on arity-many copies of a dim-space."""
+
+    __slots__ = ("_pos",)
+    noun = "alternating map"
+
+    @staticmethod
+    def count(dim, arity):
+        return comb(dim, arity)
+
+    def __init__(self, field, dim, arity, vdim, comps):
+        super().__init__(field, dim, arity, vdim, comps)
+        self._pos = {t: k for k, t in enumerate(increasing_tuples(dim, arity))}
 
     def tuples(self):
         return increasing_tuples(self.dim, self.arity)
@@ -123,104 +193,19 @@ class AltMap:
             comps.append(self.eval_basis(idxs))
         return MultiMap(f, self.dim, self.arity, self.vdim, comps)
 
-    # -- algebra -------------------------------------------------------------
-
-    def _like(self, other):
-        return (
-            isinstance(other, AltMap)
-            and self.field == other.field
-            and (self.dim, self.arity, self.vdim)
-            == (other.dim, other.arity, other.vdim)
-        )
-
-    def add(self, other):
-        if not self._like(other):
-            raise DimensionMismatch("alternating map shape mismatch")
-        f = self.field
-        return AltMap(
-            f,
-            self.dim,
-            self.arity,
-            self.vdim,
-            [vec_add(f, a, b) for a, b in zip(self.comps, other.comps)],
-        )
-
-    def sub(self, other):
-        if not self._like(other):
-            raise DimensionMismatch("alternating map shape mismatch")
-        f = self.field
-        return AltMap(
-            f,
-            self.dim,
-            self.arity,
-            self.vdim,
-            [vec_sub(f, a, b) for a, b in zip(self.comps, other.comps)],
-        )
-
-    def neg(self):
-        f = self.field
-        return AltMap(
-            f, self.dim, self.arity, self.vdim, [vec_neg(f, c) for c in self.comps]
-        )
-
-    def map_values(self, matrix):
-        """Post-compose with a linear map on the value space."""
-        return AltMap(
-            self.field,
-            self.dim,
-            self.arity,
-            matrix.rows,
-            [matrix.matvec(c) for c in self.comps],
-        )
-
-    def is_zero(self):
-        return all(vec_is_zero(self.field, c) for c in self.comps)
-
-    def __eq__(self, other):
-        return self._like(other) and self.comps == other.comps
-
-    def __hash__(self):
-        return hash((self.field, self.dim, self.arity, self.vdim, self.comps))
-
     def __repr__(self):
         return f"AltMap({self.field}, L^{self.arity}({self.dim})->{self.vdim})"
 
 
-class MultiMap:
+class MultiMap(_ComponentMap):
     """Dense multilinear map on arity-many copies of a dim-space."""
 
-    __slots__ = ("field", "dim", "arity", "vdim", "comps")
-
-    def __init__(self, field, dim, arity, vdim, comps):
-        self.field = field
-        self.dim = dim
-        self.arity = arity
-        self.vdim = vdim
-        comps = tuple(tuple(field.coerce(x) for x in c) for c in comps)
-        if len(comps) != dim**arity or any(len(c) != vdim for c in comps):
-            raise DimensionMismatch(
-                f"multilinear map wants {dim ** arity} components of length {vdim}"
-            )
-        self.comps = comps
+    __slots__ = ()
+    noun = "multilinear map"
 
     @staticmethod
-    def zero(field, dim, arity, vdim):
-        return MultiMap(field, dim, arity, vdim, [(field.zero,) * vdim] * dim**arity)
-
-    @staticmethod
-    def from_flat(field, dim, arity, vdim, flat):
-        n = dim**arity
-        flat = list(flat)
-        if len(flat) != n * vdim:
-            raise DimensionMismatch(
-                f"multilinear map wants {n * vdim} entries, got {len(flat)}"
-            )
-        return MultiMap(
-            field, dim, arity, vdim, [flat[k * vdim : (k + 1) * vdim] for k in range(n)]
-        )
-
-    def flat(self):
-        return tuple(x for c in self.comps for x in c)
+    def count(dim, arity):
+        return dim**arity
 
     def tuples(self):
         return list(product(range(self.dim), repeat=self.arity))
@@ -256,49 +241,6 @@ class MultiMap:
             out = vec_add(f, out, vec_scale(f, coeff, self.eval_basis(tuple(idxs))))
         return out
 
-    # -- algebra -------------------------------------------------------------
-
-    def _like(self, other):
-        return (
-            isinstance(other, MultiMap)
-            and self.field == other.field
-            and (self.dim, self.arity, self.vdim)
-            == (other.dim, other.arity, other.vdim)
-        )
-
-    def add(self, other):
-        if not self._like(other):
-            raise DimensionMismatch("multilinear map shape mismatch")
-        f = self.field
-        return MultiMap(
-            f,
-            self.dim,
-            self.arity,
-            self.vdim,
-            [vec_add(f, a, b) for a, b in zip(self.comps, other.comps)],
-        )
-
-    def sub(self, other):
-        if not self._like(other):
-            raise DimensionMismatch("multilinear map shape mismatch")
-        f = self.field
-        return MultiMap(
-            f,
-            self.dim,
-            self.arity,
-            self.vdim,
-            [vec_sub(f, a, b) for a, b in zip(self.comps, other.comps)],
-        )
-
-    def neg(self):
-        f = self.field
-        return MultiMap(
-            f, self.dim, self.arity, self.vdim, [vec_neg(f, c) for c in self.comps]
-        )
-
-    def is_zero(self):
-        return all(vec_is_zero(self.field, c) for c in self.comps)
-
     def is_alternating(self):
         """True when the map kills repeated arguments and flips under swaps."""
         f = self.field
@@ -326,12 +268,6 @@ class MultiMap:
             self.vdim,
             [self.eval_basis(t) for t in increasing_tuples(self.dim, self.arity)],
         )
-
-    def __eq__(self, other):
-        return self._like(other) and self.comps == other.comps
-
-    def __hash__(self):
-        return hash((self.field, self.dim, self.arity, self.vdim, self.comps))
 
     def __repr__(self):
         return f"MultiMap({self.field}, ({self.dim})^x{self.arity}->{self.vdim})"

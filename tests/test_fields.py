@@ -1,10 +1,13 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from avglie.errors import ParseError
-from avglie.fields import GF, QQ, field_from_string, is_prime
+from avglie.fields import GF, PRIME_BOUND, QQ, field_from_string, is_prime
 
 
 def test_field_tags_round_trip():
@@ -72,3 +75,59 @@ def test_division():
         F5.inv(0)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_miller_rabin_matches_trial_division():
+    for n in range(10**5):
+        assert is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_large_moduli():
+    assert is_prime(10**18 + 3)
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    assert field_from_string("F1000000000000000003").p == 10**18 + 3
+    with pytest.raises(ValueError):
+        is_prime(PRIME_BOUND)
+    for tag in (f"F{PRIME_BOUND}", "F" + "7" * 5000):
+        with pytest.raises(ParseError, match=str(PRIME_BOUND)):
+            field_from_string(tag)
+
+
+def _check_lie_doc(tmp_path, tag):
+    doc = {
+        "kind": "lie_algebra",
+        "field": tag,
+        "dim": 2,
+        "bracket": {
+            "shape": [2, 2, 2],
+            "entries": ["0", "0", "0", "1", "0", "-1", "0", "0"],
+        },
+    }
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps(doc))
+    return subprocess.run(
+        [sys.executable, "-m", "avglie.cli", "check", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+
+
+def test_cli_large_modulus_is_bounded(tmp_path):
+    proc = _check_lie_doc(tmp_path, "F1000000000000000003")
+    assert proc.returncode in (0, 1)
+    proc = _check_lie_doc(tmp_path, f"F{PRIME_BOUND}")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["clause"] == "parse-error"
