@@ -240,6 +240,8 @@ def cmd_cohomology(args, parser):
         return _finish(_report("pass", data=data))
     except ParseError as exc:
         return _finish(_parse_error_report(exc))
+    except FieldTooLarge as exc:
+        return _finish(_report("indeterminate", notes={"reason": str(exc)}))
     except ValidationError as exc:
         return _finish(_verdict_report(exc.verdict, _doc_field(args.path)))
 

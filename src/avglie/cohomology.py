@@ -9,26 +9,31 @@ coboundary preimages are total.  The canonical vector ordering is f-block
 first (increasing tuples lexicographic, value coordinate fastest), then
 theta-block (row-major argument tuple, value coordinate fastest); every
 matrix-level artifact depends on this ordering.
+
+The differential delta^n sends (f, theta) to (d_CE f, F_P f + d_Leib theta),
+so in this ordering it is the block matrix [[d_CE, 0], [F_P, d_Leib]].  It
+is defined once, as sparse rows read off the structure constants, the action
+matrices and the minors of P (`delta_rows`); the dense matrix, the
+differentials of single cochains and the cocycle test all apply those rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, FieldTooLarge
 from .lie import Representation, psi_of_vec
-from .linalg import (
-    Matrix,
-    rank,
-    solve_affine,
-    vec_add,
-    vec_basis,
-    vec_neg,
-    vec_sub,
-    vec_zero,
-)
-from .multilinear import AltMap, MultiMap
+from .linalg import Matrix, rank, solve_affine, vec_basis
+from .multilinear import AltMap, MultiMap, dense_offset, sort_with_sign
+
+
+# Budget of cohomology_report: the dense cells (rows x columns) of the
+# largest differential it assembles.  Degree 4 on a dim-6 adjoint module,
+# 7812 x 1386 cells, takes about 20 s and 275 MB over Q; the next size up,
+# dim 7, has four times the cells and is refused.
+MAX_DENSE_CELLS = 12_000_000
 
 
 @dataclass(frozen=True)
@@ -170,130 +175,211 @@ class Cochain:
 
 # ---------------------------------------------------------------------------
 # Differentials.
+#
+# Each block is a list of rows, one per output coordinate in the canonical
+# order; a row is a {column: coefficient} dict, its columns numbered within
+# the block's input component.  The rows come from the nonzero structure
+# constants, the action matrices psi_x, psi_{P x} and Q psi_x, and the
+# minors of P: no cochain is ever evaluated.
+
+
+def _signed(fld, positive, x):
+    return x if positive else fld.neg(x)
+
+
+def _nonzeros(m: Matrix):
+    """(row, column, entry) of each nonzero entry of m."""
+    z = m.field.zero
+    return [
+        (a, b, x)
+        for a, row in enumerate(m.entries)
+        for b, x in enumerate(row)
+        if x != z
+    ]
+
+
+def _add_scaled(fld, block, base, entries, scale):
+    """block[a][base + b] += scale * x for each (a, b, x) in entries."""
+    for a, b, x in entries:
+        row = block[a]
+        row[base + b] = fld.add(row.get(base + b, fld.zero), fld.mul(scale, x))
+
+
+def _minors(P: Matrix, k):
+    """Increasing column k-tuple t -> [(increasing row k-tuple s, det P[s, t])]
+    over the nonzero minors."""
+    fld = P.field
+    out = {}
+    for t in combinations(range(P.cols), k):
+        out[t] = []
+        for s in combinations(range(P.rows), k):
+            d = Matrix(fld, [[P[i, j] for j in t] for i in s], cols=k).det()
+            if d != fld.zero:
+                out[t].append((s, d))
+    return out
+
+
+def _lie_rows(r: Representation, n):
+    """d_CE from alternating arity n to n + 1:
+    (d f)(x_0..x_n) = sum_i (-1)^i psi_{x_i} f(..^i..)
+                    + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..^i..^j..)."""
+    fld, dim, vdim = r.field, r.dim, r.vdim
+    g = r.base.algebra
+    pos = {t: k for k, t in enumerate(combinations(range(dim), n))}
+    ident = _nonzeros(Matrix.identity(fld, vdim))
+    acts = [_nonzeros(m) for m in r.psi_mats()]
+    rows = []
+    for tup in combinations(range(dim), n + 1):
+        block = [{} for _ in range(vdim)]
+        for i, x in enumerate(tup):
+            base = pos[tup[:i] + tup[i + 1 :]] * vdim
+            unit = _signed(fld, i % 2 == 0, fld.one)
+            _add_scaled(fld, block, base, acts[x], unit)
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                rest = tup[:i] + tup[i + 1 : j] + tup[j + 1 :]
+                for k, c in enumerate(g.bracket_basis(tup[i], tup[j])):
+                    key, sign = sort_with_sign((k, *rest))
+                    if c != fld.zero and sign != 0:
+                        even = (sign > 0) == ((i + j) % 2 == 0)
+                        coeff = _signed(fld, even, c)
+                        _add_scaled(fld, block, pos[key] * vdim, ident, coeff)
+        rows.extend(block)
+    return rows
+
+
+def _leib_rows(r: Representation, n):
+    """d_Leib from dense arity n - 1 to n; with arguments x_1..x_n it is
+      sum_{i<=n} (-1)^{i+1} psi_{P(x_i)} theta(..^i..)
+      + (-1)^n Q(psi_{x_n} theta(x_1..x_{n-1}))
+      + sum_{i<j} (-1)^i theta(..^i.., [P(x_i), x_j] at slot j, ..)."""
+    fld, dim, vdim = r.field, r.dim, r.vdim
+    g = r.base.algebra
+    mats = r.psi_mats()
+    pcols = [r.base.P.col(j) for j in range(dim)]
+    ident = _nonzeros(Matrix.identity(fld, vdim))
+    pacts = [_nonzeros(psi_of_vec(fld, vdim, mats, p)) for p in pcols]
+    qacts = [_nonzeros(r.Q.mul(m)) for m in mats]
+    pbr = [
+        [g.bracket_vec(p, vec_basis(fld, dim, u)) for u in range(dim)] for p in pcols
+    ]
+    rows = []
+    for tup in product(range(dim), repeat=n):
+        block = [{} for _ in range(vdim)]
+        # 0-based slot i below is slot i + 1 of the formula
+        for i in range(n):
+            base = dense_offset(dim, tup[:i] + tup[i + 1 :]) * vdim
+            unit = _signed(fld, i % 2 == 0, fld.one)
+            _add_scaled(fld, block, base, pacts[tup[i]], unit)
+        base = dense_offset(dim, tup[:-1]) * vdim
+        unit = _signed(fld, n % 2 == 0, fld.one)
+        _add_scaled(fld, block, base, qacts[tup[-1]], unit)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k, w in enumerate(pbr[tup[i]][tup[j]]):
+                    if w != fld.zero:
+                        args = tup[:i] + tup[i + 1 : j] + (k,) + tup[j + 1 :]
+                        base = dense_offset(dim, args) * vdim
+                        coeff = _signed(fld, i % 2 == 1, w)
+                        _add_scaled(fld, block, base, ident, coeff)
+        rows.extend(block)
+    return rows
+
+
+def _averaging_rows(r: Representation, n):
+    """F_P from alternating arity n to dense arity n:
+    (F_P f)(x_1..x_n) = (-1)^n f(P x_1, .., P x_n)
+                      - (-1)^n Q f(P x_1, .., P x_{n-1}, x_n).
+    The first term is a sum of n-minors of P; expanding the second along
+    its basis-vector column leaves (n-1)-minors."""
+    fld, dim, vdim = r.field, r.dim, r.vdim
+    pos = {t: k for k, t in enumerate(combinations(range(dim), n))}
+    top = _minors(r.base.P, n)
+    low = _minors(r.base.P, n - 1)
+    ident = _nonzeros(Matrix.identity(fld, vdim))
+    qacts = _nonzeros(r.Q)
+    rows = []
+    for tup in product(range(dim), repeat=n):
+        block = [{} for _ in range(vdim)]
+        key, sign = sort_with_sign(tup)
+        for s, d in top[key] if sign else ():
+            even = (sign > 0) == (n % 2 == 0)
+            _add_scaled(fld, block, pos[s] * vdim, ident, _signed(fld, even, d))
+        key, sign = sort_with_sign(tup[:-1])
+        last = tup[-1]
+        for s, d in low[key] if sign else ():
+            if last not in s:
+                full = tuple(sorted((*s, last)))
+                # -(-1)^n times the cofactor sign (-1)^(row + n - 1) of the
+                # basis-vector entry is (-1)^row
+                even = (sign > 0) == (full.index(last) % 2 == 0)
+                _add_scaled(fld, block, pos[full] * vdim, qacts, _signed(fld, even, d))
+        rows.extend(block)
+    return rows
+
+
+def delta_rows(r: Representation, degree: int):
+    """Sparse rows of delta^degree in the canonical cochain bases."""
+    if degree < 0:
+        raise DimensionMismatch("degree must be >= 0")
+    if degree == 0:
+        return [{} for _ in range(Cochain.dimension(r.dim, r.vdim, 1))]
+    lower = _averaging_rows(r, degree)
+    if degree >= 2:
+        nf = comb(r.dim, degree) * r.vdim
+        for row, leib in zip(lower, _leib_rows(r, degree), strict=True):
+            row.update((nf + c, x) for c, x in leib.items())
+    return _lie_rows(r, degree) + lower
+
+
+def _apply(fld, rows, vec):
+    out = []
+    for row in rows:
+        acc = fld.zero
+        for c, x in row.items():
+            acc = fld.add(acc, fld.mul(x, vec[c]))
+        out.append(acc)
+    return tuple(out)
 
 
 def delta_lie(r: Representation, f: AltMap) -> AltMap:
-    """Chevalley-Eilenberg differential of the underlying Lie module.
-
-    (d f)(x_0..x_n) = sum_i (-1)^i psi_{x_i} f(..^i..)
-                    + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..^i..^j..).
-    """
-    g = r.base.algebra
-    fld = r.field
+    """Chevalley-Eilenberg differential of the underlying Lie module."""
     n = f.arity
-    mats = r.psi_mats()
-    out = []
-    for tup in combinations(range(g.dim), n + 1):
-        acc = vec_zero(fld, r.vdim)
-        for i in range(n + 1):
-            rest = tup[:i] + tup[i + 1 :]
-            term = mats[tup[i]].matvec(f.eval_basis(rest))
-            acc = vec_add(fld, acc, term if i % 2 == 0 else vec_neg(fld, term))
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                rest = tuple(t for k, t in enumerate(tup) if k != i and k != j)
-                term = f.eval_with_first_vector(
-                    g.bracket_basis(tup[i], tup[j]), rest
-                )
-                acc = vec_add(
-                    fld, acc, term if (i + j) % 2 == 0 else vec_neg(fld, term)
-                )
-        out.append(acc)
-    return AltMap(fld, g.dim, n + 1, r.vdim, out)
+    return AltMap.from_flat(
+        r.field, r.dim, n + 1, r.vdim, _apply(r.field, _lie_rows(r, n), f.flat())
+    )
 
 
 def partial_leib(r: Representation, theta: MultiMap) -> MultiMap:
-    """Coboundary of the induced Leibniz algebra on dense multilinear maps.
-
-    With arguments x_1..x_n (n = arity + 1), the four groups are
-      sum_{i<=n-1} (-1)^{i+1} psi_{P(x_i)} theta(..^i..)
-      + (-1)^{n+1} psi_{P(x_n)} theta(x_1..x_{n-1})
-      + (-1)^n     Q(psi_{x_n} theta(x_1..x_{n-1}))
-      + sum_{i<j} (-1)^i theta(..^i.., [P(x_i), x_j] at slot j, ..).
-    """
-    g = r.base.algebra
-    fld = r.field
+    """Coboundary of the induced Leibniz algebra on dense multilinear maps."""
     n = theta.arity + 1
-    mats = r.psi_mats()
-    pcols = [r.base.P.col(j) for j in range(g.dim)]
-    pmats = [psi_of_vec(fld, r.vdim, mats, pcols[i]) for i in range(g.dim)]
-    out = []
-    for tup in product(range(g.dim), repeat=n):
-        acc = vec_zero(fld, r.vdim)
-        for i in range(1, n):  # 1-based i = 1 .. n-1
-            rest = tup[: i - 1] + tup[i:]
-            term = pmats[tup[i - 1]].matvec(theta.eval_basis(rest))
-            acc = vec_add(fld, acc, term if (i + 1) % 2 == 0 else vec_neg(fld, term))
-        head = tup[: n - 1]
-        term = pmats[tup[n - 1]].matvec(theta.eval_basis(head))
-        acc = vec_add(fld, acc, term if (n + 1) % 2 == 0 else vec_neg(fld, term))
-        term = r.Q.matvec(mats[tup[n - 1]].matvec(theta.eval_basis(head)))
-        acc = vec_add(fld, acc, term if n % 2 == 0 else vec_neg(fld, term))
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):  # 1-based i < j
-                inserted = g.bracket_vec(
-                    pcols[tup[i - 1]], vec_basis(fld, g.dim, tup[j - 1])
-                )
-                args = []
-                for k in range(1, n + 1):
-                    if k == i:
-                        continue
-                    args.append(inserted if k == j else tup[k - 1])
-                term = theta.eval_mixed(args)
-                acc = vec_add(fld, acc, term if i % 2 == 0 else vec_neg(fld, term))
-        out.append(acc)
-    return MultiMap(fld, g.dim, n, r.vdim, out)
+    return MultiMap.from_flat(
+        r.field, r.dim, n, r.vdim, _apply(r.field, _leib_rows(r, n), theta.flat())
+    )
 
 
 def delta_alie(r: Representation, c: Cochain) -> Cochain:
-    """Full differential: degree n -> n + 1.
-
-    Second component: partial_leib(theta) + (-1)^n f(P x_1, .., P x_n)
-    - (-1)^n Q f(P x_1, .., P x_{n-1}, x_n); for n = 1 the theta term is
-    absent and the rest reads -f(P x) + Q f(x).
-    """
+    """Full differential: degree n -> n + 1, (f, theta) goes to
+    (d_CE f, F_P f + d_Leib theta); for n = 1 the theta term is absent."""
     if (c.dim, c.vdim) != (r.dim, r.vdim) or c.field != r.field:
         raise DimensionMismatch("cochain does not match the representation")
-    fld = r.field
     n = c.degree
-    if n == 0:
-        return Cochain.zero(fld, r.dim, r.vdim, 1)
-    g = r.base.algebra
-    pcols = [r.base.P.col(j) for j in range(g.dim)]
-    f_out = delta_lie(r, c.f)
-    sign_pos = n % 2 == 0
-    theta_comps = []
-    for tup in product(range(g.dim), repeat=n):
-        acc = vec_zero(fld, r.vdim)
-        term = c.f.eval_vectors([pcols[t] for t in tup])
-        acc = vec_add(fld, acc, term if sign_pos else vec_neg(fld, term))
-        term = r.Q.matvec(
-            c.f.eval_vectors(
-                [pcols[t] for t in tup[:-1]] + [vec_basis(fld, g.dim, tup[-1])]
-            )
-        )
-        acc = vec_sub(fld, acc, term) if sign_pos else vec_add(fld, acc, term)
-        theta_comps.append(acc)
-    theta_out = MultiMap(fld, g.dim, n, r.vdim, theta_comps)
-    if c.theta is not None:
-        theta_out = theta_out.add(partial_leib(r, c.theta))
-    return Cochain(fld, r.dim, r.vdim, n + 1, f_out, theta_out)
+    out = _apply(r.field, delta_rows(r, n), c.vectorize())
+    return Cochain.from_vector(r.field, r.dim, r.vdim, n + 1, out)
 
 
 def assemble_delta_matrix(r: Representation, degree: int) -> Matrix:
     """Matrix of the degree differential in the canonical cochain bases."""
-    if degree < 0:
-        raise DimensionMismatch("degree must be >= 0")
     fld = r.field
+    rows = delta_rows(r, degree)
     nin = Cochain.dimension(r.dim, r.vdim, degree)
-    nout = Cochain.dimension(r.dim, r.vdim, degree + 1)
-    cols = []
-    for k in range(nin):
-        basis_vec = [fld.zero] * nin
-        basis_vec[k] = fld.one
-        c = Cochain.from_vector(fld, r.dim, r.vdim, degree, basis_vec)
-        cols.append(delta_alie(r, c).vectorize())
-    return Matrix.from_cols(fld, cols, rows_hint=nout)
+    dense = []
+    for row in rows:
+        line = [fld.zero] * nin
+        for c, x in row.items():
+            line[c] = x
+        dense.append(line)
+    return Matrix(fld, dense, cols=nin)
 
 
 def cohomology_dim(r: Representation, degree: int) -> int:
@@ -318,9 +404,21 @@ def is_coboundary(r: Representation, c: Cochain):
 
 
 def cohomology_report(r: Representation, degree: int) -> dict:
-    """Dimensions and ranks the CLI prints for one degree."""
+    """Dimensions and ranks the CLI prints for one degree.
+
+    Raises FieldTooLarge, before assembling anything, when delta^degree
+    has more than MAX_DENSE_CELLS dense cells.
+    """
     if degree < 1:
         raise DimensionMismatch("cohomology degree must be >= 1")
+    cells = Cochain.dimension(r.dim, r.vdim, degree + 1) * Cochain.dimension(
+        r.dim, r.vdim, degree
+    )
+    if cells > MAX_DENSE_CELLS:
+        raise FieldTooLarge(
+            f"delta^{degree} has {cells} dense cells, above the budget of"
+            f" {MAX_DENSE_CELLS}"
+        )
     m = assemble_delta_matrix(r, degree)
     prev = assemble_delta_matrix(r, degree - 1) if degree >= 2 else None
     rk = rank(m)

@@ -23,7 +23,9 @@ class DimensionMismatch(AvgLieError):
 
 
 class FieldTooLarge(AvgLieError):
-    """An exhaustive enumeration would exceed the desk-scale budget."""
+    """A computation would exceed its desk-scale budget: an exhaustive
+    enumeration with too many candidates, or a cohomology differential
+    with too many dense matrix cells.  The message names the estimate."""
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,20 @@ _Q_RE = re.compile(r"^-?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^-?\d+$")
 
 
+# int() refuses longer digit strings (CPython's default limit), so longer
+# scalars are refused as a ParseError before it is called.
+MAX_SCALAR_DIGITS = 4300
+
+
+def _parse_int(digits: str, text: str) -> int:
+    if len(digits.lstrip("-")) > MAX_SCALAR_DIGITS:
+        raise ParseError(
+            f"scalar {text[:12]}... ({len(text)} characters) has more than"
+            f" {MAX_SCALAR_DIGITS} digits"
+        )
+    return int(digits)
+
+
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster 2015); above it the test could be fooled.
 PRIME_BOUND = 3317044064679887385961981
@@ -122,12 +136,13 @@ class Rationals(Field):
         if not _Q_RE.match(text):
             raise ParseError(f"not a rational scalar: {text!r}")
         num, _, den = text.partition("/")
+        n = _parse_int(num, text)
         if den:
-            d = int(den)
+            d = _parse_int(den, text)
             if d == 0:
                 raise ParseError(f"zero denominator: {text!r}")
-            return Fraction(int(num), d)
-        return Fraction(int(num))
+            return Fraction(n, d)
+        return Fraction(n)
 
     def format(self, a) -> str:
         return str(a)
@@ -180,7 +195,7 @@ class PrimeField(Field):
     def parse(self, text: str):
         if not _INT_RE.match(text):
             raise ParseError(f"not a residue: {text!r}")
-        return int(text) % self.p
+        return _parse_int(text, text) % self.p
 
     def format(self, a) -> str:
         return str(a % self.p)

@@ -2,7 +2,10 @@
 
 Elimination uses the leftmost-nonzero pivot with immediate full reduction
 (RREF); no pivot strategy beyond first-hit, so every result is
-deterministic.  Kernel bases are the canonical RREF free-variable bases.
+deterministic.  Scaling the pivot row and subtracting it from the other
+rows touches only the pivot row's nonzero columns, which leaves every
+other entry as it is, so sparse matrices cost about their nonzeros.
+Kernel bases are the canonical RREF free-variable bases.
 """
 
 from __future__ import annotations
@@ -242,12 +245,18 @@ class Matrix:
             if hit is None:
                 continue
             m[pr], m[hit] = m[hit], m[pr]
-            inv = f.inv(m[pr][pc])
-            m[pr] = [f.mul(inv, x) for x in m[pr]]
+            row = m[pr]
+            # columns left of pc are zero in the pivot row
+            nz = [c for c in range(pc, nc) if row[c] != f.zero]
+            inv = f.inv(row[pc])
+            for c in nz:
+                row[c] = f.mul(inv, row[c])
             for r in range(nr):
-                if r != pr and m[r][pc] != f.zero:
-                    c0 = m[r][pc]
-                    m[r] = [f.sub(x, f.mul(c0, y)) for x, y in zip(m[r], m[pr])]
+                other = m[r]
+                if r != pr and other[pc] != f.zero:
+                    c0 = other[pc]
+                    for c in nz:
+                        other[c] = f.sub(other[c], f.mul(c0, row[c]))
             pivots.append(pc)
             pr += 1
             if pr == nr:

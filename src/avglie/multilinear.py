@@ -39,6 +39,14 @@ def increasing_tuples(dim, arity):
     return list(combinations(range(dim), arity))
 
 
+def dense_offset(dim, idxs):
+    """Row-major position of a basis tuple among all dim^len(idxs) tuples."""
+    off = 0
+    for i in idxs:
+        off = off * dim + i
+    return off
+
+
 class _ComponentMap:
     """A map on arity-many copies of a dim-space into a vdim-space, stored
     as count(dim, arity) component vectors of length vdim.
@@ -210,36 +218,10 @@ class MultiMap(_ComponentMap):
     def tuples(self):
         return list(product(range(self.dim), repeat=self.arity))
 
-    def _offset(self, idxs):
-        off = 0
-        for i in idxs:
-            off = off * self.dim + i
-        return off
-
     def eval_basis(self, idxs):
         if len(idxs) != self.arity:
             raise DimensionMismatch("multilinear map arity mismatch")
-        return self.comps[self._offset(idxs)]
-
-    def eval_mixed(self, args):
-        """Value at a mix of basis indices (ints) and coordinate vectors."""
-        if len(args) != self.arity:
-            raise DimensionMismatch("multilinear map arity mismatch")
-        f = self.field
-        vec_slots = [k for k, a in enumerate(args) if not isinstance(a, int)]
-        if not vec_slots:
-            return self.eval_basis(tuple(args))
-        out = vec_zero(f, self.vdim)
-        for choice in product(range(self.dim), repeat=len(vec_slots)):
-            coeff = f.one
-            idxs = list(args)
-            for slot, basis_i in zip(vec_slots, choice):
-                coeff = f.mul(coeff, args[slot][basis_i])
-                idxs[slot] = basis_i
-            if coeff == f.zero:
-                continue
-            out = vec_add(f, out, vec_scale(f, coeff, self.eval_basis(tuple(idxs))))
-        return out
+        return self.comps[dense_offset(self.dim, idxs)]
 
     def is_alternating(self):
         """True when the map kills repeated arguments and flips under swaps."""

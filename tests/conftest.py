@@ -67,6 +67,25 @@ def random_invertible(rng, field, n):
     return m
 
 
+def dense_invertible(rng, field, n):
+    """Lower times upper unitriangular with random off-diagonal entries:
+    invertible, and dense for random entries."""
+
+    def unitriangular(lower):
+        return Matrix(
+            field,
+            [
+                [
+                    1 if i == j else random_scalar(rng, field) if (j < i) == lower else 0
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ],
+        )
+
+    return unitriangular(True).mul(unitriangular(False))
+
+
 def g2(field):
     """The dim-2 nonabelian algebra: bracket of the first two basis vectors
     is the second."""
@@ -88,10 +107,10 @@ def g2_averaging(field, which="proj"):
     return AveragingLieAlgebra.validate(g2(field), P)
 
 
-def scramble_averaging(rng, a):
+def scramble_averaging(rng, a, invertible=random_invertible):
     """Conjugate the whole structure by a random invertible base change."""
     f = a.field
-    S = random_invertible(rng, f, a.dim)
+    S = invertible(rng, f, a.dim)
     Sinv = S.inverse()
     bracket = Tensor.build(
         f,
@@ -102,11 +121,11 @@ def scramble_averaging(rng, a):
     return AveragingLieAlgebra.validate(g, Sinv.mul(a.P).mul(S)), S
 
 
-def scramble_representation(rng, r):
+def scramble_representation(rng, r, invertible=random_invertible):
     """Base-change both the algebra and the module."""
     f = r.field
-    a2, S = scramble_averaging(rng, r.base)
-    T = random_invertible(rng, f, r.vdim)
+    a2, S = scramble_averaging(rng, r.base, invertible)
+    T = invertible(rng, f, r.vdim)
     Tinv = T.inverse()
     mats = r.psi_mats()
 

@@ -1,0 +1,120 @@
+"""Reference differentials evaluated term by term on cochain values.
+
+These are the defining formulas of d_CE, d_Leib and the full twisted
+differential, computed by evaluating the input maps; the library builds
+the same differentials as sparse rows and the tests compare the two.
+"""
+
+from itertools import combinations, product
+
+from avglie.cohomology import Cochain
+from avglie.lie import psi_of_vec
+from avglie.linalg import vec_add, vec_basis, vec_neg, vec_scale, vec_sub, vec_zero
+from avglie.multilinear import AltMap, MultiMap
+
+
+def eval_mixed(theta, args):
+    """Value of a dense map at a mix of basis indices (ints) and vectors."""
+    f = theta.field
+    vec_slots = [k for k, a in enumerate(args) if not isinstance(a, int)]
+    if not vec_slots:
+        return theta.eval_basis(tuple(args))
+    out = vec_zero(f, theta.vdim)
+    for choice in product(range(theta.dim), repeat=len(vec_slots)):
+        coeff = f.one
+        idxs = list(args)
+        for slot, basis_i in zip(vec_slots, choice):
+            coeff = f.mul(coeff, args[slot][basis_i])
+            idxs[slot] = basis_i
+        if coeff == f.zero:
+            continue
+        out = vec_add(f, out, vec_scale(f, coeff, theta.eval_basis(tuple(idxs))))
+    return out
+
+
+def delta_lie(r, f):
+    """(d f)(x_0..x_n) = sum_i (-1)^i psi_{x_i} f(..^i..)
+                       + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..^i..^j..)."""
+    g = r.base.algebra
+    fld = r.field
+    n = f.arity
+    mats = r.psi_mats()
+    out = []
+    for tup in combinations(range(g.dim), n + 1):
+        acc = vec_zero(fld, r.vdim)
+        for i in range(n + 1):
+            rest = tup[:i] + tup[i + 1 :]
+            term = mats[tup[i]].matvec(f.eval_basis(rest))
+            acc = vec_add(fld, acc, term if i % 2 == 0 else vec_neg(fld, term))
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                rest = tuple(t for k, t in enumerate(tup) if k != i and k != j)
+                term = f.eval_with_first_vector(g.bracket_basis(tup[i], tup[j]), rest)
+                acc = vec_add(fld, acc, term if (i + j) % 2 == 0 else vec_neg(fld, term))
+        out.append(acc)
+    return AltMap(fld, g.dim, n + 1, r.vdim, out)
+
+
+def partial_leib(r, theta):
+    """With arguments x_1..x_n (n = arity + 1):
+      sum_{i<=n-1} (-1)^{i+1} psi_{P(x_i)} theta(..^i..)
+      + (-1)^{n+1} psi_{P(x_n)} theta(x_1..x_{n-1})
+      + (-1)^n     Q(psi_{x_n} theta(x_1..x_{n-1}))
+      + sum_{i<j} (-1)^i theta(..^i.., [P(x_i), x_j] at slot j, ..)."""
+    g = r.base.algebra
+    fld = r.field
+    n = theta.arity + 1
+    mats = r.psi_mats()
+    pcols = [r.base.P.col(j) for j in range(g.dim)]
+    pmats = [psi_of_vec(fld, r.vdim, mats, pcols[i]) for i in range(g.dim)]
+    out = []
+    for tup in product(range(g.dim), repeat=n):
+        acc = vec_zero(fld, r.vdim)
+        for i in range(1, n):  # 1-based i = 1 .. n-1
+            rest = tup[: i - 1] + tup[i:]
+            term = pmats[tup[i - 1]].matvec(theta.eval_basis(rest))
+            acc = vec_add(fld, acc, term if (i + 1) % 2 == 0 else vec_neg(fld, term))
+        head = tup[: n - 1]
+        term = pmats[tup[n - 1]].matvec(theta.eval_basis(head))
+        acc = vec_add(fld, acc, term if (n + 1) % 2 == 0 else vec_neg(fld, term))
+        term = r.Q.matvec(mats[tup[n - 1]].matvec(theta.eval_basis(head)))
+        acc = vec_add(fld, acc, term if n % 2 == 0 else vec_neg(fld, term))
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):  # 1-based i < j
+                inserted = g.bracket_vec(pcols[tup[i - 1]], vec_basis(fld, g.dim, tup[j - 1]))
+                args = []
+                for k in range(1, n + 1):
+                    if k == i:
+                        continue
+                    args.append(inserted if k == j else tup[k - 1])
+                term = eval_mixed(theta, args)
+                acc = vec_add(fld, acc, term if i % 2 == 0 else vec_neg(fld, term))
+        out.append(acc)
+    return MultiMap(fld, g.dim, n, r.vdim, out)
+
+
+def delta_alie(r, c):
+    """Second component: partial_leib(theta) + (-1)^n f(P x_1, .., P x_n)
+    - (-1)^n Q f(P x_1, .., P x_{n-1}, x_n)."""
+    fld = r.field
+    n = c.degree
+    if n == 0:
+        return Cochain.zero(fld, r.dim, r.vdim, 1)
+    g = r.base.algebra
+    pcols = [r.base.P.col(j) for j in range(g.dim)]
+    f_out = delta_lie(r, c.f)
+    sign_pos = n % 2 == 0
+    theta_comps = []
+    for tup in product(range(g.dim), repeat=n):
+        acc = vec_zero(fld, r.vdim)
+        term = c.f.eval_vectors([pcols[t] for t in tup])
+        acc = vec_add(fld, acc, term if sign_pos else vec_neg(fld, term))
+        term = r.Q.matvec(
+            c.f.eval_vectors([pcols[t] for t in tup[:-1]] + [vec_basis(fld, g.dim, tup[-1])])
+        )
+        acc = vec_sub(fld, acc, term) if sign_pos else vec_add(fld, acc, term)
+        theta_comps.append(acc)
+    theta_out = MultiMap(fld, g.dim, n, r.vdim, theta_comps)
+    if c.theta is not None:
+        theta_out = theta_out.add(partial_leib(r, c.theta))
+    return Cochain(fld, r.dim, r.vdim, n + 1, f_out, theta_out)

@@ -186,6 +186,23 @@ def test_cohomology_zero_module():
         assert report["data"]["dim_cohomology"] == 0
 
 
+def test_cohomology_over_budget_is_indeterminate(tmp_path):
+    from avglie.cohomology import Cochain
+    from avglie.documents import dump_document, representation_doc
+    from avglie.fields import QQ
+    from avglie.lie import AveragingLieAlgebra, LieAlgebra, trivial_representation
+    from avglie.linalg import Matrix
+
+    a = AveragingLieAlgebra.validate(LieAlgebra.abelian(QQ, 8), Matrix.zero(QQ, 8, 8))
+    path = tmp_path / "abelian8.json"
+    path.write_text(dump_document(representation_doc(trivial_representation(a, 8))))
+    code, report, _ = run_cli("cohomology", str(path), "--degree", "4")
+    assert code == 3
+    assert report["status"] == "indeterminate"
+    cells = Cochain.dimension(8, 8, 5) * Cochain.dimension(8, 8, 4)
+    assert str(cells) in report["notes"]["reason"]
+
+
 def test_wells_identity_and_noninducible():
     code, report, _ = run_cli(
         "wells", fixture_path("extension_f3.json"), fixture_path("pair_f3_identity.json"),

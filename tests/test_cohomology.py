@@ -3,16 +3,22 @@ from itertools import product
 
 import pytest
 
+import oracle_delta
+from avglie import cohomology
 from avglie.cohomology import (
+    MAX_DENSE_CELLS,
     Cochain,
     assemble_delta_matrix,
     cohomology_dim,
+    cohomology_report,
     delta_alie,
     delta_lie,
     is_coboundary,
     is_cocycle,
     partial_leib,
 )
+from avglie.documents import load_document, realize_averaging, realize_representation
+from avglie.errors import FieldTooLarge
 from avglie.fields import GF, QQ
 from avglie.lie import (
     AveragingLieAlgebra,
@@ -21,10 +27,18 @@ from avglie.lie import (
     adjoint_representation,
     trivial_representation,
 )
-from avglie.linalg import Matrix, Tensor, rank
+from avglie.linalg import Matrix, Tensor, rank, vec_basis
 from avglie.multilinear import AltMap, MultiMap
 
-from conftest import g2, g2_averaging, representation_family
+from conftest import (
+    dense_invertible,
+    fixture_path,
+    g2,
+    g2_averaging,
+    heisenberg,
+    representation_family,
+    scramble_representation,
+)
 
 
 def trivial_dim1(field):
@@ -253,3 +267,97 @@ def test_degree_overflow_is_fine():
     c = Cochain.random(random.Random(3), QQ, 1, 1, 3)
     out = delta_alie(r, c)
     assert out.degree == 4 and out.f.comps == ()
+
+
+# ---------------------------------------------------------------------------
+# The sparse-row differential against the term-by-term reference.
+
+FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
+
+
+def oracle_instances(field, rng):
+    """The representation family, the fixture representations over their
+    own field, and a Heisenberg adjoint module in a dense basis."""
+    reps = representation_family(field, rng)
+    for name in ("adjoint_rep.json", "zero_module_rep.json"):
+        r = realize_representation(load_document(fixture_path(name)))
+        if r.field == field:
+            reps.append(r)
+    heis = AveragingLieAlgebra.validate(
+        heisenberg(field), Matrix(field, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    )
+    reps.append(scramble_representation(rng, adjoint_representation(heis), dense_invertible))
+    return reps
+
+
+@pytest.mark.parametrize("fieldname", sorted(FIELDS))
+def test_delta_matrix_columns_match_oracle(rng, fieldname):
+    field = FIELDS[fieldname]
+    for r in oracle_instances(field, rng):
+        for deg in range(5 if r.dim <= 2 else 4):
+            m = assemble_delta_matrix(r, deg)
+            nin = Cochain.dimension(r.dim, r.vdim, deg)
+            assert (m.rows, m.cols) == (Cochain.dimension(r.dim, r.vdim, deg + 1), nin)
+            for k in range(nin):
+                e = Cochain.from_vector(
+                    field, r.dim, r.vdim, deg, vec_basis(field, nin, k)
+                )
+                assert m.col(k) == oracle_delta.delta_alie(r, e).vectorize()
+
+
+@pytest.mark.parametrize("fieldname", ["Q", "F5"])
+def test_differentials_match_oracle_on_random_cochains(rng, fieldname):
+    field = FIELDS[fieldname]
+    for r in oracle_instances(field, rng):
+        for deg in (1, 2, 3):
+            for _ in range(3):
+                c = Cochain.random(rng, field, r.dim, r.vdim, deg)
+                assert delta_alie(r, c) == oracle_delta.delta_alie(r, c)
+                assert delta_lie(r, c.f) == oracle_delta.delta_lie(r, c.f)
+                if c.theta is not None:
+                    assert partial_leib(r, c.theta) == oracle_delta.partial_leib(r, c.theta)
+
+
+def sparse_product_is_zero(a, b):
+    """a * b == 0, summing only products of nonzero entries."""
+    f = a.field
+    b_rows = [[(j, x) for j, x in enumerate(row) if x != f.zero] for row in b.entries]
+    for row in a.entries:
+        acc = {}
+        for k, x in enumerate(row):
+            if x != f.zero:
+                for j, y in b_rows[k]:
+                    acc[j] = f.add(acc.get(j, f.zero), f.mul(x, y))
+        if any(v != f.zero for v in acc.values()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("fieldname", ["Q", "F7"])
+def test_degree3_cohomology_of_dim6_adjoint_module(fieldname):
+    obj = load_document(fixture_path("double3_P.json"))
+    obj["field"] = fieldname
+    r = adjoint_representation(realize_averaging(obj))
+    assert cohomology_report(r, 3) == {
+        "degree": 3,
+        "dim_cochains": 336,
+        "rank_delta": 236,
+        "rank_delta_prev": 85,
+        "dim_cohomology": 15,
+    }
+    assert sparse_product_is_zero(assemble_delta_matrix(r, 3), assemble_delta_matrix(r, 2))
+
+
+def test_cohomology_budget_refuses_before_assembly(monkeypatch):
+    def no_assembly(r, degree):
+        raise AssertionError("assembly started")
+
+    monkeypatch.setattr(cohomology, "assemble_delta_matrix", no_assembly)
+    a = AveragingLieAlgebra.validate(LieAlgebra.abelian(QQ, 8), Matrix.zero(QQ, 8, 8))
+    r = trivial_representation(a, 8)
+    cells = Cochain.dimension(8, 8, 5) * Cochain.dimension(8, 8, 4)
+    assert cells > MAX_DENSE_CELLS
+    with pytest.raises(FieldTooLarge, match=str(cells)):
+        cohomology_report(r, 4)
+    # degree 4 on a dim-6 adjoint module stays within the budget
+    assert Cochain.dimension(6, 6, 5) * Cochain.dimension(6, 6, 4) <= MAX_DENSE_CELLS

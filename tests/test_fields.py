@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avglie.errors import ParseError
-from avglie.fields import GF, PRIME_BOUND, QQ, field_from_string, is_prime
+from avglie.fields import (
+    GF,
+    MAX_SCALAR_DIGITS,
+    PRIME_BOUND,
+    QQ,
+    field_from_string,
+    is_prime,
+)
 
 
 def test_field_tags_round_trip():
@@ -105,14 +112,14 @@ def test_large_moduli():
             field_from_string(tag)
 
 
-def _check_lie_doc(tmp_path, tag):
+def _check_lie_doc(tmp_path, tag, first_entry="0"):
     doc = {
         "kind": "lie_algebra",
         "field": tag,
         "dim": 2,
         "bracket": {
             "shape": [2, 2, 2],
-            "entries": ["0", "0", "0", "1", "0", "-1", "0", "0"],
+            "entries": [first_entry, "0", "0", "1", "0", "-1", "0", "0"],
         },
     }
     path = tmp_path / "lie.json"
@@ -131,3 +138,19 @@ def test_cli_large_modulus_is_bounded(tmp_path):
     proc = _check_lie_doc(tmp_path, f"F{PRIME_BOUND}")
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["clause"] == "parse-error"
+
+
+def test_scalars_over_the_digit_limit_are_parse_errors(tmp_path):
+    ones = "1" * MAX_SCALAR_DIGITS
+    assert QQ.parse(f"-{ones}/{ones}") == -1
+    assert GF(7).parse(ones) == int(ones) % 7
+    long = ones + "1"
+    for bad in (long, "-" + long, f"1/{long}", f"{long}/2"):
+        with pytest.raises(ParseError, match=str(MAX_SCALAR_DIGITS)):
+            QQ.parse(bad)
+    with pytest.raises(ParseError, match=str(MAX_SCALAR_DIGITS)):
+        GF(7).parse("-" + long)
+    for tag in ("Q", "F7"):
+        proc = _check_lie_doc(tmp_path, tag, "5" * 5001)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["clause"] == "parse-error"
