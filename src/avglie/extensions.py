@@ -5,12 +5,17 @@ Extensions carry explicit inclusion and projection matrices, so externally
 authored extensions with scrambled bases are first-class inputs.  Every
 postcondition backed by a theorem is still executed; a failure there is an
 InternalError, never a silent pass.
+
+The searches over finite fields (automorphism groups, equivalences of
+extensions and of cocycles) solve their linear clauses exactly and check
+only the points of the affine solution space; `ENUM_LIMIT` bounds the
+number of those points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .cohomology import Cochain, is_coboundary
 from .errors import (
@@ -43,7 +48,8 @@ from .lie import (
 from .linalg import (
     Matrix,
     Tensor,
-    enumerate_linear_maps,
+    affine_points,
+    kernel_basis,
     rank,
     solve_affine,
     vec_add,
@@ -475,7 +481,12 @@ def audit_round_trip(e: ExtensionData, section: Matrix | None = None) -> Verdict
 def extensions_equivalent(
     e1: ExtensionData, e2: ExtensionData, limit: int = ENUM_LIMIT
 ) -> Matrix | None:
-    """Brute-force search for an equivalence e1 -> e2 over a finite field."""
+    """The lexicographically least equivalence e1 -> e2 over a finite field.
+
+    The linear clauses tau i1 = i2, p2 tau = p1 and tau P1 = P2 tau are
+    solved exactly; only their affine solution space is searched for an
+    invertible bracket morphism.
+    """
     if e1.base != e2.base or e1.coef != e2.coef:
         raise DimensionMismatch("extensions over different algebra pairs")
     f = e1.total.field
@@ -484,30 +495,23 @@ def extensions_equivalent(
     dim = e1.total.dim
     if e2.total.dim != dim:
         return None
-    if f.p ** (dim * dim) > limit:
-        raise FieldTooLarge("equivalence search space exceeds the limit")
-    for tau in enumerate_linear_maps(dim, dim, f):
-        if tau.mul(e1.i) != e2.i:
-            continue
-        if e2.p.mul(tau) != e1.p:
+    ident = Matrix.identity(f, dim)
+    rows = _product_rows(f, ident, e1.i) + _product_rows(f, e2.p, ident)
+    rows += _commutator_rows(f, e1.total.P, e2.total.P)
+    rhs = e2.i.flat() + e1.p.flat() + (f.zero,) * (dim * dim)
+    best = None
+    for tau in _solution_maps(f, dim, rows, rhs, limit):
+        if best is not None and tau.flat() >= best.flat():
             continue
         if tau.inverse() is None:
             continue
-        if tau.mul(e1.total.P) != e2.total.P.mul(tau):
-            continue
-        ok = True
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                lhs = tau.matvec(e1.total.algebra.bracket_basis(a, b))
-                rhs = e2.total.algebra.bracket_vec(tau.col(a), tau.col(b))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return tau
-    return None
+        if all(
+            tau.matvec(e1.total.algebra.bracket_basis(a, b))
+            == e2.total.algebra.bracket_vec(tau.col(a), tau.col(b))
+            for a, b in combinations(range(dim), 2)
+        ):
+            best = tau
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +695,7 @@ def cocycles_equivalent(c1, c2, limit: int = ENUM_LIMIT) -> Equivalence:
             "indeterminate",
             reason=f"candidate space of size {count} exceeds the enumeration limit",
         )
-    for coeffs in product(f.elements(), repeat=len(kernel)):
-        point = particular
-        for t, kv in zip(coeffs, kernel):
-            if t != f.zero:
-                point = tuple(f.add(a, f.mul(t, b)) for a, b in zip(point, kv))
+    for point in affine_points(f, particular, kernel):
         phi = as_matrix(point)
         if _phi_satisfies(c1, c2, phi):
             return Equivalence("found", phi)
@@ -889,53 +889,94 @@ def project_automorphism(
 
 
 # ---------------------------------------------------------------------------
-# Enumeration at desk scale.
+# Enumeration at desk scale: linear clauses first, then only their solution
+# space.  Its points do not come in lexicographic order, so the searches sort
+# their hits by the row-major entries.
+
+
+def _product_rows(f, left, right):
+    """Rows for the entries of left X right, row-major, as linear forms in
+    the row-major entries of the unknown map X."""
+    return [
+        [f.mul(left[b, r], right[c, a])
+         for r in range(left.cols) for c in range(right.rows)]
+        for b in range(left.rows)
+        for a in range(right.cols)
+    ]
+
+
+def _commutator_rows(f, P1, P2):
+    """Rows for the entries of X P1 - P2 X."""
+    ident = Matrix.identity(f, P1.rows)
+    return [
+        list(vec_sub(f, u, v))
+        for u, v in zip(_product_rows(f, ident, P1), _product_rows(f, P2, ident))
+    ]
+
+
+def _solution_maps(f, n, rows, rhs, limit):
+    """Every n x n map whose row-major entries solve rows . x = rhs.
+
+    Raises FieldTooLarge before yielding anything when the solution space
+    has more than `limit` points; otherwise returns a lazy stream of them.
+    """
+    sol = solve_affine(Matrix(f, rows, cols=n * n), rhs)
+    if sol is None:
+        return iter(())
+    particular, kernel = sol
+    count = f.p ** len(kernel)
+    if count > limit:
+        raise FieldTooLarge(f"{count} candidate maps exceed the limit")
+    return (Matrix.from_flat(f, n, n, x) for x in affine_points(f, particular, kernel))
 
 
 def averaging_automorphisms(a: AveragingLieAlgebra, limit: int = ENUM_LIMIT):
-    """All averaging Lie algebra automorphisms over a finite field."""
+    """All averaging Lie algebra automorphisms over a finite field, in
+    lexicographic order of their row-major entries."""
     f = a.field
     if not f.finite:
         raise FieldTooLarge("automorphism enumeration needs a finite field")
-    total = f.p ** (a.dim * a.dim)
-    if total > limit:
-        raise FieldTooLarge(f"{total} candidate maps exceed the limit")
-    out = []
-    for g in enumerate_linear_maps(a.dim, a.dim, f):
-        if check_algebra_automorphism(a, g, "aut"):
-            out.append(g)
-    return out
+    rows = _commutator_rows(f, a.P, a.P)
+    out = [
+        g
+        for g in _solution_maps(f, a.dim, rows, (f.zero,) * len(rows), limit)
+        if check_algebra_automorphism(a, g, "aut")
+    ]
+    return sorted(out, key=Matrix.flat)
 
 
 def extension_automorphisms(e: ExtensionData, limit: int = ENUM_LIMIT):
-    """All total-space averaging automorphisms preserving the kernel."""
+    """All total-space averaging automorphisms preserving the kernel, in
+    lexicographic order of their row-major entries.
+
+    Kernel preservation is L g i = 0, where the rows of L span the
+    annihilator of image(i); it is not derived from p, which need not have
+    kernel image(i) on an unvalidated extension.
+    """
     f = e.total.field
     if not f.finite:
         raise FieldTooLarge("automorphism enumeration needs a finite field")
-    dim = e.total.dim
-    total = f.p ** (dim * dim)
-    if total > limit:
-        raise FieldTooLarge(f"{total} candidate maps exceed the limit")
+    dim, m = e.total.dim, e.coef.dim
+    ann = kernel_basis(Matrix(f, [e.i.col(a) for a in range(m)], cols=dim))
+    rows = _commutator_rows(f, e.total.P, e.total.P)
+    rows += _product_rows(f, Matrix(f, ann, cols=dim), e.i)
     out = []
-    for g in enumerate_linear_maps(dim, dim, f):
+    for g in _solution_maps(f, dim, rows, (f.zero,) * len(rows), limit):
         if not check_algebra_automorphism(e.total, g, "aut"):
             continue
-        ok = True
-        for a in range(e.coef.dim):
+        for a in range(m):
             if solve_affine(e.i, g.matvec(e.i.col(a))) is None:
-                ok = False
-                break
-        if ok:
-            out.append(g)
-    return out
+                raise InternalError("a solution of L g i = 0 leaves the kernel")
+        out.append(g)
+    return sorted(out, key=Matrix.flat)
 
 
-def kernel_fixing_automorphisms(e: ExtensionData, limit: int = ENUM_LIMIT):
-    """Members of the enumerated group inducing the identity pair."""
+def kernel_fixing_automorphisms(e: ExtensionData, autos):
+    """The members of the enumerated group `autos` inducing the identity pair."""
     f = e.total.field
     ident = (Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
     out = []
-    for g in extension_automorphisms(e, limit):
+    for g in autos:
         pair = project_automorphism(e, g)
         if (pair.beta, pair.alpha) == ident:
             out.append(g)
@@ -1012,8 +1053,10 @@ def compatible_pairs(e: ExtensionData, limit: int = ENUM_LIMIT):
     """Enumerate the compatible-pair group of an abelian extension."""
     induced = induced_representation(e)
     pairs = []
-    for beta in averaging_automorphisms(e.coef, limit):
-        for alpha in averaging_automorphisms(e.base, limit):
+    betas = averaging_automorphisms(e.coef, limit)
+    alphas = averaging_automorphisms(e.base, limit)
+    for beta in betas:
+        for alpha in alphas:
             pair = AutomorphismPair(beta, alpha)
             if check_compatible_pair(pair, induced):
                 pairs.append(pair)
@@ -1050,7 +1093,7 @@ def check_split_semidirect(e: ExtensionData, limit: int = ENUM_LIMIT) -> Verdict
         )
     auth = extension_automorphisms(e, limit)
     cpairs = compatible_pairs(e, limit)
-    fixing = kernel_fixing_automorphisms(e, limit)
+    fixing = kernel_fixing_automorphisms(e, auth)
     # rho(pair) = tau (alpha + beta) tau^{-1}.
     tau = _tau(e, s)
     tinv = tau.inverse()
@@ -1109,11 +1152,9 @@ def exact_sequence_audit(e: ExtensionData, samples: int | None = None, limit: in
         fixes = g.mul(e.i) == e.i and e.p.mul(g).mul(s) == ident[1]
         if in_kernel != fixes:
             kernel_failures.append(g)
-    pairs = [
-        AutomorphismPair(b, a)
-        for b in averaging_automorphisms(e.coef, limit)
-        for a in averaging_automorphisms(e.base, limit)
-    ]
+    betas = averaging_automorphisms(e.coef, limit)
+    alphas = averaging_automorphisms(e.base, limit)
+    pairs = [AutomorphismPair(b, a) for b in betas for a in alphas]
     if samples is not None:
         pairs = pairs[:samples]
     wells_failures = []

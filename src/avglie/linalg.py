@@ -346,6 +346,31 @@ def solve_affine(m: Matrix, b):
     return tuple(x), kernel_basis(m)
 
 
+def affine_points(field, particular, kernel):
+    """Every point particular + sum_k t_k kernel_k over a finite field.
+
+    Yields flat tuples lazily, ordered lexicographically by the coefficient
+    tuple t (the first kernel vector's coefficient varies slowest), as
+    product(field.elements(), repeat=len(kernel)) orders it.  The walk is
+    depth-first over the precomputed multiples t * kernel_k, adding one of
+    them to the partial sum at each level, so a point costs about one
+    vector add.
+    """
+    if not field.finite:
+        raise FieldTooLarge("cannot enumerate an affine space over an infinite field")
+    elems = tuple(field.elements())
+    multiples = [[vec_scale(field, t, v) for t in elems] for v in kernel]
+
+    def walk(j, point):
+        if j == len(multiples):
+            yield point
+            return
+        for t, tv in zip(elems, multiples[j]):
+            yield from walk(j + 1, point if t == field.zero else vec_add(field, point, tv))
+
+    return walk(0, tuple(particular))
+
+
 def enumerate_linear_maps(domain_dim, codomain_dim, field, start=0, stop=None):
     """All matrices of a linear map F_p^domain -> F_p^codomain.
 

@@ -1,0 +1,304 @@
+"""The linear-first searches against brute force, and their size limit.
+
+Every search solves its linear clauses first and checks only the solution
+space; `oracle_search` keeps the searches over every linear map.  Both must
+return the same maps in the same order.
+"""
+
+import json
+import random
+from itertools import product
+
+import pytest
+
+import avglie.extensions as ext
+import oracle_search
+from avglie import documents as docs
+from avglie.errors import FieldTooLarge
+from avglie.extensions import (
+    ExtensionData,
+    NonAbelianCocycle,
+    averaging_automorphisms,
+    build_extension,
+    check_split_semidirect,
+    compatible_pairs,
+    exact_sequence_audit,
+    extension_automorphisms,
+    extensions_equivalent,
+)
+from avglie.fields import GF, QQ
+from avglie.lie import (
+    AveragingLieAlgebra,
+    LieAlgebra,
+    adjoint_representation,
+    trivial_representation,
+)
+from avglie.linalg import Matrix, Tensor, affine_points
+from avglie.multilinear import AltMap
+
+from conftest import (
+    dense_invertible,
+    fixture_path,
+    g2_averaging,
+    heisenberg,
+    random_invertible,
+    random_matrix,
+    random_scalar,
+    scramble_averaging,
+)
+from test_acceptance import enumerate_extensions_f2
+from test_extensions import dim1, rep_cocycle
+
+EXTENSION_FIXTURES = (
+    "extension_abelian_f3.json",
+    "extension_f3.json",
+    "extension_f3_scrambled.json",
+    "extension_split_f2.json",
+)
+
+
+def fixture_extensions():
+    return [
+        docs.realize_extension(docs.load_document(fixture_path(name)))
+        for name in EXTENSION_FIXTURES
+    ]
+
+
+def reread(name, field):
+    """A Q fixture with integer entries, read over a prime field."""
+    with open(fixture_path(name)) as fh:
+        obj = json.load(fh)
+    obj["field"] = f"F{field.p}"
+    return docs.realize_averaging(obj)
+
+
+def abelian(field, P):
+    return AveragingLieAlgebra.validate(LieAlgebra.abelian(field, P.rows), P)
+
+
+def jordan(field, n):
+    """The nilpotent Jordan block: ones just above the diagonal."""
+    return Matrix(field, [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+
+
+def small_algebras(rng):
+    """Averaging algebras within reach of brute force: dims 0-3 over F2,
+    0-2 over F3, P = 0, P = I and others, most of them scrambled."""
+    out = []
+    for f in (GF(2), GF(3)):
+        out.append(abelian(f, Matrix.zero(f, 0, 0)))
+        out += [dim1(f, t) for t in f.elements()]
+        out += [scramble_averaging(rng, g2_averaging(f, w))[0] for w in ("proj", "id", "zero")]
+        out.append(scramble_averaging(rng, abelian(f, random_matrix(rng, f, 2, 2)))[0])
+        out.append(reread("identity_averaging.json", f))
+    F2 = GF(2)
+    for P in ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        heis = AveragingLieAlgebra.validate(heisenberg(F2), Matrix(F2, P))
+        out.append(scramble_averaging(rng, heis)[0])
+    out.append(AveragingLieAlgebra.validate(heisenberg(F2), Matrix.zero(F2, 3, 3)))
+    out.append(scramble_averaging(rng, abelian(F2, random_matrix(rng, F2, 3, 3)))[0])
+    out.append(abelian(F2, Matrix.identity(F2, 3)))
+    return out
+
+
+def scramble_extension(rng, e):
+    """The same extension in a random basis of the total space."""
+    f = e.total.field
+    S = random_invertible(rng, f, e.total.dim)
+    Sinv = S.inverse()
+    a = e.total
+    bracket = Tensor.build(
+        f,
+        (a.dim,) * 3,
+        lambda i, j, k: Sinv.matvec(a.algebra.bracket_vec(S.col(i), S.col(j)))[k],
+    )
+    total = AveragingLieAlgebra.validate(
+        LieAlgebra.validate(f, a.dim, bracket), Sinv.mul(a.P).mul(S)
+    )
+    return ExtensionData.validate(e.base, e.coef, total, Sinv.mul(e.i), e.p.mul(S))
+
+
+def small_extensions(rng):
+    """Extensions within reach of brute force: the fixtures, every dim-2
+    extension over F2, dim-3 ones over F2 in scrambled bases, and
+    unvalidated data whose projection does not vanish on the kernel."""
+    F2 = GF(2)
+    out = fixture_extensions()
+    for p, q in product(range(2), repeat=2):
+        out += enumerate_extensions_f2(dim1(F2, p), dim1(F2, q))
+    for which in ("proj", "id"):
+        r = trivial_representation(g2_averaging(F2, which), 1, Matrix(F2, [[1]]))
+        out.append(scramble_extension(rng, build_extension(rep_cocycle(r))))
+    twisted = NonAbelianCocycle(
+        dim1(F2), dim1(F2), AltMap.zero(F2, 1, 2, 1), Tensor(F2, (1, 1, 1), [1]),
+        Matrix(F2, [[1]]),
+    )
+    out.append(scramble_extension(rng, build_extension(twisted)))
+    out.append(build_extension(rep_cocycle(adjoint_representation(dim1(F2, 1)))))
+    for e in fixture_extensions()[:2]:
+        zero_p = Matrix.zero(e.total.field, e.base.dim, e.total.dim)
+        out.append(ExtensionData(e.base, e.coef, e.total, e.i, zero_p))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracles.
+
+
+def test_affine_points_match_the_product_loop():
+    rng = random.Random(4104)
+    for f in (GF(2), GF(3), GF(5)):
+        for length, count in product(range(5), range(4)):
+            particular = tuple(random_scalar(rng, f) for _ in range(length))
+            kernel = [
+                tuple(random_scalar(rng, f) for _ in range(length)) for _ in range(count)
+            ]
+            got = list(affine_points(f, particular, kernel))
+            assert got == oracle_search.affine_points(f, particular, kernel)
+    with pytest.raises(FieldTooLarge):
+        affine_points(QQ, (1,), [(1,)])
+
+
+def test_averaging_automorphisms_match_brute_force():
+    rng = random.Random(4105)
+    algebras = small_algebras(rng)
+    for e in fixture_extensions():
+        algebras += [e.base, e.coef, e.total]
+    for a in algebras:
+        assert averaging_automorphisms(a) == oracle_search.averaging_automorphisms(a)
+
+
+def test_extension_automorphisms_match_brute_force():
+    for e in small_extensions(random.Random(4107)):
+        assert extension_automorphisms(e) == oracle_search.extension_automorphisms(e)
+
+
+def test_extensions_equivalent_matches_brute_force():
+    exts = fixture_extensions()
+    pairs = [
+        (e1, e2) for e1 in exts for e2 in exts if (e1.base, e1.coef) == (e2.base, e2.coef)
+    ]
+    assert len(pairs) > len(exts)
+    F2 = GF(2)
+    for p, q in product(range(2), repeat=2):
+        bucket = enumerate_extensions_f2(dim1(F2, p), dim1(F2, q))
+        pairs += [(e1, e2) for e1 in bucket for e2 in bucket]
+    found = 0
+    for e1, e2 in pairs:
+        tau = extensions_equivalent(e1, e2)
+        assert tau == oracle_search.extensions_equivalent(e1, e2)
+        found += tau is not None
+    assert 0 < found < len(pairs)
+
+
+def test_cocycle_equivalence_witness_matches_the_product_loop():
+    # Heisenberg coefficients: (E1) leaves phi free in the centre, and the
+    # quadratic clause (E2) rejects the particular point whenever chi differs
+    found = 0
+    for f in (GF(2), GF(3)):
+        h = AveragingLieAlgebra.validate(heisenberg(f), Matrix.zero(f, 3, 3))
+        psi = Tensor.zero(f, (2, 3, 3))
+        for base in (
+            AveragingLieAlgebra.validate(LieAlgebra.abelian(f, 2), Matrix.zero(f, 2, 2)),
+            g2_averaging(f, "zero"),
+        ):
+            cocycles = [
+                NonAbelianCocycle.validate(
+                    base, h, AltMap(f, 2, 2, 3, [(0, 0, t)]), psi, Matrix.zero(f, 3, 2)
+                )
+                for t in f.elements()
+            ]
+            for c1, c2 in product(cocycles, repeat=2):
+                eq = ext.cocycles_equivalent(c1, c2)
+                assert eq.status in ("found", "absent")
+                assert eq.phi == oracle_search.cocycles_equivalent_phi(c1, c2)
+                found += eq.found and not eq.phi.is_zero()
+    assert found > 0
+
+
+# ---------------------------------------------------------------------------
+# The limit applies to the solution space.
+
+
+@pytest.mark.parametrize("p, n, order", [(2, 5, 16), (3, 4, 54)])
+def test_jordan_block_commutant_beyond_the_old_limit(p, n, order):
+    # units of F_p[x]/(x^n): (p - 1) p^(n - 1) maps out of p^(n^2) candidates
+    f = GF(p)
+    a = abelian(f, jordan(f, n))
+    found = averaging_automorphisms(a)
+    assert len(found) == order
+    assert [g.flat() for g in found] == sorted(g.flat() for g in found)
+    assert all(g.mul(a.P) == a.P.mul(g) for g in found)
+    points = p**n  # the commutant: polynomials in the Jordan block
+    assert len(averaging_automorphisms(a, limit=points)) == order
+    with pytest.raises(FieldTooLarge, match=f"^{points} candidate maps"):
+        averaging_automorphisms(a, limit=points - 1)
+
+
+@pytest.mark.parametrize("p, n, count", [(2, 5, 33554432), (3, 4, 43046721)])
+def test_unprunable_search_is_refused_before_any_check(monkeypatch, p, n, count):
+    f = GF(p)
+
+    def no_check(*args):
+        raise AssertionError("a candidate was checked")
+
+    monkeypatch.setattr(ext, "check_algebra_automorphism", no_check)
+    with pytest.raises(FieldTooLarge, match=f"^{count} candidate maps exceed the limit"):
+        averaging_automorphisms(abelian(f, Matrix.identity(f, n)))
+
+
+def test_search_commutes_with_a_change_of_basis():
+    rng = random.Random(4108)
+    F2, F3 = GF(2), GF(3)
+    heis = AveragingLieAlgebra.validate(
+        heisenberg(F3), Matrix(F3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    )
+    # g commutes with P = diag(0, 0, 1): any A in GL_2(F3) on the plane and
+    # det A on the centre, 48 maps
+    for a, order in (
+        (abelian(F2, jordan(F2, 5)), 16), (abelian(F3, jordan(F3, 4)), 54), (heis, 48)
+    ):
+        B2, B = scramble_averaging(rng, a, dense_invertible)
+        Binv = B.inverse()
+        found = averaging_automorphisms(a)
+        assert len(found) == order
+        conjugated = sorted((Binv.mul(g).mul(B) for g in found), key=Matrix.flat)
+        assert averaging_automorphisms(B2) == conjugated
+
+
+def test_equivalence_limit_applies_to_the_solution_space():
+    e = fixture_extensions()[1]
+    # tau i = i and p tau = p leave one free entry: three candidates over F3
+    assert extensions_equivalent(e, e, limit=3) == Matrix.identity(GF(3), 2)
+    with pytest.raises(FieldTooLarge, match="^3 candidate maps"):
+        extensions_equivalent(e, e, limit=2)
+
+
+# ---------------------------------------------------------------------------
+# Each group is enumerated once.
+
+
+def counting(monkeypatch, name):
+    calls = []
+    inner = getattr(ext, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ext, name, wrapper)
+    return calls
+
+
+def test_groups_are_enumerated_once(monkeypatch):
+    exts = dict(zip(EXTENSION_FIXTURES, fixture_extensions()))
+    calls = counting(monkeypatch, "averaging_automorphisms")
+    pairs = compatible_pairs(exts["extension_abelian_f3.json"])
+    assert len(calls) == 2 and len(pairs) == 2
+    calls.clear()
+    report = exact_sequence_audit(exts["extension_f3.json"])
+    assert len(calls) == 2 and report["pairs_audited"] == 4 and report["ok"]
+    auts = counting(monkeypatch, "extension_automorphisms")
+    v = check_split_semidirect(exts["extension_split_f2.json"])
+    assert len(auts) == 1
+    assert v.ok and v.notes["aut_total"] == v.notes["compatible_pairs"] * v.notes["kernel_fixing"]
