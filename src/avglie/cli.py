@@ -119,8 +119,12 @@ def _finish_conversion(out_doc, args, data):
     """Pass report carrying the output document, or written to --output."""
     if args.output:
         text = docs.dump_document(out_doc)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.output}: {exc.strerror}\n")
+            return EXIT_USAGE
         data["output"] = args.output
     else:
         data["document"] = out_doc
@@ -250,6 +254,17 @@ def cmd_cohomology(args, parser):
 # extension
 
 
+def _parse_section(obj, e):
+    """A section matrix over the extension's field, total dim x base dim."""
+    s = docs.parse_bare_matrix(obj)
+    if s.field != e.total.field:
+        raise ParseError(f"matrix: section over {s.field}, extension over {e.total.field}")
+    want, got = (e.total.dim, e.base.dim), (s.rows, s.cols)
+    if got != want:
+        raise ParseError(f"matrix: section wants shape {want}, document has {got}")
+    return s
+
+
 def cmd_extension(args):
     try:
         if args.sub == "build":
@@ -261,7 +276,7 @@ def cmd_extension(args):
             e = docs.realize_extension(docs.load_document(args.paths[0]))
             section = None
             if args.section:
-                section = docs.parse_bare_matrix(docs.load_document(args.section))
+                section = _parse_section(docs.load_document(args.section), e)
             c = extract_cocycle(e, section)
             out = docs.cocycle_doc(c)
             data = {"chi_zero": c.chi.is_zero(), "Phi_zero": c.Phi.is_zero()}

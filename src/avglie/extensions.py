@@ -9,7 +9,9 @@ InternalError, never a silent pass.
 The searches over finite fields (automorphism groups, equivalences of
 extensions and of cocycles) solve their linear clauses exactly and check
 only the points of the affine solution space; `ENUM_LIMIT` bounds the
-number of those points.
+number of those points.  Each linear clause is stated as rows for the
+entries of L X R (`_product_rows`) or X P1 - P2 X (`_commutator_rows`) in
+the unknown map X.
 """
 
 from __future__ import annotations
@@ -44,11 +46,13 @@ from .lie import (
     column_mismatch,
     psi_matrices,
     psi_of_vec,
+    sum_bracket,
 )
 from .linalg import (
     Matrix,
     Tensor,
     affine_points,
+    block_matrix,
     kernel_basis,
     rank,
     solve_affine,
@@ -332,9 +336,7 @@ def _section(e: ExtensionData, section: Matrix | None = None) -> Matrix:
 
 def _tau(e: ExtensionData, s: Matrix) -> Matrix:
     """tau(x, h) = s(x) + i(h), from base + coef coordinates to the total space."""
-    cols = [s.col(j) for j in range(e.base.dim)]
-    cols += [e.i.col(a) for a in range(e.coef.dim)]
-    return Matrix.from_cols(e.total.field, cols, e.total.dim)
+    return s.hstack(e.i)
 
 
 def perturbed_section(e: ExtensionData, mu: Matrix) -> Matrix:
@@ -345,58 +347,29 @@ def perturbed_section(e: ExtensionData, mu: Matrix) -> Matrix:
 def build_extension(c: NonAbelianCocycle) -> ExtensionData:
     """Total space base + coef with the cocycle bracket and operator.
 
-    Bracket [(x,h),(y,k)] = ([x,y], psi_x k - psi_y h + chi(x,y) + [h,k]);
-    operator U(x,h) = (P(x), Q(h) + Phi(x)).  Output is fully validated.
+    The bracket is `sum_bracket` of the cocycle,
+    [(x,h),(y,k)] = ([x,y], psi_x k - psi_y h + chi(x,y) + [h,k]); the
+    operator is the block matrix U = [[P, 0], [Phi, Q]], i.e.
+    U(x,h) = (P(x), Q(h) + Phi(x)); i, p and s are the block inclusion,
+    projection and section of base + coef.  Output is fully validated.
     """
     v = check_cocycle(c)
     if not v:
         raise NotACocycle(v)
     f = c.base.field
     n, m = c.base.dim, c.coef.dim
-    dim = n + m
-    g, h = c.base.algebra, c.coef.algebra
-
-    def entry(I, J, K):
-        val = f.zero
-        if K < n:
-            if I < n and J < n:
-                val = g.bracket.get(I, J, K)
-        else:
-            k = K - n
-            if I < n and J < n:
-                val = f.add(val, c.chi.eval_basis((I, J))[k])
-            if I < n and J >= n:
-                val = f.add(val, c.psi.get(I, k, J - n))
-            if J < n and I >= n:
-                val = f.sub(val, c.psi.get(J, k, I - n))
-            if I >= n and J >= n:
-                val = f.add(val, h.bracket.get(I - n, J - n, k))
-        return val
-
+    bracket = sum_bracket(c.base.algebra, c.coef.algebra, c.psi, c.chi)
     try:
-        lie = LieAlgebra.validate(f, dim, Tensor.build(f, (dim, dim, dim), entry))
+        lie = LieAlgebra.validate(f, n + m, bracket)
     except ValidationError as exc:  # clauses (A) and (B) guarantee Jacobi
         raise InternalError(f"cocycle bracket failed Lie validation: {exc}") from exc
-    rows = [[f.zero] * dim for _ in range(dim)]
-    for r in range(n):
-        for cc in range(n):
-            rows[r][cc] = c.base.P[r, cc]
-    for r in range(m):
-        for cc in range(m):
-            rows[n + r][n + cc] = c.coef.P[r, cc]
-        for cc in range(n):
-            rows[n + r][cc] = c.Phi[r, cc]
-    U = Matrix(f, rows)
+    U = block_matrix(f, [[c.base.P, Matrix.zero(f, n, m)], [c.Phi, c.coef.P]])
     if not check_averaging(lie, U):
         raise InternalError("cocycle operator failed the averaging identity")
     total = AveragingLieAlgebra(lie, U)
-    i = Matrix.from_cols(f, [vec_basis(f, dim, n + a) for a in range(m)], dim)
-    p = Matrix.from_cols(
-        f,
-        [vec_basis(f, n, j) for j in range(n)] + [vec_zero(f, n)] * m,
-        n,
-    )
-    s = Matrix.from_cols(f, [vec_basis(f, dim, j) for j in range(n)], dim)
+    i = block_matrix(f, [[Matrix.zero(f, n, m)], [Matrix.identity(f, m)]])
+    p = block_matrix(f, [[Matrix.identity(f, n), Matrix.zero(f, n, m)]])
+    s = block_matrix(f, [[Matrix.identity(f, n)], [Matrix.zero(f, m, n)]])
     return ExtensionData.validate(c.base, c.coef, total, i, p, s)
 
 
@@ -532,86 +505,36 @@ class Equivalence:
 
 
 def _equivalence_linear_system(c1, c2, include_e2):
-    """Rows of the linear system for phi; E2 rows only when linear (abelian)."""
+    """Rows and right-hand side of the linear clauses on phi, an m x n map
+    with row-major unknowns; E2 rows only when linear (abelian).
+
+    (E1) for each h_a: ad_a phi = the columns a of psi_j - psi'_j, where
+    column b of ad_a is [h_b, h_a]; (E3) phi P - Q phi = Phi' - Phi;
+    (E2), linear part: psi'_x phi e_y - psi'_y phi e_x - phi [e_x, e_y] =
+    chi(x, y) - chi'(x, y) for x < y.
+    """
     f = c1.base.field
     n, m = c1.base.dim, c1.coef.dim
     h = c1.coef.algebra
-    nvar = m * n  # phi[b][j] at index b * n + j
-    rows = []
-    rhs = []
-    mats1 = c1.psi_mats()
     mats2 = c2.psi_mats()
-
-    def emit(coeffs, target):
-        for t in range(len(target)):
-            row = [f.zero] * nvar
-            for (b, j), cf in coeffs[t].items():
-                row[b * n + j] = cf
-            rows.append(row)
-            rhs.append(target[t])
-
-    # (E1): psi_x h - psi'_x h = [phi(x), h] for basis x = e_j, h = h_a.
-    for j in range(n):
-        for a in range(m):
-            target = vec_sub(f, mats1[j].col(a), mats2[j].col(a))
-            coeffs = [dict() for _ in range(m)]
-            for b in range(m):
-                val = h.bracket_basis(b, a)
-                for t in range(m):
-                    if val[t] != f.zero:
-                        coeffs[t][(b, j)] = val[t]
-            emit(coeffs, target)
-    # (E3): Phi(x) - Phi'(x) = Q phi(x) - phi(P x) for basis x = e_j.
-    Q = c1.coef.P
-    P = c1.base.P
-    for j in range(n):
-        target = vec_sub(f, c1.Phi.col(j), c2.Phi.col(j))
-        coeffs = [dict() for _ in range(m)]
-        for b in range(m):
-            qcol = Q.col(b)
-            for t in range(m):
-                if qcol[t] != f.zero:
-                    coeffs[t][(b, j)] = f.add(
-                        coeffs[t].get((b, j), f.zero), qcol[t]
-                    )
-        for k in range(n):
-            cf = P[k, j]
-            if cf != f.zero:
-                for b in range(m):
-                    coeffs[b][(b, k)] = f.sub(
-                        coeffs[b].get((b, k), f.zero), cf
-                    )
-        emit(coeffs, target)
-    # (E2), linear part only: chi - chi' = psi'_x phi(y) - psi'_y phi(x)
-    # - phi([x,y]); valid as a full equation only over abelian coefficients.
+    dpsi = [u.sub(v) for u, v in zip(c1.psi_mats(), mats2)]
+    ident_n, ident_m = Matrix.identity(f, n), Matrix.identity(f, m)
+    rows, rhs = [], []
+    for a in range(m):
+        ad = Matrix.from_cols(f, [h.bracket_basis(b, a) for b in range(m)])
+        rows += _product_rows(f, ad, ident_n)
+        rhs += [dpsi[j][t, a] for t in range(m) for j in range(n)]
+    rows += _commutator_rows(f, c1.base.P, c1.coef.P)
+    rhs += c2.Phi.sub(c1.Phi).flat()
     if include_e2:
+        # row t * n + y of acts[x] is entry t of psi'_x phi e_y
+        acts = [_product_rows(f, u, ident_n) for u in mats2]
         for x, y in combinations(range(n), 2):
-            target = vec_sub(
-                f, c1.chi.eval_basis((x, y)), c2.chi.eval_basis((x, y))
-            )
-            coeffs = [dict() for _ in range(m)]
-            for b in range(m):
-                col = mats2[x].col(b)
-                for t in range(m):
-                    if col[t] != f.zero:
-                        coeffs[t][(b, y)] = f.add(
-                            coeffs[t].get((b, y), f.zero), col[t]
-                        )
-                col = mats2[y].col(b)
-                for t in range(m):
-                    if col[t] != f.zero:
-                        coeffs[t][(b, x)] = f.sub(
-                            coeffs[t].get((b, x), f.zero), col[t]
-                        )
-            br = c1.base.algebra.bracket_basis(x, y)
-            for k in range(n):
-                if br[k] != f.zero:
-                    for b in range(m):
-                        coeffs[b][(b, k)] = f.sub(
-                            coeffs[b].get((b, k), f.zero), br[k]
-                        )
-            emit(coeffs, target)
-    return Matrix(f, rows) if rows else Matrix.zero(f, 0, nvar), tuple(rhs)
+            br = Matrix.from_cols(f, [c1.base.algebra.bracket_basis(x, y)])
+            terms = zip(acts[x][y::n], acts[y][x::n], _product_rows(f, ident_m, br))
+            rows += [list(vec_sub(f, vec_sub(f, u, v), w)) for u, v, w in terms]
+            rhs += vec_sub(f, c1.chi.eval_basis((x, y)), c2.chi.eval_basis((x, y)))
+    return Matrix(f, rows, cols=m * n), tuple(rhs)
 
 
 def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
@@ -906,12 +829,11 @@ def _product_rows(f, left, right):
 
 
 def _commutator_rows(f, P1, P2):
-    """Rows for the entries of X P1 - P2 X."""
-    ident = Matrix.identity(f, P1.rows)
-    return [
-        list(vec_sub(f, u, v))
-        for u, v in zip(_product_rows(f, ident, P1), _product_rows(f, P2, ident))
-    ]
+    """Rows for the entries of X P1 - P2 X, for square P1 and P2 and a
+    rectangular unknown X with P2.rows rows and P1.rows columns."""
+    left = _product_rows(f, Matrix.identity(f, P2.rows), P1)
+    right = _product_rows(f, P2, Matrix.identity(f, P1.rows))
+    return [list(vec_sub(f, u, v)) for u, v in zip(left, right)]
 
 
 def _solution_maps(f, n, rows, rhs, limit):
@@ -1100,17 +1022,8 @@ def check_split_semidirect(e: ExtensionData, limit: int = ENUM_LIMIT) -> Verdict
     if tinv is None:
         raise InternalError("splitting coordinates are singular")
     for pair in cpairs:
-        block = Matrix(
-            f,
-            [
-                [
-                    pair.alpha[r, cc] if r < n and cc < n else (
-                        pair.beta[r - n, cc - n] if r >= n and cc >= n else f.zero
-                    )
-                    for cc in range(n + m)
-                ]
-                for r in range(n + m)
-            ],
+        block = block_matrix(
+            f, [[pair.alpha, Matrix.zero(f, n, m)], [Matrix.zero(f, m, n), pair.beta]]
         )
         gamma = tau.mul(block).mul(tinv)
         if not check_algebra_automorphism(e.total, gamma, "rho"):

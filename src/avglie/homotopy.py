@@ -32,10 +32,12 @@ from .lie import (
     check_representation,
     psi_matrices,
     psi_of_vec,
+    sum_bracket,
 )
 from .linalg import (
     Matrix,
     Tensor,
+    block_matrix,
     solve_affine,
     vec_add,
     vec_basis,
@@ -260,14 +262,18 @@ def is_strict(t: TwoTermLinf, p: HomotopyAveraging) -> bool:
 # Skeletal structures <-> degree-3 cocycles.
 
 
+def _transposed_action(f, t: Tensor) -> Tensor:
+    """Swap the last two axes of an (n0, n1, n1) action tensor: between
+    rho[i, a, b], the h_b coefficient of x_i acting on h_a, and the
+    column-vector convention psi[i, b, a] of representations."""
+    return Tensor.build(f, t.shape, lambda i, b, a: t.get(i, a, b))
+
+
 def _rep_from_mixed_bracket(t: TwoTermLinf, p: HomotopyAveraging) -> Representation:
     f = t.field
     g0 = LieAlgebra.validate(f, t.n0, t.l2_00)
     a = AveragingLieAlgebra.validate(g0, p.P0)
-    psi = Tensor.build(
-        f, (t.n0, t.n1, t.n1), lambda i, b, aa: t.l2_01.get(i, aa, b)
-    )
-    return Representation.validate(a, t.n1, psi, p.P1)
+    return Representation.validate(a, t.n1, _transposed_action(f, t.l2_01), p.P1)
 
 
 def skeletal_to_triple(t: TwoTermLinf, p: HomotopyAveraging):
@@ -306,7 +312,7 @@ def triple_to_skeletal(a: AveragingLieAlgebra, r: Representation, c: Cochain):
         )
     f = a.field
     n0, n1 = a.dim, r.vdim
-    l2_01 = Tensor.build(f, (n0, n1, n1), lambda i, aa, b: r.psi.get(i, b, aa))
+    l2_01 = _transposed_action(f, r.psi)
     t = TwoTermLinf(
         f, n0, n1, Matrix.zero(f, n0, n1), a.algebra.bracket, l2_01, c.f
     )
@@ -377,8 +383,7 @@ def check_crossed_module(c: CrossedModule) -> Verdict:
     """Morphism, action, representation-chain, anchor and Peiffer clauses."""
     f = c.g0.field
     n0, n1 = c.g0.dim, c.g1.dim
-    # psi[i, b, a] = rho[i, a, b]: the action as matrices on column vectors
-    psi = Tensor.build(f, (n0, n1, n1), lambda i, bb, aa: c.rho.get(i, aa, bb))
+    psi = _transposed_action(f, c.rho)
     mats = psi_matrices(f, n1, psi)
     # d is an averaging Lie algebra morphism.
     for a in range(n1):
@@ -480,35 +485,14 @@ def crossed_to_strict(c: CrossedModule):
     return t, p
 
 
-def semidirect_bracket(c: CrossedModule, literal: bool = False) -> Tensor:
+def semidirect_bracket(c: CrossedModule) -> Tensor:
     """Structure constants of the semidirect bracket on g0 + g1.
 
-    The level-1 slot of [(x,h),(y,k)] is rho_x k - rho_y h + [h, k].  With
-    literal=True the middle term instead reads rho_y k, i.e. both action
-    terms hit the second argument; on basis pairs that drops the
-    [level-1, level-0] contribution entirely, so antisymmetry fails on
-    any instance with a nontrivial action.
+    The level-1 slot of [(x,h),(y,k)] is rho_x k - rho_y h + [h, k]: the
+    direct-sum bracket `sum_bracket` with psi the action and chi = 0.
     """
-    f = c.g0.field
-    n0, n1 = c.g0.dim, c.g1.dim
-    dim = n0 + n1
-
-    def entry(I, J, K):
-        val = f.zero
-        if K < n0:
-            if I < n0 and J < n0:
-                val = c.g0.algebra.bracket.get(I, J, K)
-        else:
-            k = K - n0
-            if I < n0 and J >= n0:
-                val = f.add(val, c.rho.get(I, J - n0, k))
-            if J < n0 and I >= n0 and not literal:
-                val = f.sub(val, c.rho.get(J, I - n0, k))
-            if I >= n0 and J >= n0:
-                val = f.add(val, c.g1.algebra.bracket.get(I - n0, J - n0, k))
-        return val
-
-    return Tensor.build(f, (dim, dim, dim), entry)
+    psi = _transposed_action(c.g0.field, c.rho)
+    return sum_bracket(c.g0.algebra, c.g1.algebra, psi)
 
 
 def crossed_semidirect(c: CrossedModule) -> AveragingLieAlgebra:
@@ -518,16 +502,10 @@ def crossed_semidirect(c: CrossedModule) -> AveragingLieAlgebra:
         raise NotACrossedModule(v)
     f = c.g0.field
     n0, n1 = c.g0.dim, c.g1.dim
-    dim = n0 + n1
-    lie = LieAlgebra.validate(f, dim, semidirect_bracket(c))
-    rows = [[f.zero] * dim for _ in range(dim)]
-    for i in range(n0):
-        for j in range(n0):
-            rows[i][j] = c.g0.P[i, j]
-    for a in range(n1):
-        for b in range(n1):
-            rows[n0 + a][n0 + b] = c.g1.P[a, b]
-    op = Matrix(f, rows)
+    lie = LieAlgebra.validate(f, n0 + n1, semidirect_bracket(c))
+    op = block_matrix(
+        f, [[c.g0.P, Matrix.zero(f, n0, n1)], [Matrix.zero(f, n1, n0), c.g1.P]]
+    )
     if not check_averaging(lie, op):
         raise InternalError("semidirect operator of a crossed module not averaging")
     return AveragingLieAlgebra(lie, op)

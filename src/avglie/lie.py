@@ -27,6 +27,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     Tensor,
+    block_matrix,
     vec_add,
     vec_basis,
     vec_bilinear,
@@ -223,48 +224,32 @@ def double_construction(g: LieAlgebra, copies: int):
     """The n-fold direct sum with its hierarchy of averaging operators.
 
     Component 0 of the bracket is [x_1, y_1]; component i >= 1 is
-    [x_1, y_i] - [y_1, x_i].  Returns the doubled algebra together with
-    the operators P(x_1..x_n) = (x_2 + ... + x_n, 0, ..) and
+    [x_1, y_i] - [y_1, x_i]: the first copy acting by ad, copy by copy, on
+    the abelian sum of the others.  Returns the doubled algebra together
+    with the operators P(x_1..x_n) = (x_2 + ... + x_n, 0, ..) and
     Q_i(x_1..x_n) = (x_i, 0, ..) for i >= 2.
     """
     if copies < 2:
         raise ValueError("double_construction needs at least 2 copies")
     f = g.field
     n = g.dim
-    dim = n * copies
-
-    def flat(block, i):
-        return block * n + i
-
-    def c(I, J, K):
-        bi, i = divmod(I, n)
-        bj, j = divmod(J, n)
-        bk, k = divmod(K, n)
-        val = f.zero
-        if bk == 0:
-            if bi == 0 and bj == 0:
-                val = f.add(val, g.bracket.get(i, j, k))
-        else:
-            if bi == 0 and bj == bk:
-                val = f.add(val, g.bracket.get(i, j, k))
-            if bj == 0 and bi == bk:
-                val = f.sub(val, g.bracket.get(j, i, k))
-        return val
-
-    big = LieAlgebra.validate(f, dim, Tensor.build(f, (dim, dim, dim), c))
+    rest = n * (copies - 1)
+    ad = Tensor.build(
+        f,
+        (n, rest, rest),
+        lambda i, b, a: g.bracket.get(i, a % n, b % n) if a // n == b // n else f.zero,
+    )
+    others = LieAlgebra.abelian(f, rest)
+    big = LieAlgebra.validate(f, n + rest, sum_bracket(g, others, ad))
+    ident, zero = Matrix.identity(f, n), Matrix.zero(f, n, n)
 
     def block_collect(out_of):
         """Operator sending block b to block 0 for each b in out_of."""
-        rows = [[f.zero] * dim for _ in range(dim)]
-        for b in out_of:
-            for i in range(n):
-                rows[flat(0, i)][flat(b, i)] = f.one
-        return Matrix(f, rows)
+        top = [ident if b in out_of else zero for b in range(copies)]
+        return block_matrix(f, [top] + [[zero] * copies] * (copies - 1))
 
     ops = [block_collect(range(1, copies))]
-    for b in range(1, copies):
-        ops.append(block_collect([b]))
-    return big, ops
+    return big, ops + [block_collect([b]) for b in range(1, copies)]
 
 
 def induced_leibniz(a: AveragingLieAlgebra) -> LeibnizAlgebra:
@@ -431,29 +416,41 @@ def check_embedding_tensor(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> Verdi
     return Verdict.passed()
 
 
+def sum_bracket(g: LieAlgebra, h: LieAlgebra, psi: Tensor, chi=None) -> Tensor:
+    """Structure constants on g + h, g's basis first, of
+    [(x,u),(y,v)] = ([x,y], psi_x v - psi_y u + chi(x,y) + [u,v]); no
+    identity is checked.  psi.get(i, b, a) is the h_b coefficient of
+    psi_{e_i} h_a; chi, alternating on g with values in h, defaults to 0.
+    """
+    f = g.field
+    n, m = g.dim, h.dim
+    zero_g, zero_h = vec_zero(f, n), vec_zero(f, m)
+
+    def fibre(i, j):
+        if i < n and j < n:
+            return g.bracket_basis(i, j) + (
+                zero_h if chi is None else chi.eval_basis((i, j))
+            )
+        if i < n:
+            return zero_g + tuple(psi.get(i, k, j - n) for k in range(m))
+        if j < n:
+            return zero_g + tuple(f.neg(psi.get(j, k, i - n)) for k in range(m))
+        return zero_g + h.bracket_basis(i - n, j - n)
+
+    dim = n + m
+    return Tensor(
+        f, (dim,) * 3, [x for i in range(dim) for j in range(dim) for x in fibre(i, j)]
+    )
+
+
 def semidirect_product(g: LieAlgebra, vdim, psi: Tensor) -> LieAlgebra:
     """g + V with bracket [(x,u),(y,v)] = ([x,y], psi_x v - psi_y u)."""
     v = check_lie_representation(g, vdim, psi)
     if not v:
         raise NotARepresentation(v)
     f = g.field
-    n = g.dim
-    dim = n + vdim
-
-    def c(I, J, K):
-        val = f.zero
-        if K < n:
-            if I < n and J < n:
-                val = g.bracket.get(I, J, K)
-        else:
-            k = K - n
-            if I < n and J >= n:
-                val = psi.get(I, k, J - n)
-            elif J < n and I >= n:
-                val = f.neg(psi.get(J, k, I - n))
-        return val
-
-    return LieAlgebra.validate(f, dim, Tensor.build(f, (dim, dim, dim), c))
+    bracket = sum_bracket(g, LieAlgebra.abelian(f, vdim), psi)
+    return LieAlgebra.validate(f, g.dim + vdim, bracket)
 
 
 def embedding_to_averaging(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> AveragingLieAlgebra:
@@ -461,12 +458,9 @@ def embedding_to_averaging(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> Avera
     v = check_embedding_tensor(g, vdim, psi, T)
     if not v:
         raise NotAnEmbeddingTensor(v)
-    f = g.field
-    n = g.dim
+    f, n = g.field, g.dim
     total = semidirect_product(g, vdim, psi)
-    rows = [[f.zero] * (n + vdim) for _ in range(n + vdim)]
-    for a in range(vdim):
-        for r in range(n):
-            rows[r][n + a] = T[r, a]
-    return AveragingLieAlgebra.validate(total, Matrix(f, rows))
+    zero_n, zero_v = Matrix.zero(f, n, n), Matrix.zero(f, vdim, vdim)
+    P_T = block_matrix(f, [[zero_n, T], [Matrix.zero(f, vdim, n), zero_v]])
+    return AveragingLieAlgebra.validate(total, P_T)
 

@@ -302,6 +302,20 @@ class Matrix:
         )
 
 
+def block_matrix(field, blocks):
+    """The matrix assembled from a grid of blocks, given as rows of Matrix
+    blocks; blocks in one grid row share their row count, blocks in one
+    grid column their column count."""
+    widths = [b.cols for b in blocks[0]]
+    rows = []
+    for brow in blocks:
+        shapes = [(b.field, b.rows, b.cols) for b in brow]
+        if shapes != [(field, brow[0].rows, w) for w in widths]:
+            raise DimensionMismatch("blocks do not line up over one field")
+        rows += [sum((b.row(r) for b in brow), ()) for r in range(brow[0].rows)]
+    return Matrix(field, rows, cols=sum(widths))
+
+
 def rank(m: Matrix) -> int:
     return len(m.rref()[1])
 

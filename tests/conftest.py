@@ -8,6 +8,7 @@ identity exactly.  All randomness is seeded per test for reproducibility.
 
 import os
 import random
+from math import prod
 
 import pytest
 
@@ -42,6 +43,19 @@ def random_scalar(rng, field):
 def random_matrix(rng, field, rows, cols):
     return Matrix(
         field, [[random_scalar(rng, field) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def random_tensor(rng, field, shape, zero_share=0.0):
+    """Random entries of any shape, about zero_share of them zero; no
+    identity is asked of them."""
+    return Tensor(
+        field,
+        shape,
+        [
+            field.zero if rng.random() < zero_share else random_scalar(rng, field)
+            for _ in range(prod(shape))
+        ],
     )
 
 

@@ -4,17 +4,14 @@ The automorphism and extension-equivalence searches put every one of the
 p^(n^2) matrices through the full check, in the lexicographic order of
 `enumerate_linear_maps`; usable only at desk scale (about 100 us per
 candidate).  Affine solution spaces are walked with one `product` loop over
-the coefficient tuples.
+the coefficient tuples.  The cocycle-equivalence system is emitted row by
+row from coefficient dicts, clause by clause in the order (E1), (E3), (E2).
 """
 
-from itertools import product
+from itertools import combinations, product
 
-from avglie.extensions import (
-    _equivalence_linear_system,
-    _phi_satisfies,
-    check_algebra_automorphism,
-)
-from avglie.linalg import Matrix, enumerate_linear_maps, solve_affine
+from avglie.extensions import _phi_satisfies, check_algebra_automorphism
+from avglie.linalg import Matrix, enumerate_linear_maps, solve_affine, vec_sub
 
 
 def averaging_automorphisms(a):
@@ -82,12 +79,96 @@ def affine_points(f, particular, kernel):
     return out
 
 
+def equivalence_linear_system(c1, c2, include_e2):
+    """Rows of the linear system for phi, emitted clause by clause as
+    {(b, j): coefficient} dicts; E2 rows only when linear (abelian)."""
+    f = c1.base.field
+    n, m = c1.base.dim, c1.coef.dim
+    h = c1.coef.algebra
+    nvar = m * n  # phi[b][j] at index b * n + j
+    rows = []
+    rhs = []
+    mats1 = c1.psi_mats()
+    mats2 = c2.psi_mats()
+
+    def emit(coeffs, target):
+        for t in range(len(target)):
+            row = [f.zero] * nvar
+            for (b, j), cf in coeffs[t].items():
+                row[b * n + j] = cf
+            rows.append(row)
+            rhs.append(target[t])
+
+    # (E1): psi_x h - psi'_x h = [phi(x), h] for basis x = e_j, h = h_a.
+    for j in range(n):
+        for a in range(m):
+            target = vec_sub(f, mats1[j].col(a), mats2[j].col(a))
+            coeffs = [dict() for _ in range(m)]
+            for b in range(m):
+                val = h.bracket_basis(b, a)
+                for t in range(m):
+                    if val[t] != f.zero:
+                        coeffs[t][(b, j)] = val[t]
+            emit(coeffs, target)
+    # (E3): Phi(x) - Phi'(x) = Q phi(x) - phi(P x) for basis x = e_j.
+    Q = c1.coef.P
+    P = c1.base.P
+    for j in range(n):
+        target = vec_sub(f, c1.Phi.col(j), c2.Phi.col(j))
+        coeffs = [dict() for _ in range(m)]
+        for b in range(m):
+            qcol = Q.col(b)
+            for t in range(m):
+                if qcol[t] != f.zero:
+                    coeffs[t][(b, j)] = f.add(
+                        coeffs[t].get((b, j), f.zero), qcol[t]
+                    )
+        for k in range(n):
+            cf = P[k, j]
+            if cf != f.zero:
+                for b in range(m):
+                    coeffs[b][(b, k)] = f.sub(
+                        coeffs[b].get((b, k), f.zero), cf
+                    )
+        emit(coeffs, target)
+    # (E2), linear part only: chi - chi' = psi'_x phi(y) - psi'_y phi(x)
+    # - phi([x,y]); valid as a full equation only over abelian coefficients.
+    if include_e2:
+        for x, y in combinations(range(n), 2):
+            target = vec_sub(
+                f, c1.chi.eval_basis((x, y)), c2.chi.eval_basis((x, y))
+            )
+            coeffs = [dict() for _ in range(m)]
+            for b in range(m):
+                col = mats2[x].col(b)
+                for t in range(m):
+                    if col[t] != f.zero:
+                        coeffs[t][(b, y)] = f.add(
+                            coeffs[t].get((b, y), f.zero), col[t]
+                        )
+                col = mats2[y].col(b)
+                for t in range(m):
+                    if col[t] != f.zero:
+                        coeffs[t][(b, x)] = f.sub(
+                            coeffs[t].get((b, x), f.zero), col[t]
+                        )
+            br = c1.base.algebra.bracket_basis(x, y)
+            for k in range(n):
+                if br[k] != f.zero:
+                    for b in range(m):
+                        coeffs[b][(b, k)] = f.sub(
+                            coeffs[b].get((b, k), f.zero), br[k]
+                        )
+            emit(coeffs, target)
+    return Matrix(f, rows) if rows else Matrix.zero(f, 0, nvar), tuple(rhs)
+
+
 def cocycles_equivalent_phi(c1, c2):
     """The first witness phi over a finite field for non-abelian coefficients:
     (E1) and (E3) solved exactly, then the solution space walked in
     coefficient order.  None when there is none."""
     f = c1.base.field
-    system, rhs = _equivalence_linear_system(c1, c2, include_e2=False)
+    system, rhs = equivalence_linear_system(c1, c2, include_e2=False)
     sol = solve_affine(system, rhs)
     if sol is None:
         return None

@@ -45,7 +45,6 @@ from avglie.homotopy import (
     check_two_term,
     crossed_semidirect,
     crossed_to_strict,
-    semidirect_bracket,
     skeletal_equivalent,
     skeletal_to_triple,
     strict_to_crossed,
@@ -64,7 +63,11 @@ from avglie.multilinear import AltMap
 from conftest import fixture_path, representation_family
 from test_cohomology import brute_force_cohomology_dim, small_f2_instances
 from test_extensions import dim1, random_cocycles
-from test_homotopy import random_crossed_modules, random_skeletal_instances
+from test_homotopy import (
+    literal_semidirect_bracket,
+    random_crossed_modules,
+    random_skeletal_instances,
+)
 
 
 def note(msg):
@@ -480,7 +483,7 @@ def test_criterion_9_split_case():
 
 def test_criterion_10_bracket_discrepancy():
     cm = docs.realize_crossed(docs.load_document(fixture_path("crossed_adjoint.json")))
-    literal = semidirect_bracket(cm, literal=True)
+    literal = literal_semidirect_bracket(cm)
     v = check_lie(QQ, cm.g0.dim + cm.g1.dim, literal)
     assert not v.ok and v.clause == "antisymmetry"
     total = crossed_semidirect(cm)

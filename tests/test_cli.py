@@ -149,6 +149,39 @@ def test_extension_extract_with_user_section(tmp_path):
     assert code == 0
 
 
+def test_extension_extract_rejects_a_misshapen_section(tmp_path):
+    import avglie.documents as docs
+    from avglie.fields import GF, QQ
+    from avglie.linalg import Matrix
+
+    cases = (
+        (Matrix(GF(3), [[1]]), "section wants shape (2, 1), document has (1, 1)"),
+        (Matrix(QQ, [[1], [0]]), "section over Q, extension over F3"),
+    )
+    for k, (section, message) in enumerate(cases):
+        secfile = tmp_path / f"section{k}.json"
+        secfile.write_text(docs.dump_document(docs.bare_matrix_doc(section)))
+        code, report, _ = run_cli(
+            "extension", "extract", fixture_path("extension_f3.json"),
+            "--section", str(secfile),
+        )
+        assert code == 2
+        assert report["clause"] == "parse-error"
+        assert message in report["notes"]["message"]
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, report, err = run_cli(
+        "extension", "build", fixture_path("cocycle_adjoint.json"),
+        "--output", str(target),
+    )
+    assert code == 4
+    assert report is None
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
 def test_indeterminate_exit_code(capsys):
     from avglie.cli import EXIT_INDETERMINATE, _finish, _report
 

@@ -1,4 +1,8 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +11,7 @@ from avglie.errors import ParseError
 from avglie.fields import GF, QQ
 from avglie.lie import adjoint_representation
 
-from conftest import fixture_path, g2_averaging
+from conftest import FIXTURES, fixture_path, g2_averaging
 
 
 def test_fixture_round_trips_byte_identical():
@@ -100,3 +104,32 @@ def test_prime_field_documents_round_trip():
     e = docs.realize_extension(obj)
     assert e.total.field == GF(2)
     assert docs.dump_document(docs.extension_doc(e)) == docs.dump_document(obj)
+
+
+def relative_files(root):
+    return sorted(
+        os.path.relpath(os.path.join(d, name), root)
+        for d, _, names in os.walk(root)
+        for name in names
+    )
+
+
+def test_gen_fixtures_reproduces_the_committed_fixtures(tmp_path):
+    # the tool writes next to itself, so run a copy beside a link to src
+    repo = os.path.dirname(os.path.abspath(FIXTURES))
+    (tmp_path / "tools").mkdir()
+    shutil.copy(os.path.join(repo, "tools", "gen_fixtures.py"), tmp_path / "tools")
+    os.symlink(os.path.join(repo, "src"), tmp_path / "src")
+    subprocess.run(
+        [sys.executable, str(tmp_path / "tools" / "gen_fixtures.py")],
+        check=True,
+        capture_output=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    made = tmp_path / "fixtures"
+    names = relative_files(made)
+    assert names == relative_files(FIXTURES)
+    assert len(names) == 29
+    for name in names:
+        with open(made / name, "rb") as fh, open(fixture_path(name), "rb") as want:
+            assert fh.read() == want.read(), name

@@ -417,9 +417,23 @@ def test_crossed_semidirect_matches_strict_bracket(rng):
             assert got == want
 
 
+def literal_semidirect_bracket(cm):
+    """Eq. (5) as printed reads rho_y k for the middle term, so both action
+    terms hit the second argument; on basis pairs that is the corrected
+    bracket with its [level-1, level-0] -> level-1 block set to zero."""
+    f = cm.g0.field
+    n0 = cm.g0.dim
+    t = semidirect_bracket(cm)
+    return Tensor.build(
+        f,
+        t.shape,
+        lambda i, j, k: f.zero if i >= n0 and j < n0 and k >= n0 else t.get(i, j, k),
+    )
+
+
 def test_eq5_literal_text_breaks_antisymmetry(rng):
     cm = random_crossed_modules(rng, QQ, 1)[0]
-    literal = semidirect_bracket(cm, literal=True)
+    literal = literal_semidirect_bracket(cm)
     v = check_lie(QQ, cm.g0.dim + cm.g1.dim, literal)
     assert not v.ok and v.clause == "antisymmetry"
     corrected = semidirect_bracket(cm)

@@ -1,5 +1,10 @@
+import random
+from itertools import product
+from math import comb
+
 import pytest
 
+import oracle_blocks
 from avglie.errors import (
     AntisymmetryViolation,
     DimensionMismatch,
@@ -20,11 +25,21 @@ from avglie.lie import (
     embedding_to_averaging,
     induced_leibniz,
     semidirect_product,
+    sum_bracket,
     trivial_representation,
 )
-from avglie.linalg import Matrix, Tensor, enumerate_linear_maps
+from avglie.homotopy import CrossedModule, semidirect_bracket
+from avglie.linalg import Matrix, Tensor, block_matrix, enumerate_linear_maps
+from avglie.multilinear import AltMap
 
-from conftest import g2, g2_averaging, heisenberg, random_matrix, scramble_averaging
+from conftest import (
+    g2,
+    g2_averaging,
+    heisenberg,
+    random_matrix,
+    random_tensor,
+    scramble_averaging,
+)
 
 
 def test_validate_lie_abelian_and_dim2():
@@ -267,3 +282,80 @@ def test_representation_chain2_falsifier_over_q():
     r = adjoint_representation(a)
     v = check_representation(a, 2, r.psi, Matrix(QQ, [[2, 0], [0, 2]]))
     assert not v.ok and v.clause == "rep-chain-2"
+
+
+# ---------------------------------------------------------------------------
+# sum_bracket and block_matrix against the entry-by-entry formulas.
+
+
+def random_map(rng, f, rows, cols):
+    return Matrix.from_flat(f, rows, cols, random_tensor(rng, f, (rows, cols)).entries)
+
+
+def random_sum_data(rng):
+    """Random brackets, actions and cocycle parts over F2, F3, F5 and Q
+    with both summands of dims 0-3; nothing is validated."""
+    for f, n, m in product((GF(2), GF(3), GF(5), QQ), range(4), range(4)):
+        g = LieAlgebra(f, n, random_tensor(rng, f, (n, n, n)))
+        h = LieAlgebra(f, m, random_tensor(rng, f, (m, m, m)))
+        chi_entries = random_tensor(rng, f, (comb(n, 2) * m,)).entries
+        chi = AltMap.from_flat(f, n, 2, m, chi_entries)
+        yield f, g, h, random_tensor(rng, f, (n, m, m)), chi
+
+
+def test_sum_bracket_matches_the_entry_formulas():
+    rng = random.Random(6601)
+    for f, g, h, psi, chi in random_sum_data(rng):
+        n, m = g.dim, h.dim
+        assert sum_bracket(g, h, psi, chi) == oracle_blocks.extension_bracket(g, h, psi, chi)
+        zero_chi = AltMap.zero(f, n, 2, m)
+        assert sum_bracket(g, h, psi) == oracle_blocks.extension_bracket(g, h, psi, zero_chi)
+        flat = LieAlgebra.abelian(f, m)
+        assert sum_bracket(g, flat, psi) == oracle_blocks.semidirect_product_bracket(g, m, psi)
+        rho = random_tensor(rng, f, (n, m, m))
+        cm = CrossedModule(
+            AveragingLieAlgebra(h, Matrix.zero(f, m, m)),
+            AveragingLieAlgebra(g, Matrix.zero(f, n, n)),
+            random_map(rng, f, n, m),
+            rho,
+        )
+        assert semidirect_bracket(cm) == oracle_blocks.crossed_bracket(g, h, rho)
+
+
+def test_double_construction_matches_the_entry_formulas():
+    rng = random.Random(6604)
+    for f, copies in product((GF(2), GF(3), QQ), (2, 3, 4)):
+        algebras = [LieAlgebra.abelian(f, 0), g2(f), heisenberg(f)]
+        algebras.append(scramble_averaging(rng, g2_averaging(f, "proj"))[0].algebra)
+        for g in algebras:
+            big, ops = double_construction(g, copies)
+            assert (big.bracket, ops) == oracle_blocks.double_construction(g, copies)
+
+
+def test_block_matrix_matches_the_entry_formulas():
+    rng = random.Random(6602)
+    for f, n, m in product((GF(2), GF(3), GF(5), QQ), range(4), range(4)):
+        P, Q = random_map(rng, f, n, n), random_map(rng, f, m, m)
+        Phi, T = random_map(rng, f, m, n), random_map(rng, f, n, m)
+        zero_nm, zero_mn = Matrix.zero(f, n, m), Matrix.zero(f, m, n)
+        ident_n, ident_m = Matrix.identity(f, n), Matrix.identity(f, m)
+        got = (
+            block_matrix(f, [[P, zero_nm], [Phi, Q]]),
+            block_matrix(f, [[zero_nm], [ident_m]]),
+            block_matrix(f, [[ident_n, zero_nm]]),
+            block_matrix(f, [[ident_n], [zero_mn]]),
+        )
+        assert got == oracle_blocks.extension_maps(P, Q, Phi)
+        diag = block_matrix(f, [[P, zero_nm], [zero_mn, Q]])
+        assert diag == oracle_blocks.block_diagonal(P, Q)
+        P_T = block_matrix(
+            f, [[Matrix.zero(f, n, n), T], [zero_mn, Matrix.zero(f, m, m)]]
+        )
+        assert P_T == oracle_blocks.embedding_operator(n, T)
+    F3 = GF(3)
+    with pytest.raises(DimensionMismatch):
+        block_matrix(F3, [[Matrix.zero(F3, 1, 1), Matrix.zero(F3, 2, 1)]])
+    with pytest.raises(DimensionMismatch):
+        block_matrix(F3, [[Matrix.zero(F3, 1, 1)], [Matrix.zero(F3, 1, 2)]])
+    with pytest.raises(DimensionMismatch):
+        block_matrix(F3, [[Matrix.zero(QQ, 1, 1)]])

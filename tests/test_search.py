@@ -7,7 +7,8 @@ return the same maps in the same order.
 
 import json
 import random
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -16,6 +17,7 @@ import oracle_search
 from avglie import documents as docs
 from avglie.errors import FieldTooLarge
 from avglie.extensions import (
+    AutomorphismPair,
     ExtensionData,
     NonAbelianCocycle,
     averaging_automorphisms,
@@ -25,15 +27,27 @@ from avglie.extensions import (
     exact_sequence_audit,
     extension_automorphisms,
     extensions_equivalent,
+    extract_cocycle,
+    perturbed_section,
+    transform_cocycle,
 )
 from avglie.fields import GF, QQ
 from avglie.lie import (
     AveragingLieAlgebra,
     LieAlgebra,
     adjoint_representation,
+    psi_matrices,
     trivial_representation,
 )
-from avglie.linalg import Matrix, Tensor, affine_points
+from avglie.linalg import (
+    Matrix,
+    Tensor,
+    affine_points,
+    enumerate_linear_maps,
+    solve_affine,
+    vec_basis,
+    vec_sub,
+)
 from avglie.multilinear import AltMap
 
 from conftest import (
@@ -44,6 +58,7 @@ from conftest import (
     random_invertible,
     random_matrix,
     random_scalar,
+    random_tensor,
     scramble_averaging,
 )
 from test_acceptance import enumerate_extensions_f2
@@ -214,6 +229,91 @@ def test_cocycle_equivalence_witness_matches_the_product_loop():
                 assert eq.phi == oracle_search.cocycles_equivalent_phi(c1, c2)
                 found += eq.found and not eq.phi.is_zero()
     assert found > 0
+
+
+def random_cocycle_pair(rng, f, n, m):
+    """Two cocycles over one random base and coefficient algebra, the
+    latter abelian half of the time; nothing is validated, so no identity
+    need hold."""
+
+    def tensor(shape):
+        return random_tensor(rng, f, shape, zero_share=0.5)
+
+    def matrix(rows, cols):
+        return Matrix.from_flat(f, rows, cols, tensor((rows, cols)).entries)
+
+    base = AveragingLieAlgebra(LieAlgebra(f, n, tensor((n, n, n))), matrix(n, n))
+    h = LieAlgebra.abelian(f, m)
+    if rng.random() < 0.5:
+        h = LieAlgebra(f, m, tensor((m, m, m)))
+    coef = AveragingLieAlgebra(h, matrix(m, m))
+
+    def cocycle():
+        chi = AltMap.from_flat(f, n, 2, m, tensor((comb(n, 2) * m,)).entries)
+        return NonAbelianCocycle(base, coef, chi, tensor((n, m, m)), matrix(m, n))
+
+    return cocycle(), cocycle()
+
+
+def shifted_cocycle(rng, c):
+    """c moved by a random phi along the linear parts of (E1)-(E3), so
+    that the linear system for (c, shifted) holds at phi."""
+    f = c.base.field
+    n, m = c.base.dim, c.coef.dim
+    g, h = c.base.algebra, c.coef.algebra
+    phi = Matrix.from_flat(f, m, n, random_tensor(rng, f, (m, n), 0.5).entries)
+    psi = Tensor.build(
+        f,
+        (n, m, m),
+        lambda j, t, a: f.sub(
+            c.psi.get(j, t, a), h.bracket_vec(phi.col(j), vec_basis(f, m, a))[t]
+        ),
+    )
+    mats = psi_matrices(f, m, psi)
+    Phi = c.Phi.add(phi.mul(c.base.P)).sub(c.coef.P.mul(phi))
+    linear = [
+        vec_sub(
+            f,
+            vec_sub(f, mats[x].matvec(phi.col(y)), mats[y].matvec(phi.col(x))),
+            phi.matvec(g.bracket_basis(x, y)),
+        )
+        for x, y in combinations(range(n), 2)
+    ]
+    chi = c.chi.sub(AltMap(f, n, 2, m, linear))
+    return NonAbelianCocycle(c.base, c.coef, chi, psi, Phi)
+
+
+def test_equivalence_system_solves_like_the_dict_emitter():
+    # solve_affine's answer depends only on the row space of [A | b], so
+    # the rows may come in any order but the points and kernels must agree
+    rng = random.Random(6603)
+    pairs = []
+    for e in fixture_extensions():
+        f = e.total.field
+        cocycles = [
+            extract_cocycle(e, perturbed_section(e, mu))
+            for mu in enumerate_linear_maps(e.base.dim, e.coef.dim, f)
+        ]
+        cocycles += [
+            transform_cocycle(AutomorphismPair(beta, alpha), cocycles[0])
+            for beta in averaging_automorphisms(e.coef)
+            for alpha in averaging_automorphisms(e.base)
+        ]
+        pairs += [(c1, c2, False) for c1, c2 in product(cocycles, repeat=2)]
+    adjoint = docs.realize_cocycle(docs.load_document(fixture_path("cocycle_adjoint.json")))
+    pairs.append((adjoint, adjoint, True))
+    for f, n, m in product((GF(2), GF(3), GF(5), QQ), range(4), range(4)):
+        for _ in range(3):
+            c1, c2 = random_cocycle_pair(rng, f, n, m)
+            pairs += [(c1, c2, False), (c1, shifted_cocycle(rng, c1), True)]
+    consistent = 0
+    for (c1, c2, shifted), include_e2 in product(pairs, (False, True)):
+        got = solve_affine(*ext._equivalence_linear_system(c1, c2, include_e2))
+        want = solve_affine(*oracle_search.equivalence_linear_system(c1, c2, include_e2))
+        assert got == want
+        assert got is not None or not shifted
+        consistent += got is not None
+    assert 0 < consistent < 2 * len(pairs)
 
 
 # ---------------------------------------------------------------------------
