@@ -7,17 +7,22 @@ postcondition backed by a theorem is still executed; a failure there is an
 InternalError, never a silent pass.
 
 The searches over finite fields (automorphism groups, equivalences of
-extensions and of cocycles) solve their linear clauses exactly and check
-only the points of the affine solution space; `ENUM_LIMIT` bounds the
-number of those points.  Each linear clause is stated as rows for the
-entries of L X R (`_product_rows`) or X P1 - P2 X (`_commutator_rows`) in
-the unknown map X.
+extensions and of cocycles) first solve their linear clauses, stated as
+rows for the entries of L X R (`_product_rows`) or X P1 - P2 X
+(`_commutator_rows`) in the unknown map X; `ENUM_LIMIT` bounds the points
+of that affine space.  The automorphisms and extension equivalences then
+fix g column by column inside it (`_bracket_maps`): a column in the span
+of the earlier ones is dropped, and once g e_c is fixed each clause
+g[e_c, e_k] = [g e_c, g e_k] with k > c is linear and cuts the space.
+Cocycle equivalences check each point against the quadratic clause (E2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
+from operator import itemgetter, mul
 
 from .cohomology import Cochain, is_coboundary
 from .errors import (
@@ -457,8 +462,8 @@ def extensions_equivalent(
     """The lexicographically least equivalence e1 -> e2 over a finite field.
 
     The linear clauses tau i1 = i2, p2 tau = p1 and tau P1 = P2 tau are
-    solved exactly; only their affine solution space is searched for an
-    invertible bracket morphism.
+    solved exactly; the column walk of `_bracket_maps` finds the invertible
+    bracket morphisms e1.total -> e2.total in their solution space.
     """
     if e1.base != e2.base or e1.coef != e2.coef:
         raise DimensionMismatch("extensions over different algebra pairs")
@@ -472,19 +477,8 @@ def extensions_equivalent(
     rows = _product_rows(f, ident, e1.i) + _product_rows(f, e2.p, ident)
     rows += _commutator_rows(f, e1.total.P, e2.total.P)
     rhs = e2.i.flat() + e1.p.flat() + (f.zero,) * (dim * dim)
-    best = None
-    for tau in _solution_maps(f, dim, rows, rhs, limit):
-        if best is not None and tau.flat() >= best.flat():
-            continue
-        if tau.inverse() is None:
-            continue
-        if all(
-            tau.matvec(e1.total.algebra.bracket_basis(a, b))
-            == e2.total.algebra.bracket_vec(tau.col(a), tau.col(b))
-            for a, b in combinations(range(dim), 2)
-        ):
-            best = tau
-    return best
+    hits = _bracket_maps(f, e1.total.algebra, e2.total.algebra, rows, rhs, limit)
+    return hits[0] if hits else None
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +498,10 @@ class Equivalence:
         return self.status == "found"
 
 
-def _equivalence_linear_system(c1, c2, include_e2):
+def _equivalence_linear_system(c1, c2, include_e2, mats):
     """Rows and right-hand side of the linear clauses on phi, an m x n map
-    with row-major unknowns; E2 rows only when linear (abelian).
+    with row-major unknowns; E2 rows only when linear (abelian).  `mats`
+    holds the action matrices of c1 and of c2.
 
     (E1) for each h_a: ad_a phi = the columns a of psi_j - psi'_j, where
     column b of ad_a is [h_b, h_a]; (E3) phi P - Q phi = Phi' - Phi;
@@ -516,8 +511,8 @@ def _equivalence_linear_system(c1, c2, include_e2):
     f = c1.base.field
     n, m = c1.base.dim, c1.coef.dim
     h = c1.coef.algebra
-    mats2 = c2.psi_mats()
-    dpsi = [u.sub(v) for u, v in zip(c1.psi_mats(), mats2)]
+    mats1, mats2 = mats
+    dpsi = [u.sub(v) for u, v in zip(mats1, mats2)]
     ident_n, ident_m = Matrix.identity(f, n), Matrix.identity(f, m)
     rows, rhs = [], []
     for a in range(m):
@@ -537,13 +532,13 @@ def _equivalence_linear_system(c1, c2, include_e2):
     return Matrix(f, rows, cols=m * n), tuple(rhs)
 
 
-def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
-    """Full check of (E1), (E2), (E3) for a candidate phi."""
+def _phi_satisfies(c1, c2, phi: Matrix, mats) -> bool:
+    """Full check of (E1), (E2), (E3) for a candidate phi; `mats` holds the
+    action matrices of c1 and of c2, built once per search."""
     f = c1.base.field
     n, m = c1.base.dim, c1.coef.dim
     h = c1.coef.algebra
-    mats1 = c1.psi_mats()
-    mats2 = c2.psi_mats()
+    mats1, mats2 = mats
     for j in range(n):
         pj = phi.col(j)
         for a in range(m):
@@ -588,7 +583,8 @@ def cocycles_equivalent(c1, c2, limit: int = ENUM_LIMIT) -> Equivalence:
     f = c1.base.field
     n, m = c1.base.dim, c1.coef.dim
     abelian = c1.coef.is_abelian()
-    system, rhs = _equivalence_linear_system(c1, c2, include_e2=abelian)
+    mats = c1.psi_mats(), c2.psi_mats()
+    system, rhs = _equivalence_linear_system(c1, c2, abelian, mats)
     sol = solve_affine(system, rhs)
     if sol is None:
         return Equivalence("absent")
@@ -599,10 +595,10 @@ def cocycles_equivalent(c1, c2, limit: int = ENUM_LIMIT) -> Equivalence:
 
     if abelian:
         phi = as_matrix(particular)
-        if not _phi_satisfies(c1, c2, phi):
+        if not _phi_satisfies(c1, c2, phi, mats):
             raise InternalError("abelian equivalence solve produced a bad witness")
         return Equivalence("found", phi)
-    if _phi_satisfies(c1, c2, as_matrix(particular)):
+    if _phi_satisfies(c1, c2, as_matrix(particular), mats):
         return Equivalence("found", as_matrix(particular))
     if not kernel:
         return Equivalence("absent")
@@ -620,7 +616,7 @@ def cocycles_equivalent(c1, c2, limit: int = ENUM_LIMIT) -> Equivalence:
         )
     for point in affine_points(f, particular, kernel):
         phi = as_matrix(point)
-        if _phi_satisfies(c1, c2, phi):
+        if _phi_satisfies(c1, c2, phi, mats):
             return Equivalence("found", phi)
     return Equivalence("absent")
 
@@ -812,20 +808,27 @@ def project_automorphism(
 
 
 # ---------------------------------------------------------------------------
-# Enumeration at desk scale: linear clauses first, then only their solution
-# space.  Its points do not come in lexicographic order, so the searches sort
-# their hits by the row-major entries.
+# Searches at desk scale: linear clauses first, then a column walk inside
+# their solution space.  The walk does not meet its hits in lexicographic
+# order, so it sorts them by their row-major entries.
 
 
 def _product_rows(f, left, right):
     """Rows for the entries of left X right, row-major, as linear forms in
-    the row-major entries of the unknown map X."""
-    return [
-        [f.mul(left[b, r], right[c, a])
-         for r in range(left.cols) for c in range(right.rows)]
-        for b in range(left.rows)
-        for a in range(right.cols)
-    ]
+    the row-major entries of the unknown map X; each row is built from the
+    nonzero entries of its row of left and its column of right only."""
+    rcols = [[(c, y) for c, y in enumerate(right.col(a)) if y != f.zero]
+             for a in range(right.cols)]
+    out = []
+    for lrow in left.entries:
+        lnz = [(r * right.rows, x) for r, x in enumerate(lrow) if x != f.zero]
+        for rnz in rcols:
+            row = [f.zero] * (left.cols * right.rows)
+            for off, x in lnz:
+                for c, y in rnz:
+                    row[off + c] = f.mul(x, y)
+            out.append(row)
+    return out
 
 
 def _commutator_rows(f, P1, P2):
@@ -836,35 +839,98 @@ def _commutator_rows(f, P1, P2):
     return [list(vec_sub(f, u, v)) for u, v in zip(left, right)]
 
 
-def _solution_maps(f, n, rows, rhs, limit):
-    """Every n x n map whose row-major entries solve rows . x = rhs.
-
-    Raises FieldTooLarge before yielding anything when the solution space
-    has more than `limit` points; otherwise returns a lazy stream of them.
-    """
+def _bracket_maps(f, src, dst, rows, rhs, limit):
+    """Every invertible n x n map g with g[x, y]_src = [gx, gy]_dst whose
+    row-major entries solve rows . x = rhs over a finite field, sorted by
+    those entries; FieldTooLarge before any search when that affine space
+    has more than `limit` points.  The walk fixes g column by column: c
+    takes each value the space allows outside the span of the columns
+    before it, and the clauses g[e_c, e_k] = [g e_c, g e_k] for k > c,
+    linear once g e_c is fixed, cut the space before column c + 1."""
+    n, p = src.dim, f.p
     sol = solve_affine(Matrix(f, rows, cols=n * n), rhs)
     if sol is None:
-        return iter(())
-    particular, kernel = sol
-    count = f.p ** len(kernel)
+        return []
+    point, kernel = sol
+    count = p ** len(kernel)
     if count > limit:
         raise FieldTooLarge(f"{count} candidate maps exceed the limit")
-    return (Matrix.from_flat(f, n, n, x) for x in affine_points(f, particular, kernel))
+    if n == 0:
+        return [Matrix(f, [], cols=0)]
+    src_br = [[src.bracket_basis(c, k) for k in range(n)] for c in range(n)]
+    # ad[r][j][i] is entry r of [e_i, e_j] in dst
+    ad = [[[dst.bracket_basis(i, j)[r] for i in range(n)] for j in range(n)]
+          for r in range(n)]
+    hits = []
+
+    @cache
+    def ad_of(v):  # ad_of(v)[r][j] is entry r of [v, e_j] in dst
+        return [[sum(map(mul, v, a)) for a in ad_r] for ad_r in ad]
+
+    def pivot(kern, phi):
+        """The first v in kern with phi(v) != 0, 1 / phi(v), and the other
+        vectors less the multiples of v that make phi vanish on them."""
+        ws = [phi(u) % p for u in kern]
+        t = next((t for t, w in enumerate(ws) if w), None)
+        if t is None:
+            return None, None, kern
+        v, inv = kern[t], pow(ws[t], p - 2, p)
+        rest = [[(x - w * inv * y) % p for x, y in zip(u, v)] if w else u
+                for w, u in zip(ws[:t] + ws[t + 1:], kern[:t] + kern[t + 1:])]
+        return v, inv, rest
+
+    def walk(c, point, kern, basis):
+        # the leads carry the values of column c; the rest of the kernel
+        # vanishes there, as every vector left does on the columns before c
+        leads = []
+        for i in range(c, n * n, n) if kern else ():
+            v, _, kern = pivot(kern, itemgetter(i))
+            if v is not None:
+                leads.append(v)
+        for x in affine_points(f, point, leads) if leads else (point,):
+            col = w = x[c::n]
+            for piv, b in basis:  # invertibility: drop the values in the span
+                if w[piv]:
+                    w = [(a - w[piv] * y) % p for a, y in zip(w, b)]
+            piv = next((r for r in range(n) if w[r]), None)
+            if piv is None:
+                continue
+            if c == n - 1:
+                hits.append(tuple(x))
+                continue
+            adv = ad_of(tuple(col))
+
+            def phi(u, k, r):  # entry r of g[e_c, e_k] - [g e_c, g e_k]
+                return (sum(map(mul, src_br[c][k], u[r * n:r * n + n]))
+                        - sum(map(mul, adv[r], u[k::n])))
+            rest = kern
+            for k, r in product(range(c + 1, n), range(n)):
+                val = phi(x, k, r) % p
+                if rest:
+                    v, inv, rest = pivot(rest, lambda u: phi(u, k, r))
+                    if v is not None:
+                        x = [(a - val * inv * y) % p for a, y in zip(x, v)]
+                        continue
+                if val:
+                    break
+            else:
+                inv = pow(w[piv], p - 2, p)
+                walk(c + 1, x, rest, basis + [(piv, [a * inv % p for a in w])])
+
+    walk(0, point, [list(v) for v in kernel], [])
+    return [Matrix.from_flat(f, n, n, x) for x in sorted(hits)]
 
 
 def averaging_automorphisms(a: AveragingLieAlgebra, limit: int = ENUM_LIMIT):
     """All averaging Lie algebra automorphisms over a finite field, in
-    lexicographic order of their row-major entries."""
+    lexicographic order of their row-major entries: gP = Pg is solved
+    exactly, and the column walk of `_bracket_maps` finds the invertible
+    bracket morphisms in its solution space."""
     f = a.field
     if not f.finite:
         raise FieldTooLarge("automorphism enumeration needs a finite field")
     rows = _commutator_rows(f, a.P, a.P)
-    out = [
-        g
-        for g in _solution_maps(f, a.dim, rows, (f.zero,) * len(rows), limit)
-        if check_algebra_automorphism(a, g, "aut")
-    ]
-    return sorted(out, key=Matrix.flat)
+    return _bracket_maps(f, a.algebra, a.algebra, rows, (f.zero,) * len(rows), limit)
 
 
 def extension_automorphisms(e: ExtensionData, limit: int = ENUM_LIMIT):
@@ -873,7 +939,9 @@ def extension_automorphisms(e: ExtensionData, limit: int = ENUM_LIMIT):
 
     Kernel preservation is L g i = 0, where the rows of L span the
     annihilator of image(i); it is not derived from p, which need not have
-    kernel image(i) on an unvalidated extension.
+    kernel image(i) on an unvalidated extension.  With gP = Pg it is solved
+    exactly, and the column walk of `_bracket_maps` finds the invertible
+    bracket morphisms in the solution space.
     """
     f = e.total.field
     if not f.finite:
@@ -882,15 +950,12 @@ def extension_automorphisms(e: ExtensionData, limit: int = ENUM_LIMIT):
     ann = kernel_basis(Matrix(f, [e.i.col(a) for a in range(m)], cols=dim))
     rows = _commutator_rows(f, e.total.P, e.total.P)
     rows += _product_rows(f, Matrix(f, ann, cols=dim), e.i)
-    out = []
-    for g in _solution_maps(f, dim, rows, (f.zero,) * len(rows), limit):
-        if not check_algebra_automorphism(e.total, g, "aut"):
-            continue
+    hits = _bracket_maps(f, e.total.algebra, e.total.algebra, rows, (f.zero,) * len(rows), limit)
+    for g in hits:
         for a in range(m):
             if solve_affine(e.i, g.matvec(e.i.col(a))) is None:
                 raise InternalError("a solution of L g i = 0 leaves the kernel")
-        out.append(g)
-    return sorted(out, key=Matrix.flat)
+    return hits
 
 
 def kernel_fixing_automorphisms(e: ExtensionData, autos):

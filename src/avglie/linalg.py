@@ -368,19 +368,19 @@ def affine_points(field, particular, kernel):
     product(field.elements(), repeat=len(kernel)) orders it.  The walk is
     depth-first over the precomputed multiples t * kernel_k, adding one of
     them to the partial sum at each level, so a point costs about one
-    vector add.
+    vector add, done on the canonical residues mod p.
     """
     if not field.finite:
         raise FieldTooLarge("cannot enumerate an affine space over an infinite field")
-    elems = tuple(field.elements())
-    multiples = [[vec_scale(field, t, v) for t in elems] for v in kernel]
+    p = field.p
+    multiples = [[tuple([t * x % p for x in v]) for t in range(p)] for v in kernel]
 
     def walk(j, point):
         if j == len(multiples):
             yield point
             return
-        for t, tv in zip(elems, multiples[j]):
-            yield from walk(j + 1, point if t == field.zero else vec_add(field, point, tv))
+        for t, tv in enumerate(multiples[j]):
+            yield from walk(j + 1, tuple([(a + b) % p for a, b in zip(point, tv)]) if t else point)
 
     return walk(0, tuple(particular))
 

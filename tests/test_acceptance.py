@@ -225,7 +225,7 @@ def bucket_cocycles_by_brute_force(cocycles):
         for cls in classes:
             rep = cls[0]
             witness = any(
-                _phi_satisfies(cand, rep, phi)
+                _phi_satisfies(cand, rep, phi, (cand.psi_mats(), rep.psi_mats()))
                 for phi in enumerate_linear_maps(
                     cand.base.dim, cand.coef.dim, F2
                 )

@@ -1,8 +1,9 @@
 """The linear-first searches against brute force, and their size limit.
 
-Every search solves its linear clauses first and checks only the solution
-space; `oracle_search` keeps the searches over every linear map.  Both must
-return the same maps in the same order.
+Every search solves its linear clauses first and searches only the solution
+space, the automorphism and extension-equivalence searches column by
+column; `oracle_search` keeps the searches over every linear map.  Both
+must return the same maps in the same order.
 """
 
 import json
@@ -37,6 +38,7 @@ from avglie.lie import (
     LieAlgebra,
     adjoint_representation,
     psi_matrices,
+    sum_bracket,
     trivial_representation,
 )
 from avglie.linalg import (
@@ -53,6 +55,7 @@ from avglie.multilinear import AltMap
 from conftest import (
     dense_invertible,
     fixture_path,
+    g2,
     g2_averaging,
     heisenberg,
     random_invertible,
@@ -206,6 +209,85 @@ def test_extensions_equivalent_matches_brute_force():
     assert 0 < found < len(pairs)
 
 
+# ---------------------------------------------------------------------------
+# The column walk, where the linear clauses prune nothing (P = I) or the
+# map runs between two bases (src != dst).
+
+
+def identity_averaging(g):
+    return AveragingLieAlgebra.validate(g, Matrix.identity(g.field, g.dim))
+
+
+def direct_sum(g, h):
+    return LieAlgebra.validate(
+        g.field, g.dim + h.dim, sum_bracket(g, h, Tensor.zero(g.field, (g.dim, h.dim, h.dim)))
+    )
+
+
+def conjugated(found, B):
+    Binv = B.inverse()
+    return sorted((Binv.mul(g).mul(B) for g in found), key=Matrix.flat)
+
+
+def test_column_walk_matches_brute_force_with_identity_operator():
+    rng = random.Random(7101)
+    F2 = GF(2)
+    for g in (g2(F2), heisenberg(F2), direct_sum(g2(F2), LieAlgebra.abelian(F2, 1))):
+        a = identity_averaging(g)
+        for b in (a, scramble_averaging(rng, a, dense_invertible)[0]):
+            assert averaging_automorphisms(b) == oracle_search.averaging_automorphisms(b)
+    # g2 + g2: Aut(g2) has two maps over F2, on each summand, and the swap
+    a = identity_averaging(direct_sum(g2(F2), g2(F2)))
+    b, B = scramble_averaging(rng, a, dense_invertible)
+    found = averaging_automorphisms(b)
+    assert len(found) == 8
+    assert found == oracle_search.bracket_automorphisms(b)
+    assert found == conjugated(averaging_automorphisms(a), B)
+
+
+def test_scrambled_heisenberg_with_identity_operator_by_conjugation():
+    # Aut of the F3 Heisenberg algebra: any A in GL_2(F3) on the plane,
+    # any map of the plane into the centre, det A on the centre; 432 of
+    # the 3^9 maps, checked in closed form instead of by brute force
+    F3 = GF(3)
+    a = identity_averaging(heisenberg(F3))
+    closed = sorted(
+        (
+            Matrix(F3, [[x, y, 0], [z, w, 0], [u, v, x * w - y * z]])
+            for x, y, z, w, u, v in product(range(3), repeat=6)
+            if (x * w - y * z) % 3
+        ),
+        key=Matrix.flat,
+    )
+    assert len(closed) == 432
+    assert averaging_automorphisms(a) == closed
+    b, B = scramble_averaging(random.Random(7103), a, dense_invertible)
+    found = averaging_automorphisms(b)
+    assert found == conjugated(closed, B)
+    assert all(ext.check_algebra_automorphism(b, g, "aut") for g in found)
+
+
+def test_extension_equivalence_across_bases_matches_brute_force():
+    # each extension against a seeded re-scramble of itself, which is
+    # equivalent to it, and dim-2 F2 extensions against re-scrambles of
+    # each other, many of them inequivalent
+    rng = random.Random(7102)
+    F2, F3 = GF(2), GF(3)
+    exts = fixture_extensions()
+    for f, which in ((F2, "proj"), (F2, "id"), (F3, "proj")):
+        r = trivial_representation(g2_averaging(f, which), 1, Matrix(f, [[1]]))
+        exts.append(build_extension(rep_cocycle(r)))
+    pairs = [(e, scramble_extension(rng, e)) for e in exts]
+    bucket = enumerate_extensions_f2(dim1(F2, 1), dim1(F2, 1))
+    pairs += [(e1, scramble_extension(rng, e2)) for e1 in bucket for e2 in bucket]
+    found = 0
+    for e1, e2 in pairs:
+        tau = extensions_equivalent(e1, e2)
+        assert tau == oracle_search.extensions_equivalent(e1, e2)
+        found += tau is not None
+    assert len(exts) < found < len(pairs)
+
+
 def test_cocycle_equivalence_witness_matches_the_product_loop():
     # Heisenberg coefficients: (E1) leaves phi free in the centre, and the
     # quadratic clause (E2) rejects the particular point whenever chi differs
@@ -308,7 +390,8 @@ def test_equivalence_system_solves_like_the_dict_emitter():
             pairs += [(c1, c2, False), (c1, shifted_cocycle(rng, c1), True)]
     consistent = 0
     for (c1, c2, shifted), include_e2 in product(pairs, (False, True)):
-        got = solve_affine(*ext._equivalence_linear_system(c1, c2, include_e2))
+        mats = c1.psi_mats(), c2.psi_mats()
+        got = solve_affine(*ext._equivalence_linear_system(c1, c2, include_e2, mats))
         want = solve_affine(*oracle_search.equivalence_linear_system(c1, c2, include_e2))
         assert got == want
         assert got is not None or not shifted
