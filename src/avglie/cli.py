@@ -204,20 +204,14 @@ def _check_dispatch(obj):
 
 
 def cmd_check(args):
-    try:
-        obj = docs.load_document(args.path)
-        if args.field_check:
-            # re-parse only: shapes and scalars, no algebraic laws
-            docs.PARSERS[obj["kind"]](obj)
-            return _finish(_report("pass", data={"kind": obj["kind"]}))
-        verdict, field, data = _check_dispatch(obj)
-        data["kind"] = obj["kind"]
-        return _finish(_verdict_report(verdict, field, data))
-    except ParseError as exc:
-        return _finish(_parse_error_report(exc))
-    except ValidationError as exc:
-        field = _doc_field(args.path)
-        return _finish(_verdict_report(exc.verdict, field))
+    obj = docs.load_document(args.path)
+    if args.field_check:
+        # re-parse only: shapes and scalars, no algebraic laws
+        docs.PARSERS[obj["kind"]](obj)
+        return _finish(_report("pass", data={"kind": obj["kind"]}))
+    verdict, field, data = _check_dispatch(obj)
+    data["kind"] = obj["kind"]
+    return _finish(_verdict_report(verdict, field, data))
 
 
 def _doc_field(path):
@@ -232,22 +226,12 @@ def _doc_field(path):
 # cohomology
 
 
-def cmd_cohomology(args, parser):
-    if not 1 <= args.degree <= 4:
-        parser.error("--degree must be between 1 and 4")
-    try:
-        obj = docs.load_document(args.path)
-        if obj["kind"] != "representation":
-            raise ParseError("cohomology needs a representation document")
-        r = docs.realize_representation(obj)
-        data = cohomology_report(r, args.degree)
-        return _finish(_report("pass", data=data))
-    except ParseError as exc:
-        return _finish(_parse_error_report(exc))
-    except FieldTooLarge as exc:
-        return _finish(_report("indeterminate", notes={"reason": str(exc)}))
-    except ValidationError as exc:
-        return _finish(_verdict_report(exc.verdict, _doc_field(args.path)))
+def cmd_cohomology(args):
+    obj = docs.load_document(args.path)
+    if obj["kind"] != "representation":
+        raise ParseError("cohomology needs a representation document")
+    r = docs.realize_representation(obj)
+    return _finish(_report("pass", data=cohomology_report(r, args.degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,33 +250,28 @@ def _parse_section(obj, e):
 
 
 def cmd_extension(args):
-    try:
-        if args.sub == "build":
-            c = docs.realize_cocycle(docs.load_document(args.paths[0]))
-            e = build_extension(c)
-            out = docs.extension_doc(e)
-            return _finish_conversion(out, args, {"total_dim": e.total.dim})
-        if args.sub == "extract":
-            e = docs.realize_extension(docs.load_document(args.paths[0]))
-            section = None
-            if args.section:
-                section = _parse_section(docs.load_document(args.section), e)
-            c = extract_cocycle(e, section)
-            out = docs.cocycle_doc(c)
-            data = {"chi_zero": c.chi.is_zero(), "Phi_zero": c.Phi.is_zero()}
-            return _finish_conversion(out, args, data)
-        if args.sub == "audit":
-            e = docs.realize_extension(docs.load_document(args.paths[0]))
-            v = audit_round_trip(e)
-            data = {}
-            if v:
-                data["round_trip"] = "equivalent"
-            return _finish(_verdict_report(v, e.total.field, data))
-        raise ParseError(f"unknown extension subcommand {args.sub!r}")
-    except ParseError as exc:
-        return _finish(_parse_error_report(exc))
-    except ValidationError as exc:
-        return _finish(_verdict_report(exc.verdict, _doc_field(args.paths[0])))
+    if args.sub == "build":
+        c = docs.realize_cocycle(docs.load_document(args.paths[0]))
+        e = build_extension(c)
+        out = docs.extension_doc(e)
+        return _finish_conversion(out, args, {"total_dim": e.total.dim})
+    if args.sub == "extract":
+        e = docs.realize_extension(docs.load_document(args.paths[0]))
+        section = None
+        if args.section:
+            section = _parse_section(docs.load_document(args.section), e)
+        c = extract_cocycle(e, section)
+        out = docs.cocycle_doc(c)
+        data = {"chi_zero": c.chi.is_zero(), "Phi_zero": c.Phi.is_zero()}
+        return _finish_conversion(out, args, data)
+    if args.sub == "audit":
+        e = docs.realize_extension(docs.load_document(args.paths[0]))
+        v = audit_round_trip(e)
+        data = {}
+        if v:
+            data["round_trip"] = "equivalent"
+        return _finish(_verdict_report(v, e.total.field, data))
+    raise ParseError(f"unknown extension subcommand {args.sub!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,75 +279,68 @@ def cmd_extension(args):
 
 
 def cmd_wells(args):
-    try:
-        e = docs.realize_extension(docs.load_document(args.extension))
-        base_doc, coef_doc, pair = docs.parse_pair(docs.load_document(args.pair))
-        pbase = docs.realize_averaging(base_doc)
-        pcoef = docs.realize_averaging(coef_doc)
-        if pbase != e.base or pcoef != e.coef:
+    e = docs.realize_extension(docs.load_document(args.extension))
+    base_doc, coef_doc, pair = docs.parse_pair(docs.load_document(args.pair))
+    pbase = docs.realize_averaging(base_doc)
+    pcoef = docs.realize_averaging(coef_doc)
+    if pbase != e.base or pcoef != e.coef:
+        return _finish(
+            _report(
+                "fail",
+                clause="pair-extension-mismatch",
+                notes={"message": "pair document algebras differ from the extension"},
+            )
+        )
+    pv = check_automorphism_pair(pair, e.base, e.coef)
+    if not pv:
+        return _finish(_verdict_report(pv, e.total.field))
+    data = {}
+    if args.abelian:
+        rep = induced_representation(e)
+        compatible = bool(check_compatible_pair(pair, rep))
+        data["compatible_pair"] = compatible
+        if not compatible:
             return _finish(
                 _report(
                     "fail",
-                    clause="pair-extension-mismatch",
-                    notes={"message": "pair document algebras differ from the extension"},
+                    clause="compatible",
+                    notes={"message": "pair is not compatible with the action"},
+                    data=data,
                 )
             )
-        pv = check_automorphism_pair(pair, e.base, e.coef)
-        if not pv:
-            return _finish(_verdict_report(pv, e.total.field))
-        data = {}
-        if args.abelian:
-            rep = induced_representation(e)
-            compatible = bool(check_compatible_pair(pair, rep))
-            data["compatible_pair"] = compatible
-            if not compatible:
-                return _finish(
-                    _report(
-                        "fail",
-                        clause="compatible",
-                        notes={"message": "pair is not compatible with the action"},
-                        data=data,
-                    )
-                )
-            cochain, zero = abelian_wells(pair, e)
-            data["difference"] = {
-                "chi": docs.altmap_doc(cochain.f),
-                "Phi": [e.total.field.format(x) for x in cochain.theta.flat()],
-            }
-            data["zero_class"] = zero
-            data["inducible"] = zero
-            status = "pass" if zero else "fail"
-            clause = None if zero else "wells-nonzero"
-            if zero and args.lift:
-                w = wells_class(pair, e)
-                gamma = lift_automorphism(pair, e, w.phi)
-                data["gamma"] = docs.matrix_doc(gamma)
-            return _finish(_report(status, clause=clause, data=data))
-        w = wells_class(pair, e)
-        fld = e.total.field
+        cochain, zero = abelian_wells(pair, e)
         data["difference"] = {
-            "chi": docs.altmap_doc(w.delta_chi),
-            "psi": docs.tensor_doc(w.delta_psi),
-            "Phi": docs.matrix_doc(w.delta_phi),
+            "chi": docs.altmap_doc(cochain.f),
+            "Phi": [e.total.field.format(x) for x in cochain.theta.flat()],
         }
-        if w.inducible is None:
-            return _finish(
-                _report("indeterminate", notes={"reason": w.reason}, data=data)
-            )
-        data["inducible"] = w.inducible
-        if w.inducible:
-            data["phi"] = docs.matrix_doc(w.phi)
-            if args.lift:
-                gamma = lift_automorphism(pair, e, w.phi)
-                data["gamma"] = docs.matrix_doc(gamma)
-            return _finish(_report("pass", data=data))
-        return _finish(_report("fail", clause="wells-nonzero", data=data))
-    except ParseError as exc:
-        return _finish(_parse_error_report(exc))
-    except FieldTooLarge as exc:
-        return _finish(_report("indeterminate", notes={"reason": str(exc)}))
-    except ValidationError as exc:
-        return _finish(_verdict_report(exc.verdict, _doc_field(args.extension)))
+        data["zero_class"] = zero
+        data["inducible"] = zero
+        status = "pass" if zero else "fail"
+        clause = None if zero else "wells-nonzero"
+        if zero and args.lift:
+            w = wells_class(pair, e)
+            gamma = lift_automorphism(pair, e, w.phi)
+            data["gamma"] = docs.matrix_doc(gamma)
+        return _finish(_report(status, clause=clause, data=data))
+    w = wells_class(pair, e)
+    fld = e.total.field
+    data["difference"] = {
+        "chi": docs.altmap_doc(w.delta_chi),
+        "psi": docs.tensor_doc(w.delta_psi),
+        "Phi": docs.matrix_doc(w.delta_phi),
+    }
+    if w.inducible is None:
+        return _finish(
+            _report("indeterminate", notes={"reason": w.reason}, data=data)
+        )
+    data["inducible"] = w.inducible
+    if w.inducible:
+        data["phi"] = docs.matrix_doc(w.phi)
+        if args.lift:
+            gamma = lift_automorphism(pair, e, w.phi)
+            data["gamma"] = docs.matrix_doc(gamma)
+        return _finish(_report("pass", data=data))
+    return _finish(_report("fail", clause="wells-nonzero", data=data))
 
 
 # ---------------------------------------------------------------------------
@@ -376,47 +348,42 @@ def cmd_wells(args):
 
 
 def cmd_homotopy(args):
-    try:
-        sub = args.sub
-        if sub == "check":
-            obj = docs.load_document(args.paths[0])
-            verdict, field, data = _check_dispatch(obj)
-            data["kind"] = obj["kind"]
-            return _finish(_verdict_report(verdict, field, data))
-        if sub == "skeletal-to-cocycle":
-            t, p = docs.parse_two_term(docs.load_document(args.paths[0]))
-            if p is None:
-                raise ParseError("two_term document must carry P0, P1, P2")
-            a, r, c = skeletal_to_triple(t, p)
-            out = docs.cochain_doc(r, c)
-            return _finish_conversion(out, args, {"is_cocycle": True})
-        if sub == "cocycle-to-skeletal":
-            r, c = docs.realize_cochain(docs.load_document(args.paths[0]))
-            t, p = triple_to_skeletal(r.base, r, c)
-            out = docs.two_term_doc(t, p)
-            return _finish_conversion(out, args, {"skeletal": True})
-        if sub == "strict-to-crossed":
-            t, p = docs.parse_two_term(docs.load_document(args.paths[0]))
-            if p is None:
-                raise ParseError("two_term document must carry P0, P1, P2")
-            cm = strict_to_crossed(t, p)
-            out = docs.crossed_doc(cm)
-            return _finish_conversion(out, args, {"crossed_module": True})
-        if sub == "crossed-to-strict":
-            cm = docs.realize_crossed(docs.load_document(args.paths[0]))
-            t, p = crossed_to_strict(cm)
-            out = docs.two_term_doc(t, p)
-            return _finish_conversion(out, args, {"strict": True})
-        if sub == "semidirect":
-            cm = docs.realize_crossed(docs.load_document(args.paths[0]))
-            a = crossed_semidirect(cm)
-            out = docs.averaging_doc(a)
-            return _finish_conversion(out, args, {"dim": a.dim})
-        raise ParseError(f"unknown homotopy subcommand {sub!r}")
-    except ParseError as exc:
-        return _finish(_parse_error_report(exc))
-    except ValidationError as exc:
-        return _finish(_verdict_report(exc.verdict, _doc_field(args.paths[0])))
+    sub = args.sub
+    if sub == "check":
+        obj = docs.load_document(args.paths[0])
+        verdict, field, data = _check_dispatch(obj)
+        data["kind"] = obj["kind"]
+        return _finish(_verdict_report(verdict, field, data))
+    if sub == "skeletal-to-cocycle":
+        t, p = docs.parse_two_term(docs.load_document(args.paths[0]))
+        if p is None:
+            raise ParseError("two_term document must carry P0, P1, P2")
+        a, r, c = skeletal_to_triple(t, p)
+        out = docs.cochain_doc(r, c)
+        return _finish_conversion(out, args, {"is_cocycle": True})
+    if sub == "cocycle-to-skeletal":
+        r, c = docs.realize_cochain(docs.load_document(args.paths[0]))
+        t, p = triple_to_skeletal(r.base, r, c)
+        out = docs.two_term_doc(t, p)
+        return _finish_conversion(out, args, {"skeletal": True})
+    if sub == "strict-to-crossed":
+        t, p = docs.parse_two_term(docs.load_document(args.paths[0]))
+        if p is None:
+            raise ParseError("two_term document must carry P0, P1, P2")
+        cm = strict_to_crossed(t, p)
+        out = docs.crossed_doc(cm)
+        return _finish_conversion(out, args, {"crossed_module": True})
+    if sub == "crossed-to-strict":
+        cm = docs.realize_crossed(docs.load_document(args.paths[0]))
+        t, p = crossed_to_strict(cm)
+        out = docs.two_term_doc(t, p)
+        return _finish_conversion(out, args, {"strict": True})
+    if sub == "semidirect":
+        cm = docs.realize_crossed(docs.load_document(args.paths[0]))
+        a = crossed_semidirect(cm)
+        out = docs.averaging_doc(a)
+        return _finish_conversion(out, args, {"dim": a.dim})
+    raise ParseError(f"unknown homotopy subcommand {sub!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -468,25 +435,33 @@ def build_parser():
     return parser
 
 
+# command -> (handler, the path of its first document)
+COMMANDS = {
+    "check": (cmd_check, lambda args: args.path),
+    "cohomology": (cmd_cohomology, lambda args: args.path),
+    "extension": (cmd_extension, lambda args: args.paths[0]),
+    "wells": (cmd_wells, lambda args: args.extension),
+    "homotopy": (cmd_homotopy, lambda args: args.paths[0]),
+}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "cohomology" and not 1 <= args.degree <= 4:
+        parser.error("--degree must be between 1 and 4")
+    handler, first_document = COMMANDS[args.command]
     try:
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "cohomology":
-            return cmd_cohomology(args, parser)
-        if args.command == "extension":
-            return cmd_extension(args)
-        if args.command == "wells":
-            return cmd_wells(args)
-        if args.command == "homotopy":
-            return cmd_homotopy(args)
-        parser.error(f"unknown command {args.command!r}")
+        return handler(args)
+    except ParseError as exc:
+        return _finish(_parse_error_report(exc))
+    except FieldTooLarge as exc:
+        return _finish(_report("indeterminate", notes={"reason": str(exc)}))
+    except ValidationError as exc:
+        return _finish(_verdict_report(exc.verdict, _doc_field(first_document(args))))
     except AvgLieError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -32,10 +32,20 @@ def _want(obj, key, kind):
     return obj[key]
 
 
+def _is_nat(x):
+    # bool is a subclass of int, but JSON true and false are not numbers
+    return type(x) is int and x >= 0
+
+
+def _natural(obj, key, kind):
+    val = _want(obj, key, kind)
+    if not _is_nat(val):
+        raise ParseError(f"{kind}: {key} must be a natural")
+    return val
+
+
 def _nat_list(val, kind, key):
-    if not isinstance(val, list) or not all(
-        isinstance(x, int) and x >= 0 for x in val
-    ):
+    if not isinstance(val, list) or not all(_is_nat(x) for x in val):
         raise ParseError(f"{kind}: {key} must be a list of naturals")
     return val
 
@@ -80,7 +90,7 @@ def parse_tensor(field, obj, kind, key, shape=None) -> Tensor:
 def parse_altmap(field, obj, kind, key, dim, arity, vdim) -> AltMap:
     for name, want in (("arity", arity), ("dim", dim), ("vdim", vdim)):
         val = _want(obj, name, kind)
-        if val != want:
+        if type(val) is not int or val != want:
             raise ParseError(f"{kind}: {key}.{name} must be {want}, got {val}")
     flat = _scalars(
         field, _want(obj, "entries", kind), kind, key, comb(dim, arity) * vdim
@@ -137,9 +147,7 @@ def _sub(obj, key, kind, want_kind, field):
 
 def parse_lie(obj, kind="lie_algebra"):
     field = _field_of(obj, kind)
-    dim = _want(obj, "dim", kind)
-    if not isinstance(dim, int) or dim < 0:
-        raise ParseError(f"{kind}: dim must be a natural")
+    dim = _natural(obj, "dim", kind)
     bracket = parse_tensor(field, _want(obj, "bracket", kind), kind, "bracket", (dim,) * 3)
     return field, dim, bracket
 
@@ -158,10 +166,8 @@ def realize_averaging(obj, kind="averaging_lie_algebra") -> AveragingLieAlgebra:
 def parse_representation(obj, kind="representation"):
     field = _field_of(obj, kind)
     base = _sub(obj, "base", kind, "averaging_lie_algebra", field)
-    vdim = _want(obj, "vdim", kind)
-    if not isinstance(vdim, int) or vdim < 0:
-        raise ParseError(f"{kind}: vdim must be a natural")
-    dim = _want(base, "dim", "averaging_lie_algebra")
+    vdim = _natural(obj, "vdim", kind)
+    dim = _natural(base, "dim", "averaging_lie_algebra")
     psi = parse_tensor(field, _want(obj, "psi", kind), kind, "psi", (dim, vdim, vdim))
     Q = parse_matrix(field, _want(obj, "Q", kind), kind, "Q", vdim, vdim)
     return base, vdim, psi, Q
@@ -177,10 +183,10 @@ def parse_cochain(obj):
     field = _field_of(obj, kind)
     rep = _sub(obj, "representation", kind, "representation", field)
     degree = _want(obj, "degree", kind)
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:
         raise ParseError("cochain: degree must be a positive integer")
-    dim = _want(_want(rep, "base", "representation"), "dim", "averaging_lie_algebra")
-    vdim = _want(rep, "vdim", "representation")
+    dim = _natural(_want(rep, "base", "representation"), "dim", "averaging_lie_algebra")
+    vdim = _natural(rep, "vdim", "representation")
     f = parse_altmap(field, _want(obj, "f", kind), kind, "f", dim, degree, vdim)
     theta = None
     if degree >= 2:
@@ -207,8 +213,8 @@ def parse_cocycle(obj):
     field = _field_of(obj, kind)
     base = _sub(obj, "base", kind, "averaging_lie_algebra", field)
     coef = _sub(obj, "coef", kind, "averaging_lie_algebra", field)
-    n = _want(base, "dim", "averaging_lie_algebra")
-    m = _want(coef, "dim", "averaging_lie_algebra")
+    n = _natural(base, "dim", "averaging_lie_algebra")
+    m = _natural(coef, "dim", "averaging_lie_algebra")
     chi = parse_altmap(field, _want(obj, "chi", kind), kind, "chi", n, 2, m)
     psi = parse_tensor(field, _want(obj, "psi", kind), kind, "psi", (n, m, m))
     Phi = parse_matrix(field, _want(obj, "Phi", kind), kind, "Phi", m, n)
@@ -228,9 +234,9 @@ def parse_extension(obj):
     base = _sub(obj, "base", kind, "averaging_lie_algebra", field)
     coef = _sub(obj, "coef", kind, "averaging_lie_algebra", field)
     total = _sub(obj, "total", kind, "averaging_lie_algebra", field)
-    n = _want(base, "dim", "averaging_lie_algebra")
-    m = _want(coef, "dim", "averaging_lie_algebra")
-    dim = _want(total, "dim", "averaging_lie_algebra")
+    n = _natural(base, "dim", "averaging_lie_algebra")
+    m = _natural(coef, "dim", "averaging_lie_algebra")
+    dim = _natural(total, "dim", "averaging_lie_algebra")
     i = parse_matrix(field, _want(obj, "i", kind), kind, "i", dim, m)
     p = parse_matrix(field, _want(obj, "p", kind), kind, "p", n, dim)
     s = None
@@ -251,8 +257,8 @@ def parse_pair(obj):
     field = _field_of(obj, kind)
     base = _sub(obj, "base", kind, "averaging_lie_algebra", field)
     coef = _sub(obj, "coef", kind, "averaging_lie_algebra", field)
-    n = _want(base, "dim", "averaging_lie_algebra")
-    m = _want(coef, "dim", "averaging_lie_algebra")
+    n = _natural(base, "dim", "averaging_lie_algebra")
+    m = _natural(coef, "dim", "averaging_lie_algebra")
     beta = parse_matrix(field, _want(obj, "beta", kind), kind, "beta", m, m)
     alpha = parse_matrix(field, _want(obj, "alpha", kind), kind, "alpha", n, n)
     return base, coef, AutomorphismPair(beta, alpha)
@@ -287,8 +293,8 @@ def parse_crossed(obj):
     field = _field_of(obj, kind)
     g0 = _sub(obj, "g0", kind, "averaging_lie_algebra", field)
     g1 = _sub(obj, "g1", kind, "averaging_lie_algebra", field)
-    n0 = _want(g0, "dim", "averaging_lie_algebra")
-    n1 = _want(g1, "dim", "averaging_lie_algebra")
+    n0 = _natural(g0, "dim", "averaging_lie_algebra")
+    n1 = _natural(g1, "dim", "averaging_lie_algebra")
     d = parse_matrix(field, _want(obj, "d", kind), kind, "d", n0, n1)
     rho = parse_tensor(field, _want(obj, "rho", kind), kind, "rho", (n0, n1, n1))
     return g0, g1, d, rho

@@ -456,9 +456,7 @@ def audit_round_trip(e: ExtensionData, section: Matrix | None = None) -> Verdict
     return Verdict.passed(rebuilt=rebuilt, tau=tau)
 
 
-def extensions_equivalent(
-    e1: ExtensionData, e2: ExtensionData, limit: int = ENUM_LIMIT
-) -> Matrix | None:
+def extensions_equivalent(e1: ExtensionData, e2: ExtensionData) -> Matrix | None:
     """The lexicographically least equivalence e1 -> e2 over a finite field.
 
     The linear clauses tau i1 = i2, p2 tau = p1 and tau P1 = P2 tau are
@@ -477,7 +475,7 @@ def extensions_equivalent(
     rows = _product_rows(f, ident, e1.i) + _product_rows(f, e2.p, ident)
     rows += _commutator_rows(f, e1.total.P, e2.total.P)
     rhs = e2.i.flat() + e1.p.flat() + (f.zero,) * (dim * dim)
-    hits = _bracket_maps(f, e1.total.algebra, e2.total.algebra, rows, rhs, limit)
+    hits = _bracket_maps(f, e1.total.algebra, e2.total.algebra, rows, rhs)
     return hits[0] if hits else None
 
 
@@ -568,13 +566,13 @@ def _phi_satisfies(c1, c2, phi: Matrix, mats) -> bool:
     return True
 
 
-def cocycles_equivalent(c1, c2, limit: int = ENUM_LIMIT) -> Equivalence:
+def cocycles_equivalent(c1, c2) -> Equivalence:
     """Search for phi witnessing equivalence of two cocycles.
 
     The linear clauses (E1) and (E3) are solved exactly; (E2) is linear
     too when the coefficient algebra is abelian, so one affine solve
     decides.  Otherwise the affine solution space is enumerated over a
-    finite field (up to `limit` points) and tested against the quadratic
+    finite field (up to `ENUM_LIMIT` points) and tested against the quadratic
     clause; over the rationals only the particular point is tested and a
     nonzero-dimensional space yields an indeterminate answer.
     """
@@ -609,7 +607,7 @@ def cocycles_equivalent(c1, c2, limit: int = ENUM_LIMIT) -> Equivalence:
             "candidate space",
         )
     count = f.p ** len(kernel)
-    if count > limit:
+    if count > ENUM_LIMIT:
         return Equivalence(
             "indeterminate",
             reason=f"candidate space of size {count} exceeds the enumeration limit",
@@ -839,11 +837,11 @@ def _commutator_rows(f, P1, P2):
     return [list(vec_sub(f, u, v)) for u, v in zip(left, right)]
 
 
-def _bracket_maps(f, src, dst, rows, rhs, limit):
+def _bracket_maps(f, src, dst, rows, rhs):
     """Every invertible n x n map g with g[x, y]_src = [gx, gy]_dst whose
     row-major entries solve rows . x = rhs over a finite field, sorted by
     those entries; FieldTooLarge before any search when that affine space
-    has more than `limit` points.  The walk fixes g column by column: c
+    has more than `ENUM_LIMIT` points.  The walk fixes g column by column: c
     takes each value the space allows outside the span of the columns
     before it, and the clauses g[e_c, e_k] = [g e_c, g e_k] for k > c,
     linear once g e_c is fixed, cut the space before column c + 1."""
@@ -853,7 +851,7 @@ def _bracket_maps(f, src, dst, rows, rhs, limit):
         return []
     point, kernel = sol
     count = p ** len(kernel)
-    if count > limit:
+    if count > ENUM_LIMIT:
         raise FieldTooLarge(f"{count} candidate maps exceed the limit")
     if n == 0:
         return [Matrix(f, [], cols=0)]
@@ -921,7 +919,7 @@ def _bracket_maps(f, src, dst, rows, rhs, limit):
     return [Matrix.from_flat(f, n, n, x) for x in sorted(hits)]
 
 
-def averaging_automorphisms(a: AveragingLieAlgebra, limit: int = ENUM_LIMIT):
+def averaging_automorphisms(a: AveragingLieAlgebra):
     """All averaging Lie algebra automorphisms over a finite field, in
     lexicographic order of their row-major entries: gP = Pg is solved
     exactly, and the column walk of `_bracket_maps` finds the invertible
@@ -930,10 +928,10 @@ def averaging_automorphisms(a: AveragingLieAlgebra, limit: int = ENUM_LIMIT):
     if not f.finite:
         raise FieldTooLarge("automorphism enumeration needs a finite field")
     rows = _commutator_rows(f, a.P, a.P)
-    return _bracket_maps(f, a.algebra, a.algebra, rows, (f.zero,) * len(rows), limit)
+    return _bracket_maps(f, a.algebra, a.algebra, rows, (f.zero,) * len(rows))
 
 
-def extension_automorphisms(e: ExtensionData, limit: int = ENUM_LIMIT):
+def extension_automorphisms(e: ExtensionData):
     """All total-space averaging automorphisms preserving the kernel, in
     lexicographic order of their row-major entries.
 
@@ -950,7 +948,7 @@ def extension_automorphisms(e: ExtensionData, limit: int = ENUM_LIMIT):
     ann = kernel_basis(Matrix(f, [e.i.col(a) for a in range(m)], cols=dim))
     rows = _commutator_rows(f, e.total.P, e.total.P)
     rows += _product_rows(f, Matrix(f, ann, cols=dim), e.i)
-    hits = _bracket_maps(f, e.total.algebra, e.total.algebra, rows, (f.zero,) * len(rows), limit)
+    hits = _bracket_maps(f, e.total.algebra, e.total.algebra, rows, (f.zero,) * len(rows))
     for g in hits:
         for a in range(m):
             if solve_affine(e.i, g.matvec(e.i.col(a))) is None:
@@ -1036,12 +1034,12 @@ def abelian_wells(
     return cochain, preimage is not None
 
 
-def compatible_pairs(e: ExtensionData, limit: int = ENUM_LIMIT):
+def compatible_pairs(e: ExtensionData):
     """Enumerate the compatible-pair group of an abelian extension."""
     induced = induced_representation(e)
     pairs = []
-    betas = averaging_automorphisms(e.coef, limit)
-    alphas = averaging_automorphisms(e.base, limit)
+    betas = averaging_automorphisms(e.coef)
+    alphas = averaging_automorphisms(e.base)
     for beta in betas:
         for alpha in alphas:
             pair = AutomorphismPair(beta, alpha)
@@ -1050,7 +1048,7 @@ def compatible_pairs(e: ExtensionData, limit: int = ENUM_LIMIT):
     return pairs
 
 
-def check_split_semidirect(e: ExtensionData, limit: int = ENUM_LIMIT) -> Verdict:
+def check_split_semidirect(e: ExtensionData) -> Verdict:
     """Split-extension audit.
 
     Confirms the splitting section extracts the zero cocycle, that the
@@ -1078,8 +1076,8 @@ def check_split_semidirect(e: ExtensionData, limit: int = ENUM_LIMIT) -> Verdict
         raise NotSplit(
             Verdict.failed("zero-cocycle", (), c.chi.flat() + c.Phi.flat(), ())
         )
-    auth = extension_automorphisms(e, limit)
-    cpairs = compatible_pairs(e, limit)
+    auth = extension_automorphisms(e)
+    cpairs = compatible_pairs(e)
     fixing = kernel_fixing_automorphisms(e, auth)
     # rho(pair) = tau (alpha + beta) tau^{-1}.
     tau = _tau(e, s)
@@ -1110,15 +1108,14 @@ def check_split_semidirect(e: ExtensionData, limit: int = ENUM_LIMIT) -> Verdict
     )
 
 
-def exact_sequence_audit(e: ExtensionData, samples: int | None = None, limit: int = ENUM_LIMIT):
+def exact_sequence_audit(e: ExtensionData):
     """Element-by-element audit of the four-term exact sequence.
 
     Checks ker(project) = kernel-fixing subgroup and ker(wells) =
-    image(project) on the fully enumerated groups; `samples` caps the
-    number of audited pairs (None audits all).
+    image(project) on the fully enumerated groups.
     """
     f = e.total.field
-    auth = extension_automorphisms(e, limit)
+    auth = extension_automorphisms(e)
     ident = (Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
     s = _section(e)
     image = set()
@@ -1130,11 +1127,9 @@ def exact_sequence_audit(e: ExtensionData, samples: int | None = None, limit: in
         fixes = g.mul(e.i) == e.i and e.p.mul(g).mul(s) == ident[1]
         if in_kernel != fixes:
             kernel_failures.append(g)
-    betas = averaging_automorphisms(e.coef, limit)
-    alphas = averaging_automorphisms(e.base, limit)
+    betas = averaging_automorphisms(e.coef)
+    alphas = averaging_automorphisms(e.base)
     pairs = [AutomorphismPair(b, a) for b in betas for a in alphas]
-    if samples is not None:
-        pairs = pairs[:samples]
     wells_failures = []
     indeterminate = []
     for pair in pairs:

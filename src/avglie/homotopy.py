@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cohomology import Cochain, assemble_delta_matrix, is_cocycle
+from .cohomology import Cochain, is_coboundary, is_cocycle
 from .errors import (
     DimensionMismatch,
     InternalError,
@@ -38,7 +38,6 @@ from .linalg import (
     Matrix,
     Tensor,
     block_matrix,
-    solve_affine,
     vec_add,
     vec_basis,
     vec_bilinear,
@@ -353,10 +352,7 @@ def skeletal_equivalent(x, y):
         ty.l3.sub(tx.l3),
         py.P2.to_dense().sub(px.P2.to_dense()),
     )
-    sol = solve_affine(assemble_delta_matrix(r, 2), target.vectorize())
-    if sol is None:
-        return None
-    return Cochain.from_vector(tx.field, tx.n0, tx.n1, 2, sol[0])
+    return is_coboundary(r, target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Dense exact matrices and tensors with Gaussian elimination.
 
-Elimination uses the leftmost-nonzero pivot with immediate full reduction
-(RREF); no pivot strategy beyond first-hit, so every result is
-deterministic.  Scaling the pivot row and subtracting it from the other
-rows touches only the pivot row's nonzero columns, which leaves every
-other entry as it is, so sparse matrices cost about their nonzeros.
-Kernel bases are the canonical RREF free-variable bases.
+One reduction, `_reduce`, is behind `Matrix.rref`, `rank`, `kernel_basis`,
+`solve_affine` and `Matrix.inverse`, each calling it once.  It takes the
+leftmost-nonzero pivot with immediate full reduction (RREF), so every
+result is deterministic, and clears each pivot over its row's nonzero
+columns only, so sparse matrices cost about their nonzeros.  A solve
+reduces [m | b] once and reads both its point and the canonical RREF
+free-variable kernel basis off it: when b is consistent no pivot falls in
+b's column, so the reduced rows restricted to m's columns are m's RREF.
 """
 
 from __future__ import annotations
@@ -231,37 +233,9 @@ class Matrix:
 
     def rref(self):
         """Reduced row-echelon form.  Returns (R, pivot_columns)."""
-        f = self.field
         m = [list(row) for row in self.entries]
-        nr, nc = self.rows, self.cols
-        pivots = []
-        pr = 0
-        for pc in range(nc):
-            hit = None
-            for r in range(pr, nr):
-                if m[r][pc] != f.zero:
-                    hit = r
-                    break
-            if hit is None:
-                continue
-            m[pr], m[hit] = m[hit], m[pr]
-            row = m[pr]
-            # columns left of pc are zero in the pivot row
-            nz = [c for c in range(pc, nc) if row[c] != f.zero]
-            inv = f.inv(row[pc])
-            for c in nz:
-                row[c] = f.mul(inv, row[c])
-            for r in range(nr):
-                other = m[r]
-                if r != pr and other[pc] != f.zero:
-                    c0 = other[pc]
-                    for c in nz:
-                        other[c] = f.sub(other[c], f.mul(c0, row[c]))
-            pivots.append(pc)
-            pr += 1
-            if pr == nr:
-                break
-        return Matrix(f, m, cols=nc), tuple(pivots)
+        pivots = _reduce(self.field, m, self.cols)
+        return Matrix(self.field, m, cols=self.cols), tuple(pivots)
 
     def det(self):
         if self.rows != self.cols:
@@ -293,13 +267,11 @@ class Matrix:
         """Inverse matrix, or None if singular."""
         if self.rows != self.cols:
             return None
-        aug = self.hstack(Matrix.identity(self.field, self.rows))
-        red, pivots = aug.rref()
-        if len(pivots) < self.rows or any(p >= self.rows for p in pivots):
+        f, n = self.field, self.rows
+        aug = [list(row) + list(vec_basis(f, n, i)) for i, row in enumerate(self.entries)]
+        if _reduce(f, aug, 2 * n) != list(range(n)):
             return None
-        return Matrix(
-            self.field, [row[self.rows :] for row in red.entries], cols=self.rows
-        )
+        return Matrix(f, [row[n:] for row in aug], cols=n)
 
 
 def block_matrix(field, blocks):
@@ -316,48 +288,74 @@ def block_matrix(field, blocks):
     return Matrix(field, rows, cols=sum(widths))
 
 
+def _reduce(field, rows, ncols):
+    """Reduce rows, a list of row lists, in place to RREF over the first
+    ncols columns; returns the pivot columns."""
+    zero = field.zero
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        if pr == len(rows):
+            break
+        hit = next((r for r in range(pr, len(rows)) if rows[r][pc] != zero), None)
+        if hit is None:
+            continue
+        rows[pr], rows[hit] = rows[hit], rows[pr]
+        row = rows[pr]
+        # columns left of pc are zero in the pivot row
+        nz = [c for c in range(pc, ncols) if row[c] != zero]
+        inv = field.inv(row[pc])
+        for c in nz:
+            row[c] = field.mul(inv, row[c])
+        for r, other in enumerate(rows):
+            if r != pr and other[pc] != zero:
+                c0 = other[pc]
+                for c in nz:
+                    other[c] = field.sub(other[c], field.mul(c0, row[c]))
+        pivots.append(pc)
+        pr += 1
+    return pivots
+
+
 def rank(m: Matrix) -> int:
-    return len(m.rref()[1])
+    return len(_reduce(m.field, [list(row) for row in m.entries], m.cols))
 
 
 def kernel_basis(m: Matrix):
-    """Canonical right-kernel basis from the RREF free-variable construction.
-
-    One vector per free column, in column order: the free variable is 1,
-    other free variables 0, pivot variables read off the reduced rows.
-    """
-    f = m.field
-    red, pivots = m.rref()
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [f.zero] * m.cols
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.entries[r][fc])
-        basis.append(tuple(v))
-    return basis
+    """Canonical right-kernel basis: the kernel of solve_affine(m, 0)."""
+    return solve_affine(m, (m.field.zero,) * m.rows)[1]
 
 
 def solve_affine(m: Matrix, b):
     """Solve m x = b exactly.
 
     Returns None when b is outside the column space, else a pair
-    (particular, kernel) where the particular solution has all free
-    variables set to 0 and kernel is kernel_basis(m).
+    (particular, kernel) read off one reduction of [m | b]: the particular
+    solution has every free variable 0; the kernel has one vector per free
+    column, in column order, with that free variable 1, the others 0 and
+    the pivot variables read off the reduced rows.
     """
     if len(b) != m.rows:
         raise DimensionMismatch("solve_affine: rhs length mismatch")
-    f = m.field
-    aug = m.hstack(Matrix.from_cols(f, [tuple(b)], rows_hint=m.rows))
-    red, pivots = aug.rref()
-    if any(p == m.cols for p in pivots):
+    f, n = m.field, m.cols
+    rows = [list(row) + [f.coerce(x)] for row, x in zip(m.entries, b)]
+    pivots = _reduce(f, rows, n + 1)
+    if pivots and pivots[-1] == n:
         return None
-    x = [f.zero] * m.cols
+    pivset = set(pivots)
+    kernel = []
+    for fc in range(n):
+        if fc in pivset:
+            continue
+        v = [f.zero] * n
+        v[fc] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(rows[r][fc])
+        kernel.append(tuple(v))
+    x = [f.zero] * n
     for r, pc in enumerate(pivots):
-        x[pc] = red.entries[r][m.cols]
-    return tuple(x), kernel_basis(m)
+        x[pc] = rows[r][n]
+    return tuple(x), kernel
 
 
 def affine_points(field, particular, kernel):

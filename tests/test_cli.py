@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from conftest import fixture_path
 
 CLI = [sys.executable, "-m", "avglie.cli"]
@@ -360,3 +361,70 @@ def test_skeletal_cocycle_conversion(tmp_path):
     )
     assert code == 0
     assert json.loads(back.read_text()) == json.loads(skeletal.read_text())
+
+
+def one_dim_documents():
+    """Valid documents over Q on one-dimensional spaces, so every dimension,
+    shape entry, arity and degree the tests below replace is 1."""
+    from avglie import documents as docs
+    from avglie.cohomology import Cochain
+    from avglie.fields import QQ
+    from avglie.homotopy import triple_to_skeletal
+    from avglie.lie import AveragingLieAlgebra, LieAlgebra, trivial_representation
+    from avglie.linalg import Matrix
+
+    a = AveragingLieAlgebra.validate(LieAlgebra.abelian(QQ, 1), Matrix.identity(QQ, 1))
+    r = trivial_representation(a, 1)
+    return {
+        "lie": docs.lie_doc(a.algebra),
+        "matrix": docs.bare_matrix_doc(Matrix.identity(QQ, 1)),
+        "representation": docs.representation_doc(r),
+        "cochain": docs.cochain_doc(r, Cochain.zero(QQ, 1, 1, 1)),
+        "two_term": docs.two_term_doc(*triple_to_skeletal(a, r, Cochain.zero(QQ, 1, 1, 3))),
+    }
+
+
+BOOLEAN_NATURALS = [
+    ("lie", ["dim"]),
+    ("lie", ["bracket", "shape", 0]),
+    ("matrix", ["matrix", "shape", 1]),
+    ("representation", ["vdim"]),
+    ("representation", ["base", "dim"]),
+    ("representation", ["Q", "shape", 0]),
+    ("cochain", ["degree"]),
+    ("cochain", ["f", "arity"]),
+    ("cochain", ["f", "dim"]),
+    ("cochain", ["f", "vdim"]),
+    ("two_term", ["dims", 1]),
+    ("two_term", ["P2", "dim"]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    BOOLEAN_NATURALS,
+    ids=[".".join(map(str, [name] + path)) for name, path in BOOLEAN_NATURALS],
+)
+@pytest.mark.parametrize("field_check", [False, True], ids=["check", "field-check"])
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+def test_json_booleans_and_floats_are_not_naturals(
+    tmp_path, capsys, name, path, field_check, value
+):
+    """A parse error, not a pass (bool is a subclass of int) and not a
+    traceback (a float sub-document dim or altmap arity reached comb)."""
+    from avglie.cli import main
+
+    obj = one_dim_documents()[name]
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    assert target[path[-1]] == 1
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(obj))
+    argv = ["check", str(doc)] + ["--field-check"] * field_check
+    assert main(argv) == 0
+    capsys.readouterr()
+    target[path[-1]] = value
+    doc.write_text(json.dumps(obj))
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["clause"] == "parse-error"

@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import product
 
+import oracle_linalg
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle_linalg import reference_rref
 
 from avglie.errors import DimensionMismatch, FieldTooLarge
 from avglie.fields import GF, QQ
@@ -138,39 +140,7 @@ def test_empty_shapes():
     assert kernel_basis(n) == []
 
 
-def reference_rref(m):
-    """Full-row Gauss-Jordan elimination: every row operation runs over
-    every column."""
-    f = m.field
-    rows = [list(row) for row in m.entries]
-    pivots = []
-    pr = 0
-    for pc in range(m.cols):
-        hit = next((r for r in range(pr, m.rows) if rows[r][pc] != f.zero), None)
-        if hit is None:
-            continue
-        rows[pr], rows[hit] = rows[hit], rows[pr]
-        inv = f.inv(rows[pr][pc])
-        rows[pr] = [f.mul(inv, x) for x in rows[pr]]
-        for r in range(m.rows):
-            if r != pr and rows[r][pc] != f.zero:
-                c0 = rows[r][pc]
-                rows[r] = [f.sub(x, f.mul(c0, y)) for x, y in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
-            break
-    return Matrix(f, rows, cols=m.cols), tuple(pivots)
-
-
-@settings(max_examples=200)
-@given(
-    st.sampled_from([QQ, GF(2), GF(3), GF(7)]),
-    st.integers(0, 6),
-    st.integers(0, 6),
-    st.data(),
-)
-def test_rref_matches_full_row_reference(field, rows, cols, data):
+def draw_matrix(data, field, rows, cols):
     entries = data.draw(
         st.lists(
             st.one_of(st.just(0), st.integers(-5, 5)),
@@ -181,13 +151,43 @@ def test_rref_matches_full_row_reference(field, rows, cols, data):
     if field is QQ:
         dens = data.draw(st.lists(st.integers(1, 4), min_size=rows * cols, max_size=rows * cols))
         entries = [Fraction(n, d) for n, d in zip(entries, dens)]
-    m = Matrix.from_flat(field, rows, cols, entries)
+    return Matrix.from_flat(field, rows, cols, entries)
+
+
+def assert_solvers_match_oracle(m, rhs):
+    assert rank(m) == oracle_linalg.rank(m)
+    assert kernel_basis(m) == oracle_linalg.kernel_basis(m)
+    assert m.inverse() == oracle_linalg.inverse(m)
+    for b in rhs:
+        assert solve_affine(m, b) == oracle_linalg.solve_affine(m, b)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(7)]),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.data(),
+)
+def test_rref_matches_full_row_reference(field, rows, cols, data):
+    """RREF, and the solvers reading one reduction each, against the
+    full-row reference and the two-reduction oracle built on it: ranks,
+    kernels, inverses, and points for a consistent right-hand side m x and
+    an arbitrary one, often inconsistent and given as plain integers that
+    the solve must coerce."""
+    m = draw_matrix(data, field, rows, cols)
     assert m.rref() == reference_rref(m)
+    x = draw_matrix(data, field, cols, 1).col(0)
+    b = data.draw(st.lists(st.integers(-9, 9), min_size=rows, max_size=rows))
+    assert_solvers_match_oracle(m, [m.matvec(x), b])
 
 
 def test_rref_matches_reference_on_every_f2_augmented_identity():
     F2 = GF(2)
     ident = Matrix.identity(F2, 3)
+    rhs = list(product(range(2), repeat=3))
     for flat in product(range(2), repeat=9):
-        aug = Matrix.from_flat(F2, 3, 3, flat).hstack(ident)
+        m = Matrix.from_flat(F2, 3, 3, flat)
+        aug = m.hstack(ident)
         assert aug.rref() == reference_rref(aug)
+        assert_solvers_match_oracle(m, rhs)

@@ -404,7 +404,7 @@ def test_equivalence_system_solves_like_the_dict_emitter():
 
 
 @pytest.mark.parametrize("p, n, order", [(2, 5, 16), (3, 4, 54)])
-def test_jordan_block_commutant_beyond_the_old_limit(p, n, order):
+def test_jordan_block_commutant_beyond_the_old_limit(monkeypatch, p, n, order):
     # units of F_p[x]/(x^n): (p - 1) p^(n - 1) maps out of p^(n^2) candidates
     f = GF(p)
     a = abelian(f, jordan(f, n))
@@ -413,9 +413,11 @@ def test_jordan_block_commutant_beyond_the_old_limit(p, n, order):
     assert [g.flat() for g in found] == sorted(g.flat() for g in found)
     assert all(g.mul(a.P) == a.P.mul(g) for g in found)
     points = p**n  # the commutant: polynomials in the Jordan block
-    assert len(averaging_automorphisms(a, limit=points)) == order
+    monkeypatch.setattr(ext, "ENUM_LIMIT", points)
+    assert len(averaging_automorphisms(a)) == order
+    monkeypatch.setattr(ext, "ENUM_LIMIT", points - 1)
     with pytest.raises(FieldTooLarge, match=f"^{points} candidate maps"):
-        averaging_automorphisms(a, limit=points - 1)
+        averaging_automorphisms(a)
 
 
 @pytest.mark.parametrize("p, n, count", [(2, 5, 33554432), (3, 4, 43046721)])
@@ -449,12 +451,14 @@ def test_search_commutes_with_a_change_of_basis():
         assert averaging_automorphisms(B2) == conjugated
 
 
-def test_equivalence_limit_applies_to_the_solution_space():
+def test_equivalence_limit_applies_to_the_solution_space(monkeypatch):
     e = fixture_extensions()[1]
     # tau i = i and p tau = p leave one free entry: three candidates over F3
-    assert extensions_equivalent(e, e, limit=3) == Matrix.identity(GF(3), 2)
+    monkeypatch.setattr(ext, "ENUM_LIMIT", 3)
+    assert extensions_equivalent(e, e) == Matrix.identity(GF(3), 2)
+    monkeypatch.setattr(ext, "ENUM_LIMIT", 2)
     with pytest.raises(FieldTooLarge, match="^3 candidate maps"):
-        extensions_equivalent(e, e, limit=2)
+        extensions_equivalent(e, e)
 
 
 # ---------------------------------------------------------------------------
