@@ -31,8 +31,9 @@ from .multilinear import AltMap, MultiMap, dense_offset, sort_with_sign
 
 # Budget of cohomology_report: the dense cells (rows x columns) of the
 # largest differential it assembles.  Degree 4 on a dim-6 adjoint module,
-# 7812 x 1386 cells, takes about 20 s and 275 MB over Q; the next size up,
-# dim 7, has four times the cells and is refused.
+# 7812 x 1386 cells, takes about 2 s and 190 MB over Q, most of it the
+# dense copy; the next size up, dim 7, has four times the cells and is
+# refused.
 MAX_DENSE_CELLS = 12_000_000
 
 
@@ -379,7 +380,8 @@ def assemble_delta_matrix(r: Representation, degree: int) -> Matrix:
         for c, x in row.items():
             line[c] = x
         dense.append(line)
-    return Matrix(fld, dense, cols=nin)
+    # the rows hold field values, so the cells are not coerced again
+    return Matrix._of(fld, dense, nin)
 
 
 def cohomology_dim(r: Representation, degree: int) -> int:

@@ -916,7 +916,9 @@ def _bracket_maps(f, src, dst, rows, rhs):
                 walk(c + 1, x, rest, basis + [(piv, [a * inv % p for a in w])])
 
     walk(0, point, [list(v) for v in kernel], [])
-    return [Matrix.from_flat(f, n, n, x) for x in sorted(hits)]
+    # the walk keeps canonical residues, which are not coerced again
+    return [Matrix._of(f, [x[r:r + n] for r in range(0, n * n, n)], n)
+            for x in sorted(hits)]
 
 
 def averaging_automorphisms(a: AveragingLieAlgebra):

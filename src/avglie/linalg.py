@@ -1,18 +1,27 @@
-"""Dense exact matrices and tensors with Gaussian elimination.
+"""Exact matrices and tensors over Q and F_p, and one sparse row reduction.
 
-One reduction, `_reduce`, is behind `Matrix.rref`, `rank`, `kernel_basis`,
-`solve_affine` and `Matrix.inverse`, each calling it once.  It takes the
-leftmost-nonzero pivot with immediate full reduction (RREF), so every
-result is deterministic, and clears each pivot over its row's nonzero
-columns only, so sparse matrices cost about their nonzeros.  A solve
-reduces [m | b] once and reads both its point and the canonical RREF
-free-variable kernel basis off it: when b is consistent no pivot falls in
-b's column, so the reduced rows restricted to m's columns are m's RREF.
+`Matrix` is dense.  One reduction, `_reduce`, is behind `rank`,
+`Matrix.rref`, `kernel_basis`, `solve_affine` and `Matrix.inverse`, each
+calling it once.  It takes the rows as {column: coefficient} dicts that
+store no zeros and reduces each row by the pivot row of its leading column
+until that column is a new pivot, so it costs about the nonzeros and their
+fill-in.  Over F_p the coefficients are residues and each pivot row leads
+with 1.  Over Q it runs on integer rows (Bareiss 1968): each row's
+denominators are cleared, a row is reduced by cross-multiplying it with
+the pivot row, and the result is divided by its content gcd.  `rank`
+counts the pivots of that forward echelon.  The solvers back-substitute it
+(`_rref`) and scale each pivot to 1; RREF is unique, so this is the
+canonical leftmost-pivot RREF, and over Q its entries become Fractions
+only there, as the answer leaves this module.  A solve reduces [m | b]
+once and reads both its point and the canonical free-variable kernel basis
+off it: when b is consistent no pivot falls in b's column, so the reduced
+rows restricted to m's columns are m's RREF.
 """
 
 from __future__ import annotations
 
-from math import prod
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch, FieldTooLarge
 from .fields import Field
@@ -86,16 +95,23 @@ class Matrix:
 
     # -- constructors -------------------------------------------------------
 
+    @classmethod
+    def _of(cls, field, rows, cols):
+        """The matrix on a list of equal-length rows whose entries are
+        already values of field (Fractions, canonical residues), which
+        are not coerced again."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols = field, len(rows), cols
+        m.entries = tuple(map(tuple, rows))
+        return m
+
     @staticmethod
     def zero(field, rows, cols):
-        return Matrix(field, [[field.zero] * cols for _ in range(rows)], cols=cols)
+        return Matrix._of(field, [(field.zero,) * cols] * rows, cols)
 
     @staticmethod
     def identity(field, n):
-        return Matrix(
-            field,
-            [[field.one if i == j else field.zero for j in range(n)] for i in range(n)],
-        )
+        return Matrix._of(field, [vec_basis(field, n, i) for i in range(n)], n)
 
     @staticmethod
     def from_cols(field, cols, rows_hint=None):
@@ -163,59 +179,60 @@ class Matrix:
         if self.field != other.field:
             raise DimensionMismatch("field mismatch")
 
-    def add(self, other):
+    def _entrywise(self, other, op, what):
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in add")
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
+            raise DimensionMismatch(f"shape mismatch in {what}")
+        return Matrix._of(
+            self.field,
+            [list(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)],
+            self.cols,
         )
 
+    def add(self, other):
+        return self._entrywise(other, self.field.add, "add")
+
     def sub(self, other):
-        return self.add(other.neg())
+        return self._entrywise(other, self.field.sub, "sub")
 
     def neg(self):
         f = self.field
-        return Matrix(f, [[f.neg(x) for x in row] for row in self.entries], cols=self.cols)
+        return Matrix._of(f, [[f.neg(x) for x in row] for row in self.entries], self.cols)
 
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.entries], cols=self.cols)
+        return Matrix._of(f, [[f.mul(c, x) for x in row] for row in self.entries], self.cols)
 
     def mul(self, other):
+        """The product; each row sums only over its nonzero entries."""
         self._check_same_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         f = self.field
+        zero, add, mul = f.zero, f.add, f.mul
         out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(other.cols):
-                acc = f.zero
-                for k in range(self.cols):
-                    acc = f.add(acc, f.mul(self.entries[r][k], other.entries[k][c]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(f, out, cols=other.cols)
+        for row in self.entries:
+            acc = [zero] * other.cols
+            for x, brow in zip(row, other.entries):
+                if x is not zero and x:
+                    acc = [add(a, mul(x, y)) for a, y in zip(acc, brow)]
+            out.append(acc)
+        return Matrix._of(f, out, other.cols)
 
     def matvec(self, v):
         if len(v) != self.cols:
             raise DimensionMismatch(f"matvec: {self.cols} cols vs vector of {len(v)}")
         f = self.field
+        zero = f.zero
         out = []
-        for r in range(self.rows):
-            acc = f.zero
-            for k in range(self.cols):
-                acc = f.add(acc, f.mul(self.entries[r][k], v[k]))
+        for row in self.entries:
+            acc = zero
+            for x, y in zip(row, v):
+                if x is not zero and x:
+                    acc = f.add(acc, f.mul(x, y))
             out.append(acc)
         return tuple(out)
 
@@ -223,19 +240,21 @@ class Matrix:
         self._check_same_field(other)
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix(
+        return Matrix._of(
             self.field,
-            [list(r1) + list(r2) for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols + other.cols,
+            [r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
+            self.cols + other.cols,
         )
 
     # -- elimination --------------------------------------------------------
 
     def rref(self):
         """Reduced row-echelon form.  Returns (R, pivot_columns)."""
-        m = [list(row) for row in self.entries]
-        pivots = _reduce(self.field, m, self.cols)
-        return Matrix(self.field, m, cols=self.cols), tuple(pivots)
+        f = self.field
+        reduced = _rref(f, _reduce(f, _nonzero_rows(f, self.entries)))
+        dense = [_densify(f, row, self.cols) for row in reduced.values()]
+        dense += [(f.zero,) * self.cols] * (self.rows - len(dense))
+        return Matrix._of(f, dense, self.cols), tuple(reduced)
 
     def det(self):
         if self.rows != self.cols:
@@ -268,10 +287,15 @@ class Matrix:
         if self.rows != self.cols:
             return None
         f, n = self.field, self.rows
-        aug = [list(row) + list(vec_basis(f, n, i)) for i, row in enumerate(self.entries)]
-        if _reduce(f, aug, 2 * n) != list(range(n)):
+        rows = _nonzero_rows(f, self.entries)
+        for i, row in enumerate(rows):
+            row[n + i] = f.one
+        echelon = _reduce(f, rows)
+        # [m | I] has rank n; m is invertible when no pivot falls in I
+        if any(c >= n for c in echelon):
             return None
-        return Matrix(f, [row[n:] for row in aug], cols=n)
+        inv = [_densify(f, row, 2 * n)[n:] for row in _rref(f, echelon).values()]
+        return Matrix._of(f, inv, n)
 
 
 def block_matrix(field, blocks):
@@ -285,40 +309,124 @@ def block_matrix(field, blocks):
         if shapes != [(field, brow[0].rows, w) for w in widths]:
             raise DimensionMismatch("blocks do not line up over one field")
         rows += [sum((b.row(r) for b in brow), ()) for r in range(brow[0].rows)]
-    return Matrix(field, rows, cols=sum(widths))
+    return Matrix._of(field, rows, sum(widths))
 
 
-def _reduce(field, rows, ncols):
-    """Reduce rows, a list of row lists, in place to RREF over the first
-    ncols columns; returns the pivot columns."""
+# ---------------------------------------------------------------------------
+# The reduction.  A sparse row is a {column: coefficient} dict without
+# zeros; a pivot of the echelon is its leading coefficient and the rest of
+# its row, {leading column: (coefficient, rest)}.
+
+
+def _nonzero_rows(field, entries):
+    """The dense rows of field values as sparse rows."""
     zero = field.zero
-    pivots = []
-    pr = 0
-    for pc in range(ncols):
-        if pr == len(rows):
-            break
-        hit = next((r for r in range(pr, len(rows)) if rows[r][pc] != zero), None)
-        if hit is None:
-            continue
-        rows[pr], rows[hit] = rows[hit], rows[pr]
-        row = rows[pr]
-        # columns left of pc are zero in the pivot row
-        nz = [c for c in range(pc, ncols) if row[c] != zero]
-        inv = field.inv(row[pc])
-        for c in nz:
-            row[c] = field.mul(inv, row[c])
-        for r, other in enumerate(rows):
-            if r != pr and other[pc] != zero:
-                c0 = other[pc]
-                for c in nz:
-                    other[c] = field.sub(other[c], field.mul(c0, row[c]))
-        pivots.append(pc)
-        pr += 1
-    return pivots
+    # most zero cells are the field's own zero, which `is` tells cheaply
+    return [{c: x for c, x in enumerate(row) if x is not zero and x} for row in entries]
+
+
+def _densify(field, row, ncols):
+    line = [field.zero] * ncols
+    for c, x in row.items():
+        line[c] = x
+    return line
+
+
+def _primitive(row):
+    """An integer row divided by its content gcd."""
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def _integral(row):
+    """A sparse row of Fractions as an integer row: its denominators
+    cleared and its content divided out."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return _primitive({c: x.numerator * (den // x.denominator) for c, x in row.items()})
+
+
+def _eliminate(row, col, lead, rest, p):
+    """row less the multiple of the pivot row lead * e_col + rest that
+    clears row's column col.  Over F_p (lead is 1) the row is updated in
+    place; over Z (p is None) the row is cross-multiplied with the pivot
+    row and divided by its content gcd."""
+    a = row.pop(col)
+    if p:
+        for c, x in rest.items():
+            y = (row.get(c, 0) - a * x) % p
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+        return row
+    g = gcd(a, lead)
+    a, lead = a // g, lead // g
+    if lead != 1:
+        row = {c: lead * x for c, x in row.items()}
+    for c, x in rest.items():
+        y = row.get(c, 0) - a * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+    return _primitive(row)
+
+
+def _reduce(field, rows):
+    """The forward echelon of sparse rows of field values, which it owns:
+    {leading column: (coefficient, rest)}.  Each row is reduced by the
+    pivot of its leading column until that column has none, and then
+    becomes its pivot.  Over F_p every pivot leads with 1; over Q the rows
+    are integer rows, each with its denominators cleared.  The rows are
+    taken sparsest first, which keeps the fill-in down; any order spans the
+    same row space, so it leaves the pivot columns and the RREF as they
+    are."""
+    p = field.p if field.finite else None
+    if p is None:
+        rows = [_integral(row) for row in rows]
+    echelon = {}
+    for row in sorted(rows, key=len):
+        while row:
+            col = min(row)
+            pivot = echelon.get(col)
+            if pivot is None:
+                lead = row.pop(col)
+                if p and lead != 1:
+                    inv = pow(lead, p - 2, p)
+                    row = {c: x * inv % p for c, x in row.items()}
+                    lead = 1
+                echelon[col] = (lead, row)
+                break
+            row = _eliminate(row, col, *pivot, p)
+    return echelon
+
+
+def _rref(field, echelon):
+    """The rows of the RREF read off a forward echelon, as {pivot column:
+    sparse row of field values} in column order.  Each pivot row, from the
+    last up, is cleared at the later pivot columns by their finished rows
+    and then scaled to lead with 1; over Q its entries become Fractions."""
+    p = field.p if field.finite else None
+    done = {}
+    for col in sorted(echelon, reverse=True):
+        lead, row = echelon[col]
+        later = [c for c in row if c in echelon]
+        row[col] = lead
+        for c in later:
+            row = _eliminate(row, c, *done[c], p)
+        done[col] = (row.pop(col), row)
+    out = {}
+    for col in sorted(done):
+        lead, row = done[col]
+        if p is None:
+            row = {c: Fraction(x, lead) for c, x in row.items()}
+        row[col] = field.one
+        out[col] = row
+    return out
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce(m.field, [list(row) for row in m.entries], m.cols))
+    return len(_reduce(m.field, _nonzero_rows(m.field, m.entries)))
 
 
 def kernel_basis(m: Matrix):
@@ -338,24 +446,23 @@ def solve_affine(m: Matrix, b):
     if len(b) != m.rows:
         raise DimensionMismatch("solve_affine: rhs length mismatch")
     f, n = m.field, m.cols
-    rows = [list(row) + [f.coerce(x)] for row, x in zip(m.entries, b)]
-    pivots = _reduce(f, rows, n + 1)
-    if pivots and pivots[-1] == n:
+    rows = _nonzero_rows(m.field, m.entries)
+    for row, x in zip(rows, b):
+        x = f.coerce(x)
+        if x:
+            row[n] = x
+    echelon = _reduce(f, rows)
+    if n in echelon:
         return None
-    pivset = set(pivots)
-    kernel = []
-    for fc in range(n):
-        if fc in pivset:
-            continue
-        v = [f.zero] * n
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(rows[r][fc])
-        kernel.append(tuple(v))
     x = [f.zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][n]
-    return tuple(x), kernel
+    kernel = {c: _densify(f, {c: f.one}, n) for c in range(n) if c not in echelon}
+    for pc, row in _rref(f, echelon).items():
+        for c, v in row.items():
+            if c == n:
+                x[pc] = v
+            elif c != pc:
+                kernel[c][pc] = f.neg(v)
+    return tuple(x), [tuple(v) for v in kernel.values()]
 
 
 def affine_points(field, particular, kernel):

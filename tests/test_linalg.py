@@ -140,16 +140,23 @@ def test_empty_shapes():
     assert kernel_basis(n) == []
 
 
-def draw_matrix(data, field, rows, cols):
-    entries = data.draw(
+def draw_matrix(data, field, rows, cols, density=100):
+    """A rows x cols matrix whose entries are nonzero with about the given
+    percent chance: small integers, any residue over a large prime field,
+    and fractions with denominators up to 97 over Q."""
+    size = rows * cols
+    big = field.finite and field.p > 97
+    values = data.draw(
         st.lists(
-            st.one_of(st.just(0), st.integers(-5, 5)),
-            min_size=rows * cols,
-            max_size=rows * cols,
+            st.integers(0, field.p - 1) if big else st.integers(-5, 5),
+            min_size=size,
+            max_size=size,
         )
     )
+    mask = data.draw(st.lists(st.integers(0, 99), min_size=size, max_size=size))
+    entries = [x if m < density else 0 for x, m in zip(values, mask)]
     if field is QQ:
-        dens = data.draw(st.lists(st.integers(1, 4), min_size=rows * cols, max_size=rows * cols))
+        dens = data.draw(st.lists(st.integers(1, 97), min_size=size, max_size=size))
         entries = [Fraction(n, d) for n, d in zip(entries, dens)]
     return Matrix.from_flat(field, rows, cols, entries)
 
@@ -162,20 +169,21 @@ def assert_solvers_match_oracle(m, rhs):
         assert solve_affine(m, b) == oracle_linalg.solve_affine(m, b)
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([QQ, GF(2), GF(3), GF(7)]),
-    st.integers(0, 6),
-    st.integers(0, 6),
+    st.sampled_from([QQ, GF(2), GF(3), GF(7), GF(2**31 - 1)]),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.sampled_from([5, 10, 20, 30, 50, 100]),
     st.data(),
 )
-def test_rref_matches_full_row_reference(field, rows, cols, data):
+def test_rref_matches_full_row_reference(field, rows, cols, density, data):
     """RREF, and the solvers reading one reduction each, against the
     full-row reference and the two-reduction oracle built on it: ranks,
     kernels, inverses, and points for a consistent right-hand side m x and
     an arbitrary one, often inconsistent and given as plain integers that
-    the solve must coerce."""
-    m = draw_matrix(data, field, rows, cols)
+    the solve must coerce.  Most matrices drawn are sparse."""
+    m = draw_matrix(data, field, rows, cols, density)
     assert m.rref() == reference_rref(m)
     x = draw_matrix(data, field, cols, 1).col(0)
     b = data.draw(st.lists(st.integers(-9, 9), min_size=rows, max_size=rows))

@@ -8,7 +8,7 @@ copy of `fixtures/`, so every path a report or an error message shows is
 the same relative path on every checkout.  The sweep covers:
 
 - `check` and `check --field-check` on every fixture file;
-- `cohomology --degree 1..3` on every fixture file;
+- `cohomology --degree 1..4` on every fixture file, 4 being the CLI's cap;
 - every `extension` and `homotopy` subcommand on every fixture file, with
   and without `--output`;
 - `wells` on every extension document x automorphism-pair document, with
@@ -71,7 +71,7 @@ def commands(kinds):
         runs.append((["check", path], None))
         runs.append((["check", path, "--field-check"], None))
     for path in paths:
-        for degree in ("1", "2", "3"):
+        for degree in ("1", "2", "3", "4"):
             runs.append((["cohomology", path, "--degree", degree], None))
     for group, subs in (("extension", EXTENSION_SUBS), ("homotopy", HOMOTOPY_SUBS)):
         for sub in subs:
