@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import documents as docs
 from .cohomology import cohomology_report, is_cocycle
@@ -42,7 +43,6 @@ from .homotopy import (
     strict_to_crossed,
     triple_to_skeletal,
 )
-from .fields import QQ, field_from_string
 from .lie import LieAlgebra, check_averaging, check_lie, check_representation
 
 EXIT_PASS = 0
@@ -59,10 +59,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _witness_json(verdict: Verdict, field):
+def _witness_json(verdict: Verdict):
     if verdict.witness is None:
         return None
-    return verdict.witness.as_strings(field)
+    return verdict.witness.as_strings()
 
 
 def _clean_notes(notes):
@@ -103,13 +103,13 @@ def _parse_error_report(exc):
     return _report("fail", clause="parse-error", notes={"message": str(exc)})
 
 
-def _verdict_report(verdict: Verdict, field, data=None):
+def _verdict_report(verdict: Verdict, data=None):
     if verdict.ok:
         return _report("pass", notes=verdict.notes, data=data)
     return _report(
         "fail",
         clause=verdict.clause,
-        witness=_witness_json(verdict, field),
+        witness=_witness_json(verdict),
         notes=verdict.notes,
         data=data,
     )
@@ -136,49 +136,38 @@ def _finish_conversion(out_doc, args, data):
 
 
 def _check_dispatch(obj):
+    """The verdict on a document and the data its report carries."""
     kind = obj["kind"]
     if kind == "lie_algebra":
-        field, dim, bracket = docs.parse_lie(obj)
-        return check_lie(field, dim, bracket), field, {}
+        return check_lie(*docs.parse_lie(obj)), {}
     if kind == "averaging_lie_algebra":
         field, dim, bracket, P = docs.parse_averaging(obj)
         v = check_lie(field, dim, bracket)
         if not v:
-            return v, field, {}
-        return check_averaging(LieAlgebra(field, dim, bracket), P), field, {}
+            return v, {}
+        return check_averaging(LieAlgebra(field, dim, bracket), P), {}
     if kind == "representation":
         base, vdim, psi, Q = docs.parse_representation(obj)
         a = docs.realize_averaging(base)
-        return check_representation(a, vdim, psi, Q), a.field, {}
+        return check_representation(a, vdim, psi, Q), {}
     if kind == "cochain":
         r, c = docs.realize_cochain(obj)
-        return (
-            Verdict.passed(),
-            r.field,
-            {"degree": c.degree, "is_cocycle": is_cocycle(r, c)},
-        )
+        return Verdict.passed(), {"degree": c.degree, "is_cocycle": is_cocycle(r, c)}
     if kind == "nonabelian_cocycle":
         base, coef, chi, psi, Phi = docs.parse_cocycle(obj)
         a = docs.realize_averaging(base)
         h = docs.realize_averaging(coef)
         c = NonAbelianCocycle(a, h, chi, psi, Phi)
-        return check_cocycle(c), a.field, {}
+        return check_cocycle(c), {}
     if kind == "extension":
-        base, coef, total, i, p, s = docs.parse_extension(obj)
-        e = ExtensionData(
-            docs.realize_averaging(base),
-            docs.realize_averaging(coef),
-            docs.realize_averaging(total),
-            i,
-            p,
-            s,
-        )
-        return check_extension(e), e.total.field, {}
+        *algebras, i, p, s = docs.parse_extension(obj)
+        e = ExtensionData(*map(docs.realize_averaging, algebras), i, p, s)
+        return check_extension(e), {}
     if kind == "automorphism_pair":
         base, coef, pair = docs.parse_pair(obj)
         a = docs.realize_averaging(base)
         h = docs.realize_averaging(coef)
-        return check_automorphism_pair(pair, a, h), a.field, {}
+        return check_automorphism_pair(pair, a, h), {}
     if kind == "two_term":
         t, p = docs.parse_two_term(obj)
         v = check_two_term(t)
@@ -186,20 +175,19 @@ def _check_dispatch(obj):
             data = {"has_operators": p is not None}
             if v:
                 data["skeletal"] = is_skeletal(t)
-            return v, t.field, data
+            return v, data
         hv = check_homotopy_averaging(t, p)
         data = {
             "has_operators": True,
             "skeletal": is_skeletal(t),
             "strict": is_strict(t, p) if hv else None,
         }
-        return hv, t.field, data
+        return hv, data
     if kind == "crossed_module":
-        cm = docs.realize_crossed(obj)
-        return check_crossed_module(cm), cm.g0.field, {}
+        return check_crossed_module(docs.realize_crossed(obj)), {}
     if kind == "matrix":
         m = docs.parse_bare_matrix(obj)
-        return Verdict.passed(), m.field, {"shape": [m.rows, m.cols]}
+        return Verdict.passed(), {"shape": [m.rows, m.cols]}
     raise ParseError(f"unsupported kind {kind!r}")
 
 
@@ -209,17 +197,9 @@ def cmd_check(args):
         # re-parse only: shapes and scalars, no algebraic laws
         docs.PARSERS[obj["kind"]](obj)
         return _finish(_report("pass", data={"kind": obj["kind"]}))
-    verdict, field, data = _check_dispatch(obj)
+    verdict, data = _check_dispatch(obj)
     data["kind"] = obj["kind"]
-    return _finish(_verdict_report(verdict, field, data))
-
-
-def _doc_field(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return field_from_string(json.load(fh).get("field", "Q"))
-    except Exception:
-        return QQ
+    return _finish(_verdict_report(verdict, data))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +250,7 @@ def cmd_extension(args):
         data = {}
         if v:
             data["round_trip"] = "equivalent"
-        return _finish(_verdict_report(v, e.total.field, data))
+        return _finish(_verdict_report(v, data))
     raise ParseError(f"unknown extension subcommand {args.sub!r}")
 
 
@@ -293,7 +273,7 @@ def cmd_wells(args):
         )
     pv = check_automorphism_pair(pair, e.base, e.coef)
     if not pv:
-        return _finish(_verdict_report(pv, e.total.field))
+        return _finish(_verdict_report(pv))
     data = {}
     if args.abelian:
         rep = induced_representation(e)
@@ -323,7 +303,6 @@ def cmd_wells(args):
             data["gamma"] = docs.matrix_doc(gamma)
         return _finish(_report(status, clause=clause, data=data))
     w = wells_class(pair, e)
-    fld = e.total.field
     data["difference"] = {
         "chi": docs.altmap_doc(w.delta_chi),
         "psi": docs.tensor_doc(w.delta_psi),
@@ -351,9 +330,9 @@ def cmd_homotopy(args):
     sub = args.sub
     if sub == "check":
         obj = docs.load_document(args.paths[0])
-        verdict, field, data = _check_dispatch(obj)
+        verdict, data = _check_dispatch(obj)
         data["kind"] = obj["kind"]
-        return _finish(_verdict_report(verdict, field, data))
+        return _finish(_verdict_report(verdict, data))
     if sub == "skeletal-to-cocycle":
         t, p = docs.parse_two_term(docs.load_document(args.paths[0]))
         if p is None:
@@ -435,30 +414,32 @@ def build_parser():
     return parser
 
 
-# command -> (handler, the path of its first document)
 COMMANDS = {
-    "check": (cmd_check, lambda args: args.path),
-    "cohomology": (cmd_cohomology, lambda args: args.path),
-    "extension": (cmd_extension, lambda args: args.paths[0]),
-    "wells": (cmd_wells, lambda args: args.extension),
-    "homotopy": (cmd_homotopy, lambda args: args.paths[0]),
+    "check": cmd_check,
+    "cohomology": cmd_cohomology,
+    "extension": cmd_extension,
+    "wells": cmd_wells,
+    "homotopy": cmd_homotopy,
 }
 
 
+# parsing leaves the parser as it was, so one serves every call
+_parser = cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "cohomology" and not 1 <= args.degree <= 4:
         parser.error("--degree must be between 1 and 4")
-    handler, first_document = COMMANDS[args.command]
     try:
-        return handler(args)
+        return COMMANDS[args.command](args)
     except ParseError as exc:
         return _finish(_parse_error_report(exc))
     except FieldTooLarge as exc:
         return _finish(_report("indeterminate", notes={"reason": str(exc)}))
     except ValidationError as exc:
-        return _finish(_verdict_report(exc.verdict, _doc_field(first_document(args))))
+        return _finish(_verdict_report(exc.verdict))
     except AvgLieError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL

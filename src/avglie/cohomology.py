@@ -19,13 +19,13 @@ differentials of single cochains and the cocycle test all apply those rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from math import comb
 
 from .errors import DimensionMismatch, FieldTooLarge
 from .lie import Representation, psi_of_vec
-from .linalg import Matrix, rank, solve_affine, vec_basis
+from .linalg import Matrix, nonzeros, rank, solve_affine
 from .multilinear import AltMap, MultiMap, dense_offset, sort_with_sign
 
 
@@ -81,42 +81,22 @@ class Cochain:
         return self.theta is None or self.theta.is_zero()
 
     def add(self, other):
-        self._check_like(other)
-        if self.degree == 0:
-            return self
-        return Cochain(
-            self.field,
-            self.dim,
-            self.vdim,
-            self.degree,
-            self.f.add(other.f),
-            self.theta.add(other.theta) if self.theta is not None else None,
-        )
+        return self._parts(lambda a, b: a.add(b), other)
 
     def sub(self, other):
+        return self._parts(lambda a, b: a.sub(b), other)
+
+    def neg(self):
+        return self._parts(lambda a, _: a.neg(), self)
+
+    def _parts(self, op, other):
+        """op on the components f and theta of self and other; degree 0
+        has none and degree 1 no theta."""
         self._check_like(other)
         if self.degree == 0:
             return self
-        return Cochain(
-            self.field,
-            self.dim,
-            self.vdim,
-            self.degree,
-            self.f.sub(other.f),
-            self.theta.sub(other.theta) if self.theta is not None else None,
-        )
-
-    def neg(self):
-        if self.degree == 0:
-            return self
-        return Cochain(
-            self.field,
-            self.dim,
-            self.vdim,
-            self.degree,
-            self.f.neg(),
-            self.theta.neg() if self.theta is not None else None,
-        )
+        theta = None if self.theta is None else op(self.theta, other.theta)
+        return replace(self, f=op(self.f, other.f), theta=theta)
 
     def _check_like(self, other):
         if (
@@ -141,7 +121,7 @@ class Cochain:
             if len(vec) != 0:
                 raise DimensionMismatch("degree-0 cochain vector must be empty")
             return Cochain.zero(field, dim, vdim, 0)
-        nf = len(list(combinations(range(dim), degree))) * vdim
+        nf = comb(dim, degree) * vdim
         f = AltMap.from_flat(field, dim, degree, vdim, vec[:nf])
         theta = None
         if degree >= 2:
@@ -155,7 +135,7 @@ class Cochain:
         """dim C^n for the given algebra and module dimensions."""
         if degree == 0:
             return 0
-        nf = len(list(combinations(range(dim), degree))) * vdim
+        nf = comb(dim, degree) * vdim
         if degree == 1:
             return nf
         return nf + dim ** (degree - 1) * vdim
@@ -190,13 +170,7 @@ def _signed(fld, positive, x):
 
 def _nonzeros(m: Matrix):
     """(row, column, entry) of each nonzero entry of m."""
-    z = m.field.zero
-    return [
-        (a, b, x)
-        for a, row in enumerate(m.entries)
-        for b, x in enumerate(row)
-        if x != z
-    ]
+    return [(a, b, x) for a, row in enumerate(m.entries) for b, x in nonzeros(m.field, row)]
 
 
 def _add_scaled(fld, block, base, entries, scale):
@@ -261,9 +235,9 @@ def _leib_rows(r: Representation, n):
     ident = _nonzeros(Matrix.identity(fld, vdim))
     pacts = [_nonzeros(psi_of_vec(fld, vdim, mats, p)) for p in pcols]
     qacts = [_nonzeros(r.Q.mul(m)) for m in mats]
-    pbr = [
-        [g.bracket_vec(p, vec_basis(fld, dim, u)) for u in range(dim)] for p in pcols
-    ]
+    # pbr[p][u] = [P e_p, e_u], column u of ad_{P e_p}
+    pads = [psi_of_vec(fld, dim, g.ad, p) for p in pcols]
+    pbr = [[m.col(u) for u in range(dim)] for m in pads]
     rows = []
     for tup in product(range(dim), repeat=n):
         block = [{} for _ in range(vdim)]

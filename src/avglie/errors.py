@@ -36,11 +36,12 @@ class Witness:
     lhs: tuple
     rhs: tuple
 
-    def as_strings(self, fld):
+    def as_strings(self):
+        """Both sides as strings: scalars and counts alike print with str."""
         return {
             "indices": list(self.indices),
-            "lhs": [fld.format(v) for v in self.lhs],
-            "rhs": [fld.format(v) for v in self.rhs],
+            "lhs": [str(v) for v in self.lhs],
+            "rhs": [str(v) for v in self.rhs],
         }
 
 

@@ -198,7 +198,7 @@ class PrimeField(Field):
         return _parse_int(text, text) % self.p
 
     def format(self, a) -> str:
-        return str(a % self.p)
+        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -6,11 +6,17 @@ Only the brackets level-0 x level-0 and level-0 x level-1 are stored;
 the level-1 x level-0 bracket is the negation and level-1 x level-1 is
 zero, so the unrepresentable invalid states cannot occur.  Axiom clause
 names in verdicts are L1..L8 and A1..A4.
+
+The axioms use the matrix idiom of `lie` on the level-0 ad and level-1
+action matrices: L4, L5, L7, A2, A3 and the anchor are one matrix
+identity per leading index.  L6, L8 and A4 sum over three or four basis
+arguments and keep their loops; L6 and L8 read only nonzero constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .cohomology import Cochain, is_coboundary, is_cocycle
@@ -28,23 +34,27 @@ from .lie import (
     AveragingLieAlgebra,
     LieAlgebra,
     Representation,
+    antisymmetry_mismatch,
+    bracket_morphism_mismatch,
     check_averaging,
-    check_representation,
-    psi_matrices,
+    column_mismatch,
+    derivation_mismatch,
+    first_mismatch,
+    nonzero_fibres,
     psi_of_vec,
+    representation_verdict,
     sum_bracket,
 )
 from .linalg import (
     Matrix,
     Tensor,
+    add_scaled,
     block_matrix,
+    nonzeros,
     vec_add,
     vec_basis,
-    vec_bilinear,
-    vec_is_zero,
     vec_neg,
     vec_sub,
-    vec_zero,
 )
 from .multilinear import AltMap
 
@@ -75,14 +85,22 @@ class TwoTermLinf:
     def br00(self, i, j):
         return self.l2_00.fibre(i, j)
 
-    def br00_vec(self, u, v):
-        return vec_bilinear(self.field, self.n0, u, v, self.br00)
-
     def br01(self, i, a):
         return self.l2_01.fibre(i, a)
 
-    def br01_vec(self, x, h):
-        return vec_bilinear(self.field, self.n1, x, h, self.br01)
+    @cached_property
+    def ad0(self):
+        """Column j of ad0[i] is <x_i, x_j>."""
+        return self.l2_00.matrices()
+
+    @cached_property
+    def act(self):
+        """Column a of act[i] is <x_i, h_a>."""
+        return self.l2_01.matrices()
+
+    def level1_mats(self):
+        """Column b of the a-th matrix is <d h_a, h_b>."""
+        return [psi_of_vec(self.field, self.n1, self.act, self.d.col(a)) for a in range(self.n1)]
 
 
 @dataclass(frozen=True)
@@ -99,65 +117,54 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
     f = t.field
     n0, n1 = t.n0, t.n1
     # L1: the level-0 bracket is antisymmetric with zero diagonal.
+    v = antisymmetry_mismatch("L1", t.l2_00)
+    if v is not None:
+        return v
+    # L4: d<x, h> = <x, dh>: d act_i = ad0_i d, column a.
     for i in range(n0):
-        if not vec_is_zero(f, t.br00(i, i)):
-            return Verdict.failed("L1", (i, i), t.br00(i, i), vec_zero(f, n0))
-        for j in range(i + 1, n0):
-            lhs = t.br00(i, j)
-            rhs = vec_neg(f, t.br00(j, i))
-            if lhs != rhs:
-                return Verdict.failed("L1", (i, j), lhs, rhs)
-    # L4: d<x, h> = <x, dh>.
-    for i in range(n0):
-        for a in range(n1):
-            lhs = t.d.matvec(t.br01(i, a))
-            rhs = t.br00_vec(vec_basis(f, n0, i), t.d.col(a))
-            if lhs != rhs:
-                return Verdict.failed("L4", (i, a), lhs, rhs)
-    # L5: <dh, k> = <h, dk> = -<dk, h>.
+        v = column_mismatch("L4", (i,), t.d.mul(t.act[i]), t.ad0[i].mul(t.d))
+        if v is not None:
+            return v
+    # L5: <dh, k> = <h, dk> = -<dk, h>: column b of the a-th level-1
+    # matrix against minus column a of the b-th.
+    lev1 = t.level1_mats()
     for a in range(n1):
-        for b in range(n1):
-            lhs = t.br01_vec(t.d.col(a), vec_basis(f, n1, b))
-            rhs = vec_neg(f, t.br01_vec(t.d.col(b), vec_basis(f, n1, a)))
-            if lhs != rhs:
-                return Verdict.failed("L5", (a, b), lhs, rhs)
+        rhs = Matrix.from_cols(f, [vec_neg(f, lev1[b].col(a)) for b in range(n1)])
+        v = column_mismatch("L5", (a,), lev1[a], rhs)
+        if v is not None:
+            return v
     # L6: d l3(x,y,z) = Jacobi cycle of the level-0 bracket.  L1 already
     # holds, so both sides alternate and increasing tuples suffice (same
-    # for L8 below).
+    # for L8 below).  Only the nonzero structure constants add.
+    nz00 = nonzero_fibres(t.l2_00)
     for i, j, k in combinations(range(n0), 3):
         lhs = t.d.matvec(t.l3.eval_basis((i, j, k)))
-        rhs = vec_zero(f, n0)
+        rhs = [f.zero] * n0
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            rhs = vec_add(
-                f, rhs, t.br00_vec(vec_basis(f, n0, a), t.br00(b, c))
-            )
-        if lhs != rhs:
+            for s, coeff in nz00[b][c]:
+                add_scaled(f, rhs, coeff, nz00[a][s])
+        if lhs != tuple(rhs):
             return Verdict.failed("L6", (i, j, k), lhs, rhs)
-    # L7: l3(x, y, dh) = <x,<y,h>> - <y,<x,h>> - <<x,y>, h>.
+    # L7: l3(x, y, dh) = <x,<y,h>> - <y,<x,h>> - <<x,y>, h>: for each
+    # (i, j), l3(x_i, x_j, -) d = [act_i, act_j] - act_<x_i,x_j>, column a.
     for i in range(n0):
         for j in range(n0):
-            for a in range(n1):
-                lhs = t.l3.eval_vectors(
-                    [vec_basis(f, n0, i), vec_basis(f, n0, j), t.d.col(a)]
-                )
-                rhs = t.br01_vec(vec_basis(f, n0, i), t.br01(j, a))
-                rhs = vec_sub(
-                    f, rhs, t.br01_vec(vec_basis(f, n0, j), t.br01(i, a))
-                )
-                rhs = vec_sub(
-                    f, rhs, t.br01_vec(t.br00(i, j), vec_basis(f, n1, a))
-                )
-                if lhs != rhs:
-                    return Verdict.failed("L7", (i, j, a), lhs, rhs)
+            l3ij = Matrix.from_cols(f, [t.l3.eval_basis((i, j, k)) for k in range(n0)], n1)
+            comm = t.act[i].mul(t.act[j]).sub(t.act[j].mul(t.act[i]))
+            rhs = comm.sub(psi_of_vec(f, n1, t.act, t.br00(i, j)))
+            v = column_mismatch("L7", (i, j), l3ij.mul(t.d), rhs)
+            if v is not None:
+                return v
     # L8: the alternating action sum of l3 equals its bracket-insertion sum.
+    nz01 = nonzero_fibres(t.l2_01)
     for w, x, y, z in combinations(range(n0), 4):
-        lhs = vec_zero(f, n1)
+        tup = (w, x, y, z)
+        lhs = [f.zero] * n1
         for pos, sign in ((0, 1), (1, -1), (2, 1), (3, -1)):
-            tup = (w, x, y, z)
             rest = tup[:pos] + tup[pos + 1 :]
-            term = t.br01_vec(vec_basis(f, n0, tup[pos]), t.l3.eval_basis(rest))
-            lhs = vec_add(f, lhs, term if sign > 0 else vec_neg(f, term))
-        rhs = vec_zero(f, n1)
+            for a, val in nonzeros(f, t.l3.eval_basis(rest)):
+                add_scaled(f, lhs, val if sign > 0 else f.neg(val), nz01[tup[pos]][a])
+        rhs = [f.zero] * n1
         for (a, b), rest, sign in (
             ((w, x), (y, z), 1),
             ((w, y), (x, z), -1),
@@ -166,8 +173,9 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
             ((x, z), (w, y), -1),
             ((y, z), (w, x), 1),
         ):
-            term = t.l3.eval_with_first_vector(t.br00(a, b), rest)
-            rhs = vec_add(f, rhs, term if sign > 0 else vec_neg(f, term))
+            for k, coeff in nz00[a][b]:
+                term = nonzeros(f, t.l3.eval_basis((k, *rest)))
+                add_scaled(f, rhs, coeff if sign > 0 else f.neg(coeff), term)
         if lhs != rhs:
             return Verdict.failed("L8", (w, x, y, z), lhs, rhs)
     return Verdict.passed()
@@ -193,53 +201,46 @@ def check_homotopy_averaging(t: TwoTermLinf, p: HomotopyAveraging) -> Verdict:
     rhs = t.d.mul(p.P1)
     if lhs != rhs:
         return Verdict.failed("A1", (), lhs.flat(), rhs.flat())
+    # column j of p2[i] is P2(x_i, x_j); pad0[i] and pact[i] are the
+    # level-0 ad and the level-1 action of P0 x_i
+    p2 = [Matrix.from_cols(f, [p.P2.eval_basis((i, j)) for j in range(n0)], n1)
+          for i in range(n0)]
+    pad0 = [psi_of_vec(f, n0, t.ad0, p0c[i]) for i in range(n0)]
+    pact = [psi_of_vec(f, n1, t.act, p0c[i]) for i in range(n0)]
+    # A2: d P2(x, y) = P0<P0 x, y> - <P0 x, P0 y>, column j.
     for i in range(n0):
-        for j in range(n0):
-            lhs = t.d.matvec(p.P2.eval_basis((i, j)))
-            rhs = p.P0.matvec(t.br00_vec(p0c[i], vec_basis(f, n0, j)))
-            rhs = vec_sub(f, rhs, t.br00_vec(p0c[i], p0c[j]))
-            if lhs != rhs:
-                return Verdict.failed("A2", (i, j), lhs, rhs)
+        rhs = p.P0.mul(pad0[i]).sub(pad0[i].mul(p.P0))
+        v = column_mismatch("A2", (i,), t.d.mul(p2[i]), rhs)
+        if v is not None:
+            return v
+    # A3: P2(x, dh) = P1<P0 x, h> - <P0 x, P1 h> = P1<x, P1 h> - <P0 x, P1 h>,
+    # column a.
     a3_sides_agree = True
     for i in range(n0):
-        for a in range(n1):
-            lhs = p.P2.eval_vectors([vec_basis(f, n0, i), t.d.col(a)])
-            cross = t.br01_vec(p0c[i], p.P1.col(a))
-            rhs1 = vec_sub(f, p.P1.matvec(t.br01_vec(p0c[i], vec_basis(f, n1, a))), cross)
-            rhs2 = vec_sub(
-                f,
-                p.P1.matvec(t.br01_vec(vec_basis(f, n0, i), p.P1.col(a))),
-                cross,
-            )
-            if rhs1 != rhs2:
-                a3_sides_agree = False
-            if lhs != rhs1:
-                return Verdict.failed("A3", (i, a), lhs, rhs1, equality=1)
-            if lhs != rhs2:
-                return Verdict.failed("A3", (i, a), lhs, rhs2, equality=2)
+        lhs = p2[i].mul(t.d)
+        cross = pact[i].mul(p.P1)
+        rhs1 = p.P1.mul(pact[i]).sub(cross)
+        rhs2 = p.P1.mul(t.act[i]).mul(p.P1).sub(cross)
+        a3_sides_agree = a3_sides_agree and rhs1 == rhs2
+        v = first_mismatch(
+            column_mismatch("A3", (i,), lhs, rhs1, equality=1),
+            column_mismatch("A3", (i,), lhs, rhs2, equality=2),
+        )
+        if v is not None:
+            return v
     for x in range(n0):
         for y in range(n0):
             for z in range(n0):
-                bx, by, bz = (vec_basis(f, n0, s) for s in (x, y, z))
-                lhs = t.br01_vec(p0c[x], p.P2.eval_basis((y, z)))
-                lhs = vec_sub(f, lhs, t.br01_vec(p0c[y], p.P2.eval_basis((x, z))))
-                lhs = vec_add(f, lhs, t.br01_vec(p0c[z], p.P2.eval_basis((x, y))))
+                bz = vec_basis(f, n0, z)
+                lhs = pact[x].matvec(p.P2.eval_basis((y, z)))
+                lhs = vec_sub(f, lhs, pact[y].matvec(p.P2.eval_basis((x, z))))
+                lhs = vec_add(f, lhs, pact[z].matvec(p.P2.eval_basis((x, y))))
                 lhs = vec_sub(
-                    f, lhs, p.P1.matvec(t.br01_vec(bz, p.P2.eval_basis((x, y))))
+                    f, lhs, p.P1.matvec(t.act[z].matvec(p.P2.eval_basis((x, y))))
                 )
-                lhs = vec_sub(
-                    f,
-                    lhs,
-                    p.P2.eval_with_first_vector(
-                        t.br00_vec(p0c[x], by), (z,)
-                    ),
-                )
-                lhs = vec_sub(
-                    f, lhs, p.P2.eval_vectors([by, t.br00_vec(p0c[x], bz)])
-                )
-                lhs = vec_add(
-                    f, lhs, p.P2.eval_vectors([bx, t.br00_vec(p0c[y], bz)])
-                )
+                lhs = vec_sub(f, lhs, p.P2.eval_with_first_vector(pad0[x].col(y), (z,)))
+                lhs = vec_sub(f, lhs, p2[y].matvec(pad0[x].col(z)))
+                lhs = vec_add(f, lhs, p2[x].matvec(pad0[y].col(z)))
                 rhs = t.l3.eval_vectors([p0c[x], p0c[y], p0c[z]])
                 rhs = vec_sub(
                     f, rhs, p.P1.matvec(t.l3.eval_vectors([p0c[x], p0c[y], bz]))
@@ -379,59 +380,35 @@ def check_crossed_module(c: CrossedModule) -> Verdict:
     """Morphism, action, representation-chain, anchor and Peiffer clauses."""
     f = c.g0.field
     n0, n1 = c.g0.dim, c.g1.dim
-    psi = _transposed_action(f, c.rho)
-    mats = psi_matrices(f, n1, psi)
+    mats = c.rho.matrices()  # column a of mats[i] is rho_{e_i} h_a
     # d is an averaging Lie algebra morphism.
-    for a in range(n1):
-        for b in range(n1):
-            lhs = c.d.matvec(c.g1.algebra.bracket_basis(a, b))
-            rhs = c.g0.algebra.bracket_vec(c.d.col(a), c.d.col(b))
-            if lhs != rhs:
-                return Verdict.failed("d-bracket", (a, b), lhs, rhs)
+    v = bracket_morphism_mismatch("d-bracket", c.d, c.g1.algebra, c.g0.algebra)
+    if v is not None:
+        return v
     lhs = c.d.mul(c.g1.P)
     rhs = c.g0.P.mul(c.d)
     if lhs != rhs:
         return Verdict.failed("d-operator", (), lhs.flat(), rhs.flat())
     # Each rho_x is a derivation of the level-1 bracket.
-    for i in range(n0):
-        for a in range(n1):
-            for b in range(n1):
-                lhs = mats[i].matvec(c.g1.algebra.bracket_basis(a, b))
-                rhs = vec_add(
-                    f,
-                    c.g1.algebra.bracket_vec(
-                        mats[i].col(a), vec_basis(f, n1, b)
-                    ),
-                    c.g1.algebra.bracket_vec(
-                        vec_basis(f, n1, a), mats[i].col(b)
-                    ),
-                )
-                if lhs != rhs:
-                    return Verdict.failed("rho-derivation", (i, a, b), lhs, rhs)
+    v = derivation_mismatch("rho-derivation", c.g1.algebra, mats)
+    if v is not None:
+        return v
     # rho is a Lie homomorphism and makes g1 a representation of g0.
-    rep_v = check_representation(c.g0, n1, psi, c.g1.P)
+    rep_v = representation_verdict(c.g0, mats, c.g1.P)
     if not rep_v:
-        clause = {
-            "psi-homomorphism": "rho-homomorphism",
-            "rep-chain-1": "rep-chain-1",
-            "rep-chain-2": "rep-chain-2",
-        }[rep_v.clause]
+        clause = {"psi-homomorphism": "rho-homomorphism"}.get(rep_v.clause, rep_v.clause)
         return Verdict(False, clause, rep_v.witness, rep_v.notes)
-    # Anchor: d(rho_x h) = [x, dh].
+    # Anchor: d(rho_x h) = [x, dh]: d rho_i = ad_i d, column a.
     for i in range(n0):
-        for a in range(n1):
-            lhs = c.d.matvec(mats[i].col(a))
-            rhs = c.g0.algebra.bracket_vec(vec_basis(f, n0, i), c.d.col(a))
-            if lhs != rhs:
-                return Verdict.failed("cm-anchor", (i, a), lhs, rhs)
-    # Peiffer: rho_{dh} k = [h, k].
+        v = column_mismatch("cm-anchor", (i,), c.d.mul(mats[i]), c.g0.algebra.ad[i].mul(c.d))
+        if v is not None:
+            return v
+    # Peiffer: rho_{dh} k = [h, k]: rho_{d h_a} = ad_a, column b.
     for a in range(n1):
         act = psi_of_vec(f, n1, mats, c.d.col(a))
-        for b in range(n1):
-            acc = act.col(b)
-            rhs = c.g1.algebra.bracket_basis(a, b)
-            if acc != rhs:
-                return Verdict.failed("cm-peiffer", (a, b), acc, rhs)
+        v = column_mismatch("cm-peiffer", (a,), act, c.g1.algebra.ad[a])
+        if v is not None:
+            return v
     return Verdict.passed()
 
 
@@ -444,11 +421,7 @@ def strict_to_crossed(t: TwoTermLinf, p: HomotopyAveraging) -> CrossedModule:
         raise InvalidBase(v)
     f = t.field
     n0, n1 = t.n0, t.n1
-    br1 = Tensor.build(
-        f,
-        (n1, n1, n1),
-        lambda a, b, cc: t.br01_vec(t.d.col(a), vec_basis(f, n1, b))[cc],
-    )
+    br1 = Tensor.of_matrices(f, (n1, n1, n1), t.level1_mats())
     g1 = AveragingLieAlgebra.validate(LieAlgebra.validate(f, n1, br1), p.P1)
     g0 = AveragingLieAlgebra.validate(LieAlgebra.validate(f, n0, t.l2_00), p.P0)
     cm = CrossedModule(g1, g0, t.d, t.l2_01)

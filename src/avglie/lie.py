@@ -7,11 +7,20 @@ The bracket tensor convention is bracket.get(i, j, k) = coefficient of e_k
 in [e_i, e_j].  Over characteristic 2 the antisymmetry check includes the
 alternating condition [e_i, e_i] = 0, which is what every construction
 here actually relies on.
+
+An algebra holds its ad matrices (column j of ad[i] is [e_i, e_j]) and a
+module its action matrices, each built once.  A clause whose last argument
+runs over a basis is one matrix identity per leading index, and
+`column_mismatch` reports its first differing column: the witness a loop
+over basis pairs in the same order finds.  Antisymmetry and Jacobi keep
+their loops; Jacobi reads only the nonzero structure constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 from .errors import (
     AntisymmetryViolation,
@@ -27,23 +36,72 @@ from .errors import (
 from .linalg import (
     Matrix,
     Tensor,
+    add_scaled,
     block_matrix,
-    vec_add,
-    vec_basis,
-    vec_bilinear,
+    nonzeros,
     vec_is_zero,
-    vec_scale,
+    vec_neg,
     vec_zero,
 )
 
 
-def _bracket_table(field, dim, bracket):
-    return tuple(
-        tuple(
-            tuple(bracket.get(i, j, k) for k in range(dim)) for j in range(dim)
-        )
-        for i in range(dim)
-    )
+def psi_of_vec(field, vdim, mats, x):
+    """The action matrix sum_k x_k psi_{e_k} of an algebra vector x, from
+    the basis action matrices `mats`; ad_x when they are the ad matrices."""
+    zero, add, mul = field.zero, field.add, field.mul
+    terms = [(c, m) for c, m in zip(x, mats) if c != zero]
+    if len(terms) == 1 and terms[0][0] == field.one:
+        return terms[0][1]
+    out = []
+    for r in range(vdim):
+        acc = [zero] * vdim
+        for c, m in terms:
+            for k, y in enumerate(m.entries[r]):
+                if y:
+                    acc[k] = add(acc[k], mul(c, y))
+        out.append(acc)
+    return Matrix._of(field, out, vdim)
+
+
+def column_mismatch(clause, prefix, lhs: Matrix, rhs: Matrix, cols=None, **notes):
+    """Failed verdict at the first column a of `cols` (every column by
+    default) where lhs and rhs differ, witnessed on prefix + (a,); None
+    when they agree there."""
+    if cols is None:
+        if lhs == rhs:
+            return None
+        cols = range(lhs.cols)
+    for a in cols:
+        left, right = lhs.col(a), rhs.col(a)
+        if left != right:
+            return Verdict.failed(clause, (*prefix, a), left, right, **notes)
+
+
+def first_mismatch(*verdicts):
+    """The failed verdict with the least witness indices among those not
+    None, the earlier one on a tie; None when there is none."""
+    found = [v for v in verdicts if v is not None]
+    return min(found, key=lambda v: v.witness.indices) if found else None
+
+
+def antisymmetry_mismatch(clause, bracket: Tensor):
+    """The first i with [e_i, e_i] != 0, or i < j with [e_i, e_j] !=
+    -[e_j, e_i], as a failed verdict; None for an alternating bracket."""
+    f, dim = bracket.field, bracket.shape[0]
+    br = bracket.fibre
+    for i in range(dim):
+        if not vec_is_zero(f, br(i, i)):
+            return Verdict.failed(clause, (i, i), br(i, i), vec_zero(f, dim))
+        for j in range(i + 1, dim):
+            lhs, rhs = br(i, j), vec_neg(f, br(j, i))
+            if lhs != rhs:
+                return Verdict.failed(clause, (i, j), lhs, rhs)
+
+
+def nonzero_fibres(t: Tensor):
+    """nz[i][j] = the nonzero (k, entry) of fibre (i, j) of a 3-tensor."""
+    f, (n, m, _) = t.field, t.shape
+    return [[nonzeros(f, t.fibre(i, j)) for j in range(m)] for i in range(n)]
 
 
 def check_lie(field, dim, bracket: Tensor) -> Verdict:
@@ -51,32 +109,21 @@ def check_lie(field, dim, bracket: Tensor) -> Verdict:
     if bracket.shape != (dim, dim, dim):
         raise DimensionMismatch(f"bracket tensor must have shape {(dim,) * 3}")
     f = field
-    tab = _bracket_table(f, dim, bracket)
-    for i in range(dim):
-        if not vec_is_zero(f, tab[i][i]):
-            return Verdict.failed(
-                "antisymmetry", (i, i), tab[i][i], vec_zero(f, dim)
-            )
-        for j in range(i + 1, dim):
-            lhs = tab[i][j]
-            rhs = tuple(f.neg(x) for x in tab[j][i])
-            if lhs != rhs:
-                return Verdict.failed("antisymmetry", (i, j), lhs, rhs)
+    v = antisymmetry_mismatch("antisymmetry", bracket)
+    if v is not None:
+        return v
     # antisymmetry holds past this point, so the Jacobiator is alternating
-    # and increasing triples cover all basis triples
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                acc = vec_zero(f, dim)
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = tab[a][b]
-                    term = vec_zero(f, dim)
-                    for t, coeff in enumerate(inner):
-                        if coeff != f.zero:
-                            term = vec_add(f, term, vec_scale(f, coeff, tab[t][c]))
-                    acc = vec_add(f, acc, term)
-                if not vec_is_zero(f, acc):
-                    return Verdict.failed("jacobi", (i, j, k), acc, vec_zero(f, dim))
+    # and increasing triples cover all basis triples; only the nonzero
+    # structure constants contribute to [[e_a, e_b], e_c]
+    nz = nonzero_fibres(bracket)
+    for i, j, k in combinations(range(dim), 3):
+        terms = [(coeff, nz[t][c]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                 for t, coeff in nz[a][b]]
+        acc = [f.zero] * dim
+        for coeff, entries in terms:
+            add_scaled(f, acc, coeff, entries)
+        if terms and not vec_is_zero(f, acc):
+            return Verdict.failed("jacobi", (i, j, k), acc, vec_zero(f, dim))
     return Verdict.passed()
 
 
@@ -118,31 +165,39 @@ class LieAlgebra:
     def bracket_basis(self, i, j):
         return self.bracket.fibre(i, j)
 
+    @cached_property
+    def ad(self):
+        """The ad matrices: column j of ad[i] is [e_i, e_j]."""
+        return self.bracket.matrices()
+
     def bracket_vec(self, u, v):
-        return vec_bilinear(self.field, self.dim, u, v, self.bracket_basis)
+        """[u, v] = sum_{i,j} u_i v_j [e_i, e_j], over the nonzero pairs."""
+        f = self.field
+        out = [f.zero] * self.dim
+        for i, a in nonzeros(f, u):
+            for j, b in nonzeros(f, v):
+                add_scaled(f, out, f.mul(a, b), enumerate(self.bracket_basis(i, j)))
+        return tuple(out)
 
     def is_abelian(self):
         return self.bracket.is_zero()
 
 
 def check_leibniz(field, dim, bracket: Tensor) -> Verdict:
-    """Left Leibniz identity {x,{y,z}} = {{x,y},z} + {y,{x,z}} on basis triples."""
+    """Left Leibniz identity {x,{y,z}} = {{x,y},z} + {y,{x,z}} on basis
+    triples: with L_i the left multiplication by e_i (column k is
+    {e_i, e_k}), L_i L_j = L_{e_i,e_j} + L_j L_i, column k, for each (i, j)."""
     if bracket.shape != (dim, dim, dim):
         raise DimensionMismatch(f"bracket tensor must have shape {(dim,) * 3}")
     f = field
-    br = bracket.fibre
-    basis = [vec_basis(f, dim, i) for i in range(dim)]
+    left = bracket.matrices()
     for i in range(dim):
         for j in range(dim):
-            for k in range(dim):
-                lhs = vec_bilinear(f, dim, basis[i], br(j, k), br)
-                rhs = vec_add(
-                    f,
-                    vec_bilinear(f, dim, br(i, j), basis[k], br),
-                    vec_bilinear(f, dim, basis[j], br(i, k), br),
-                )
-                if lhs != rhs:
-                    return Verdict.failed("leibniz", (i, j, k), lhs, rhs)
+            lhs = left[i].mul(left[j])
+            rhs = psi_of_vec(f, dim, left, bracket.fibre(i, j)).add(left[j].mul(left[i]))
+            v = column_mismatch("leibniz", (i, j), lhs, rhs)
+            if v is not None:
+                return v
     return Verdict.passed()
 
 
@@ -161,32 +216,28 @@ class LeibnizAlgebra:
 
 
 def check_averaging(g: LieAlgebra, P: Matrix) -> Verdict:
-    """[P(x), P(y)] = P([P(x), y]) on all basis pairs.
+    """[P(x), P(y)] = P([P(x), y]) on all basis pairs: for each i,
+    ad_{P e_i} P = P ad_{P e_i}, column j.
 
     The verdict notes carry the equivalent right-sided identity
-    [P(x), P(y)] = P([x, P(y)]); given antisymmetry the two whole-map
-    verdicts must agree, so disagreement is an internal alarm.
+    [P(x), P(y)] = P([x, P(y)]), ad_{P e_i} P = P ad_i P; given
+    antisymmetry the two whole-map verdicts must agree, so disagreement is
+    an internal alarm.
     """
     if P.field != g.field or P.rows != g.dim or P.cols != g.dim:
         raise DimensionMismatch("operator shape does not match the algebra")
-    f = g.field
-    pcols = [P.col(j) for j in range(g.dim)]
     left = None
     right_ok = True
     for i in range(g.dim):
-        for j in range(g.dim):
-            lhs = g.bracket_vec(pcols[i], pcols[j])
-            rhs = P.matvec(g.bracket_vec(pcols[i], vec_basis(f, g.dim, j)))
-            if lhs != rhs and left is None:
-                left = ((i, j), lhs, rhs)
-            rhs_r = P.matvec(g.bracket_vec(vec_basis(f, g.dim, i), pcols[j]))
-            if lhs != rhs_r:
-                right_ok = False
-    left_ok = left is None
-    notes = {"right_holds": right_ok, "sides_agree": left_ok == right_ok}
-    if left_ok:
+        adp = psi_of_vec(g.field, g.dim, g.ad, P.col(i))
+        lhs = adp.mul(P)
+        if left is None:
+            left = column_mismatch("eq1", (i,), lhs, P.mul(adp))
+        right_ok = right_ok and lhs == P.mul(g.ad[i]).mul(P)
+    notes = {"right_holds": right_ok, "sides_agree": (left is None) == right_ok}
+    if left is None:
         return Verdict.passed(**notes)
-    return Verdict.failed("eq1", *left, **notes)
+    return Verdict(False, left.clause, left.witness, notes)
 
 
 @dataclass(frozen=True)
@@ -256,12 +307,8 @@ def induced_leibniz(a: AveragingLieAlgebra) -> LeibnizAlgebra:
     """The Leibniz bracket {x, y} = [P(x), y] on the same space."""
     f = a.field
     n = a.dim
-    pcols = [a.P.col(j) for j in range(n)]
-    t = Tensor.build(
-        f,
-        (n, n, n),
-        lambda i, j, k: a.algebra.bracket_vec(pcols[i], vec_basis(f, n, j))[k],
-    )
+    adp = [psi_of_vec(f, n, a.algebra.ad, a.P.col(i)) for i in range(n)]
+    t = Tensor.of_matrices(f, (n, n, n), adp)
     v = check_leibniz(f, n, t)
     if not v:
         raise InternalError(
@@ -276,49 +323,55 @@ def induced_leibniz(a: AveragingLieAlgebra) -> LeibnizAlgebra:
 
 
 def psi_matrices(field, vdim, psi: Tensor):
+    """The action matrices: column a of mats[i] is psi_{e_i} e_a."""
     if psi.shape[1:] != (vdim, vdim):
         raise DimensionMismatch("psi tensor shape mismatch")
-    return tuple(
-        Matrix(field, [[psi.get(i, a, b) for b in range(vdim)] for a in range(vdim)])
-        for i in range(psi.shape[0])
-    )
+    rows = [[psi.fibre(i, a) for a in range(vdim)] for i in range(psi.shape[0])]
+    return tuple(Matrix._of(field, r, vdim) for r in rows)
 
 
-def psi_of_vec(field, vdim, mats, x):
-    """The action matrix sum_k x_k psi_{e_k} of an algebra vector x, from
-    the basis action matrices `mats`."""
-    out = Matrix.zero(field, vdim, vdim)
-    for k, coeff in enumerate(x):
-        if coeff != field.zero:
-            out = out.add(mats[k].scale(coeff))
-    return out
+def bracket_morphism_mismatch(clause, phi: Matrix, src, dst, increasing=False, swap=False):
+    """The first basis pair (a, b) of src, b > a when increasing, with
+    phi[e_a, e_b] != [phi e_a, phi e_b] in dst, witnessed with these sides
+    (swapped with swap), or None: column b of phi ad_a and ad_{phi e_a} phi."""
+    f = phi.field
+    for a in range(src.dim - 1 if increasing else src.dim):
+        sides = phi.mul(src.ad[a]), psi_of_vec(f, dst.dim, dst.ad, phi.col(a)).mul(phi)
+        cols = range(a + 1, src.dim) if increasing else None
+        v = column_mismatch(clause, (a,), *(sides[::-1] if swap else sides), cols=cols)
+        if v is not None:
+            return v
 
 
-def column_mismatch(clause, i, lhs: Matrix, rhs: Matrix):
-    """Failed verdict at the first column a where lhs and rhs differ,
-    witnessed on (i, a); None when the matrices are equal."""
-    if lhs == rhs:
-        return None
-    for a in range(lhs.cols):
-        if lhs.col(a) != rhs.col(a):
-            return Verdict.failed(clause, (i, a), lhs.col(a), rhs.col(a))
+def derivation_mismatch(clause, h: LieAlgebra, mats):
+    """The first (i, a, b) with D_i[h_a, h_b] != [D_i h_a, h_b] + [h_a, D_i h_b]
+    for the matrices D_i = mats[i], as a failed verdict; None when each is
+    a derivation.  For each (i, a) the identity is D_i ad_a =
+    ad_{D_i h_a} + ad_a D_i, column b."""
+    f, m = h.field, h.dim
+    for i, D in enumerate(mats):
+        for a in range(m):
+            rhs = psi_of_vec(f, m, h.ad, D.col(a)).add(h.ad[a].mul(D))
+            v = column_mismatch(clause, (i, a), D.mul(h.ad[a]), rhs)
+            if v is not None:
+                return v
+
+
+def _homomorphism(g: LieAlgebra, vdim, mats) -> Verdict:
+    """psi_[x,y] = psi_x psi_y - psi_y psi_x on basis pairs x < y."""
+    for i, j in combinations(range(g.dim), 2):
+        lhs = psi_of_vec(g.field, vdim, mats, g.bracket_basis(i, j))
+        rhs = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i]))
+        if lhs != rhs:
+            return Verdict.failed("psi-homomorphism", (i, j), lhs.flat(), rhs.flat())
+    return Verdict.passed()
 
 
 def check_lie_representation(g: LieAlgebra, vdim, psi: Tensor) -> Verdict:
     """psi_[x,y] = psi_x psi_y - psi_y psi_x on basis pairs."""
     if psi.shape != (g.dim, vdim, vdim):
         raise DimensionMismatch("psi tensor shape mismatch")
-    f = g.field
-    mats = psi_matrices(f, vdim, psi)
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = psi_of_vec(f, vdim, mats, g.bracket_basis(i, j))
-            rhs = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i]))
-            if lhs != rhs:
-                return Verdict.failed(
-                    "psi-homomorphism", (i, j), lhs.flat(), rhs.flat()
-                )
-    return Verdict.passed()
+    return _homomorphism(g, vdim, psi_matrices(g.field, vdim, psi))
 
 
 def check_representation(base: AveragingLieAlgebra, vdim, psi: Tensor, Q: Matrix) -> Verdict:
@@ -330,19 +383,25 @@ def check_representation(base: AveragingLieAlgebra, vdim, psi: Tensor, Q: Matrix
     """
     if Q.rows != vdim or Q.cols != vdim or Q.field != base.field:
         raise DimensionMismatch("Q shape does not match the module")
-    v = check_lie_representation(base.algebra, vdim, psi)
+    if psi.shape != (base.dim, vdim, vdim):
+        raise DimensionMismatch("psi tensor shape mismatch")
+    return representation_verdict(base, psi_matrices(base.field, vdim, psi), Q)
+
+
+def representation_verdict(base: AveragingLieAlgebra, mats, Q: Matrix) -> Verdict:
+    """`check_representation` on the action matrices mats[i] = psi_{e_i}
+    and a Q of their shape."""
+    v = _homomorphism(base.algebra, Q.rows, mats)
     if not v:
         return v
-    f = base.field
-    mats = psi_matrices(f, vdim, psi)
     for i in range(base.dim):
-        pm = psi_of_vec(f, vdim, mats, base.P.col(i))
+        pm = psi_of_vec(base.field, Q.rows, mats, base.P.col(i))
         mid = Q.mul(pm)
         for clause, lhs, rhs in (
             ("rep-chain-1", pm.mul(Q), mid),
             ("rep-chain-2", mid, Q.mul(mats[i]).mul(Q)),
         ):
-            v = column_mismatch(clause, i, lhs, rhs)
+            v = column_mismatch(clause, (i,), lhs, rhs)
             if v is not None:
                 return v
     return Verdict.passed()
@@ -373,6 +432,10 @@ class Representation:
         return self.base.dim
 
     def psi_mats(self):
+        return self._mats
+
+    @cached_property
+    def _mats(self):
         return psi_matrices(self.field, self.vdim, self.psi)
 
 
@@ -397,22 +460,23 @@ def trivial_representation(a: AveragingLieAlgebra, vdim, Q: Matrix | None = None
 
 
 def check_embedding_tensor(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> Verdict:
-    """[T(u), T(v)] = T(psi_{T(u)} v) on all basis pairs of the module."""
-    v = check_lie_representation(g, vdim, psi)
+    """[T(u), T(v)] = T(psi_{T(u)} v) on all basis pairs of the module:
+    for each a, ad_{T e_a} T = T psi_{T e_a}, column b."""
+    if psi.shape != (g.dim, vdim, vdim):
+        raise DimensionMismatch("psi tensor shape mismatch")
+    f = g.field
+    mats = psi_matrices(f, vdim, psi)
+    v = _homomorphism(g, vdim, mats)
     if not v:
         return v
     if T.rows != g.dim or T.cols != vdim or T.field != g.field:
         raise DimensionMismatch("embedding tensor shape mismatch")
-    f = g.field
-    mats = psi_matrices(f, vdim, psi)
-    tcols = [T.col(a) for a in range(vdim)]
     for a in range(vdim):
-        act = psi_of_vec(f, vdim, mats, tcols[a])
-        for b in range(vdim):
-            lhs = g.bracket_vec(tcols[a], tcols[b])
-            rhs = T.matvec(act.matvec(vec_basis(f, vdim, b)))
-            if lhs != rhs:
-                return Verdict.failed("embedding-tensor", (a, b), lhs, rhs)
+        ta = T.col(a)
+        lhs = psi_of_vec(f, g.dim, g.ad, ta).mul(T)
+        v = column_mismatch("embedding-tensor", (a,), lhs, T.mul(psi_of_vec(f, vdim, mats, ta)))
+        if v is not None:
+            return v
     return Verdict.passed()
 
 

@@ -48,7 +48,7 @@ def vec_sub(fld, u, v):
 
 
 def vec_neg(fld, u):
-    return tuple(fld.neg(a) for a in u)
+    return tuple(fld.neg(a) if a else a for a in u)
 
 
 def vec_scale(fld, c, u):
@@ -56,24 +56,20 @@ def vec_scale(fld, c, u):
 
 
 def vec_is_zero(fld, u):
-    return all(a == fld.zero for a in u)
+    # a field value is false exactly when it is zero
+    return not any(u)
 
 
-def vec_bilinear(fld, n, u, v, row):
-    """sum_{i,j} u_i v_j row(i, j): a bilinear map given by its basis rows.
+def nonzeros(fld, u):
+    """(index, entry) of each nonzero entry of u."""
+    zero = fld.zero
+    return [(k, x) for k, x in enumerate(u) if x is not zero and x]
 
-    row(i, j) is the length-n value on the basis pair (e_i, e_j); it is
-    called only for pairs with both coefficients nonzero.
-    """
-    out = vec_zero(fld, n)
-    for i, a in enumerate(u):
-        if a == fld.zero:
-            continue
-        for j, b in enumerate(v):
-            if b == fld.zero:
-                continue
-            out = vec_add(fld, out, vec_scale(fld, fld.mul(a, b), row(i, j)))
-    return out
+
+def add_scaled(fld, acc, c, entries):
+    """acc[k] += c * x for each (k, x) in entries, in the list acc."""
+    for k, x in entries:
+        acc[k] = fld.add(acc[k], fld.mul(c, x))
 
 
 class Matrix:
@@ -563,6 +559,25 @@ class Tensor:
             raise DimensionMismatch("tensor index arity mismatch")
         off = sum(i * s for i, s in zip(idx, self._strides))
         return self.entries[off : off + self.shape[-1]]
+
+    def matrices(self):
+        """A 3-tensor as one matrix per leading index i, whose column j is
+        fibre(i, j): for a bracket these are the ad matrices, column j of
+        ad[i] being [e_i, e_j]."""
+        f, (n, m, k) = self.field, self.shape
+        e, size = self.entries, m * k
+        return tuple(
+            Matrix._of(f, [e[i * size + r : (i + 1) * size : k] for r in range(k)], m)
+            for i in range(n)
+        )
+
+    @staticmethod
+    def of_matrices(field, shape, mats):
+        """The 3-tensor of the given shape whose fibre (i, j) is column j
+        of mats[i]; the inverse of `matrices`."""
+        return Tensor(
+            field, shape, [x for m in mats for j in range(m.cols) for x in m.col(j)]
+        )
 
     def __eq__(self, other):
         return (

@@ -208,9 +208,8 @@ def cocycles_equivalent_phi(c1, c2):
     if sol is None:
         return None
     particular, kernel = sol
-    mats = c1.psi_mats(), c2.psi_mats()
     for point in affine_points(f, particular, kernel):
         phi = Matrix.from_flat(f, c1.coef.dim, c1.base.dim, point)
-        if _phi_satisfies(c1, c2, phi, mats):
+        if _phi_satisfies(c1, c2, phi):
             return phi
     return None

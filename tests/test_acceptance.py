@@ -106,7 +106,7 @@ def validate_document(obj):
     """Verdict of the full validator for a parsed document."""
     from avglie.cli import _check_dispatch
 
-    verdict, _, _ = _check_dispatch(obj)
+    verdict, _ = _check_dispatch(obj)
     return verdict
 
 
@@ -225,7 +225,7 @@ def bucket_cocycles_by_brute_force(cocycles):
         for cls in classes:
             rep = cls[0]
             witness = any(
-                _phi_satisfies(cand, rep, phi, (cand.psi_mats(), rep.psi_mats()))
+                _phi_satisfies(cand, rep, phi)
                 for phi in enumerate_linear_maps(
                     cand.base.dim, cand.coef.dim, F2
                 )

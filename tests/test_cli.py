@@ -428,3 +428,57 @@ def test_json_booleans_and_floats_are_not_naturals(
     doc.write_text(json.dumps(obj))
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().out)["clause"] == "parse-error"
+
+
+def test_count_witnesses_print_counts_not_residues(tmp_path, capsys):
+    """The dimensions in an exactness witness are counts: over F2 a total
+    dimension of 4 prints as 4, not as its residue 0."""
+    from avglie.cli import main
+    from avglie.documents import dump_document, extension_doc
+    from avglie.extensions import ExtensionData
+    from avglie.fields import GF
+    from avglie.lie import AveragingLieAlgebra, LieAlgebra
+    from avglie.linalg import Matrix
+
+    F2 = GF(2)
+
+    def abelian(n):
+        return AveragingLieAlgebra.validate(LieAlgebra.abelian(F2, n), Matrix.zero(F2, n, n))
+
+    e = ExtensionData(
+        abelian(1), abelian(1), abelian(4), Matrix.zero(F2, 4, 1), Matrix.zero(F2, 1, 4)
+    )
+    path = tmp_path / "extension.json"
+    path.write_text(dump_document(extension_doc(e)))
+    assert main(["check", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["clause"] == "exactness"
+    assert report["witness"] == {"indices": [], "lhs": ["4"], "rhs": ["2"]}
+
+
+def test_one_parser_serves_every_call(capsys):
+    """A usage error between two valid in-process calls prints what a
+    freshly built parser prints, and leaves the next call unchanged."""
+    from avglie import cli
+
+    valid = ["check", fixture_path("double2.json")]
+    assert cli.main(valid) == 0
+    first = capsys.readouterr()
+    for argv in (
+        ["bogus"],
+        ["check"],
+        ["cohomology", fixture_path("adjoint_rep.json"), "--degree", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 4
+        got = capsys.readouterr()
+        fresh = cli.build_parser()
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+            fresh.error("--degree must be between 1 and 4")
+        want = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, want.err)
+        assert got.err.startswith("usage: avglie ")
+        assert cli.main(valid) == 0
+        assert capsys.readouterr() == first

@@ -382,3 +382,20 @@ def test_cohomology_budget_refuses_before_assembly(monkeypatch):
         cohomology_report(r, 4)
     # degree 4 on a dim-6 adjoint module stays within the budget
     assert Cochain.dimension(6, 6, 5) * Cochain.dimension(6, 6, 4) <= MAX_DENSE_CELLS
+
+
+def test_cochain_dimension_counts_without_listing_tuples():
+    # listing the 5-subsets of 80 indices would take gigabytes
+    assert Cochain.dimension(80, 1, 5) == 24_040_016 + 80**4
+    vec = list(range(Cochain.dimension(3, 2, 2)))
+    assert Cochain.from_vector(QQ, 3, 2, 2, vec).vectorize() == tuple(vec)
+
+
+def test_large_abelian_module_is_validated_and_refused_quickly():
+    """Validating a dim-50 abelian module visits only nonzero structure
+    constants, and the budget counts cochains without listing them."""
+    a = AveragingLieAlgebra.validate(LieAlgebra.abelian(QQ, 50), Matrix.zero(QQ, 50, 50))
+    r = trivial_representation(a, 1)
+    cells = Cochain.dimension(50, 1, 5) * Cochain.dimension(50, 1, 4)
+    with pytest.raises(FieldTooLarge, match=str(cells)):
+        cohomology_report(r, 4)

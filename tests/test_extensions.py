@@ -296,7 +296,7 @@ def test_equivalence_reflexive_and_absent(rng):
     from avglie.extensions import _phi_satisfies
 
     assert not any(
-        _phi_satisfies(c1, c2, Matrix(F2, [[t]]), (c1.psi_mats(), c2.psi_mats()))
+        _phi_satisfies(c1, c2, Matrix(F2, [[t]]))
         for t in range(2)
     )
 
