@@ -19,7 +19,6 @@ from .cohomology import (
 from .errors import AvgLieError, ParseError, ValidationError, Verdict
 from .extensions import (
     AutomorphismPair,
-    Equivalence,
     ExtensionData,
     NonAbelianCocycle,
     WellsResult,

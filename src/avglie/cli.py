@@ -15,7 +15,7 @@ from functools import cache
 
 from . import documents as docs
 from .cohomology import cohomology_report, is_cocycle
-from .errors import AvgLieError, FieldTooLarge, ParseError, ValidationError, Verdict
+from .errors import AvgLieError, FieldTooLarge, InternalError, ParseError, ValidationError, Verdict
 from .extensions import (
     ExtensionData,
     NonAbelianCocycle,
@@ -299,6 +299,8 @@ def cmd_wells(args):
         clause = None if zero else "wells-nonzero"
         if zero and args.lift:
             w = wells_class(pair, e)
+            if w.phi is None:  # the abelian class is zero exactly when one exists
+                raise InternalError("zero abelian Wells class without an equivalence")
             gamma = lift_automorphism(pair, e, w.phi)
             data["gamma"] = docs.matrix_doc(gamma)
         return _finish(_report(status, clause=clause, data=data))
@@ -308,10 +310,6 @@ def cmd_wells(args):
         "psi": docs.tensor_doc(w.delta_psi),
         "Phi": docs.matrix_doc(w.delta_phi),
     }
-    if w.inducible is None:
-        return _finish(
-            _report("indeterminate", notes={"reason": w.reason}, data=data)
-        )
     data["inducible"] = w.inducible
     if w.inducible:
         data["phi"] = docs.matrix_doc(w.phi)

@@ -6,20 +6,20 @@ authored extensions with scrambled bases are first-class inputs.  Every
 postcondition backed by a theorem is still executed; a failure there is an
 InternalError, never a silent pass.
 
-The searches over finite fields (automorphism groups, equivalences of
-extensions and of cocycles) first solve their linear clauses, stated as
-rows for the entries of L X R (`_product_rows`) or X P1 - P2 X
-(`_commutator_rows`) in the unknown map X; `ENUM_LIMIT` bounds the points
-of that affine space.  The automorphisms and extension equivalences then
-fix g column by column inside it (`_bracket_maps`): a column in the span
-of the earlier ones is dropped, and once g e_c is fixed each clause
-g[e_c, e_k] = [g e_c, g e_k] with k > c is linear and cuts the space.
-Cocycle equivalences check each point against the quadratic clause (E2).
+The searches over finite fields (automorphism groups and equivalences of
+extensions) first solve their linear clauses, stated as rows for the
+entries of L X R (`_product_rows`) or X P1 - P2 X (`_commutator_rows`) in
+the unknown map X; `ENUM_LIMIT` bounds the points of that affine space.
+They then fix g column by column inside it (`_bracket_maps`): a column in
+the span of the earlier ones is dropped, and once g e_c is fixed each
+clause g[e_c, e_k] = [g e_c, g e_k] with k > c is linear and cuts the
+space.  Cocycle equivalence needs no search over Q or F_p: (E1) makes the
+quadratic clause (E2) linear, so its witnesses are an affine space too.
 
 The validators use the matrix idiom of `lie`: the derivation clause, (A),
-(C), the bracket morphisms, the ideal clause and (E1) are one matrix
-identity per leading index.  (B), (D), (D1) and (E2) keep their loops over
-the same matrices; (B) reads only nonzero constants and cocycle values.
+(C), the bracket morphisms and (E1) are one matrix identity per leading
+index.  (B), (D), (D1) and (E2) keep their loops over the same matrices;
+(B) reads only nonzero constants and cocycle values.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from .linalg import (
 )
 from .multilinear import AltMap, MultiMap
 
+# the most points of an affine solution space that `_bracket_maps` walks
 ENUM_LIMIT = 2**20
 
 
@@ -263,7 +264,7 @@ class ExtensionData:
 
 
 def check_extension(e: ExtensionData) -> Verdict:
-    """Exactness, morphism, ideal and section clauses for an extension."""
+    """Exactness, morphism and section clauses for an extension."""
     f = e.total.field
     n, m, dim = e.base.dim, e.coef.dim, e.total.dim
     if dim != n + m:
@@ -289,15 +290,9 @@ def check_extension(e: ExtensionData) -> Verdict:
     comp = e.p.mul(e.i)
     if not comp.is_zero():
         return Verdict.failed("exactness", (), comp.flat(), ())
-    # image(i) is an ideal: [i(h), x] stays in image(i) for every basis x,
-    # so the annihilator of image(i) kills every column of ad_{i h_a}.
-    ann = _annihilator(e)
-    for a in range(m):
-        act = psi_of_vec(f, dim, e.total.algebra.ad, e.i.col(a))
-        out = ann.mul(act)
-        for j in range(dim):
-            if not vec_is_zero(f, out.col(j)):
-                return Verdict.failed("ideal", (a, j), act.col(j), ())
+    # image(i) = ker(p) by the ranks and p i = 0, and p is a bracket
+    # morphism, so image(i) is an ideal: p[i h, x] = [p i h, p x] = 0.
+    # An ideal clause here could never fail.
     if e.s is not None:
         if (e.s.rows, e.s.cols) != (dim, n):
             raise DimensionMismatch("section shape mismatch")
@@ -471,19 +466,6 @@ def extensions_equivalent(e1: ExtensionData, e2: ExtensionData) -> Matrix | None
 # Equivalence of cocycles.
 
 
-@dataclass(frozen=True)
-class Equivalence:
-    """Search result: found (with witness), absent, or indeterminate."""
-
-    status: str
-    phi: Matrix | None = None
-    reason: str | None = None
-
-    @property
-    def found(self):
-        return self.status == "found"
-
-
 def _equivalence_linear_system(c1, c2, include_e2):
     """Rows and right-hand side of the linear clauses on phi, an m x n map
     with row-major unknowns; E2 rows only when linear (abelian).
@@ -515,6 +497,21 @@ def _equivalence_linear_system(c1, c2, include_e2):
             rows += [list(vec_sub(f, vec_sub(f, u, v), w)) for u, v, w in terms]
             rhs += vec_sub(f, c1.chi.eval_basis((x, y)), c2.chi.eval_basis((x, y)))
     return Matrix(f, rows, cols=m * n), tuple(rhs)
+
+
+def _e2_linear(c1, c2, flat):
+    """The values psi_x phi e_y - psi'_y phi e_x - phi [e_x, e_y] for
+    x < y, one after another, at the m x n map phi with row-major entries
+    flat: the side of (E2) with [phi e_x, phi e_y] written as
+    (psi_x - psi'_x) phi e_y, as (E1) allows."""
+    f = c1.base.field
+    phi = Matrix.from_flat(f, c1.coef.dim, c1.base.dim, flat)
+    mats1, mats2 = c1.psi_mats(), c2.psi_mats()
+    out = []
+    for x, y in combinations(range(c1.base.dim), 2):
+        v = vec_sub(f, mats1[x].matvec(phi.col(y)), mats2[y].matvec(phi.col(x)))
+        out += vec_sub(f, v, phi.matvec(c1.base.algebra.bracket_basis(x, y)))
+    return out
 
 
 def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
@@ -550,56 +547,39 @@ def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
     return True
 
 
-def cocycles_equivalent(c1, c2) -> Equivalence:
-    """Search for phi witnessing equivalence of two cocycles.
+def cocycles_equivalent(c1, c2) -> Matrix | None:
+    """The first phi witnessing the equivalence of two cocycles, or None.
 
-    The linear clauses (E1) and (E3) are solved exactly; (E2) is linear
-    too when the coefficient algebra is abelian, so one affine solve
-    decides.  Otherwise the affine solution space is enumerated over a
-    finite field (up to `ENUM_LIMIT` points) and tested against the quadratic
-    clause; over the rationals only the particular point is tested and a
-    nonzero-dimensional space yields an indeterminate answer.
+    (E1) and (E3) are linear in phi, and (E1) makes (E2) linear too:
+    [phi e_x, phi e_y] = (psi_x - psi'_x) phi e_y.  The witnesses are then
+    an affine space, and two exact solves decide over Q and F_p alike.
+    The first solves (E1) and (E3), with (E2) when the coefficients are
+    abelian, for a point and a kernel basis.  The second solves (E2) for
+    the coordinates t of a witness in that basis, with the columns
+    reversed, so that its free coordinates are the earliest ones and are
+    0.  That is the least t, the first witness a walk of the space in
+    coefficient order would meet.
     """
     if c1.base != c2.base or c1.coef != c2.coef:
         raise DimensionMismatch("cocycles live over different algebra pairs")
     f = c1.base.field
     n, m = c1.base.dim, c1.coef.dim
-    abelian = c1.coef.is_abelian()
-    system, rhs = _equivalence_linear_system(c1, c2, abelian)
+    system, rhs = _equivalence_linear_system(c1, c2, c1.coef.is_abelian())
     sol = solve_affine(system, rhs)
     if sol is None:
-        return Equivalence("absent")
-    particular, kernel = sol
-
-    def as_matrix(vec):
-        return Matrix.from_flat(f, m, n, vec)
-
-    if abelian:
-        phi = as_matrix(particular)
-        if not _phi_satisfies(c1, c2, phi):
-            raise InternalError("abelian equivalence solve produced a bad witness")
-        return Equivalence("found", phi)
-    if _phi_satisfies(c1, c2, as_matrix(particular)):
-        return Equivalence("found", as_matrix(particular))
-    if not kernel:
-        return Equivalence("absent")
-    if not f.finite:
-        return Equivalence(
-            "indeterminate",
-            reason="nonabelian coefficients over Q with a positive-dimensional "
-            "candidate space",
-        )
-    count = f.p ** len(kernel)
-    if count > ENUM_LIMIT:
-        return Equivalence(
-            "indeterminate",
-            reason=f"candidate space of size {count} exceeds the enumeration limit",
-        )
-    for point in affine_points(f, particular, kernel):
-        phi = as_matrix(point)
-        if _phi_satisfies(c1, c2, phi):
-            return Equivalence("found", phi)
-    return Equivalence("absent")
+        return None
+    point, kernel = sol
+    gap = vec_sub(f, c1.chi.sub(c2.chi).flat(), _e2_linear(c1, c2, point))
+    back = kernel[::-1]
+    steps = [_e2_linear(c1, c2, v) for v in back]
+    sol = solve_affine(Matrix.from_cols(f, steps, rows_hint=len(gap)), gap)
+    if sol is None:
+        return None
+    moved = Matrix.from_cols(f, back, rows_hint=m * n).matvec(sol[0])
+    phi = Matrix.from_flat(f, m, n, vec_add(f, point, moved))
+    if not _phi_satisfies(c1, c2, phi):
+        raise InternalError("equivalence solve produced a bad witness")
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -675,17 +655,11 @@ class WellsResult:
     delta_chi: AltMap
     delta_psi: Tensor
     delta_phi: Matrix
-    status: str  # "found" | "absent" | "indeterminate"
-    phi: Matrix | None
-    reason: str | None = None
+    phi: Matrix | None  # the equivalence witness, None when there is none
 
     @property
     def inducible(self):
-        if self.status == "found":
-            return True
-        if self.status == "absent":
-            return False
-        return None
+        return self.phi is not None
 
     def difference_is_zero(self):
         return (
@@ -710,8 +684,7 @@ def wells_class(
         lambda i, b, a: f.sub(trans.psi.get(i, b, a), orig.psi.get(i, b, a)),
     )
     dphi = trans.Phi.sub(orig.Phi)
-    eq = cocycles_equivalent(trans, orig)
-    return WellsResult(dchi, dpsi, dphi, eq.status, eq.phi, eq.reason)
+    return WellsResult(dchi, dpsi, dphi, cocycles_equivalent(trans, orig))
 
 
 def lift_automorphism(
@@ -1119,13 +1092,8 @@ def exact_sequence_audit(e: ExtensionData):
     alphas = averaging_automorphisms(e.base)
     pairs = [AutomorphismPair(b, a) for b in betas for a in alphas]
     wells_failures = []
-    indeterminate = []
     for pair in pairs:
-        res = wells_class(pair, e)
-        if res.inducible is None:
-            indeterminate.append(pair)
-            continue
-        if res.inducible != ((pair.beta, pair.alpha) in image):
+        if wells_class(pair, e).inducible != ((pair.beta, pair.alpha) in image):
             wells_failures.append(pair)
     return {
         "aut_total": len(auth),
@@ -1133,6 +1101,5 @@ def exact_sequence_audit(e: ExtensionData):
         "image_size": len(image),
         "kernel_failures": kernel_failures,
         "wells_failures": wells_failures,
-        "indeterminate": indeterminate,
-        "ok": not kernel_failures and not wells_failures and not indeterminate,
+        "ok": not kernel_failures and not wells_failures,
     }

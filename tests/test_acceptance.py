@@ -231,7 +231,7 @@ def bucket_cocycles_by_brute_force(cocycles):
                 )
             )
             # the solver must agree with the brute-force oracle
-            assert witness == cocycles_equivalent(cand, rep).found
+            assert witness == (cocycles_equivalent(cand, rep) is not None)
             if witness:
                 cls.append(cand)
                 placed = True

@@ -267,6 +267,51 @@ def test_wells_abelian_route():
     assert report["data"]["zero_class"] is False
 
 
+def test_wells_decides_a_pair_over_q_with_nonabelian_coefficients(tmp_path, capsys):
+    """Heisenberg coefficients over Q: (E1) leaves phi free in the centre,
+    and the pair halves chi, so no point of that line satisfies (E2)."""
+    from avglie import cli
+    from avglie.documents import dump_document, extension_doc, pair_doc
+    from avglie.extensions import AutomorphismPair, NonAbelianCocycle, build_extension
+    from avglie.fields import QQ
+    from avglie.lie import AveragingLieAlgebra, LieAlgebra
+    from avglie.linalg import Matrix, Tensor
+    from avglie.multilinear import AltMap
+    from conftest import heisenberg
+
+    base = AveragingLieAlgebra.validate(LieAlgebra.abelian(QQ, 2), Matrix.zero(QQ, 2, 2))
+    coef = AveragingLieAlgebra.validate(heisenberg(QQ), Matrix.zero(QQ, 3, 3))
+    c = NonAbelianCocycle.validate(
+        base, coef, AltMap(QQ, 2, 2, 3, [(0, 0, 1)]), Tensor.zero(QQ, (2, 3, 3)),
+        Matrix.zero(QQ, 3, 2),
+    )
+    ext_path, pair_path = tmp_path / "extension.json", tmp_path / "pair.json"
+    ext_path.write_text(dump_document(extension_doc(build_extension(c))))
+    pair = AutomorphismPair(Matrix.identity(QQ, 3), Matrix(QQ, [[2, 0], [0, 1]]))
+    pair_path.write_text(dump_document(pair_doc(base, coef, pair)))
+    for flags in ([], ["--lift"]):
+        assert cli.main(["wells", str(ext_path), str(pair_path)] + flags) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["clause"] == "wells-nonzero"
+        assert report["data"]["inducible"] is False
+
+
+def test_wells_abelian_lift_without_a_witness_is_an_error(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from avglie import cli
+
+    argv = ["wells", fixture_path("extension_f3.json"), fixture_path("pair_f3_identity.json"),
+            "--abelian", "--lift"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    wells_class = cli.wells_class
+    monkeypatch.setattr(cli, "wells_class", lambda *a: replace(wells_class(*a), phi=None))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_wells_pair_mismatch():
     code, report, _ = run_cli(
         "wells",

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -46,7 +47,7 @@ from avglie.lie import (
     adjoint_representation,
     trivial_representation,
 )
-from avglie.linalg import Matrix, Tensor
+from avglie.linalg import Matrix, Tensor, solve_affine
 from avglie.multilinear import AltMap
 
 from conftest import g2_averaging, heisenberg, random_matrix
@@ -229,9 +230,9 @@ def test_two_sections_give_equivalent_cocycles(rng):
     c1 = extract_cocycle(e)
     c2 = extract_cocycle(e, perturbed_section(e, mu))
     eq = cocycles_equivalent(c1, c2)
-    assert eq.found
+    assert eq is not None
     # the witness is the difference of the sections pulled back
-    assert eq.phi == mu.neg()
+    assert eq == mu.neg()
 
 
 def test_default_section_properties():
@@ -279,7 +280,7 @@ def test_extract_rejects_non_section():
 def test_equivalence_reflexive_and_absent(rng):
     cs = random_cocycles(rng, GF(2), 4)
     for c in cs:
-        assert cocycles_equivalent(c, c).found
+        assert cocycles_equivalent(c, c) is not None
     # distinct classes over dims (1,1): found exhaustively below
     F2 = GF(2)
     c1 = NonAbelianCocycle(
@@ -291,7 +292,7 @@ def test_equivalence_reflexive_and_absent(rng):
         Matrix(F2, [[1]]),
     )
     eq = cocycles_equivalent(c1, c2)
-    assert eq.status == "absent"
+    assert eq is None
     # brute force over both candidate maps agrees
     from avglie.extensions import _phi_satisfies
 
@@ -301,33 +302,65 @@ def test_equivalence_reflexive_and_absent(rng):
     )
 
 
-def test_equivalence_indeterminate_over_q_nonabelian_center():
-    """Coefficients with a nontrivial center over Q: the candidate space is
-    positive-dimensional and the quadratic clause rejects the canonical
-    point, so the search reports indeterminate rather than guessing."""
-    h = AveragingLieAlgebra.validate(heisenberg(QQ), Matrix.zero(QQ, 3, 3))
-    base = AveragingLieAlgebra.validate(LieAlgebra.abelian(QQ, 2), Matrix.zero(QQ, 2, 2))
-    psi = Tensor.zero(QQ, (2, 3, 3))
-    chi1 = AltMap(QQ, 2, 2, 3, [(0, 0, 1)])
-    chi2 = AltMap.zero(QQ, 2, 2, 3)
-    c1 = NonAbelianCocycle(base, h, chi1, psi, Matrix.zero(QQ, 3, 2))
-    c2 = NonAbelianCocycle(base, h, chi2, psi, Matrix.zero(QQ, 3, 2))
+def heisenberg_cocycles(f, chis):
+    """Cocycles with abelian base of dim 2, Heisenberg coefficients,
+    P = Q = 0, psi = 0, Phi = 0 and chi(e0, e1) from chis; unvalidated,
+    since a chi outside the centre breaks (A)."""
+    h = AveragingLieAlgebra.validate(heisenberg(f), Matrix.zero(f, 3, 3))
+    base = AveragingLieAlgebra.validate(LieAlgebra.abelian(f, 2), Matrix.zero(f, 2, 2))
+    psi = Tensor.zero(f, (2, 3, 3))
+    return [
+        NonAbelianCocycle(base, h, AltMap(f, 2, 2, 3, [chi]), psi, Matrix.zero(f, 3, 2))
+        for chi in chis
+    ]
+
+
+def test_equivalence_over_q_nonabelian_center_is_decided():
+    """Coefficients with a nontrivial center over Q: (E1) leaves phi free
+    in the center, and (E2), linear once (E1) holds, rules out every
+    point of that line, not only the canonical one."""
+    c1, c2 = heisenberg_cocycles(QQ, [(0, 0, 1), (0, 0, 0)])
     assert check_cocycle(c1).ok and check_cocycle(c2).ok
-    eq = cocycles_equivalent(c1, c2)
-    assert eq.status == "indeterminate"
+    assert cocycles_equivalent(c1, c2) is None
 
 
-def test_equivalence_limit_indeterminate(monkeypatch, rng):
+def test_equivalence_over_q_heisenberg_family():
+    # with psi = Phi = 0 over an abelian base, (E2) reads 0 = chi - chi'
+    # on every phi that (E1) and (E3) allow, phi = 0 among them
+    chis = [(0, 0, 0), (0, 0, 1), (0, 0, Fraction(-1, 2)), (1, 0, 0), (2, -1, 3)]
+    cocycles = heisenberg_cocycles(QQ, chis)
+    for (chi1, c1), (chi2, c2) in product(zip(chis, cocycles), repeat=2):
+        eq = cocycles_equivalent(c1, c2)
+        if chi1 == chi2:
+            assert eq == Matrix.zero(QQ, 3, 2)
+        else:
+            assert eq is None
+
+
+def test_equivalence_needs_no_enumeration_limit(monkeypatch):
     F2 = GF(2)
-    h = AveragingLieAlgebra.validate(heisenberg(F2), Matrix.zero(F2, 3, 3))
-    base = AveragingLieAlgebra.validate(LieAlgebra.abelian(F2, 2), Matrix.zero(F2, 2, 2))
-    psi = Tensor.zero(F2, (2, 3, 3))
-    chi1 = AltMap(F2, 2, 2, 3, [(0, 0, 1)])
-    c1 = NonAbelianCocycle(base, h, chi1, psi, Matrix.zero(F2, 3, 2))
-    c2 = NonAbelianCocycle(base, h, AltMap.zero(F2, 2, 2, 3), psi, Matrix.zero(F2, 3, 2))
-    assert cocycles_equivalent(c1, c2).status == "absent"
+    c1, c2 = heisenberg_cocycles(F2, [(0, 0, 1), (0, 0, 0)])
+    assert cocycles_equivalent(c1, c2) is None
     monkeypatch.setattr(ext, "ENUM_LIMIT", 1)
-    assert cocycles_equivalent(c1, c2).status == "indeterminate"
+    assert cocycles_equivalent(c1, c2) is None
+
+
+def test_equivalence_with_two_to_the_eighteen_candidates():
+    # (E1) puts each of the 6 columns of phi in the 3-dim centre of
+    # heisenberg + F2^2: 2^18 points, none of which satisfies (E2)
+    F2 = GF(2)
+    h = LieAlgebra.from_pairs(F2, 5, {(0, 1): (0, 0, 1, 0, 0)})
+    coef = AveragingLieAlgebra.validate(h, Matrix.zero(F2, 5, 5))
+    base = AveragingLieAlgebra.validate(LieAlgebra.abelian(F2, 6), Matrix.zero(F2, 6, 6))
+    psi = Tensor.zero(F2, (6, 5, 5))
+    chi = AltMap(F2, 6, 2, 5, [(0, 0, 1, 0, 0)] + [(0,) * 5] * 14)
+    c1 = NonAbelianCocycle.validate(base, coef, chi, psi, Matrix.zero(F2, 5, 6))
+    c2 = NonAbelianCocycle.validate(
+        base, coef, AltMap.zero(F2, 6, 2, 5), psi, Matrix.zero(F2, 5, 6)
+    )
+    _, kernel = solve_affine(*ext._equivalence_linear_system(c1, c2, False))
+    assert len(kernel) == 18
+    assert cocycles_equivalent(c1, c2) is None
 
 
 # ---------------------------------------------------------------------------

@@ -307,10 +307,66 @@ def test_cocycle_equivalence_witness_matches_the_product_loop():
             ]
             for c1, c2 in product(cocycles, repeat=2):
                 eq = ext.cocycles_equivalent(c1, c2)
-                assert eq.status in ("found", "absent")
-                assert eq.phi == oracle_search.cocycles_equivalent_phi(c1, c2)
-                found += eq.found and not eq.phi.is_zero()
+                assert eq == oracle_search.cocycles_equivalent_phi(c1, c2)
+                found += eq is not None and not eq.is_zero()
     assert found > 0
+
+
+def test_cocycle_equivalence_takes_the_least_coordinates():
+    # psi = psi' = 0, so the linear part of (E2) is all of it: its
+    # solutions are (0, 0, 1, 0) + t (0, 0, 1, 1), and the walk meets
+    # t = 1 first, as coordinates on the (E1) + (E3) kernel order it
+    F2 = GF(2)
+    lie = LieAlgebra(F2, 2, Tensor(F2, (2, 2, 2), (0, 1, 1, 1, 0, 0, 0, 0)))
+    base = AveragingLieAlgebra(lie, Matrix.zero(F2, 2, 2))
+    coef = AveragingLieAlgebra(lie, Matrix(F2, [[0, 0], [1, 0]]))
+    psi = Tensor.zero(F2, (2, 2, 2))
+    c1, c2 = (
+        NonAbelianCocycle(base, coef, chi, psi, Matrix.zero(F2, 2, 2))
+        for chi in (AltMap(F2, 2, 2, 2, [(0, 1)]), AltMap.zero(F2, 2, 2, 2))
+    )
+    phi = ext.cocycles_equivalent(c1, c2)
+    assert phi.flat() == (0, 0, 0, 1)
+    assert phi == oracle_search.cocycles_equivalent_phi(c1, c2)
+    point, _ = solve_affine(*ext._equivalence_linear_system(c1, c2, True))
+    assert point == (0, 0, 1, 0)
+
+
+def test_cocycle_equivalence_sweep_matches_the_product_loop(monkeypatch):
+    # unvalidated pairs over F2 and F3; those with psi = Phi = 0 on
+    # nonabelian coefficients leave the centre free in (E1).  On abelian
+    # coefficients (E2) joins the first solve, so the witness is its point
+    monkeypatch.setattr(ext, "ENUM_LIMIT", 2**40)  # no pair is too large
+    rng = random.Random(1308)
+    pairs = []
+    for f, n, m in product((GF(2), GF(3)), range(1, 4), range(1, 4)):
+        for _ in range(14):
+            c1, c2 = random_cocycle_pair(rng, f, n, m)
+            pairs += [(c1, c2), (c1, shifted_cocycle(rng, c1))]
+            if not c1.coef.is_abelian():
+                quiet = [
+                    NonAbelianCocycle(
+                        c.base, c.coef, c.chi, Tensor.zero(f, (n, m, m)), Matrix.zero(f, m, n)
+                    )
+                    for c in (c1, c2)
+                ]
+                pairs += [tuple(quiet), (quiet[0], quiet[0])]
+    nonabelian = found = moved = 0
+    for c1, c2 in pairs:
+        phi = ext.cocycles_equivalent(c1, c2)
+        want = oracle_search.cocycles_equivalent_phi(c1, c2)
+        abelian = c1.coef.is_abelian()
+        sol = solve_affine(*ext._equivalence_linear_system(c1, c2, abelian))
+        if abelian:
+            assert (phi is None) == (want is None)
+            assert phi is None or phi.flat() == sol[0]
+        else:
+            nonabelian += 1
+            assert phi == want
+            found += phi is not None
+            moved += phi is not None and phi.flat() != sol[0]
+    assert nonabelian >= 300
+    assert 0 < moved < found < nonabelian
 
 
 def random_cocycle_pair(rng, f, n, m):
