@@ -25,7 +25,7 @@ from math import comb
 
 from .errors import DimensionMismatch, FieldTooLarge
 from .lie import Representation, psi_of_vec
-from .linalg import Matrix, nonzeros, rank, solve_affine
+from .linalg import Matrix, minors, nonzeros, rank, solve_affine
 from .multilinear import AltMap, MultiMap, dense_offset, sort_with_sign
 
 
@@ -180,18 +180,11 @@ def _add_scaled(fld, block, base, entries, scale):
         row[base + b] = fld.add(row.get(base + b, fld.zero), fld.mul(scale, x))
 
 
-def _minors(P: Matrix, k):
+def _minor_table(det, dim, k):
     """Increasing column k-tuple t -> [(increasing row k-tuple s, det P[s, t])]
-    over the nonzero minors."""
-    fld = P.field
-    out = {}
-    for t in combinations(range(P.cols), k):
-        out[t] = []
-        for s in combinations(range(P.rows), k):
-            d = Matrix(fld, [[P[i, j] for j in t] for i in s], cols=k).det()
-            if d != fld.zero:
-                out[t].append((s, d))
-    return out
+    over the nonzero k-minors of a dim x dim matrix P, given its minors."""
+    tuples = list(combinations(range(dim), k))
+    return {t: [(s, d) for s in tuples if (d := det(s, t))] for t in tuples}
 
 
 def _lie_rows(r: Representation, n):
@@ -269,8 +262,8 @@ def _averaging_rows(r: Representation, n):
     its basis-vector column leaves (n-1)-minors."""
     fld, dim, vdim = r.field, r.dim, r.vdim
     pos = {t: k for k, t in enumerate(combinations(range(dim), n))}
-    top = _minors(r.base.P, n)
-    low = _minors(r.base.P, n - 1)
+    det = minors(r.base.P)
+    top, low = _minor_table(det, dim, n), _minor_table(det, dim, n - 1)
     ident = _nonzeros(Matrix.identity(fld, vdim))
     qacts = _nonzeros(r.Q)
     rows = []

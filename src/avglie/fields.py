@@ -1,9 +1,12 @@
 """Exact scalar arithmetic over Q and over prime fields F_p.
 
-Scalars are plain Python values: ``fractions.Fraction`` over Q (always
-stored reduced with positive denominator) and canonical residues in
-``range(p)`` over F_p.  A field object supplies the arithmetic, parsing
-and printing; no floating point exists anywhere.
+Scalars are plain Python values.  Over Q a scalar is an ``int`` when it
+is integral and otherwise a reduced ``fractions.Fraction`` with
+denominator > 1; this one canonical form keeps the common integral case
+off Fraction arithmetic, and int and Fraction compare, hash and print
+alike.  Over F_p a scalar is a canonical residue in ``range(p)``.  A field
+object supplies the arithmetic, parsing and printing; no floating point
+exists anywhere.
 """
 
 from __future__ import annotations
@@ -101,36 +104,44 @@ class Field:
 
 
 class Rationals(Field):
-    """The field Q with arbitrary-precision Fraction scalars."""
+    """The field Q.  Each operation returns the canonical form: an int when
+    the value is integral, else a reduced Fraction with denominator > 1."""
 
     finite = False
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return x.numerator if x.denominator == 1 else x
         raise TypeError(f"cannot coerce {x!r} into Q")
 
+    # An int result is canonical; a Fraction result may have denominator 1.
+    # The test is inline in each operation, which sits on every hot loop.
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
-        return -a
+        c = -a
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        if a.__class__ is int:
+            return a if a in (1, -1) else Fraction(1, a)
+        n, d = a.numerator, a.denominator
+        return d // n if n in (1, -1) else Fraction(d, n)
 
     def parse(self, text: str):
         if not _Q_RE.match(text):
@@ -141,8 +152,8 @@ class Rationals(Field):
             d = _parse_int(den, text)
             if d == 0:
                 raise ParseError(f"zero denominator: {text!r}")
-            return Fraction(n, d)
-        return Fraction(n)
+            return self.coerce(Fraction(n, d))
+        return n
 
     def format(self, a) -> str:
         return str(a)

@@ -11,11 +11,12 @@ denominators are cleared, a row is reduced by cross-multiplying it with
 the pivot row, and the result is divided by its content gcd.  `rank`
 counts the pivots of that forward echelon.  The solvers back-substitute it
 (`_rref`) and scale each pivot to 1; RREF is unique, so this is the
-canonical leftmost-pivot RREF, and over Q its entries become Fractions
-only there, as the answer leaves this module.  A solve reduces [m | b]
-once and reads both its point and the canonical free-variable kernel basis
-off it: when b is consistent no pivot falls in b's column, so the reduced
-rows restricted to m's columns are m's RREF.
+canonical leftmost-pivot RREF.  Over Q that scaling is the only division:
+it leaves an entry an int where the pivot divides it, and a Fraction only
+where there is a denominator (the canonical Q form of `fields`).  A solve
+reduces [m | b] once and reads both its point and the canonical
+free-variable kernel basis off it: when b is consistent no pivot falls in
+b's column, so the reduced rows restricted to m's columns are m's RREF.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class Matrix:
     @classmethod
     def _of(cls, field, rows, cols):
         """The matrix on a list of equal-length rows whose entries are
-        already values of field (Fractions, canonical residues), which
+        already values of field (canonical Q scalars or residues), which
         are not coerced again."""
         m = object.__new__(cls)
         m.field, m.rows, m.cols = field, len(rows), cols
@@ -308,6 +309,37 @@ def block_matrix(field, blocks):
     return Matrix._of(field, rows, sum(widths))
 
 
+def minors(m: Matrix):
+    """The minors of m, as a function det(s, t) of an increasing row tuple
+    s and an increasing column tuple t of the same length.
+
+    A minor is expanded along its first row over the minors one size
+    smaller on the rows below it, and every minor found is kept, so a table
+    of minors costs about one multiply-add per nonzero entry and smaller
+    minor.  Only add, sub and mul are used: over Q integral entries give
+    integral minors.
+    """
+    f, entries = m.field, m.entries
+    zero = f.zero
+    memo = {((), ()): f.one}
+
+    def det(s, t):
+        d = memo.get((s, t))
+        if d is None:
+            line, below = entries[s[0]], s[1:]
+            d = zero
+            for j, c in enumerate(t):
+                x = line[c]
+                if x is not zero and x:
+                    y = det(below, t[:j] + t[j + 1 :])
+                    if y is not zero and y:
+                        d = f.sub(d, f.mul(x, y)) if j % 2 else f.add(d, f.mul(x, y))
+            memo[s, t] = d
+        return d
+
+    return det
+
+
 # ---------------------------------------------------------------------------
 # The reduction.  A sparse row is a {column: coefficient} dict without
 # zeros; a pivot of the echelon is its leading coefficient and the rest of
@@ -335,8 +367,10 @@ def _primitive(row):
 
 
 def _integral(row):
-    """A sparse row of Fractions as an integer row: its denominators
+    """A sparse row of Q scalars as an integer row: its denominators
     cleared and its content divided out."""
+    if all(x.__class__ is int for x in row.values()):
+        return _primitive(row)
     den = lcm(*(x.denominator for x in row.values()))
     return _primitive({c: x.numerator * (den // x.denominator) for c, x in row.items()})
 
@@ -401,7 +435,8 @@ def _rref(field, echelon):
     """The rows of the RREF read off a forward echelon, as {pivot column:
     sparse row of field values} in column order.  Each pivot row, from the
     last up, is cleared at the later pivot columns by their finished rows
-    and then scaled to lead with 1; over Q its entries become Fractions."""
+    and then scaled to lead with 1; over Q an entry the pivot divides
+    stays an int, and the others become Fractions."""
     p = field.p if field.finite else None
     done = {}
     for col in sorted(echelon, reverse=True):
@@ -415,7 +450,10 @@ def _rref(field, echelon):
     for col in sorted(done):
         lead, row = done[col]
         if p is None:
-            row = {c: Fraction(x, lead) for c, x in row.items()}
+            row = {
+                c: x // lead if x % lead == 0 else Fraction(x, lead)
+                for c, x in row.items()
+            }
         row[col] = field.one
         out[col] = row
     return out

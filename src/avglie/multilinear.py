@@ -16,7 +16,16 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import DimensionMismatch
-from .linalg import Matrix, vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub, vec_zero
+from .linalg import (
+    Matrix,
+    minors,
+    vec_add,
+    vec_is_zero,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+    vec_zero,
+)
 
 
 def sort_with_sign(idxs):
@@ -177,19 +186,21 @@ class AltMap(_ComponentMap):
         return out
 
     def eval_vectors(self, vecs):
-        """Value at arbitrary coordinate vectors, by minor-determinant expansion."""
-        if len(vecs) != self.arity:
-            raise DimensionMismatch("alternating map arity mismatch")
+        """Value at arbitrary coordinate vectors: the sum over increasing
+        tuples t of det(rows t of the vectors as columns) times f(e_t)."""
+        if len(vecs) != self.arity or any(len(v) != self.dim for v in vecs):
+            raise DimensionMismatch("alternating map arity or vector length mismatch")
         f = self.field
         out = vec_zero(f, self.vdim)
-        if self.arity == 0:
+        # _pos lists the increasing tuples in the order of comps
+        terms = [(t, c) for t, c in zip(self._pos, self.comps) if not vec_is_zero(f, c)]
+        if self.arity == 0 or not terms:
             return out
-        for t, comp in zip(self.tuples(), self.comps):
-            if vec_is_zero(f, comp):
-                continue
-            minor = Matrix(f, [[vecs[c][r] for c in range(self.arity)] for r in t])
-            d = minor.det()
-            if d != f.zero:
+        det = minors(Matrix.from_cols(f, vecs))
+        cols = tuple(range(self.arity))
+        for t, comp in terms:
+            d = det(t, cols)
+            if d:
                 out = vec_add(f, out, vec_scale(f, d, comp))
         return out
 

@@ -8,6 +8,7 @@ identity exactly.  All randomness is seeded per test for reproducibility.
 
 import os
 import random
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -28,9 +29,12 @@ def fixture_path(name):
     return os.path.join(FIXTURES, name)
 
 
-def rational_scalars():
-    from fractions import Fraction
+def is_canonical_q(x):
+    """The canonical Q form: an int, or a Fraction with denominator > 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
+
+def rational_scalars():
     return [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
 
 

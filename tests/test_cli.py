@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 
@@ -527,3 +529,27 @@ def test_one_parser_serves_every_call(capsys):
         assert got.err.startswith("usage: avglie ")
         assert cli.main(valid) == 0
         assert capsys.readouterr() == first
+
+
+TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
+PINNED_SWEEP = os.path.join(os.path.dirname(__file__), "data", "cli_sweep.txt")
+
+
+def test_cli_sweep_matches_the_pinned_output():
+    """Every CLI command on every fixture gives the pinned exit code and
+    digests of stdout, stderr and written file.  A change that alters an
+    answer on purpose rewrites the pin:
+    python tools/cli_sweep.py > tests/data/cli_sweep.txt"""
+    spec = importlib.util.spec_from_file_location(
+        "cli_sweep", os.path.join(TOOLS, "cli_sweep.py")
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    cwd = os.getcwd()
+    lines = sweep.sweep_lines()
+    assert os.getcwd() == cwd
+    with open(PINNED_SWEEP, encoding="utf-8") as fh:
+        pinned = fh.read().splitlines()
+    assert len(lines) == len(pinned)
+    differ = [(got, want) for got, want in zip(lines, pinned) if got != want]
+    assert not differ, differ[:5]

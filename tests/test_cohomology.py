@@ -1,3 +1,4 @@
+import os
 import random
 from itertools import product
 
@@ -32,11 +33,13 @@ from avglie.linalg import Matrix, Tensor, rank, vec_basis
 from avglie.multilinear import AltMap, MultiMap
 
 from conftest import (
+    FIXTURES,
     dense_invertible,
     fixture_path,
     g2,
     g2_averaging,
     heisenberg,
+    is_canonical_q,
     representation_family,
     scramble_representation,
 )
@@ -399,3 +402,23 @@ def test_large_abelian_module_is_validated_and_refused_quickly():
     cells = Cochain.dimension(50, 1, 5) * Cochain.dimension(50, 1, 4)
     with pytest.raises(FieldTooLarge, match=str(cells)):
         cohomology_report(r, 4)
+
+
+def test_q_delta_matrices_hold_only_canonical_scalars():
+    """The differentials of the Q cohomology fixtures, the representation
+    documents and the adjoint modules of the averaging documents, hold only
+    ints and Fractions with denominator > 1."""
+    modules = []
+    for name in sorted(os.listdir(FIXTURES)):
+        if not name.endswith(".json"):
+            continue
+        obj = load_document(fixture_path(name))
+        if obj["field"] == "Q" and obj["kind"] == "representation":
+            modules.append(realize_representation(obj))
+        elif obj["field"] == "Q" and obj["kind"] == "averaging_lie_algebra":
+            modules.append(adjoint_representation(realize_averaging(obj)))
+    assert len(modules) == 7
+    for r in modules:
+        for degree in (1, 2, 3):
+            m = assemble_delta_matrix(r, degree)
+            assert all(is_canonical_q(x) for x in m.flat()), (r.dim, degree)

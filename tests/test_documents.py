@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -7,11 +8,13 @@ import sys
 import pytest
 
 from avglie import documents as docs
-from avglie.errors import ParseError
+from avglie.errors import ParseError, ValidationError
 from avglie.fields import GF, QQ
 from avglie.lie import adjoint_representation
+from avglie.linalg import Matrix, Tensor
+from avglie.multilinear import AltMap, MultiMap
 
-from conftest import FIXTURES, fixture_path, g2_averaging
+from conftest import FIXTURES, fixture_path, g2_averaging, is_canonical_q
 
 
 def test_fixture_round_trips_byte_identical():
@@ -133,3 +136,51 @@ def test_gen_fixtures_reproduces_the_committed_fixtures(tmp_path):
     for name in names:
         with open(made / name, "rb") as fh, open(fixture_path(name), "rb") as want:
             assert fh.read() == want.read(), name
+
+
+REALIZERS = {
+    "averaging_lie_algebra": docs.realize_averaging,
+    "representation": docs.realize_representation,
+    "nonabelian_cocycle": docs.realize_cocycle,
+    "extension": docs.realize_extension,
+    "crossed_module": docs.realize_crossed,
+}
+
+
+def held_scalars(obj):
+    """Every scalar in the matrices, tensors and multilinear maps that obj
+    holds, through tuples, lists and dataclass fields."""
+    if isinstance(obj, Matrix):
+        yield from obj.flat()
+    elif isinstance(obj, Tensor):
+        yield from obj.entries
+    elif isinstance(obj, (AltMap, MultiMap)):
+        yield from obj.flat()
+    elif dataclasses.is_dataclass(obj):
+        for value in vars(obj).values():
+            yield from held_scalars(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from held_scalars(value)
+
+
+def test_q_fixtures_hold_only_canonical_scalars():
+    """Every Q fixture, realised (or parsed, when it is broken or its kind
+    has no realiser), holds only ints and Fractions with denominator > 1."""
+    seen = 0
+    for name in relative_files(FIXTURES):
+        if not name.endswith(".json"):
+            continue
+        obj = docs.load_document(fixture_path(name))
+        if obj["field"] != "Q":
+            continue
+        parse = docs.PARSERS[obj["kind"]]
+        try:
+            value = REALIZERS.get(obj["kind"], parse)(obj)
+        except ValidationError:
+            value = parse(obj)
+        scalars = list(held_scalars(value))
+        assert scalars, name
+        assert all(is_canonical_q(x) for x in scalars), name
+        seen += 1
+    assert seen == 19

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import is_canonical_q
 from hypothesis import given, strategies as st
 
 from avglie.errors import ParseError
@@ -82,6 +83,61 @@ def test_division():
         F5.inv(0)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))
+
+
+def test_q_inverse_and_division_never_give_floats():
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.div(1, 2) == Fraction(1, 2) and type(QQ.div(1, 2)) is Fraction
+    assert type(QQ.div(6, 3)) is int and QQ.div(6, 3) == 2
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(-1, 3))) is int and QQ.inv(Fraction(-1, 3)) == -3
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.one == 1 and type(QQ.one) is int
+
+
+# any int or Fraction, integral or not, with or without denominator 1
+raw_q = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(max_denominator=50),
+    st.integers(-50, 50).map(Fraction),
+)
+
+Q_OPS = {
+    "add": (QQ.add, lambda a, b: Fraction(a) + Fraction(b)),
+    "sub": (QQ.sub, lambda a, b: Fraction(a) - Fraction(b)),
+    "mul": (QQ.mul, lambda a, b: Fraction(a) * Fraction(b)),
+    "div": (QQ.div, lambda a, b: Fraction(a) / Fraction(b)),
+}
+
+
+@given(raw_q, raw_q)
+def test_q_binary_ops_are_fraction_arithmetic_in_canonical_form(a, b):
+    for name, (op, ref) in Q_OPS.items():
+        if name == "div" and b == 0:
+            continue
+        got, want = op(a, b), ref(a, b)
+        assert got == want, name
+        assert is_canonical_q(got), (name, a, b, got)
+        assert isinstance(got, int) == (want.denominator == 1), name
+
+
+@given(raw_q)
+def test_q_unary_ops_are_fraction_arithmetic_in_canonical_form(a):
+    results = [(QQ.coerce(a), Fraction(a)), (QQ.neg(a), -Fraction(a))]
+    results.append((QQ.parse(QQ.format(a)), Fraction(a)))
+    if a != 0:
+        results.append((QQ.inv(a), 1 / Fraction(a)))
+    for got, want in results:
+        assert got == want
+        assert is_canonical_q(got), (a, got)
+        assert isinstance(got, int) == (want.denominator == 1)
+
+
+def test_q_parse_is_canonical():
+    for text, want in (("4/2", 2), ("-6/3", -2), ("0/5", 0), ("7", 7), ("-3/6", Fraction(-1, 2))):
+        got = QQ.parse(text)
+        assert got == want and type(got) is type(want), text
 
 
 def _trial_division_is_prime(n):

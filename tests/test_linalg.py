@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import oracle_linalg
 import pytest
+from conftest import is_canonical_q, random_matrix
 from hypothesis import given, settings, strategies as st
 from oracle_linalg import reference_rref
 
@@ -13,6 +15,7 @@ from avglie.linalg import (
     Tensor,
     enumerate_linear_maps,
     kernel_basis,
+    minors,
     rank,
     solve_affine,
 )
@@ -199,3 +202,63 @@ def test_rref_matches_reference_on_every_f2_augmented_identity():
         aug = m.hstack(ident)
         assert aug.rref() == reference_rref(aug)
         assert_solvers_match_oracle(m, rhs)
+
+
+def prod_of_denominators(m):
+    out = 1
+    for x in m.flat():
+        out *= Fraction(x).denominator
+    return out
+
+
+def integral_matrix(rng, field, rows, cols):
+    return Matrix(field, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.sampled_from([20, 50, 100]), st.data())
+def test_q_solver_outputs_are_canonical(rows, cols, density, data):
+    """Over Q every value the solvers return is an int where it is
+    integral and a Fraction only where there is a denominator, on
+    integral matrices and on matrices with denominators alike."""
+    m = draw_matrix(data, QQ, rows, cols, density)
+    integral = m.scale(prod_of_denominators(m))
+    for a in (m, integral):
+        b = data.draw(st.lists(st.integers(-9, 9), min_size=rows, max_size=rows))
+        values = list(a.flat()) + list(a.rref()[0].flat())
+        for v in kernel_basis(a):
+            values += v
+        sol = solve_affine(a, b)
+        if sol is not None:
+            values += sol[0]
+            for v in sol[1]:
+                values += v
+        if rows == cols:
+            values.append(a.det())
+            inv = a.inverse()
+            if inv is not None:
+                values += inv.flat()
+        assert all(is_canonical_q(x) for x in values)
+
+
+def test_minors_match_gaussian_determinants():
+    """Every minor of every size, by cofactor expansion, against
+    Matrix.det of the submatrix, on seeded random square and rectangular
+    matrices; over Q the minors are canonical, and ints on integral
+    matrices."""
+    rng = random.Random(7)
+    for field in (QQ, GF(2), GF(3)):
+        for n in range(7):
+            for shape in ((n, n), (n, max(n - 2, 0))):
+                drawn = (random_matrix(rng, field, *shape), integral_matrix(rng, field, *shape))
+                for P, whole in zip(drawn, (False, True)):
+                    det = minors(P)
+                    for k in range(min(shape) + 1):
+                        for t in combinations(range(P.cols), k):
+                            for s in combinations(range(P.rows), k):
+                                d = det(s, t)
+                                sub = Matrix(field, [[P[i, j] for j in t] for i in s], cols=k)
+                                assert d == sub.det(), (field, P, s, t)
+                                if field is QQ:
+                                    assert is_canonical_q(d)
+                                    assert type(d) is int or not whole

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from conftest import is_canonical_q, random_scalar
 
 from avglie.errors import DimensionMismatch
 from avglie.fields import GF, QQ
+from avglie.linalg import Matrix, vec_add, vec_scale, vec_zero
 from avglie.multilinear import AltMap, MultiMap
 
 F3 = GF(3)
@@ -64,3 +66,32 @@ def test_from_flat_rejects_wrong_length():
         for bad in (n - 1, n + 1):
             with pytest.raises(DimensionMismatch):
                 cls.from_flat(QQ, 3, 2, 1, [0] * bad)
+
+
+def eval_vectors_by_gaussian_minors(a, vecs):
+    """The sum over increasing tuples t of det(rows t of the vectors as
+    columns) times a(e_t), each minor by Gaussian elimination."""
+    f = a.field
+    out = vec_zero(f, a.vdim)
+    for t, comp in zip(a.tuples(), a.comps):
+        if a.arity:
+            d = Matrix(f, [[vecs[c][r] for c in range(a.arity)] for r in t]).det()
+            out = vec_add(f, out, vec_scale(f, d, comp))
+    return out
+
+
+def test_eval_vectors_matches_gaussian_minors():
+    rng = random.Random(11)
+    for field in (QQ, F3, GF(2)):
+        for dim, arity, vdim in ((3, 2, 2), (4, 3, 1), (4, 2, 3), (2, 0, 2), (5, 3, 2), (2, 3, 1)):
+            for _ in range(4):
+                size = len(AltMap.zero(field, dim, arity, vdim).flat())
+                flat = [random_scalar(rng, field) for _ in range(size)]
+                a = AltMap.from_flat(field, dim, arity, vdim, flat)
+                vecs = [[random_scalar(rng, field) for _ in range(dim)] for _ in range(arity)]
+                got = a.eval_vectors(vecs)
+                assert got == eval_vectors_by_gaussian_minors(a, vecs)
+                if field is QQ:
+                    assert all(is_canonical_q(x) for x in got)
+    with pytest.raises(DimensionMismatch):
+        AltMap.zero(F3, 3, 2, 1).eval_vectors([(1, 0, 0), (0, 1)])

@@ -18,7 +18,9 @@ Each run prints one line: the command, its exit code and the first 16 hex
 digits of the sha256 of its stdout, its stderr and the file it wrote (`-`
 when it wrote none).  Two checkouts give the same answers when their
 outputs are equal: `diff parent.txt change.txt`.  The run count and the
-time taken go to stderr.
+time taken go to stderr.  `tests/data/cli_sweep.txt` holds the pinned
+output, which `tests/test_cli.py` compares with `sweep_lines()`; a change
+that alters an answer on purpose rewrites it with this script.
 """
 
 import contextlib
@@ -109,20 +111,27 @@ def run(argv, out):
     )
 
 
-def sweep():
-    start = time.perf_counter()
+def sweep_lines():
+    """The sweep's output lines, in order.  The runs see a temporary copy
+    of `fixtures/` as the working directory, and the caller's working
+    directory is restored afterwards."""
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(os.path.join(ROOT, "fixtures"), os.path.join(tmp, "fixtures"))
         os.makedirs(os.path.join(tmp, "out"))
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            runs = commands(fixture_kinds())
-            for argv, out in runs:
-                print(run(argv, out))
+            return [run(argv, out) for argv, out in commands(fixture_kinds())]
         finally:
             os.chdir(cwd)
-    sys.stderr.write(f"{len(runs)} runs in {time.perf_counter() - start:.1f} s\n")
+
+
+def sweep():
+    start = time.perf_counter()
+    lines = sweep_lines()
+    for line in lines:
+        print(line)
+    sys.stderr.write(f"{len(lines)} runs in {time.perf_counter() - start:.1f} s\n")
 
 
 if __name__ == "__main__":
