@@ -31,9 +31,9 @@ from .multilinear import AltMap, MultiMap, dense_offset, sort_with_sign
 
 # Budget of cohomology_report: the dense cells (rows x columns) of the
 # largest differential it assembles.  Degree 4 on a dim-6 adjoint module,
-# 7812 x 1386 cells, takes about 2 s and 190 MB over Q, most of it the
-# dense copy; the next size up, dim 7, has four times the cells and is
-# refused.
+# 7812 x 1386 cells, takes about 1 s and 187 MB over Q (Python 3.11, one
+# core of a shared 2-core machine), most of the memory the dense copy; the
+# next size up, dim 7, has four times the cells and is refused.
 MAX_DENSE_CELLS = 12_000_000
 
 

@@ -9,7 +9,11 @@ fill-in.  Over F_p the coefficients are residues and each pivot row leads
 with 1.  Over Q it runs on integer rows (Bareiss 1968): each row's
 denominators are cleared, a row is reduced by cross-multiplying it with
 the pivot row, and the result is divided by its content gcd.  `rank`
-counts the pivots of that forward echelon.  The solvers back-substitute it
+picks its own order, since any order gives the same pivot count: it
+reduces the shorter side of the matrix (the columns of a tall one) with
+the lines of the other side numbered sparsest first, and counts the
+pivots of that echelon.  The solvers need the leftmost pivots, so they
+reduce the rows with the columns as they are, back-substitute the echelon
 (`_rref`) and scale each pivot to 1; RREF is unique, so this is the
 canonical leftmost-pivot RREF.  Over Q that scaling is the only division:
 it leaves an entry an int where the pivot divides it, and a Fraction only
@@ -21,7 +25,9 @@ b's column, so the reduced rows restricted to m's columns are m's RREF.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, compress, count
 from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch, FieldTooLarge
@@ -460,7 +466,29 @@ def _rref(field, echelon):
 
 
 def rank(m: Matrix) -> int:
-    return len(_reduce(m.field, _nonzero_rows(m.field, m.entries)))
+    """The pivot count of `_reduce` on the shorter side of m, with the
+    lines of the other side numbered sparsest first.
+
+    A tall m has its columns eliminated, each keyed by rows numbered
+    sparsest first; any other m has its rows eliminated, keyed by columns
+    numbered sparsest first.  A reduced line then always leads at the
+    sparsest line it still meets, which keeps the fill-in down (Markowitz
+    1957).  Rank is unchanged by transposing and by permuting rows or
+    columns, so only the work depends on this order.
+    """
+    # a field value is false exactly when it is zero
+    lines = [dict(compress(enumerate(row), row)) for row in m.entries]
+    if m.rows > m.cols:
+        cols = [{} for _ in range(m.cols)]
+        for r, row in enumerate(sorted(lines, key=len)):
+            for c, x in row.items():
+                cols[c][r] = x
+        lines = cols
+    else:
+        weight = Counter(chain.from_iterable(lines))
+        number = dict(zip(sorted(weight, key=weight.__getitem__), count()))
+        lines = [{number[c]: x for c, x in row.items()} for row in lines]
+    return len(_reduce(m.field, lines))
 
 
 def kernel_basis(m: Matrix):

@@ -360,6 +360,24 @@ def test_degree3_cohomology_of_dim6_adjoint_module(fieldname):
     assert sparse_product_is_zero(deltas[2], deltas[1])
 
 
+@pytest.mark.parametrize("fieldname", ["Q", "F7"])
+def test_degree2_cohomology_of_dim6_module_in_a_dense_basis(rng, fieldname):
+    """A dense change of basis leaves rank little sparsity to order its
+    lines by; the report is invariant under it, so it must equal the
+    sparse-basis one."""
+    expected = {
+        "degree": 2,
+        "dim_cochains": 126,
+        "rank_delta": 85,
+        "rank_delta_prev": 32,
+        "dim_cohomology": 9,
+    }
+    r = dim6_adjoint_module(fieldname)
+    assert cohomology_report(r, 2) == expected
+    dense = scramble_representation(rng, r, dense_invertible)
+    assert cohomology_report(dense, 2) == expected
+
+
 def test_degree4_cohomology_of_dim6_adjoint_module_over_f7():
     """delta^4 is 7812 x 1386, beyond the dense oracle; the report is the
     one the dense elimination gave over Q and F7."""

@@ -204,6 +204,40 @@ def test_rref_matches_reference_on_every_f2_augmented_identity():
         assert_solvers_match_oracle(m, rhs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(7)]),
+    st.sampled_from(["tall", "wide", "square", "no rows", "no columns"]),
+    st.integers(1, 8),
+    st.integers(1, 6),
+    st.sampled_from([10, 30, 60, 100]),
+    st.data(),
+)
+def test_rank_in_any_order_matches_reference(field, shape, k, extra, density, data):
+    """rank eliminates the shorter side of m with the lines of the other
+    side numbered sparsest first.  Rank is invariant under transposing and
+    permuting, so on tall, wide, square and empty matrices rank(m) equals
+    the full-row reference rank of m, of its transpose and of m with its
+    rows and columns permuted."""
+    rows, cols = {
+        "tall": (k + extra, k),
+        "wide": (k, k + extra),
+        "square": (k, k),
+        "no rows": (0, k),
+        "no columns": (k, 0),
+    }[shape]
+    m = draw_matrix(data, field, rows, cols, density)
+    mt = Matrix.from_cols(field, m.entries, rows_hint=cols)
+    assert (mt.rows, mt.cols) == (cols, rows)
+    rperm = data.draw(st.permutations(range(rows)))
+    cperm = data.draw(st.permutations(range(cols)))
+    mp = Matrix(field, [[m[r, c] for c in cperm] for r in rperm], cols=cols)
+    expected = oracle_linalg.rank(m)
+    for a in (m, mt, mp):
+        assert oracle_linalg.rank(a) == expected
+        assert rank(a) == expected
+
+
 def prod_of_denominators(m):
     out = 1
     for x in m.flat():
