@@ -9,7 +9,7 @@ live in Q or a prime field; nothing is approximate.
 from .cohomology import (
     Cochain,
     assemble_delta_matrix,
-    cohomology_dim,
+    cohomology_report,
     delta_alie,
     delta_lie,
     is_coboundary,

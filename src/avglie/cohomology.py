@@ -351,11 +351,6 @@ def assemble_delta_matrix(r: Representation, degree: int) -> Matrix:
     return Matrix._of(fld, dense, nin)
 
 
-def cohomology_dim(r: Representation, degree: int) -> int:
-    """dim ker(delta^n) - rank(delta^{n-1}), with the degree-0 group zero."""
-    return cohomology_report(r, degree)["dim_cohomology"]
-
-
 def is_cocycle(r: Representation, c: Cochain) -> bool:
     return delta_alie(r, c).is_zero()
 

@@ -16,10 +16,10 @@ clause g[e_c, e_k] = [g e_c, g e_k] with k > c is linear and cuts the
 space.  Cocycle equivalence needs no search over Q or F_p: (E1) makes the
 quadratic clause (E2) linear, so its witnesses are an affine space too.
 
-The validators use the matrix idiom of `lie`: the derivation clause, (A),
-(C), the bracket morphisms and (E1) are one matrix identity per leading
-index.  (B), (D), (D1) and (E2) keep their loops over the same matrices;
-(B) reads only nonzero constants and cocycle values.
+The validators use the matrix idiom of `lie`.  (B), (D) and (D1) are read
+off the total space of the cocycle (`check_cocycle`); the derivation
+clause, (A), (C), the bracket morphisms and (E1)-(E3) are one matrix
+identity per leading index.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .lie import (
     column_mismatch,
     derivation_mismatch,
     first_mismatch,
+    jacobiator,
     nonzero_fibres,
     psi_matrices,
     psi_of_vec,
@@ -65,16 +66,15 @@ from .lie import (
 from .linalg import (
     Matrix,
     Tensor,
-    add_scaled,
     affine_points,
     block_matrix,
     kernel_basis,
-    nonzeros,
     rank,
     solve_affine,
     vec_add,
     vec_basis,
     vec_is_zero,
+    vec_neg,
     vec_sub,
     vec_zero,
 )
@@ -114,6 +114,16 @@ class NonAbelianCocycle:
     def _mats(self):
         return psi_matrices(self.base.field, self.coef.dim, self.psi)
 
+    @cached_property
+    def total(self) -> AveragingLieAlgebra:
+        """base + coef with the `sum_bracket` of the triple and the operator
+        U = [[P, 0], [Phi, Q]], unvalidated: an averaging Lie algebra
+        exactly when the triple is a cocycle."""
+        f, n, m = self.base.field, self.base.dim, self.coef.dim
+        bracket = sum_bracket(self.base.algebra, self.coef.algebra, self.psi, self.chi)
+        U = block_matrix(f, [[self.base.P, Matrix.zero(f, n, m)], [self.Phi, self.coef.P]])
+        return AveragingLieAlgebra(LieAlgebra(f, n + m, bracket), U)
+
     @staticmethod
     def validate(base, coef, chi, psi, Phi) -> "NonAbelianCocycle":
         c = NonAbelianCocycle(base, coef, chi, psi, Phi)
@@ -131,20 +141,24 @@ class NonAbelianCocycle:
 def check_cocycle(c: NonAbelianCocycle) -> Verdict:
     """Derivation property plus clauses (A), (B), (C), (D).
 
+    The triple is a cocycle exactly when its total space `c.total` is an
+    averaging Lie algebra.  (B) is minus the coefficient rows of its
+    Jacobiator at base triples; (D) and its variant (D1) are the
+    coefficient rows, at base columns, of its left- and right-sided
+    averaging defects.  The derivation clause, (A) and (C) are other parts
+    of those identities whose witnesses print both sides of the clause, so
+    they keep matrix identities of their own.
+
     Every clause is evaluated (first witness kept per clause) and the
-    verdict reports the first failure in that order.  The variant
-    condition (D1) is always evaluated too; the notes record its outcome
-    and whether it agreed with (D), even when an earlier clause failed.
+    verdict reports the first failure in that order.  (D1) is always
+    evaluated too; the notes record its outcome and whether it agreed with
+    (D), even when an earlier clause failed.
     """
     f = c.base.field
     n, m = c.base.dim, c.coef.dim
     g, h = c.base.algebra, c.coef.algebra
     mats = c.psi_mats()
-    pcols = [c.base.P.col(j) for j in range(n)]
     Q = c.coef.P
-    pm = [psi_of_vec(f, m, mats, pcols[i]) for i in range(n)]  # psi_{P e_i}
-    phic = [c.Phi.col(i) for i in range(n)]
-    adphi = [psi_of_vec(f, m, h.ad, phic[i]) for i in range(n)]  # ad_{Phi e_i}
     failures = {}
 
     def record(v):
@@ -163,18 +177,10 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
         inner = psi_of_vec(f, m, h.ad, c.chi.eval_basis((i, j)))
         record(column_mismatch("(A)", (i, j), defect, inner))
 
-    # (B): the cyclic action-vs-insertion sum on chi vanishes; only the
-    # nonzero chi values, action entries and structure constants add.
-    gnz = nonzero_fibres(g.bracket)
-    chinz = [[nonzeros(f, c.chi.eval_basis((y, z))) for z in range(n)] for y in range(n)]
-    colnz = [[nonzeros(f, mat.col(b)) for b in range(m)] for mat in mats]
+    # (B): sum over cyclic (x, y, z) of psi_x chi(y, z) - chi([x, y], z).
+    nz = nonzero_fibres(c.total.algebra.bracket)
     for i, j, k in combinations(range(n), 3):
-        acc = [f.zero] * m
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            for b, w in chinz[y][z]:
-                add_scaled(f, acc, w, colnz[x][b])
-            for t, coeff in gnz[x][y]:
-                add_scaled(f, acc, f.neg(coeff), chinz[t][z])
+        acc = vec_neg(f, jacobiator(f, nz, i, j, k)[n:])
         if not vec_is_zero(f, acc):
             record(Verdict.failed("(B)", (i, j, k), acc, vec_zero(f, m)))
 
@@ -182,35 +188,29 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
     # psi_{P e_i} Q = Q psi_{P e_i} + Q ad_{Phi e_i} - ad_{Phi e_i} Q
     #               = Q psi_i Q - ad_{Phi e_i} Q.
     for i in range(n):
-        lhs = pm[i].mul(Q)
-        mid = Q.mul(pm[i]).add(Q.mul(adphi[i])).sub(adphi[i].mul(Q))
-        rhs = Q.mul(mats[i]).mul(Q).sub(adphi[i].mul(Q))
+        pm = psi_of_vec(f, m, mats, c.base.P.col(i))
+        adphi = psi_of_vec(f, m, h.ad, c.Phi.col(i))
+        lhs = pm.mul(Q)
+        mid = Q.mul(pm).add(Q.mul(adphi)).sub(adphi.mul(Q))
+        rhs = Q.mul(mats[i]).mul(Q).sub(adphi.mul(Q))
         record(first_mismatch(
             column_mismatch("(C)", (i,), lhs, mid, chain=1),
             column_mismatch("(C)", (i,), lhs, rhs, chain=2),
         ))
 
-    # (D) and its variant (D1), evaluated independently.
-    gpad = [psi_of_vec(f, n, g.ad, pcols[i]) for i in range(n)]  # ad_{P e_i}
+    # (D): [U e_i, U e_j] = U[U e_i, e_j] and (D1): = U[e_i, U e_j] on the
+    # coefficient rows, column j < n.
+    U, ad = c.total.P, c.total.algebra.ad
+    zero = Matrix.zero(f, m, n)
+
+    def coef_rows(mat):
+        return Matrix._of(f, [row[:n] for row in mat.entries[n:]], n)
+
     for i in range(n):
-        for j in range(n):
-            pi, pj = pcols[i], pcols[j]
-            ei, ej = vec_basis(f, n, i), vec_basis(f, n, j)
-            common = vec_sub(f, pm[i].matvec(phic[j]), pm[j].matvec(phic[i]))
-            common = vec_add(f, common, adphi[i].matvec(phic[j]))
-            chipp = c.chi.eval_vectors([pi, pj])
-            acc = vec_add(f, chipp, common)
-            acc = vec_sub(f, acc, Q.matvec(c.chi.eval_vectors([pi, ej])))
-            acc = vec_sub(f, acc, c.Phi.matvec(gpad[i].col(j)))
-            acc = vec_add(f, acc, Q.matvec(mats[j].matvec(phic[i])))
-            if not vec_is_zero(f, acc):
-                record(Verdict.failed("(D)", (i, j), acc, vec_zero(f, m)))
-            acc = vec_add(f, chipp, common)
-            acc = vec_sub(f, acc, Q.matvec(c.chi.eval_vectors([ei, pj])))
-            acc = vec_sub(f, acc, c.Phi.matvec(g.ad[i].matvec(pj)))
-            acc = vec_sub(f, acc, Q.matvec(mats[i].matvec(phic[j])))
-            if not vec_is_zero(f, acc):
-                record(Verdict.failed("(D1)", (i, j), acc, vec_zero(f, m)))
+        adu = psi_of_vec(f, n + m, ad, U.col(i))
+        lhs = adu.mul(U)
+        record(column_mismatch("(D)", (i,), coef_rows(lhs.sub(U.mul(adu))), zero))
+        record(column_mismatch("(D1)", (i,), coef_rows(lhs.sub(U.mul(ad[i]).mul(U))), zero))
 
     notes = {
         "d_holds": "(D)" not in failures,
@@ -334,28 +334,27 @@ def perturbed_section(e: ExtensionData, mu: Matrix) -> Matrix:
 
 
 def build_extension(c: NonAbelianCocycle) -> ExtensionData:
-    """Total space base + coef with the cocycle bracket and operator.
+    """The total space `c.total` of a cocycle as an extension.
 
-    The bracket is `sum_bracket` of the cocycle,
-    [(x,h),(y,k)] = ([x,y], psi_x k - psi_y h + chi(x,y) + [h,k]); the
+    Its bracket is `sum_bracket` of the cocycle,
+    [(x,h),(y,k)] = ([x,y], psi_x k - psi_y h + chi(x,y) + [h,k]); its
     operator is the block matrix U = [[P, 0], [Phi, Q]], i.e.
     U(x,h) = (P(x), Q(h) + Phi(x)); i, p and s are the block inclusion,
-    projection and section of base + coef.  Output is fully validated.
+    projection and section of base + coef.  The cocycle clauses make it
+    an averaging Lie algebra, so that check is a postcondition.
     """
     v = check_cocycle(c)
     if not v:
         raise NotACocycle(v)
     f = c.base.field
     n, m = c.base.dim, c.coef.dim
-    bracket = sum_bracket(c.base.algebra, c.coef.algebra, c.psi, c.chi)
+    total = c.total
     try:
-        lie = LieAlgebra.validate(f, n + m, bracket)
-    except ValidationError as exc:  # clauses (A) and (B) guarantee Jacobi
+        LieAlgebra.validate(f, total.dim, total.algebra.bracket)
+    except ValidationError as exc:
         raise InternalError(f"cocycle bracket failed Lie validation: {exc}") from exc
-    U = block_matrix(f, [[c.base.P, Matrix.zero(f, n, m)], [c.Phi, c.coef.P]])
-    if not check_averaging(lie, U):
+    if not check_averaging(total.algebra, total.P):
         raise InternalError("cocycle operator failed the averaging identity")
-    total = AveragingLieAlgebra(lie, U)
     i = block_matrix(f, [[Matrix.zero(f, n, m)], [Matrix.identity(f, m)]])
     p = block_matrix(f, [[Matrix.identity(f, n), Matrix.zero(f, n, m)]])
     s = block_matrix(f, [[Matrix.identity(f, n)], [Matrix.zero(f, m, n)]])
@@ -505,46 +504,36 @@ def _e2_linear(c1, c2, flat):
     flat: the side of (E2) with [phi e_x, phi e_y] written as
     (psi_x - psi'_x) phi e_y, as (E1) allows."""
     f = c1.base.field
-    phi = Matrix.from_flat(f, c1.coef.dim, c1.base.dim, flat)
+    n, m = c1.base.dim, c1.coef.dim
+    phi = Matrix.from_flat(f, m, n, flat)
     mats1, mats2 = c1.psi_mats(), c2.psi_mats()
     out = []
-    for x, y in combinations(range(c1.base.dim), 2):
-        v = vec_sub(f, mats1[x].matvec(phi.col(y)), mats2[y].matvec(phi.col(x)))
-        out += vec_sub(f, v, phi.matvec(c1.base.algebra.bracket_basis(x, y)))
+    for x in range(n - 1):
+        acts = Matrix.from_cols(f, [u.matvec(phi.col(x)) for u in mats2], m)
+        side = mats1[x].mul(phi).sub(acts).sub(phi.mul(c1.base.algebra.ad[x]))
+        out += [v for y in range(x + 1, n) for v in side.col(y)]
     return out
 
 
 def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
-    """Full check of (E1), (E2), (E3) for a candidate phi; (E1) is
-    psi_j - psi'_j = ad_{phi e_j} for each j."""
+    """Full check of (E1), (E2), (E3) for a candidate phi: psi_j - psi'_j =
+    ad_{phi e_j} for each j; chi(x, -) - chi'(x, -) = psi'_x phi - psi'_-
+    phi e_x - phi ad_x + ad_{phi e_x} phi at columns y > x, for each x;
+    and Phi - Phi' = Q phi - phi P."""
     f = c1.base.field
-    n = c1.base.dim
-    h = c1.coef.algebra
+    n, m = c1.base.dim, c1.coef.dim
     mats1, mats2 = c1.psi_mats(), c2.psi_mats()
-    adphi = [psi_of_vec(f, h.dim, h.ad, phi.col(j)) for j in range(n)]
+    adphi = [psi_of_vec(f, m, c1.coef.algebra.ad, phi.col(j)) for j in range(n)]
     if any(u.sub(v) != w for u, v, w in zip(mats1, mats2, adphi)):
         return False
-    for x, y in combinations(range(n), 2):
-        lhs = vec_sub(f, c1.chi.eval_basis((x, y)), c2.chi.eval_basis((x, y)))
-        rhs = vec_sub(
-            f,
-            mats2[x].matvec(phi.col(y)),
-            mats2[y].matvec(phi.col(x)),
-        )
-        rhs = vec_sub(f, rhs, phi.matvec(c1.base.algebra.bracket_basis(x, y)))
-        rhs = vec_add(f, rhs, adphi[x].matvec(phi.col(y)))
-        if lhs != rhs:
+    dchi = c1.chi.sub(c2.chi)
+    for x in range(n - 1):
+        acts = Matrix.from_cols(f, [u.matvec(phi.col(x)) for u in mats2], m)
+        rhs = mats2[x].mul(phi).sub(acts).sub(phi.mul(c1.base.algebra.ad[x]))
+        rhs = rhs.add(adphi[x].mul(phi))
+        if column_mismatch("(E2)", (x,), dchi.slice(x), rhs, cols=range(x + 1, n)) is not None:
             return False
-    for j in range(n):
-        lhs = vec_sub(f, c1.Phi.col(j), c2.Phi.col(j))
-        rhs = vec_sub(
-            f,
-            c1.coef.P.matvec(phi.col(j)),
-            phi.matvec(c1.base.P.col(j)),
-        )
-        if lhs != rhs:
-            return False
-    return True
+    return c1.Phi.sub(c2.Phi) == c1.coef.P.mul(phi).sub(phi.mul(c1.base.P))
 
 
 def cocycles_equivalent(c1, c2) -> Matrix | None:

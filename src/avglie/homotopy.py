@@ -8,16 +8,17 @@ zero, so the unrepresentable invalid states cannot occur.  Axiom clause
 names in verdicts are L1..L8 and A1..A4.
 
 The axioms use the matrix idiom of `lie` on the level-0 ad and level-1
-action matrices: L4, L5, L7, A2, A3 and the anchor are one matrix
-identity per leading index.  L6, L8 and A4 sum over three or four basis
-arguments and keep their loops; L6 and L8 read only nonzero constants.
+action matrices and the slices of l3 and P2: L4, L5, L7, A2, A3, A4 and
+the anchor are one matrix identity per leading index or pair.  L6 is
+minus the Jacobiator of `lie`.  L8 has four basis arguments and keeps its
+loop over the nonzero constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from .cohomology import Cochain, is_coboundary, is_cocycle
 from .errors import (
@@ -40,6 +41,7 @@ from .lie import (
     column_mismatch,
     derivation_mismatch,
     first_mismatch,
+    jacobiator,
     nonzero_fibres,
     psi_of_vec,
     representation_verdict,
@@ -51,10 +53,7 @@ from .linalg import (
     add_scaled,
     block_matrix,
     nonzeros,
-    vec_add,
-    vec_basis,
     vec_neg,
-    vec_sub,
 )
 from .multilinear import AltMap
 
@@ -98,6 +97,11 @@ class TwoTermLinf:
         """Column a of act[i] is <x_i, h_a>."""
         return self.l2_01.matrices()
 
+    @cached_property
+    def l3_slices(self):
+        """Column k of l3_slices[i][j] is l3(x_i, x_j, x_k)."""
+        return [[self.l3.slice(i, j) for j in range(self.n0)] for i in range(self.n0)]
+
     def level1_mats(self):
         """Column b of the a-th matrix is <d h_a, h_b>."""
         return [psi_of_vec(self.field, self.n1, self.act, self.d.col(a)) for a in range(self.n1)]
@@ -133,28 +137,23 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
         v = column_mismatch("L5", (a,), lev1[a], rhs)
         if v is not None:
             return v
-    # L6: d l3(x,y,z) = Jacobi cycle of the level-0 bracket.  L1 already
-    # holds, so both sides alternate and increasing tuples suffice (same
-    # for L8 below).  Only the nonzero structure constants add.
+    # L6: d l3(x,y,z) = Jacobi cycle of the level-0 bracket, which is minus
+    # its Jacobiator once L1 holds.  Both sides then alternate and
+    # increasing tuples suffice (same for L8 below).
     nz00 = nonzero_fibres(t.l2_00)
     for i, j, k in combinations(range(n0), 3):
         lhs = t.d.matvec(t.l3.eval_basis((i, j, k)))
-        rhs = [f.zero] * n0
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for s, coeff in nz00[b][c]:
-                add_scaled(f, rhs, coeff, nz00[a][s])
-        if lhs != tuple(rhs):
+        rhs = vec_neg(f, jacobiator(f, nz00, i, j, k))
+        if lhs != rhs:
             return Verdict.failed("L6", (i, j, k), lhs, rhs)
     # L7: l3(x, y, dh) = <x,<y,h>> - <y,<x,h>> - <<x,y>, h>: for each
     # (i, j), l3(x_i, x_j, -) d = [act_i, act_j] - act_<x_i,x_j>, column a.
-    for i in range(n0):
-        for j in range(n0):
-            l3ij = Matrix.from_cols(f, [t.l3.eval_basis((i, j, k)) for k in range(n0)], n1)
-            comm = t.act[i].mul(t.act[j]).sub(t.act[j].mul(t.act[i]))
-            rhs = comm.sub(psi_of_vec(f, n1, t.act, t.br00(i, j)))
-            v = column_mismatch("L7", (i, j), l3ij.mul(t.d), rhs)
-            if v is not None:
-                return v
+    for i, j in product(range(n0), repeat=2):
+        comm = t.act[i].mul(t.act[j]).sub(t.act[j].mul(t.act[i]))
+        rhs = comm.sub(psi_of_vec(f, n1, t.act, t.br00(i, j)))
+        v = column_mismatch("L7", (i, j), t.l3_slices[i][j].mul(t.d), rhs)
+        if v is not None:
+            return v
     # L8: the alternating action sum of l3 equals its bracket-insertion sum.
     nz01 = nonzero_fibres(t.l2_01)
     for w, x, y, z in combinations(range(n0), 4):
@@ -203,8 +202,7 @@ def check_homotopy_averaging(t: TwoTermLinf, p: HomotopyAveraging) -> Verdict:
         return Verdict.failed("A1", (), lhs.flat(), rhs.flat())
     # column j of p2[i] is P2(x_i, x_j); pad0[i] and pact[i] are the
     # level-0 ad and the level-1 action of P0 x_i
-    p2 = [Matrix.from_cols(f, [p.P2.eval_basis((i, j)) for j in range(n0)], n1)
-          for i in range(n0)]
+    p2 = [p.P2.slice(i) for i in range(n0)]
     pad0 = [psi_of_vec(f, n0, t.ad0, p0c[i]) for i in range(n0)]
     pact = [psi_of_vec(f, n1, t.act, p0c[i]) for i in range(n0)]
     # A2: d P2(x, y) = P0<P0 x, y> - <P0 x, P0 y>, column j.
@@ -228,25 +226,22 @@ def check_homotopy_averaging(t: TwoTermLinf, p: HomotopyAveraging) -> Verdict:
         )
         if v is not None:
             return v
-    for x in range(n0):
-        for y in range(n0):
-            for z in range(n0):
-                bz = vec_basis(f, n0, z)
-                lhs = pact[x].matvec(p.P2.eval_basis((y, z)))
-                lhs = vec_sub(f, lhs, pact[y].matvec(p.P2.eval_basis((x, z))))
-                lhs = vec_add(f, lhs, pact[z].matvec(p.P2.eval_basis((x, y))))
-                lhs = vec_sub(
-                    f, lhs, p.P1.matvec(t.act[z].matvec(p.P2.eval_basis((x, y))))
-                )
-                lhs = vec_sub(f, lhs, p.P2.eval_with_first_vector(pad0[x].col(y), (z,)))
-                lhs = vec_sub(f, lhs, p2[y].matvec(pad0[x].col(z)))
-                lhs = vec_add(f, lhs, p2[x].matvec(pad0[y].col(z)))
-                rhs = t.l3.eval_vectors([p0c[x], p0c[y], p0c[z]])
-                rhs = vec_sub(
-                    f, rhs, p.P1.matvec(t.l3.eval_vectors([p0c[x], p0c[y], bz]))
-                )
-                if lhs != rhs:
-                    return Verdict.failed("A4", (x, y, z), lhs, rhs)
+    # A4, for each (x, y), column z, with w = P2(x, y):
+    # <P0 x, P2(y, z)> - <P0 y, P2(x, z)> + <P0 z, w> - P1<z, w>
+    # - P2(<P0 x, y>, z) - P2(y, <P0 x, z>) + P2(x, <P0 y, z>)
+    # = l3(P0 x, P0 y, P0 z) - P1 l3(P0 x, P0 y, z).  Column z of acts is
+    # <z, w>, and l3p[y][a] is l3(x_a, P0 y, -).
+    l3p = [[psi_of_vec(f, n1, row, p0c[y]) for row in t.l3_slices] for y in range(n0)]
+    for x, y in product(range(n0), repeat=2):
+        acts = Matrix.from_cols(f, [u.matvec(p.P2.eval_basis((x, y))) for u in t.act], n1)
+        lhs = pact[x].mul(p2[y]).sub(pact[y].mul(p2[x]))
+        lhs = lhs.add(acts.mul(p.P0)).sub(p.P1.mul(acts))
+        lhs = lhs.sub(psi_of_vec(f, n1, p2, pad0[x].col(y)))
+        lhs = lhs.sub(p2[y].mul(pad0[x])).add(p2[x].mul(pad0[y]))
+        l3xy = psi_of_vec(f, n1, l3p[y], p0c[x])
+        v = column_mismatch("A4", (x, y), lhs, l3xy.mul(p.P0).sub(p.P1.mul(l3xy)))
+        if v is not None:
+            return v
     return Verdict.passed(a3_sides_agree=a3_sides_agree)
 
 

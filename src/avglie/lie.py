@@ -12,8 +12,9 @@ An algebra holds its ad matrices (column j of ad[i] is [e_i, e_j]) and a
 module its action matrices, each built once.  A clause whose last argument
 runs over a basis is one matrix identity per leading index, and
 `column_mismatch` reports its first differing column: the witness a loop
-over basis pairs in the same order finds.  Antisymmetry and Jacobi keep
-their loops; Jacobi reads only the nonzero structure constants.
+over basis pairs in the same order finds.  Antisymmetry keeps its loop,
+and `jacobiator` sums over the nonzero structure constants only; it also
+serves L6 of `homotopy` and (B) of `extensions`.
 """
 
 from __future__ import annotations
@@ -46,21 +47,23 @@ from .linalg import (
 
 
 def psi_of_vec(field, vdim, mats, x):
-    """The action matrix sum_k x_k psi_{e_k} of an algebra vector x, from
-    the basis action matrices `mats`; ad_x when they are the ad matrices."""
+    """The matrix sum_k x_k mats[k], of the shape of the vdim-row matrices
+    mats (vdim x vdim when there are none): the action matrix psi_x of an
+    algebra vector x from the basis action matrices, ad_x from the ad ones."""
     zero, add, mul = field.zero, field.add, field.mul
     terms = [(c, m) for c, m in zip(x, mats) if c != zero]
     if len(terms) == 1 and terms[0][0] == field.one:
         return terms[0][1]
+    cols = mats[0].cols if mats else vdim
     out = []
     for r in range(vdim):
-        acc = [zero] * vdim
+        acc = [zero] * cols
         for c, m in terms:
             for k, y in enumerate(m.entries[r]):
                 if y:
                     acc[k] = add(acc[k], mul(c, y))
         out.append(acc)
-    return Matrix._of(field, out, vdim)
+    return Matrix._of(field, out, cols)
 
 
 def column_mismatch(clause, prefix, lhs: Matrix, rhs: Matrix, cols=None, **notes):
@@ -104,26 +107,30 @@ def nonzero_fibres(t: Tensor):
     return [[nonzeros(f, t.fibre(i, j)) for j in range(m)] for i in range(n)]
 
 
+def jacobiator(field, nz, i, j, k):
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], as a list,
+    from the nonzero fibres nz of a bracket."""
+    acc = [field.zero] * len(nz)
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for t, coeff in nz[a][b]:
+            add_scaled(field, acc, coeff, nz[t][c])
+    return acc
+
+
 def check_lie(field, dim, bracket: Tensor) -> Verdict:
     """Antisymmetry (including zero diagonal) and Jacobi on basis tuples."""
     if bracket.shape != (dim, dim, dim):
         raise DimensionMismatch(f"bracket tensor must have shape {(dim,) * 3}")
-    f = field
     v = antisymmetry_mismatch("antisymmetry", bracket)
     if v is not None:
         return v
     # antisymmetry holds past this point, so the Jacobiator is alternating
-    # and increasing triples cover all basis triples; only the nonzero
-    # structure constants contribute to [[e_a, e_b], e_c]
+    # and increasing triples cover all basis triples
     nz = nonzero_fibres(bracket)
     for i, j, k in combinations(range(dim), 3):
-        terms = [(coeff, nz[t][c]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-                 for t, coeff in nz[a][b]]
-        acc = [f.zero] * dim
-        for coeff, entries in terms:
-            add_scaled(f, acc, coeff, entries)
-        if terms and not vec_is_zero(f, acc):
-            return Verdict.failed("jacobi", (i, j, k), acc, vec_zero(f, dim))
+        acc = jacobiator(field, nz, i, j, k)
+        if not vec_is_zero(field, acc):
+            return Verdict.failed("jacobi", (i, j, k), acc, vec_zero(field, dim))
     return Verdict.passed()
 
 

@@ -259,32 +259,6 @@ class Matrix:
         dense += [(f.zero,) * self.cols] * (self.rows - len(dense))
         return Matrix._of(f, dense, self.cols), tuple(reduced)
 
-    def det(self):
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of non-square matrix")
-        f = self.field
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        det = f.one
-        for c in range(n):
-            hit = None
-            for r in range(c, n):
-                if m[r][c] != f.zero:
-                    hit = r
-                    break
-            if hit is None:
-                return f.zero
-            if hit != c:
-                m[c], m[hit] = m[hit], m[c]
-                det = f.neg(det)
-            det = f.mul(det, m[c][c])
-            inv = f.inv(m[c][c])
-            for r in range(c + 1, n):
-                if m[r][c] != f.zero:
-                    c0 = f.mul(inv, m[r][c])
-                    m[r] = [f.sub(x, f.mul(c0, y)) for x, y in zip(m[r], m[c])]
-        return det
-
     def inverse(self):
         """Inverse matrix, or None if singular."""
         if self.rows != self.cols:

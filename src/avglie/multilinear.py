@@ -175,15 +175,11 @@ class AltMap(_ComponentMap):
         val = self.comps[self._pos[key]]
         return val if sign > 0 else vec_neg(self.field, val)
 
-    def eval_with_first_vector(self, vec, rest):
-        """Value at (v, e_{j1}, ..., e_{j_{k-1}}) by linearity in the first slot."""
-        f = self.field
-        out = vec_zero(f, self.vdim)
-        for k, coeff in enumerate(vec):
-            if coeff == f.zero:
-                continue
-            out = vec_add(f, out, vec_scale(f, coeff, self.eval_basis((k, *rest))))
-        return out
+    def slice(self, *lead):
+        """The vdim x dim matrix whose column k is the value at
+        (e_i, ..., e_j, e_k), for the leading basis indices lead = (i, ..., j)."""
+        vals = [self.eval_basis((*lead, k)) for k in range(self.dim)]
+        return Matrix.from_cols(self.field, vals, self.vdim)
 
     def eval_vectors(self, vecs):
         """Value at arbitrary coordinate vectors: the sum over increasing

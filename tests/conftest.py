@@ -24,6 +24,11 @@ from avglie.linalg import Matrix, Tensor
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
+# the CLI tests start `python -m avglie.cli`, which imports avglie from src/
+# as the test process does (pyproject's pytest `pythonpath`)
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+
 
 def fixture_path(name):
     return os.path.join(FIXTURES, name)

@@ -49,7 +49,7 @@ def delta_lie(r, f):
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 rest = tuple(t for k, t in enumerate(tup) if k != i and k != j)
-                term = f.eval_with_first_vector(g.bracket_basis(tup[i], tup[j]), rest)
+                term = eval_mixed(f, [g.bracket_basis(tup[i], tup[j]), *rest])
                 acc = vec_add(fld, acc, term if (i + j) % 2 == 0 else vec_neg(fld, term))
         out.append(acc)
     return AltMap(fld, g.dim, n + 1, r.vdim, out)

@@ -5,7 +5,9 @@ runs over every column.  The solvers reduce a matrix once per question, as
 the library once did: a solve reduces [A | b] for its point and A again for
 its kernel, an inverse reduces [A | I] built with `hstack`, and the rank
 counts the pivots of the reduced matrix.  The library reads all of these
-off one nonzero-only reduction; the tests compare the two.
+off one nonzero-only reduction; the tests compare the two.  `det` is the
+determinant by forward elimination, against which the library's cofactor
+minors are checked.
 """
 
 from avglie.errors import DimensionMismatch
@@ -76,3 +78,27 @@ def inverse(m):
     if len(pivots) < m.rows or any(p >= m.rows for p in pivots):
         return None
     return Matrix(m.field, [row[m.rows :] for row in red.entries], cols=m.rows)
+
+
+def det(m):
+    """The determinant of a square matrix by forward elimination."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("determinant of non-square matrix")
+    f = m.field
+    n = m.rows
+    rows = [list(row) for row in m.entries]
+    out = f.one
+    for c in range(n):
+        hit = next((r for r in range(c, n) if rows[r][c] != f.zero), None)
+        if hit is None:
+            return f.zero
+        if hit != c:
+            rows[c], rows[hit] = rows[hit], rows[c]
+            out = f.neg(out)
+        out = f.mul(out, rows[c][c])
+        inv = f.inv(rows[c][c])
+        for r in range(c + 1, n):
+            if rows[r][c] != f.zero:
+                c0 = f.mul(inv, rows[r][c])
+                rows[r] = [f.sub(x, f.mul(c0, y)) for x, y in zip(rows[r], rows[c])]
+    return out

@@ -13,6 +13,7 @@ from itertools import combinations, product
 
 from avglie.extensions import _phi_satisfies, check_algebra_automorphism
 from avglie.linalg import Matrix, enumerate_linear_maps, solve_affine, vec_sub
+from oracle_linalg import det
 
 
 def averaging_automorphisms(a):
@@ -52,7 +53,7 @@ def bracket_automorphisms(a):
                 break
         if ok:
             g = Matrix.from_flat(f, n, n, flat)
-            if g.mul(a.P) == a.P.mul(g) and g.det() != f.zero:
+            if g.mul(a.P) == a.P.mul(g) and det(g) != f.zero:
                 out.append(g)
     return out
 

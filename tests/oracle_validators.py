@@ -49,6 +49,7 @@ from avglie.linalg import (
     vec_zero,
 )
 from avglie.multilinear import dense_offset
+from oracle_delta import eval_mixed
 
 
 def bracket_vec(g, u, v):
@@ -340,7 +341,7 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
             acc = vec_sub(
                 f,
                 acc,
-                c.chi.eval_with_first_vector(g.bracket_basis(x, y), (z,)),
+                eval_mixed(c.chi, [g.bracket_basis(x, y), z]),
             )
         if not vec_is_zero(f, acc):
             record("(B)", (i, j, k), acc, vec_zero(f, m))
@@ -677,7 +678,7 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
             ((x, z), (w, y), -1),
             ((y, z), (w, x), 1),
         ):
-            term = t.l3.eval_with_first_vector(t.br00(a, b), rest)
+            term = eval_mixed(t.l3, [t.br00(a, b), *rest])
             rhs = vec_add(f, rhs, term if sign > 0 else vec_neg(f, term))
         if lhs != rhs:
             return Verdict.failed("L8", (w, x, y, z), lhs, rhs)
@@ -741,9 +742,7 @@ def check_homotopy_averaging(t: TwoTermLinf, p: HomotopyAveraging) -> Verdict:
                 lhs = vec_sub(
                     f,
                     lhs,
-                    p.P2.eval_with_first_vector(
-                        br00_vec(t, p0c[x], by), (z,)
-                    ),
+                    eval_mixed(p.P2, [br00_vec(t, p0c[x], by), z]),
                 )
                 lhs = vec_sub(
                     f, lhs, p.P2.eval_vectors([by, br00_vec(t, p0c[x], bz)])

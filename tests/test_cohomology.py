@@ -11,7 +11,6 @@ from avglie.cohomology import (
     MAX_DENSE_CELLS,
     Cochain,
     assemble_delta_matrix,
-    cohomology_dim,
     cohomology_report,
     delta_alie,
     delta_lie,
@@ -157,15 +156,15 @@ def test_block_triangularity_f_slot_is_lie_differential(rng):
 
 def test_cohomology_dims_trivial_instance():
     r = trivial_dim1(QQ)
-    assert cohomology_dim(r, 1) == 1
-    assert cohomology_dim(r, 2) == 1
+    assert cohomology_report(r, 1)["dim_cohomology"] == 1
+    assert cohomology_report(r, 2)["dim_cohomology"] == 1
 
 
 def test_cohomology_zero_module():
     a = g2_averaging(QQ, "proj")
     r = trivial_representation(a, 0)
     for deg in (1, 2, 3):
-        assert cohomology_dim(r, deg) == 0
+        assert cohomology_report(r, deg)["dim_cohomology"] == 0
 
 
 def test_rank_nullity_consistency(rng):
@@ -174,7 +173,7 @@ def test_rank_nullity_consistency(rng):
         m = assemble_delta_matrix(r, deg)
         prev = rank(assemble_delta_matrix(r, deg - 1)) if deg >= 2 else 0
         dim_c = Cochain.dimension(r.dim, r.vdim, deg)
-        assert cohomology_dim(r, deg) == dim_c - rank(m) - prev
+        assert cohomology_report(r, deg)["dim_cohomology"] == dim_c - rank(m) - prev
 
 
 def brute_force_cohomology_dim(r, degree):
@@ -230,7 +229,8 @@ def test_cohomology_against_brute_force_oracle(rng):
         for degree in (1, 2):
             if Cochain.dimension(r.dim, r.vdim, degree) > 10:
                 continue
-            assert cohomology_dim(r, degree) == brute_force_cohomology_dim(r, degree)
+            got = cohomology_report(r, degree)["dim_cohomology"]
+            assert got == brute_force_cohomology_dim(r, degree)
 
 
 def test_cocycle_and_coboundary():

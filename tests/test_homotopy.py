@@ -249,9 +249,9 @@ def test_skeletal_equivalence_distinct_classes_absent():
     F2 = GF(2)
     a = AveragingLieAlgebra.validate(LieAlgebra.abelian(F2, 2), Matrix.zero(F2, 2, 2))
     r = trivial_representation(a, 1)
-    from avglie.cohomology import cohomology_dim
+    from avglie.cohomology import cohomology_report
 
-    assert cohomology_dim(r, 3) >= 1
+    assert cohomology_report(r, 3)["dim_cohomology"] >= 1
     zero = triple_to_skeletal(a, r, Cochain.zero(F2, 2, 1, 3))
     theta = MultiMap(F2, 2, 2, 1, [(0,), (1,), (1,), (0,)])
     nonzero = triple_to_skeletal(a, r, Cochain(F2, 2, 1, 3, AltMap.zero(F2, 2, 3, 1), theta))
