@@ -231,12 +231,12 @@ def _parse_section(obj, e):
 
 def cmd_extension(args):
     if args.sub == "build":
-        c = docs.realize_cocycle(docs.load_document(args.paths[0]))
+        c = docs.realize_cocycle(docs.load_document(args.path))
         e = build_extension(c)
         out = docs.extension_doc(e)
         return _finish_conversion(out, args, {"total_dim": e.total.dim})
     if args.sub == "extract":
-        e = docs.realize_extension(docs.load_document(args.paths[0]))
+        e = docs.realize_extension(docs.load_document(args.path))
         section = None
         if args.section:
             section = _parse_section(docs.load_document(args.section), e)
@@ -245,7 +245,7 @@ def cmd_extension(args):
         data = {"chi_zero": c.chi.is_zero(), "Phi_zero": c.Phi.is_zero()}
         return _finish_conversion(out, args, data)
     if args.sub == "audit":
-        e = docs.realize_extension(docs.load_document(args.paths[0]))
+        e = docs.realize_extension(docs.load_document(args.path))
         v = audit_round_trip(e)
         data = {}
         if v:
@@ -327,36 +327,36 @@ def cmd_wells(args):
 def cmd_homotopy(args):
     sub = args.sub
     if sub == "check":
-        obj = docs.load_document(args.paths[0])
+        obj = docs.load_document(args.path)
         verdict, data = _check_dispatch(obj)
         data["kind"] = obj["kind"]
         return _finish(_verdict_report(verdict, data))
     if sub == "skeletal-to-cocycle":
-        t, p = docs.parse_two_term(docs.load_document(args.paths[0]))
+        t, p = docs.parse_two_term(docs.load_document(args.path))
         if p is None:
             raise ParseError("two_term document must carry P0, P1, P2")
         a, r, c = skeletal_to_triple(t, p)
         out = docs.cochain_doc(r, c)
         return _finish_conversion(out, args, {"is_cocycle": True})
     if sub == "cocycle-to-skeletal":
-        r, c = docs.realize_cochain(docs.load_document(args.paths[0]))
+        r, c = docs.realize_cochain(docs.load_document(args.path))
         t, p = triple_to_skeletal(r.base, r, c)
         out = docs.two_term_doc(t, p)
         return _finish_conversion(out, args, {"skeletal": True})
     if sub == "strict-to-crossed":
-        t, p = docs.parse_two_term(docs.load_document(args.paths[0]))
+        t, p = docs.parse_two_term(docs.load_document(args.path))
         if p is None:
             raise ParseError("two_term document must carry P0, P1, P2")
         cm = strict_to_crossed(t, p)
         out = docs.crossed_doc(cm)
         return _finish_conversion(out, args, {"crossed_module": True})
     if sub == "crossed-to-strict":
-        cm = docs.realize_crossed(docs.load_document(args.paths[0]))
+        cm = docs.realize_crossed(docs.load_document(args.path))
         t, p = crossed_to_strict(cm)
         out = docs.two_term_doc(t, p)
         return _finish_conversion(out, args, {"strict": True})
     if sub == "semidirect":
-        cm = docs.realize_crossed(docs.load_document(args.paths[0]))
+        cm = docs.realize_crossed(docs.load_document(args.path))
         a = crossed_semidirect(cm)
         out = docs.averaging_doc(a)
         return _finish_conversion(out, args, {"dim": a.dim})
@@ -385,7 +385,7 @@ def build_parser():
 
     pe = subs.add_parser("extension", help="build, extract or audit extensions")
     pe.add_argument("sub", choices=["build", "extract", "audit"])
-    pe.add_argument("paths", nargs="+")
+    pe.add_argument("path")
     pe.add_argument("--section", help="matrix document with a user-supplied section")
     pe.add_argument("--output")
 
@@ -407,7 +407,7 @@ def build_parser():
             "semidirect",
         ],
     )
-    pm.add_argument("paths", nargs="+")
+    pm.add_argument("path")
     pm.add_argument("--output")
     return parser
 

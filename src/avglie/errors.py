@@ -1,8 +1,9 @@
 """Exception types and the structured verdict/witness machinery.
 
 Every validator returns a Verdict; constructors of validated objects run
-the validator and raise the matching exception on failure, carrying the
-verdict so callers (and the CLI) can print clause and witness.
+the validator and raise ValidationError on failure.  There is one error
+for every failed check: it carries the verdict, whose clause names the
+kind of failure, so callers (and the CLI) can print clause and witness.
 """
 
 from __future__ import annotations
@@ -71,93 +72,9 @@ class Verdict:
 class ValidationError(AvgLieError):
     """A validator failed; carries the verdict."""
 
-    def __init__(self, verdict: Verdict, message: str | None = None):
+    def __init__(self, verdict: Verdict):
         self.verdict = verdict
-        super().__init__(message or f"validation failed at clause {verdict.clause}")
-
-
-class AntisymmetryViolation(ValidationError):
-    pass
-
-
-class JacobiViolation(ValidationError):
-    pass
-
-
-class LeibnizViolation(ValidationError):
-    pass
-
-
-class NotAveraging(ValidationError):
-    pass
-
-
-class NotARepresentation(ValidationError):
-    pass
-
-
-class NotAnEmbeddingTensor(ValidationError):
-    pass
-
-
-class InvalidBase(ValidationError):
-    pass
-
-
-class NotSkeletal(ValidationError):
-    pass
-
-
-class NotStrict(ValidationError):
-    pass
-
-
-class NotACocycle(ValidationError):
-    pass
-
-
-class NotACrossedModule(ValidationError):
-    pass
-
-
-class NotASection(ValidationError):
-    pass
-
-
-class ValueOutsideKernel(ValidationError):
-    pass
-
-
-class NotSurjective(ValidationError):
-    pass
-
-
-class NotAutomorphisms(ValidationError):
-    pass
-
-
-class NotAWitness(ValidationError):
-    pass
-
-
-class NotRestrictable(ValidationError):
-    pass
-
-
-class NotAbelian(ValidationError):
-    pass
-
-
-class NotCompatible(ValidationError):
-    pass
-
-
-class NotSplit(ValidationError):
-    pass
-
-
-class BrokenExtension(ValidationError):
-    pass
+        super().__init__(f"validation failed at clause {verdict.clause}")
 
 
 class InternalError(AvgLieError):

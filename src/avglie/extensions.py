@@ -30,24 +30,7 @@ from itertools import combinations, product
 from operator import itemgetter, mul
 
 from .cohomology import Cochain, is_coboundary
-from .errors import (
-    BrokenExtension,
-    DimensionMismatch,
-    FieldTooLarge,
-    InternalError,
-    NotAbelian,
-    NotACocycle,
-    NotASection,
-    NotAutomorphisms,
-    NotAWitness,
-    NotCompatible,
-    NotRestrictable,
-    NotSplit,
-    NotSurjective,
-    ValidationError,
-    ValueOutsideKernel,
-    Verdict,
-)
+from .errors import DimensionMismatch, FieldTooLarge, InternalError, ValidationError, Verdict
 from .lie import (
     AveragingLieAlgebra,
     LieAlgebra,
@@ -129,7 +112,7 @@ class NonAbelianCocycle:
         c = NonAbelianCocycle(base, coef, chi, psi, Phi)
         v = check_cocycle(c)
         if not v:
-            raise NotACocycle(v)
+            raise ValidationError(v)
         return c
 
     def components_equal(self, other) -> bool:
@@ -250,16 +233,14 @@ class ExtensionData:
         e = ExtensionData(base, coef, total, i, p, s)
         v = check_extension(e)
         if not v:
-            raise BrokenExtension(v)
+            raise ValidationError(v)
         return e
 
     def pullback(self, v):
         """Coefficient coordinates of a total-space vector in the image of i."""
         sol = solve_affine(self.i, v)
         if sol is None:
-            raise ValueOutsideKernel(
-                Verdict.failed("kernel-membership", (), v, ())
-            )
+            raise ValidationError(Verdict.failed("kernel-membership", (), v, ()))
         return sol[0]
 
 
@@ -311,7 +292,7 @@ def default_section(e: ExtensionData) -> Matrix:
     for j in range(e.base.dim):
         sol = solve_affine(e.p, vec_basis(f, e.base.dim, j))
         if sol is None:
-            raise NotSurjective(Verdict.failed("p-surjective", (j,), (), ()))
+            raise ValidationError(Verdict.failed("p-surjective", (j,), (), ()))
         cols.append(sol[0])
     return Matrix.from_cols(f, cols, rows_hint=e.total.dim)
 
@@ -345,7 +326,7 @@ def build_extension(c: NonAbelianCocycle) -> ExtensionData:
     """
     v = check_cocycle(c)
     if not v:
-        raise NotACocycle(v)
+        raise ValidationError(v)
     f = c.base.field
     n, m = c.base.dim, c.coef.dim
     total = c.total
@@ -371,7 +352,7 @@ def extract_cocycle(e: ExtensionData, s: Matrix | None = None) -> NonAbelianCocy
     n, m = e.base.dim, e.coef.dim
     s = _section(e, s)
     if e.p.mul(s) != Matrix.identity(f, n):
-        raise NotASection(
+        raise ValidationError(
             Verdict.failed("section", (), e.p.mul(s).flat(), Matrix.identity(f, n).flat())
         )
     scols = [s.col(j) for j in range(n)]
@@ -471,15 +452,15 @@ def _equivalence_linear_system(c1, c2, include_e2):
 
     (E1) for each h_a: r_a phi = the columns a of psi_j - psi'_j, where
     column b of r_a is [h_b, h_a]; (E3) phi P - Q phi = Phi' - Phi;
-    (E2), linear part: psi'_x phi e_y - psi'_y phi e_x - phi [e_x, e_y] =
-    chi(x, y) - chi'(x, y) for x < y.
+    (E2), linear part: the rows `_e2_rows(c2, c2)` = chi(x, y) - chi'(x, y)
+    for x < y.
     """
     f = c1.base.field
     n, m = c1.base.dim, c1.coef.dim
     h = c1.coef.algebra
     mats1, mats2 = c1.psi_mats(), c2.psi_mats()
     dpsi = [u.sub(v) for u, v in zip(mats1, mats2)]
-    ident_n, ident_m = Matrix.identity(f, n), Matrix.identity(f, m)
+    ident_n = Matrix.identity(f, n)
     rows, rhs = [], []
     for a in range(m):
         right = Matrix.from_cols(f, [h.bracket_basis(b, a) for b in range(m)])
@@ -488,31 +469,33 @@ def _equivalence_linear_system(c1, c2, include_e2):
     rows += _commutator_rows(f, c1.base.P, c1.coef.P)
     rhs += c2.Phi.sub(c1.Phi).flat()
     if include_e2:
-        # row t * n + y of acts[x] is entry t of psi'_x phi e_y
-        acts = [_product_rows(f, u, ident_n) for u in mats2]
-        for x, y in combinations(range(n), 2):
-            br = Matrix.from_cols(f, [c1.base.algebra.bracket_basis(x, y)])
-            terms = zip(acts[x][y::n], acts[y][x::n], _product_rows(f, ident_m, br))
-            rows += [list(vec_sub(f, vec_sub(f, u, v), w)) for u, v, w in terms]
-            rhs += vec_sub(f, c1.chi.eval_basis((x, y)), c2.chi.eval_basis((x, y)))
+        rows += _e2_rows(c2, c2)
+        rhs += c1.chi.sub(c2.chi).flat()
     return Matrix(f, rows, cols=m * n), tuple(rhs)
 
 
-def _e2_linear(c1, c2, flat):
-    """The values psi_x phi e_y - psi'_y phi e_x - phi [e_x, e_y] for
-    x < y, one after another, at the m x n map phi with row-major entries
-    flat: the side of (E2) with [phi e_x, phi e_y] written as
-    (psi_x - psi'_x) phi e_y, as (E1) allows."""
-    f = c1.base.field
-    n, m = c1.base.dim, c1.coef.dim
-    phi = Matrix.from_flat(f, m, n, flat)
-    mats1, mats2 = c1.psi_mats(), c2.psi_mats()
-    out = []
-    for x in range(n - 1):
-        acts = Matrix.from_cols(f, [u.matvec(phi.col(x)) for u in mats2], m)
-        side = mats1[x].mul(phi).sub(acts).sub(phi.mul(c1.base.algebra.ad[x]))
-        out += [v for y in range(x + 1, n) for v in side.col(y)]
-    return out
+def _e2_rows(ca, cb):
+    """Rows for psi_x phi e_y - psi'_y phi e_x - phi [e_x, e_y], x < y one
+    pair after another, as linear forms in the row-major entries of an
+    m x n map phi; psi acts as in ca and psi' as in cb.  With psi from c1
+    and psi' from c2 it is the side of (E2) with [phi e_x, phi e_y]
+    written as (psi_x - psi'_x) phi e_y, as (E1) allows."""
+    f = ca.base.field
+    n, m = ca.base.dim, ca.coef.dim
+    psi, psi_ = ca.psi_mats(), cb.psi_mats()
+    rows = []
+    for x, y in combinations(range(n), 2):
+        br = ca.base.algebra.bracket_basis(x, y)
+        for t in range(m):
+            # entry s * n + j of row t is the coefficient of phi[s, j]
+            row = [f.zero] * (m * n)
+            for s in range(m):
+                row[s * n + y] = psi[x][t, s]
+                row[s * n + x] = f.neg(psi_[y][t, s])
+            for j in range(n):
+                row[t * n + j] = f.sub(row[t * n + j], br[j])
+            rows.append(row)
+    return rows
 
 
 def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
@@ -558,9 +541,10 @@ def cocycles_equivalent(c1, c2) -> Matrix | None:
     if sol is None:
         return None
     point, kernel = sol
-    gap = vec_sub(f, c1.chi.sub(c2.chi).flat(), _e2_linear(c1, c2, point))
+    e2 = Matrix._of(f, _e2_rows(c1, c2), m * n)
+    gap = vec_sub(f, c1.chi.sub(c2.chi).flat(), e2.matvec(point))
     back = kernel[::-1]
-    steps = [_e2_linear(c1, c2, v) for v in back]
+    steps = [e2.matvec(v) for v in back]
     sol = solve_affine(Matrix.from_cols(f, steps, rows_hint=len(gap)), gap)
     if sol is None:
         return None
@@ -612,7 +596,7 @@ def transform_cocycle(pair: AutomorphismPair, c: NonAbelianCocycle) -> NonAbelia
     """Pull the cocycle back along alpha and push forward along beta."""
     v = check_automorphism_pair(pair, c.base, c.coef)
     if not v:
-        raise NotAutomorphisms(v)
+        raise ValidationError(v)
     f = c.base.field
     n, m = c.base.dim, c.coef.dim
     ainv = pair.alpha.inverse()
@@ -703,19 +687,17 @@ def lift_automorphism(
     gamma = Matrix.from_cols(f, cols, rows_hint=dim)
     v = check_algebra_automorphism(e.total, gamma, "gamma")
     if not v:
-        raise NotAWitness(v)
+        raise ValidationError(v)
     if gamma.mul(e.i) != e.i.mul(pair.beta):
-        raise NotAWitness(
+        raise ValidationError(
             Verdict.failed(
                 "restriction", (), gamma.mul(e.i).flat(), e.i.mul(pair.beta).flat()
             )
         )
     induced_alpha = e.p.mul(gamma).mul(s)
     if induced_alpha != pair.alpha:
-        raise NotAWitness(
-            Verdict.failed(
-                "projection", (), induced_alpha.flat(), pair.alpha.flat()
-            )
+        raise ValidationError(
+            Verdict.failed("projection", (), induced_alpha.flat(), pair.alpha.flat())
         )
     return gamma
 
@@ -726,7 +708,7 @@ def project_automorphism(
     """The pair (gamma restricted to the kernel, p gamma s)."""
     v = check_algebra_automorphism(e.total, gamma, "gamma")
     if not v:
-        raise NotAutomorphisms(v)
+        raise ValidationError(v)
     f = e.total.field
     m = e.coef.dim
     beta_cols = []
@@ -734,9 +716,7 @@ def project_automorphism(
         val = gamma.matvec(e.i.col(a))
         sol = solve_affine(e.i, val)
         if sol is None:
-            raise NotRestrictable(
-                Verdict.failed("restriction", (a,), val, ())
-            )
+            raise ValidationError(Verdict.failed("restriction", (a,), val, ()))
         beta_cols.append(sol[0])
     beta = Matrix.from_cols(f, beta_cols, rows_hint=m)
     alpha = e.p.mul(gamma).mul(_section(e, section))
@@ -926,7 +906,7 @@ def kernel_fixing_automorphisms(e: ExtensionData, autos):
 def induced_representation(e: ExtensionData) -> Representation:
     """The base acting on an abelian kernel through any section."""
     if not e.coef.is_abelian():
-        raise NotAbelian(Verdict.failed("abelian", (), (), ()))
+        raise ValidationError(Verdict.failed("abelian", (), (), ()))
     c = extract_cocycle(e)
     return Representation.validate(e.base, e.coef.dim, c.psi, e.coef.P)
 
@@ -953,19 +933,19 @@ def abelian_wells(
     the induced one.
     """
     if not e.coef.is_abelian():
-        raise NotAbelian(Verdict.failed("abelian", (), (), ()))
+        raise ValidationError(Verdict.failed("abelian", (), (), ()))
     induced = induced_representation(e)
     if rep is not None:
         if rep.psi != induced.psi or rep.Q != induced.Q or rep.base != induced.base:
-            raise NotCompatible(
+            raise ValidationError(
                 Verdict.failed("induced-representation", (), rep.psi.entries, induced.psi.entries)
             )
     v = check_automorphism_pair(pair, e.base, e.coef)
     if not v:
-        raise NotAutomorphisms(v)
+        raise ValidationError(v)
     cv = check_compatible_pair(pair, induced)
     if not cv:
-        raise NotCompatible(cv)
+        raise ValidationError(cv)
     orig = extract_cocycle(e)
     trans = transform_cocycle(pair, orig)
     if trans.psi != orig.psi:
@@ -1008,7 +988,7 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
     |compatible pairs| x |kernel-fixing automorphisms|.
     """
     if not e.coef.is_abelian():
-        raise NotAbelian(Verdict.failed("abelian", (), (), ()))
+        raise ValidationError(Verdict.failed("abelian", (), (), ()))
     f = e.total.field
     n, m = e.base.dim, e.coef.dim
     s = _section(e)
@@ -1016,14 +996,14 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
         "section-bracket", s, e.base.algebra, e.total.algebra, increasing=True, swap=True
     )
     if v is not None:
-        raise NotSplit(v)
+        raise ValidationError(v)
     lhs = e.total.P.mul(s)
     rhs = s.mul(e.base.P)
     if lhs != rhs:
-        raise NotSplit(Verdict.failed("section-operator", (), lhs.flat(), rhs.flat()))
+        raise ValidationError(Verdict.failed("section-operator", (), lhs.flat(), rhs.flat()))
     c = extract_cocycle(e, s)
     if not c.chi.is_zero() or not c.Phi.is_zero():
-        raise NotSplit(
+        raise ValidationError(
             Verdict.failed("zero-cocycle", (), c.chi.flat() + c.Phi.flat(), ())
         )
     auth = extension_automorphisms(e)

@@ -21,16 +21,7 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .cohomology import Cochain, is_coboundary, is_cocycle
-from .errors import (
-    DimensionMismatch,
-    InternalError,
-    InvalidBase,
-    NotACocycle,
-    NotACrossedModule,
-    NotSkeletal,
-    NotStrict,
-    Verdict,
-)
+from .errors import DimensionMismatch, InternalError, ValidationError, Verdict
 from .lie import (
     AveragingLieAlgebra,
     LieAlgebra,
@@ -188,7 +179,7 @@ def check_homotopy_averaging(t: TwoTermLinf, p: HomotopyAveraging) -> Verdict:
     """
     base = check_two_term(t)
     if not base:
-        raise InvalidBase(base)
+        raise ValidationError(base)
     f = t.field
     n0, n1 = t.n0, t.n1
     if p.P0.rows != n0 or p.P0.cols != n0 or p.P1.rows != n1 or p.P1.cols != n1:
@@ -278,10 +269,10 @@ def skeletal_to_triple(t: TwoTermLinf, p: HomotopyAveraging):
     homotopy; it is always a cocycle for valid skeletal input.
     """
     if not is_skeletal(t):
-        raise NotSkeletal(Verdict.failed("skeletal", (), t.d.flat(), ()))
+        raise ValidationError(Verdict.failed("skeletal", (), t.d.flat(), ()))
     v = check_homotopy_averaging(t, p)
     if not v:
-        raise InvalidBase(v)
+        raise ValidationError(v)
     r = _rep_from_mixed_bracket(t, p)
     c = Cochain(t.field, t.n0, t.n1, 3, t.l3, p.P2.to_dense())
     if not is_cocycle(r, c):
@@ -300,11 +291,9 @@ def triple_to_skeletal(a: AveragingLieAlgebra, r: Representation, c: Cochain):
     if c.degree != 3 or (c.dim, c.vdim) != (a.dim, r.vdim):
         raise DimensionMismatch("need a degree-3 cochain over the same data")
     if not is_cocycle(r, c):
-        raise NotACocycle(Verdict.failed("cocycle", (), c.vectorize(), ()))
+        raise ValidationError(Verdict.failed("cocycle", (), c.vectorize(), ()))
     if not c.theta.is_alternating():
-        raise NotSkeletal(
-            Verdict.failed("theta-alternating", (), c.theta.flat(), ())
-        )
+        raise ValidationError(Verdict.failed("theta-alternating", (), c.theta.flat(), ()))
     f = a.field
     n0, n1 = a.dim, r.vdim
     l2_01 = _transposed_action(f, r.psi)
@@ -328,7 +317,7 @@ def skeletal_equivalent(x, y):
     tx, px = x
     ty, py = y
     if not (is_skeletal(tx) and is_skeletal(ty)):
-        raise NotSkeletal(Verdict.failed("skeletal", (), (), ()))
+        raise ValidationError(Verdict.failed("skeletal", (), (), ()))
     same = (
         tx.field == ty.field
         and (tx.n0, tx.n1) == (ty.n0, ty.n1)
@@ -410,10 +399,10 @@ def check_crossed_module(c: CrossedModule) -> Verdict:
 def strict_to_crossed(t: TwoTermLinf, p: HomotopyAveraging) -> CrossedModule:
     """Level-1 bracket [h,k] := <dh, k> and action rho_x h := <x, h>."""
     if not is_strict(t, p):
-        raise NotStrict(Verdict.failed("strict", (), t.l3.flat(), ()))
+        raise ValidationError(Verdict.failed("strict", (), t.l3.flat(), ()))
     v = check_homotopy_averaging(t, p)
     if not v:
-        raise InvalidBase(v)
+        raise ValidationError(v)
     f = t.field
     n0, n1 = t.n0, t.n1
     br1 = Tensor.of_matrices(f, (n1, n1, n1), t.level1_mats())
@@ -430,7 +419,7 @@ def crossed_to_strict(c: CrossedModule):
     """The strict structure with mixed bracket given by the action."""
     v = check_crossed_module(c)
     if not v:
-        raise NotACrossedModule(v)
+        raise ValidationError(v)
     f = c.g0.field
     n0, n1 = c.g0.dim, c.g1.dim
     t = TwoTermLinf(
@@ -463,7 +452,7 @@ def crossed_semidirect(c: CrossedModule) -> AveragingLieAlgebra:
     """Semidirect averaging Lie algebra of a crossed module."""
     v = check_crossed_module(c)
     if not v:
-        raise NotACrossedModule(v)
+        raise ValidationError(v)
     f = c.g0.field
     n0, n1 = c.g0.dim, c.g1.dim
     lie = LieAlgebra.validate(f, n0 + n1, semidirect_bracket(c))

@@ -23,17 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import (
-    AntisymmetryViolation,
-    DimensionMismatch,
-    InternalError,
-    JacobiViolation,
-    LeibnizViolation,
-    NotAnEmbeddingTensor,
-    NotARepresentation,
-    NotAveraging,
-    Verdict,
-)
+from .errors import DimensionMismatch, InternalError, ValidationError, Verdict
 from .linalg import (
     Matrix,
     Tensor,
@@ -146,8 +136,7 @@ class LieAlgebra:
     def validate(field, dim, bracket) -> "LieAlgebra":
         v = check_lie(field, dim, bracket)
         if not v:
-            exc = AntisymmetryViolation if v.clause == "antisymmetry" else JacobiViolation
-            raise exc(v)
+            raise ValidationError(v)
         return LieAlgebra(field, dim, bracket)
 
     @staticmethod
@@ -218,7 +207,7 @@ class LeibnizAlgebra:
     def validate(field, dim, bracket) -> "LeibnizAlgebra":
         v = check_leibniz(field, dim, bracket)
         if not v:
-            raise LeibnizViolation(v)
+            raise ValidationError(v)
         return LeibnizAlgebra(field, dim, bracket)
 
 
@@ -258,7 +247,7 @@ class AveragingLieAlgebra:
     def validate(algebra: LieAlgebra, P: Matrix) -> "AveragingLieAlgebra":
         v = check_averaging(algebra, P)
         if not v:
-            raise NotAveraging(v)
+            raise ValidationError(v)
         if not v.notes.get("sides_agree", True):
             raise InternalError("left and right averaging checks disagree")
         return AveragingLieAlgebra(algebra, P)
@@ -427,7 +416,7 @@ class Representation:
     def validate(base, vdim, psi, Q) -> "Representation":
         v = check_representation(base, vdim, psi, Q)
         if not v:
-            raise NotARepresentation(v)
+            raise ValidationError(v)
         return Representation(base, vdim, psi, Q)
 
     @property
@@ -518,7 +507,7 @@ def semidirect_product(g: LieAlgebra, vdim, psi: Tensor) -> LieAlgebra:
     """g + V with bracket [(x,u),(y,v)] = ([x,y], psi_x v - psi_y u)."""
     v = check_lie_representation(g, vdim, psi)
     if not v:
-        raise NotARepresentation(v)
+        raise ValidationError(v)
     f = g.field
     bracket = sum_bracket(g, LieAlgebra.abelian(f, vdim), psi)
     return LieAlgebra.validate(f, g.dim + vdim, bracket)
@@ -528,7 +517,7 @@ def embedding_to_averaging(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> Avera
     """P_T(x, u) = (T(u), 0) on the semidirect product; validated output."""
     v = check_embedding_tensor(g, vdim, psi, T)
     if not v:
-        raise NotAnEmbeddingTensor(v)
+        raise ValidationError(v)
     f, n = g.field, g.dim
     total = semidirect_product(g, vdim, psi)
     zero_n, zero_v = Matrix.zero(f, n, n), Matrix.zero(f, vdim, vdim)

@@ -13,15 +13,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from avglie.cohomology import _add_scaled, _nonzeros, _signed
-from avglie.errors import (
-    DimensionMismatch,
-    InternalError,
-    InvalidBase,
-    NotAbelian,
-    NotSplit,
-    NotStrict,
-    Verdict,
-)
+from avglie.errors import DimensionMismatch, InternalError, ValidationError, Verdict
 from avglie.extensions import (
     _section,
     _tau,
@@ -548,7 +540,7 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
     |compatible pairs| x |kernel-fixing automorphisms|.
     """
     if not e.coef.is_abelian():
-        raise NotAbelian(Verdict.failed("abelian", (), (), ()))
+        raise ValidationError(Verdict.failed("abelian", (), (), ()))
     f = e.total.field
     n, m = e.base.dim, e.coef.dim
     s = _section(e)
@@ -557,14 +549,14 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
             lhs = bracket_vec(e.total.algebra, s.col(i_), s.col(j_))
             rhs = s.matvec(e.base.algebra.bracket_basis(i_, j_))
             if lhs != rhs:
-                raise NotSplit(Verdict.failed("section-bracket", (i_, j_), lhs, rhs))
+                raise ValidationError(Verdict.failed("section-bracket", (i_, j_), lhs, rhs))
     lhs = e.total.P.mul(s)
     rhs = s.mul(e.base.P)
     if lhs != rhs:
-        raise NotSplit(Verdict.failed("section-operator", (), lhs.flat(), rhs.flat()))
+        raise ValidationError(Verdict.failed("section-operator", (), lhs.flat(), rhs.flat()))
     c = extract_cocycle(e, s)
     if not c.chi.is_zero() or not c.Phi.is_zero():
-        raise NotSplit(
+        raise ValidationError(
             Verdict.failed("zero-cocycle", (), c.chi.flat() + c.Phi.flat(), ())
         )
     auth = extension_automorphisms(e)
@@ -693,7 +685,7 @@ def check_homotopy_averaging(t: TwoTermLinf, p: HomotopyAveraging) -> Verdict:
     """
     base = check_two_term(t)
     if not base:
-        raise InvalidBase(base)
+        raise ValidationError(base)
     f = t.field
     n0, n1 = t.n0, t.n1
     if p.P0.rows != n0 or p.P0.cols != n0 or p.P1.rows != n1 or p.P1.cols != n1:
@@ -822,10 +814,10 @@ def check_crossed_module(c: CrossedModule) -> Verdict:
 def strict_to_crossed(t: TwoTermLinf, p: HomotopyAveraging) -> CrossedModule:
     """Level-1 bracket [h,k] := <dh, k> and action rho_x h := <x, h>."""
     if not is_strict(t, p):
-        raise NotStrict(Verdict.failed("strict", (), t.l3.flat(), ()))
+        raise ValidationError(Verdict.failed("strict", (), t.l3.flat(), ()))
     v = check_homotopy_averaging(t, p)
     if not v:
-        raise InvalidBase(v)
+        raise ValidationError(v)
     f = t.field
     n0, n1 = t.n0, t.n1
     br1 = Tensor.build(

@@ -87,6 +87,18 @@ def test_usage_errors_exit_four():
         text=True,
     )
     assert proc.returncode == 4
+    # one document per command: an extra operand is not silently dropped
+    for args in (
+        ["extension", "build", fixture_path("cocycle_adjoint.json"), "missing.json"],
+        [
+            "homotopy",
+            "check",
+            fixture_path("strict_two_term.json"),
+            fixture_path(os.path.join("broken", "jacobi.json")),
+        ],
+    ):
+        proc = subprocess.run(CLI + args, capture_output=True, text=True)
+        assert proc.returncode == 4, args
 
 
 def test_reports_are_deterministic():

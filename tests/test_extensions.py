@@ -4,15 +4,7 @@ from itertools import product
 import pytest
 
 import avglie.extensions as ext
-from avglie.errors import (
-    DimensionMismatch,
-    NotAbelian,
-    NotASection,
-    NotAWitness,
-    NotCompatible,
-    NotRestrictable,
-    NotSplit,
-)
+from avglie.errors import DimensionMismatch, ValidationError
 from avglie.extensions import (
     AutomorphismPair,
     ExtensionData,
@@ -273,8 +265,9 @@ def test_default_section_with_permuted_projection():
 def test_extract_rejects_non_section():
     c = adjoint_cocycle(QQ)
     e = build_extension(c)
-    with pytest.raises(NotASection):
+    with pytest.raises(ValidationError) as exc:
         extract_cocycle(e, Matrix.zero(QQ, 4, 2))
+    assert exc.value.verdict.clause == "section"
 
 
 def test_equivalence_reflexive_and_absent(rng):
@@ -478,8 +471,9 @@ def test_project_requires_kernel_preservation():
     )
     e = build_extension(c)
     swap = Matrix(F2, [[0, 1], [1, 0]])
-    with pytest.raises(NotRestrictable):
+    with pytest.raises(ValidationError) as exc:
         project_automorphism(e, swap)
+    assert exc.value.verdict.clause == "restriction"
 
 
 def test_lift_rejects_bad_witness():
@@ -487,8 +481,9 @@ def test_lift_rejects_bad_witness():
     # post-construction verification must catch it
     e = extension_f3()
     bad = AutomorphismPair(Matrix(GF(3), [[1]]), Matrix(GF(3), [[2]]))
-    with pytest.raises(NotAWitness):
+    with pytest.raises(ValidationError) as exc:
         lift_automorphism(bad, e, Matrix.zero(GF(3), 1, 1))
+    assert exc.value.verdict.clause == "gamma-bracket"
 
 
 def test_any_witness_lifts_tiny_identity_pair():
@@ -559,16 +554,18 @@ def test_abelian_wells_rejects_incompatible_pair():
     pair = AutomorphismPair(Matrix(F3, [[1]]), Matrix(F3, [[2]]))
     rep = induced_representation(e)
     assert not check_compatible_pair(pair, rep).ok
-    with pytest.raises(NotCompatible):
+    with pytest.raises(ValidationError) as exc:
         abelian_wells(pair, e)
+    assert exc.value.verdict.clause == "compatible"
 
 
 def test_abelian_wells_rejects_nonabelian_coefficients():
     c = adjoint_cocycle(QQ)
     e = build_extension(c)
     ident = AutomorphismPair(Matrix.identity(QQ, 2), Matrix.identity(QQ, 2))
-    with pytest.raises(NotAbelian):
+    with pytest.raises(ValidationError) as exc:
         abelian_wells(ident, e)
+    assert exc.value.verdict.clause == "abelian"
 
 
 def split_f2_extension():
@@ -608,8 +605,9 @@ def test_split_semidirect_dims_1_2():
 
 def test_split_rejects_twisted_extension():
     e = abelian_obstructed_extension()
-    with pytest.raises(NotSplit):
+    with pytest.raises(ValidationError) as exc:
         check_split_semidirect(e)
+    assert exc.value.verdict.clause == "section-operator"
 
 
 def test_nonsplit_wells_vanishes_on_compatible_identity_only():

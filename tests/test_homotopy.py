@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from avglie.cohomology import Cochain, assemble_delta_matrix, delta_alie, is_cocycle
-from avglie.errors import InvalidBase, NotACocycle, NotSkeletal, NotStrict
+from avglie.errors import ValidationError
 from avglie.fields import GF, QQ
 from avglie.homotopy import (
     CrossedModule,
@@ -125,8 +125,9 @@ def test_invalid_base_raises():
     p = HomotopyAveraging(
         Matrix.zero(QQ, 3, 3), Matrix.zero(QQ, 1, 1), AltMap.zero(QQ, 3, 2, 1)
     )
-    with pytest.raises(InvalidBase):
+    with pytest.raises(ValidationError) as exc:
         check_homotopy_averaging(t, p)
+    assert exc.value.verdict.clause == "L6"
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +212,9 @@ def test_triple_to_skeletal_rejects_noncocycle():
             bad = c
             break
     assert bad is not None
-    with pytest.raises(NotACocycle):
+    with pytest.raises(ValidationError) as exc:
         triple_to_skeletal(r.base, r, bad)
+    assert exc.value.verdict.clause == "cocycle"
 
 
 def test_triple_to_skeletal_rejects_nonalternating_theta():
@@ -222,8 +224,9 @@ def test_triple_to_skeletal_rejects_nonalternating_theta():
     r = trivial_representation(a, 1)
     c = Cochain.from_vector(QQ, 1, 1, 3, [QQ.coerce(1)])
     assert is_cocycle(r, c)
-    with pytest.raises(NotSkeletal):
+    with pytest.raises(ValidationError) as exc:
         triple_to_skeletal(a, r, c)
+    assert exc.value.verdict.clause == "theta-alternating"
 
 
 def test_skeletal_equivalence_round_trip(rng):
@@ -390,8 +393,9 @@ def test_strict_to_crossed_requires_strictness(rng):
             continue
         t, p = triple_to_skeletal(a, r, c)
         found = True
-        with pytest.raises(NotStrict):
+        with pytest.raises(ValidationError) as exc:
             strict_to_crossed(t, p)
+        assert exc.value.verdict.clause == "strict"
     if not found:
         pytest.skip("random draw produced only zero cocycles")
 
