@@ -75,6 +75,6 @@ from .lie import (
     trivial_representation,
 )
 from .linalg import Matrix, Tensor, enumerate_linear_maps, kernel_basis, rank, solve_affine
-from .multilinear import AltMap, MultiMap
+from .multilinear import AltMap
 
 __version__ = "0.1.0"

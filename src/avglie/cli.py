@@ -135,6 +135,15 @@ def _finish_conversion(out_doc, args, data):
 # check
 
 
+def _unchecked_cocycle(obj) -> NonAbelianCocycle:
+    """The triple of a cocycle document over its validated algebras, with
+    the cocycle clauses not yet checked."""
+    base, coef, chi, psi, Phi = docs.parse_cocycle(obj)
+    a = docs.realize_averaging(base)
+    h = docs.realize_averaging(coef)
+    return NonAbelianCocycle(a, h, chi, psi, Phi)
+
+
 def _check_dispatch(obj):
     """The verdict on a document and the data its report carries."""
     kind = obj["kind"]
@@ -154,11 +163,7 @@ def _check_dispatch(obj):
         r, c = docs.realize_cochain(obj)
         return Verdict.passed(), {"degree": c.degree, "is_cocycle": is_cocycle(r, c)}
     if kind == "nonabelian_cocycle":
-        base, coef, chi, psi, Phi = docs.parse_cocycle(obj)
-        a = docs.realize_averaging(base)
-        h = docs.realize_averaging(coef)
-        c = NonAbelianCocycle(a, h, chi, psi, Phi)
-        return check_cocycle(c), {}
+        return check_cocycle(_unchecked_cocycle(obj)), {}
     if kind == "extension":
         *algebras, i, p, s = docs.parse_extension(obj)
         e = ExtensionData(*map(docs.realize_averaging, algebras), i, p, s)
@@ -195,7 +200,7 @@ def cmd_check(args):
     obj = docs.load_document(args.path)
     if args.field_check:
         # re-parse only: shapes and scalars, no algebraic laws
-        docs.PARSERS[obj["kind"]](obj)
+        docs.parse_nested(obj)
         return _finish(_report("pass", data={"kind": obj["kind"]}))
     verdict, data = _check_dispatch(obj)
     data["kind"] = obj["kind"]
@@ -231,8 +236,8 @@ def _parse_section(obj, e):
 
 def cmd_extension(args):
     if args.sub == "build":
-        c = docs.realize_cocycle(docs.load_document(args.path))
-        e = build_extension(c)
+        # build_extension checks the cocycle clauses
+        e = build_extension(_unchecked_cocycle(docs.load_document(args.path)))
         out = docs.extension_doc(e)
         return _finish_conversion(out, args, {"total_dim": e.total.dim})
     if args.sub == "extract":
@@ -291,7 +296,7 @@ def cmd_wells(args):
         cochain, zero = abelian_wells(pair, e)
         data["difference"] = {
             "chi": docs.altmap_doc(cochain.f),
-            "Phi": [e.total.field.format(x) for x in cochain.theta.flat()],
+            "Phi": [e.total.field.format(x) for x in cochain.theta.entries],
         }
         data["zero_class"] = zero
         data["inducible"] = zero

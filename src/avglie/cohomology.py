@@ -2,10 +2,12 @@
 representation: differentials, matrix assembly, cocycle and coboundary
 tests, cohomology dimensions.
 
-A degree-n cochain is a pair (f, theta): f alternating on n arguments
-(stored on increasing tuples), theta dense multilinear on n-1 arguments
-(absent in degree 1).  Degree 0 is the zero space, kept representable so
-coboundary preimages are total.  The canonical vector ordering is f-block
+A degree-n cochain is a pair (f, theta): f an `AltMap` on n arguments
+(stored on increasing tuples), theta a dense multilinear map on n-1
+arguments, the `Tensor` of shape (dim,)^(n-1) + (vdim,) (absent in
+degree 1).  `Cochain` refuses components of any other field or shape.
+Degree 0 is the zero space, kept representable so coboundary preimages
+are total.  The canonical vector ordering is f-block
 first (increasing tuples lexicographic, value coordinate fastest), then
 theta-block (row-major argument tuple, value coordinate fastest); every
 matrix-level artifact depends on this ordering.
@@ -25,8 +27,8 @@ from math import comb
 
 from .errors import DimensionMismatch, FieldTooLarge
 from .lie import Representation, psi_of_vec
-from .linalg import Matrix, minors, nonzeros, rank, solve_affine
-from .multilinear import AltMap, MultiMap, dense_offset, sort_with_sign
+from .linalg import Matrix, Tensor, minors, nonzeros, rank, solve_affine
+from .multilinear import AltMap, dense_offset, sort_with_sign
 
 
 # Budget of cohomology_report: the dense cells (rows x columns) of the
@@ -46,7 +48,7 @@ class Cochain:
     vdim: int
     degree: int
     f: AltMap | None
-    theta: MultiMap | None
+    theta: Tensor | None
 
     def __post_init__(self):
         n = self.degree
@@ -56,21 +58,27 @@ class Cochain:
             if self.f is not None or self.theta is not None:
                 raise DimensionMismatch("degree-0 cochains carry no data")
             return
-        if self.f is None or self.f.arity != n:
-            raise DimensionMismatch("f component must have arity = degree")
+        f, theta = self.f, self.theta
+        if not isinstance(f, AltMap) or (f.field, f.dim, f.arity, f.vdim) != (
+            self.field, self.dim, n, self.vdim
+        ):
+            raise DimensionMismatch("f must be an AltMap of arity = degree on the cochain's spaces")
         if n == 1:
-            if self.theta is not None:
+            if theta is not None:
                 raise DimensionMismatch("degree-1 cochains have no theta slot")
-        else:
-            if self.theta is None or self.theta.arity != n - 1:
-                raise DimensionMismatch("theta component must have arity = degree - 1")
+        elif not isinstance(theta, Tensor) or (theta.field, theta.shape) != (
+            self.field, (self.dim,) * (n - 1) + (self.vdim,)
+        ):
+            raise DimensionMismatch(
+                "theta must be a Tensor of arity = degree - 1 on the cochain's spaces"
+            )
 
     @staticmethod
     def zero(field, dim, vdim, degree):
         if degree == 0:
             return Cochain(field, dim, vdim, 0, None, None)
         f = AltMap.zero(field, dim, degree, vdim)
-        theta = MultiMap.zero(field, dim, degree - 1, vdim) if degree >= 2 else None
+        theta = Tensor.zero(field, (dim,) * (degree - 1) + (vdim,)) if degree >= 2 else None
         return Cochain(field, dim, vdim, degree, f, theta)
 
     def is_zero(self):
@@ -112,7 +120,7 @@ class Cochain:
             return ()
         out = list(self.f.flat())
         if self.theta is not None:
-            out.extend(self.theta.flat())
+            out.extend(self.theta.entries)
         return tuple(out)
 
     @staticmethod
@@ -125,7 +133,7 @@ class Cochain:
         f = AltMap.from_flat(field, dim, degree, vdim, vec[:nf])
         theta = None
         if degree >= 2:
-            theta = MultiMap.from_flat(field, dim, degree - 1, vdim, vec[nf:])
+            theta = Tensor(field, (dim,) * (degree - 1) + (vdim,), vec[nf:])
         elif len(vec) != nf:
             raise DimensionMismatch("degree-1 cochain vector too long")
         return Cochain(field, dim, vdim, degree, f, theta)
@@ -318,11 +326,12 @@ def delta_lie(r: Representation, f: AltMap) -> AltMap:
     )
 
 
-def partial_leib(r: Representation, theta: MultiMap) -> MultiMap:
-    """Coboundary of the induced Leibniz algebra on dense multilinear maps."""
-    n = theta.arity + 1
-    return MultiMap.from_flat(
-        r.field, r.dim, n, r.vdim, _apply(r.field, _leib_rows(r, n), theta.flat())
+def partial_leib(r: Representation, theta: Tensor) -> Tensor:
+    """Coboundary of the induced Leibniz algebra on dense multilinear maps,
+    each the Tensor of shape (dim,)^arity + (vdim,)."""
+    n = len(theta.shape)
+    return Tensor(
+        r.field, (r.dim,) * n + (r.vdim,), _apply(r.field, _leib_rows(r, n), theta.entries)
     )
 
 

@@ -20,7 +20,7 @@ from .fields import Field, field_from_string
 from .homotopy import CrossedModule, HomotopyAveraging, TwoTermLinf
 from .lie import AveragingLieAlgebra, LieAlgebra, Representation
 from .linalg import Matrix, Tensor
-from .multilinear import AltMap, MultiMap
+from .multilinear import AltMap
 
 # ---------------------------------------------------------------------------
 # Low-level pieces.
@@ -190,14 +190,8 @@ def parse_cochain(obj):
     f = parse_altmap(field, _want(obj, "f", kind), kind, "f", dim, degree, vdim)
     theta = None
     if degree >= 2:
-        theta_t = parse_tensor(
-            field,
-            _want(obj, "theta", kind),
-            kind,
-            "theta",
-            (dim,) * (degree - 1) + (vdim,),
-        )
-        theta = MultiMap.from_flat(field, dim, degree - 1, vdim, theta_t.entries)
+        shape = (dim,) * (degree - 1) + (vdim,)
+        theta = parse_tensor(field, _want(obj, "theta", kind), kind, "theta", shape)
     elif obj.get("theta") is not None:
         raise ParseError("cochain: degree-1 cochains carry no theta")
     return rep, field, dim, vdim, degree, f, theta
@@ -324,6 +318,23 @@ PARSERS = {
     "matrix": parse_bare_matrix,
 }
 KINDS = tuple(PARSERS)
+# The sub-documents of each kind, in the order its realize step parses them.
+NESTED = {
+    "representation": ("base",),
+    "cochain": ("representation",),
+    "nonabelian_cocycle": ("base", "coef"),
+    "extension": ("base", "coef", "total"),
+    "automorphism_pair": ("base", "coef"),
+    "crossed_module": ("g1", "g0"),
+}
+
+
+def parse_nested(obj):
+    """Parse a document, then each sub-document nested in it, depth first:
+    every shape and scalar is checked, no algebraic law."""
+    PARSERS[obj["kind"]](obj)
+    for key in NESTED.get(obj["kind"], ()):
+        parse_nested(obj[key])
 
 
 def load_document(path) -> dict:
@@ -378,20 +389,14 @@ def representation_doc(r: Representation):
 
 
 def cochain_doc(r: Representation, c: Cochain):
-    doc = {
+    return {
         "kind": "cochain",
         "field": c.field.name,
         "representation": representation_doc(r),
         "degree": c.degree,
         "f": altmap_doc(c.f),
-        "theta": None,
+        "theta": None if c.theta is None else tensor_doc(c.theta),
     }
-    if c.theta is not None:
-        doc["theta"] = {
-            "shape": [c.dim] * (c.degree - 1) + [c.vdim],
-            "entries": [c.field.format(x) for x in c.theta.flat()],
-        }
-    return doc
 
 
 def cocycle_doc(c: NonAbelianCocycle):

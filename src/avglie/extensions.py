@@ -44,6 +44,7 @@ from .lie import (
     nonzero_fibres,
     psi_matrices,
     psi_of_vec,
+    psi_tensor,
     sum_bracket,
 )
 from .linalg import (
@@ -61,7 +62,7 @@ from .linalg import (
     vec_sub,
     vec_zero,
 )
-from .multilinear import AltMap, MultiMap
+from .multilinear import AltMap
 
 # the most points of an affine solution space that `_bracket_maps` walks
 ENUM_LIMIT = 2**20
@@ -365,12 +366,12 @@ def extract_cocycle(e: ExtensionData, s: Matrix | None = None) -> NonAbelianCocy
         )
         chi_comps.append(e.pullback(val))
     chi = AltMap(f, n, 2, m, chi_comps)
-    psi_entries = {}
-    for i_ in range(n):
-        for a in range(m):
-            val = e.total.algebra.bracket_vec(scols[i_], e.i.col(a))
-            psi_entries[(i_, a)] = e.pullback(val)
-    psi = Tensor.build(f, (n, m, m), lambda i_, b, a: psi_entries[(i_, a)][b])
+    icols = [e.i.col(a) for a in range(m)]
+    acts = [
+        Matrix.from_cols(f, [e.pullback(e.total.algebra.bracket_vec(x, u)) for u in icols], m)
+        for x in scols
+    ]
+    psi = psi_tensor(f, m, acts)
     phi_cols = []
     for i_ in range(n):
         val = vec_sub(
@@ -610,7 +611,7 @@ def transform_cocycle(pair: AutomorphismPair, c: NonAbelianCocycle) -> NonAbelia
     new_mats = [
         pair.beta.mul(psi_of_vec(f, m, mats, ainv.col(i))).mul(binv) for i in range(n)
     ]
-    psi = Tensor.build(f, (n, m, m), lambda i, b, a: new_mats[i][b, a])
+    psi = psi_tensor(f, m, new_mats)
     Phi = pair.beta.mul(c.Phi).mul(ainv)
     out = NonAbelianCocycle(c.base, c.coef, chi, psi, Phi)
     vv = check_cocycle(out)
@@ -649,13 +650,7 @@ def wells_class(
     orig = extract_cocycle(e, section)
     trans = transform_cocycle(pair, orig)
     dchi = trans.chi.sub(orig.chi)
-    f = e.total.field
-    n, m = e.base.dim, e.coef.dim
-    dpsi = Tensor.build(
-        f,
-        (n, m, m),
-        lambda i, b, a: f.sub(trans.psi.get(i, b, a), orig.psi.get(i, b, a)),
-    )
+    dpsi = trans.psi.sub(orig.psi)
     dphi = trans.Phi.sub(orig.Phi)
     return WellsResult(dchi, dpsi, dphi, cocycles_equivalent(trans, orig))
 
@@ -959,7 +954,7 @@ def abelian_wells(
         m,
         2,
         trans.chi.sub(orig.chi),
-        MultiMap(f, n, 1, m, [dphi.col(j) for j in range(n)]),
+        Tensor(f, (n, m), [x for j in range(n) for x in dphi.col(j)]),
     )
     preimage = is_coboundary(induced, cochain)
     return cochain, preimage is not None

@@ -35,6 +35,7 @@ from .lie import (
     jacobiator,
     nonzero_fibres,
     psi_of_vec,
+    psi_tensor,
     representation_verdict,
     sum_bracket,
 )
@@ -248,18 +249,11 @@ def is_strict(t: TwoTermLinf, p: HomotopyAveraging) -> bool:
 # Skeletal structures <-> degree-3 cocycles.
 
 
-def _transposed_action(f, t: Tensor) -> Tensor:
-    """Swap the last two axes of an (n0, n1, n1) action tensor: between
-    rho[i, a, b], the h_b coefficient of x_i acting on h_a, and the
-    column-vector convention psi[i, b, a] of representations."""
-    return Tensor.build(f, t.shape, lambda i, b, a: t.get(i, a, b))
-
-
 def _rep_from_mixed_bracket(t: TwoTermLinf, p: HomotopyAveraging) -> Representation:
     f = t.field
     g0 = LieAlgebra.validate(f, t.n0, t.l2_00)
     a = AveragingLieAlgebra.validate(g0, p.P0)
-    return Representation.validate(a, t.n1, _transposed_action(f, t.l2_01), p.P1)
+    return Representation.validate(a, t.n1, psi_tensor(f, t.n1, t.act), p.P1)
 
 
 def skeletal_to_triple(t: TwoTermLinf, p: HomotopyAveraging):
@@ -292,15 +286,16 @@ def triple_to_skeletal(a: AveragingLieAlgebra, r: Representation, c: Cochain):
         raise DimensionMismatch("need a degree-3 cochain over the same data")
     if not is_cocycle(r, c):
         raise ValidationError(Verdict.failed("cocycle", (), c.vectorize(), ()))
-    if not c.theta.is_alternating():
-        raise ValidationError(Verdict.failed("theta-alternating", (), c.theta.flat(), ()))
+    P2 = AltMap.from_dense(a.dim, c.theta)
+    if P2 is None:
+        raise ValidationError(Verdict.failed("theta-alternating", (), c.theta.entries, ()))
     f = a.field
     n0, n1 = a.dim, r.vdim
-    l2_01 = _transposed_action(f, r.psi)
+    l2_01 = Tensor.of_matrices(f, (n0, n1, n1), r.psi_mats())
     t = TwoTermLinf(
         f, n0, n1, Matrix.zero(f, n0, n1), a.algebra.bracket, l2_01, c.f
     )
-    p = HomotopyAveraging(a.P, r.Q, c.theta.to_alternating())
+    p = HomotopyAveraging(a.P, r.Q, P2)
     v = check_homotopy_averaging(t, p)
     if not v:
         raise InternalError(f"cocycle data failed axiom {v.clause}")
@@ -335,7 +330,7 @@ def skeletal_equivalent(x, y):
         tx.n1,
         3,
         ty.l3.sub(tx.l3),
-        py.P2.to_dense().sub(px.P2.to_dense()),
+        py.P2.sub(px.P2).to_dense(),
     )
     return is_coboundary(r, target)
 
@@ -444,7 +439,7 @@ def semidirect_bracket(c: CrossedModule) -> Tensor:
     The level-1 slot of [(x,h),(y,k)] is rho_x k - rho_y h + [h, k]: the
     direct-sum bracket `sum_bracket` with psi the action and chi = 0.
     """
-    psi = _transposed_action(c.g0.field, c.rho)
+    psi = psi_tensor(c.g0.field, c.g1.dim, c.rho.matrices())
     return sum_bracket(c.g0.algebra, c.g1.algebra, psi)
 
 

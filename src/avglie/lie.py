@@ -9,12 +9,18 @@ alternating condition [e_i, e_i] = 0, which is what every construction
 here actually relies on.
 
 An algebra holds its ad matrices (column j of ad[i] is [e_i, e_j]) and a
-module its action matrices, each built once.  A clause whose last argument
-runs over a basis is one matrix identity per leading index, and
-`column_mismatch` reports its first differing column: the witness a loop
-over basis pairs in the same order finds.  Antisymmetry keeps its loop,
-and `jacobiator` sums over the nonzero structure constants only; it also
-serves L6 of `homotopy` and (B) of `extensions`.
+module its action matrices, each built once.  An action tensor psi holds
+the action matrices row by row, psi.get(i, b, a) being the e_b
+coefficient of psi_{e_i} e_a: `psi_tensor` writes it from the matrices
+and `psi_matrices` reads them back.  A crossed module's rho (and a 2-term
+structure's l2_01) holds them column by column, as `Tensor.matrices`
+reads them.
+
+A clause whose last argument runs over a basis is one matrix identity per
+leading index, and `column_mismatch` reports its first differing column:
+the witness a loop over basis pairs in the same order finds.  Antisymmetry
+keeps its loop, and `jacobiator` sums over the nonzero structure constants
+only; it also serves L6 of `homotopy` and (B) of `extensions`.
 """
 
 from __future__ import annotations
@@ -281,14 +287,13 @@ def double_construction(g: LieAlgebra, copies: int):
     f = g.field
     n = g.dim
     rest = n * (copies - 1)
-    ad = Tensor.build(
-        f,
-        (n, rest, rest),
-        lambda i, b, a: g.bracket.get(i, a % n, b % n) if a // n == b // n else f.zero,
-    )
-    others = LieAlgebra.abelian(f, rest)
-    big = LieAlgebra.validate(f, n + rest, sum_bracket(g, others, ad))
     ident, zero = Matrix.identity(f, n), Matrix.zero(f, n, n)
+    # e_i acts on each of the other copies by ad_i
+    blocks = range(copies - 1)
+    acts = [block_matrix(f, [[m if b == c else zero for c in blocks] for b in blocks])
+            for m in g.ad]
+    others = LieAlgebra.abelian(f, rest)
+    big = LieAlgebra.validate(f, n + rest, sum_bracket(g, others, psi_tensor(f, rest, acts)))
 
     def block_collect(out_of):
         """Operator sending block b to block 0 for each b in out_of."""
@@ -324,6 +329,16 @@ def psi_matrices(field, vdim, psi: Tensor):
         raise DimensionMismatch("psi tensor shape mismatch")
     rows = [[psi.fibre(i, a) for a in range(vdim)] for i in range(psi.shape[0])]
     return tuple(Matrix._of(field, r, vdim) for r in rows)
+
+
+def psi_tensor(field, vdim, mats) -> Tensor:
+    """The action tensor of the vdim x vdim action matrices mats, the
+    inverse of `psi_matrices`: psi.get(i, b, a) is mats[i][b, a], the e_b
+    coefficient of psi_{e_i} e_a, so the tensor holds the rows of each
+    matrix in turn."""
+    return Tensor(
+        field, (len(mats), vdim, vdim), [x for m in mats for row in m.entries for x in row]
+    )
 
 
 def bracket_morphism_mismatch(clause, phi: Matrix, src, dst, increasing=False, swap=False):
@@ -439,8 +454,7 @@ def adjoint_representation(a: AveragingLieAlgebra) -> Representation:
     """The algebra acting on itself by ad, with Q = P."""
     f = a.field
     n = a.dim
-    psi = Tensor.build(f, (n, n, n), lambda i, b, j: a.algebra.bracket.get(i, j, b))
-    return Representation.validate(a, n, psi, a.P)
+    return Representation.validate(a, n, psi_tensor(f, n, a.algebra.ad), a.P)
 
 
 def trivial_representation(a: AveragingLieAlgebra, vdim, Q: Matrix | None = None):
@@ -479,12 +493,14 @@ def check_embedding_tensor(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> Verdi
 def sum_bracket(g: LieAlgebra, h: LieAlgebra, psi: Tensor, chi=None) -> Tensor:
     """Structure constants on g + h, g's basis first, of
     [(x,u),(y,v)] = ([x,y], psi_x v - psi_y u + chi(x,y) + [u,v]); no
-    identity is checked.  psi.get(i, b, a) is the h_b coefficient of
-    psi_{e_i} h_a; chi, alternating on g with values in h, defaults to 0.
+    identity is checked.  psi is an action tensor (`psi_tensor`), whose
+    `matrices()` hold psi_{e_i} h_a as row a of the i-th; chi, alternating
+    on g with values in h, defaults to 0.
     """
     f = g.field
     n, m = g.dim, h.dim
     zero_g, zero_h = vec_zero(f, n), vec_zero(f, m)
+    acts = psi.matrices()
 
     def fibre(i, j):
         if i < n and j < n:
@@ -492,9 +508,9 @@ def sum_bracket(g: LieAlgebra, h: LieAlgebra, psi: Tensor, chi=None) -> Tensor:
                 zero_h if chi is None else chi.eval_basis((i, j))
             )
         if i < n:
-            return zero_g + tuple(psi.get(i, k, j - n) for k in range(m))
+            return zero_g + acts[i].row(j - n)
         if j < n:
-            return zero_g + tuple(f.neg(psi.get(j, k, i - n)) for k in range(m))
+            return zero_g + vec_neg(f, acts[j].row(i - n))
         return zero_g + h.bracket_basis(i - n, j - n)
 
     dim = n + m

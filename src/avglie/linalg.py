@@ -619,6 +619,20 @@ class Tensor:
             field, shape, [x for m in mats for j in range(m.cols) for x in m.col(j)]
         )
 
+    def _entrywise(self, other, op):
+        if type(other) is not Tensor or (other.field, other.shape) != (self.field, self.shape):
+            raise DimensionMismatch("tensor shape mismatch")
+        return Tensor(self.field, self.shape, map(op, self.entries, other.entries))
+
+    def add(self, other):
+        return self._entrywise(other, self.field.add)
+
+    def sub(self, other):
+        return self._entrywise(other, self.field.sub)
+
+    def neg(self):
+        return Tensor(self.field, self.shape, map(self.field.neg, self.entries))
+
     def __eq__(self, other):
         return (
             isinstance(other, Tensor)

@@ -1,13 +1,12 @@
-"""Alternating and dense multilinear maps with values in a vector space.
+"""Alternating multilinear maps with values in a vector space.
 
-Both kinds store one value vector per basis tuple of their layout and
-share that storage, its shape checks and the vector-space operations
-through one base class.  They differ in the layout and in evaluation.
-Alternating maps are stored on strictly increasing basis tuples only
-(lexicographic order); evaluation anywhere else expands by the sign of the
-sorting permutation and is zero on repeated indices, so skew-symmetry is a
-storage invariant rather than a runtime check.  Dense maps store every
-argument tuple in row-major order.
+An `AltMap` is stored on strictly increasing basis tuples only
+(lexicographic order, value coordinate fastest); evaluation anywhere else
+expands by the sign of the sorting permutation and is zero on repeated
+indices, so skew-symmetry is a storage invariant rather than a runtime
+check.  A dense multilinear map is a `linalg.Tensor` of shape
+(dim,)^arity + (vdim,), row-major with the value index fastest;
+`AltMap.to_dense` and `AltMap.from_dense` convert between the two.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from math import comb
 from .errors import DimensionMismatch
 from .linalg import (
     Matrix,
+    Tensor,
     minors,
     vec_add,
     vec_is_zero,
@@ -56,73 +56,59 @@ def dense_offset(dim, idxs):
     return off
 
 
-class _ComponentMap:
-    """A map on arity-many copies of a dim-space into a vdim-space, stored
-    as count(dim, arity) component vectors of length vdim.
+class AltMap:
+    """Alternating multilinear map on arity-many copies of a dim-space into
+    a vdim-space, stored as one value vector per increasing basis tuple.
 
-    Equality, hashing and arithmetic are type-strict: an alternating and a
-    dense map never compare equal or combine, whatever their components.
+    Equality, hashing and arithmetic are type-strict: an AltMap never
+    compares equal to or combines with its dense `Tensor`.
     """
 
-    __slots__ = ("field", "dim", "arity", "vdim", "comps")
-    noun = "map"
-
-    @staticmethod
-    def count(dim, arity):
-        raise NotImplementedError
+    __slots__ = ("field", "dim", "arity", "vdim", "comps", "_pos")
 
     def __init__(self, field, dim, arity, vdim, comps):
-        self.field = field
-        self.dim = dim
-        self.arity = arity
-        self.vdim = vdim
-        n = self.count(dim, arity)
+        self.field, self.dim, self.arity, self.vdim = field, dim, arity, vdim
+        n = comb(dim, arity)
         comps = tuple(tuple(field.coerce(x) for x in c) for c in comps)
         if len(comps) != n or any(len(c) != vdim for c in comps):
             raise DimensionMismatch(
-                f"{self.noun} wants {n} components of length {vdim}"
+                f"alternating map wants {n} components of length {vdim}"
             )
         self.comps = comps
+        self._pos = {t: k for k, t in enumerate(increasing_tuples(dim, arity))}
 
-    @classmethod
-    def zero(cls, field, dim, arity, vdim):
-        n = cls.count(dim, arity)
-        return cls(field, dim, arity, vdim, [(field.zero,) * vdim] * n)
+    @staticmethod
+    def zero(field, dim, arity, vdim):
+        return AltMap(field, dim, arity, vdim, [(field.zero,) * vdim] * comb(dim, arity))
 
-    @classmethod
-    def from_flat(cls, field, dim, arity, vdim, flat):
-        n = cls.count(dim, arity)
+    @staticmethod
+    def from_flat(field, dim, arity, vdim, flat):
+        n = comb(dim, arity)
         flat = list(flat)
         if len(flat) != n * vdim:
             raise DimensionMismatch(
-                f"{cls.noun} wants {n * vdim} entries, got {len(flat)}"
+                f"alternating map wants {n * vdim} entries, got {len(flat)}"
             )
-        return cls(
+        return AltMap(
             field, dim, arity, vdim, [flat[k * vdim : (k + 1) * vdim] for k in range(n)]
         )
 
     def flat(self):
         return tuple(x for c in self.comps for x in c)
 
-    def _like(self, other):
-        return (
-            type(other) is type(self)
-            and self.field == other.field
-            and (self.dim, self.arity, self.vdim)
-            == (other.dim, other.arity, other.vdim)
-        )
+    def tuples(self):
+        return increasing_tuples(self.dim, self.arity)
+
+    # -- vector space --------------------------------------------------------
+
+    def _shape(self):
+        return (self.field, self.dim, self.arity, self.vdim)
 
     def _combine(self, other, op):
-        if not self._like(other):
-            raise DimensionMismatch(f"{self.noun} shape mismatch")
+        if type(other) is not AltMap or other._shape() != self._shape():
+            raise DimensionMismatch("alternating map shape mismatch")
         f = self.field
-        return type(self)(
-            f,
-            self.dim,
-            self.arity,
-            self.vdim,
-            [op(f, a, b) for a, b in zip(self.comps, other.comps)],
-        )
+        return AltMap(*self._shape(), [op(f, a, b) for a, b in zip(self.comps, other.comps)])
 
     def add(self, other):
         return self._combine(other, vec_add)
@@ -131,37 +117,20 @@ class _ComponentMap:
         return self._combine(other, vec_sub)
 
     def neg(self):
-        f = self.field
-        return type(self)(
-            f, self.dim, self.arity, self.vdim, [vec_neg(f, c) for c in self.comps]
-        )
+        return AltMap(*self._shape(), [vec_neg(self.field, c) for c in self.comps])
 
     def is_zero(self):
         return all(vec_is_zero(self.field, c) for c in self.comps)
 
     def __eq__(self, other):
-        return self._like(other) and self.comps == other.comps
+        return (
+            type(other) is AltMap
+            and other._shape() == self._shape()
+            and self.comps == other.comps
+        )
 
     def __hash__(self):
-        return hash((self.field, self.dim, self.arity, self.vdim, self.comps))
-
-
-class AltMap(_ComponentMap):
-    """Alternating multilinear map on arity-many copies of a dim-space."""
-
-    __slots__ = ("_pos",)
-    noun = "alternating map"
-
-    @staticmethod
-    def count(dim, arity):
-        return comb(dim, arity)
-
-    def __init__(self, field, dim, arity, vdim, comps):
-        super().__init__(field, dim, arity, vdim, comps)
-        self._pos = {t: k for k, t in enumerate(increasing_tuples(dim, arity))}
-
-    def tuples(self):
-        return increasing_tuples(self.dim, self.arity)
+        return hash((*self._shape(), self.comps))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -201,62 +170,28 @@ class AltMap(_ComponentMap):
         return out
 
     def to_dense(self):
-        """Expand into a dense MultiMap on the same spaces."""
-        f = self.field
-        comps = []
-        for idxs in product(range(self.dim), repeat=self.arity):
-            comps.append(self.eval_basis(idxs))
-        return MultiMap(f, self.dim, self.arity, self.vdim, comps)
+        """The dense Tensor of shape (dim,)^arity + (vdim,): entry
+        (i_1, .., i_k, b) is the e_b coordinate of the value at
+        (e_{i_1}, .., e_{i_k})."""
+        vals = product(range(self.dim), repeat=self.arity)
+        return Tensor(
+            self.field,
+            (self.dim,) * self.arity + (self.vdim,),
+            [x for idxs in vals for x in self.eval_basis(idxs)],
+        )
+
+    @staticmethod
+    def from_dense(dim, t: Tensor):
+        """The AltMap whose dense Tensor is t, or None when t is not
+        alternating: nonzero on a repeated index, or not changing sign
+        under a swap of two arguments.  dim is given, since the Tensor of
+        an arity-0 map does not carry it."""
+        arity = len(t.shape) - 1
+        if arity < 0 or t.shape[:-1] != (dim,) * arity:
+            raise DimensionMismatch(f"tensor shape {t.shape} is not (dim,)^arity + (vdim,)")
+        comps = [t.fibre(*idxs) for idxs in increasing_tuples(dim, arity)]
+        a = AltMap(t.field, dim, arity, t.shape[-1], comps)
+        return a if a.to_dense() == t else None
 
     def __repr__(self):
         return f"AltMap({self.field}, L^{self.arity}({self.dim})->{self.vdim})"
-
-
-class MultiMap(_ComponentMap):
-    """Dense multilinear map on arity-many copies of a dim-space."""
-
-    __slots__ = ()
-    noun = "multilinear map"
-
-    @staticmethod
-    def count(dim, arity):
-        return dim**arity
-
-    def tuples(self):
-        return list(product(range(self.dim), repeat=self.arity))
-
-    def eval_basis(self, idxs):
-        if len(idxs) != self.arity:
-            raise DimensionMismatch("multilinear map arity mismatch")
-        return self.comps[dense_offset(self.dim, idxs)]
-
-    def is_alternating(self):
-        """True when the map kills repeated arguments and flips under swaps."""
-        f = self.field
-        for idxs in self.tuples():
-            key, sign = sort_with_sign(idxs)
-            val = self.eval_basis(idxs)
-            if sign == 0:
-                if not vec_is_zero(f, val):
-                    return False
-            else:
-                ref = self.eval_basis(key)
-                want = ref if sign > 0 else vec_neg(f, ref)
-                if val != want:
-                    return False
-        return True
-
-    def to_alternating(self):
-        """Reinterpret as an AltMap; requires is_alternating()."""
-        if not self.is_alternating():
-            raise DimensionMismatch("map is not alternating")
-        return AltMap(
-            self.field,
-            self.dim,
-            self.arity,
-            self.vdim,
-            [self.eval_basis(t) for t in increasing_tuples(self.dim, self.arity)],
-        )
-
-    def __repr__(self):
-        return f"MultiMap({self.field}, ({self.dim})^x{self.arity}->{self.vdim})"

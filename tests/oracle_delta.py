@@ -9,18 +9,26 @@ from itertools import combinations, product
 
 from avglie.cohomology import Cochain
 from avglie.lie import psi_of_vec
-from avglie.linalg import vec_add, vec_basis, vec_neg, vec_scale, vec_sub, vec_zero
-from avglie.multilinear import AltMap, MultiMap
+from avglie.linalg import Tensor, vec_add, vec_basis, vec_neg, vec_scale, vec_sub, vec_zero
+from avglie.multilinear import AltMap
 
 
 def eval_mixed(theta, args):
-    """Value of a dense map at a mix of basis indices (ints) and vectors."""
+    """Value of an AltMap or a dense Tensor map at a mix of basis indices
+    (ints) and vectors."""
     f = theta.field
+    if isinstance(theta, Tensor):
+        dim, vdim = theta.shape[0], theta.shape[-1]
+
+        def value(idxs):
+            return theta.fibre(*idxs)
+    else:
+        dim, vdim, value = theta.dim, theta.vdim, theta.eval_basis
     vec_slots = [k for k, a in enumerate(args) if not isinstance(a, int)]
     if not vec_slots:
-        return theta.eval_basis(tuple(args))
-    out = vec_zero(f, theta.vdim)
-    for choice in product(range(theta.dim), repeat=len(vec_slots)):
+        return value(tuple(args))
+    out = vec_zero(f, vdim)
+    for choice in product(range(dim), repeat=len(vec_slots)):
         coeff = f.one
         idxs = list(args)
         for slot, basis_i in zip(vec_slots, choice):
@@ -28,7 +36,7 @@ def eval_mixed(theta, args):
             idxs[slot] = basis_i
         if coeff == f.zero:
             continue
-        out = vec_add(f, out, vec_scale(f, coeff, theta.eval_basis(tuple(idxs))))
+        out = vec_add(f, out, vec_scale(f, coeff, value(tuple(idxs))))
     return out
 
 
@@ -63,7 +71,7 @@ def partial_leib(r, theta):
       + sum_{i<j} (-1)^i theta(..^i.., [P(x_i), x_j] at slot j, ..)."""
     g = r.base.algebra
     fld = r.field
-    n = theta.arity + 1
+    n = len(theta.shape)
     mats = r.psi_mats()
     pcols = [r.base.P.col(j) for j in range(g.dim)]
     pmats = [psi_of_vec(fld, r.vdim, mats, pcols[i]) for i in range(g.dim)]
@@ -72,12 +80,12 @@ def partial_leib(r, theta):
         acc = vec_zero(fld, r.vdim)
         for i in range(1, n):  # 1-based i = 1 .. n-1
             rest = tup[: i - 1] + tup[i:]
-            term = pmats[tup[i - 1]].matvec(theta.eval_basis(rest))
+            term = pmats[tup[i - 1]].matvec(theta.fibre(*rest))
             acc = vec_add(fld, acc, term if (i + 1) % 2 == 0 else vec_neg(fld, term))
         head = tup[: n - 1]
-        term = pmats[tup[n - 1]].matvec(theta.eval_basis(head))
+        term = pmats[tup[n - 1]].matvec(theta.fibre(*head))
         acc = vec_add(fld, acc, term if (n + 1) % 2 == 0 else vec_neg(fld, term))
-        term = r.Q.matvec(mats[tup[n - 1]].matvec(theta.eval_basis(head)))
+        term = r.Q.matvec(mats[tup[n - 1]].matvec(theta.fibre(*head)))
         acc = vec_add(fld, acc, term if n % 2 == 0 else vec_neg(fld, term))
         for i in range(1, n):
             for j in range(i + 1, n + 1):  # 1-based i < j
@@ -90,7 +98,7 @@ def partial_leib(r, theta):
                 term = eval_mixed(theta, args)
                 acc = vec_add(fld, acc, term if i % 2 == 0 else vec_neg(fld, term))
         out.append(acc)
-    return MultiMap(fld, g.dim, n, r.vdim, out)
+    return Tensor(fld, (g.dim,) * n + (r.vdim,), [x for v in out for x in v])
 
 
 def delta_alie(r, c):
@@ -114,7 +122,7 @@ def delta_alie(r, c):
         )
         acc = vec_sub(fld, acc, term) if sign_pos else vec_add(fld, acc, term)
         theta_comps.append(acc)
-    theta_out = MultiMap(fld, g.dim, n, r.vdim, theta_comps)
+    theta_out = Tensor(fld, (g.dim,) * n + (r.vdim,), [x for v in theta_comps for x in v])
     if c.theta is not None:
         theta_out = theta_out.add(partial_leib(r, c.theta))
     return Cochain(fld, r.dim, r.vdim, n + 1, f_out, theta_out)

@@ -124,6 +124,33 @@ def test_cohomology_command():
     )
 
 
+@pytest.mark.parametrize(
+    "name, code, clause",
+    [
+        ("cocycle_adjoint.json", 0, None),
+        ("broken/cocycle_A.json", 1, "(A)"),
+        ("broken/cocycle_D.json", 1, "(D)"),
+    ],
+)
+def test_extension_build_checks_the_cocycle_once(monkeypatch, capsys, name, code, clause):
+    """The clauses of the cocycle are checked by build_extension alone, and
+    a broken cocycle still reports its clause."""
+    from avglie import extensions
+    from avglie.cli import main
+
+    calls = []
+    check = extensions.check_cocycle
+
+    def counted(c):
+        calls.append(c)
+        return check(c)
+
+    monkeypatch.setattr(extensions, "check_cocycle", counted)
+    assert main(["extension", "build", fixture_path(name)]) == code
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["clause"] == clause
+
+
 def test_extension_build_extract_round_trip(tmp_path):
     built = tmp_path / "ext.json"
     code, report, _ = run_cli(
@@ -427,14 +454,20 @@ def one_dim_documents():
     shape entry, arity and degree the tests below replace is 1."""
     from avglie import documents as docs
     from avglie.cohomology import Cochain
+    from avglie.extensions import NonAbelianCocycle, build_extension
     from avglie.fields import QQ
     from avglie.homotopy import triple_to_skeletal
     from avglie.lie import AveragingLieAlgebra, LieAlgebra, trivial_representation
-    from avglie.linalg import Matrix
+    from avglie.linalg import Matrix, Tensor
+    from avglie.multilinear import AltMap
 
     a = AveragingLieAlgebra.validate(LieAlgebra.abelian(QQ, 1), Matrix.identity(QQ, 1))
     r = trivial_representation(a, 1)
+    c = NonAbelianCocycle(
+        a, a, AltMap.zero(QQ, 1, 2, 1), Tensor.zero(QQ, (1, 1, 1)), Matrix.zero(QQ, 1, 1)
+    )
     return {
+        "extension": docs.extension_doc(build_extension(c)),
         "lie": docs.lie_doc(a.algebra),
         "matrix": docs.bare_matrix_doc(Matrix.identity(QQ, 1)),
         "representation": docs.representation_doc(r),
@@ -487,6 +520,51 @@ def test_json_booleans_and_floats_are_not_naturals(
     doc.write_text(json.dumps(obj))
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().out)["clause"] == "parse-error"
+
+
+NESTED_SCALARS = [
+    (
+        "representation",
+        ["base", "P"],
+        "1/x",
+        "averaging_lie_algebra: P: not a rational scalar: '1/x'",
+    ),
+    (
+        "extension",
+        ["total", "bracket"],
+        "banana",
+        "averaging_lie_algebra: bracket: not a rational scalar: 'banana'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, path, bad, message",
+    NESTED_SCALARS,
+    ids=[".".join([name] + path) for name, path, _, _ in NESTED_SCALARS],
+)
+@pytest.mark.parametrize("field_check", [False, True], ids=["check", "field-check"])
+def test_scalars_of_nested_documents_are_parsed(
+    tmp_path, capsys, name, path, bad, message, field_check
+):
+    """--field-check parses every sub-document too, and reports the parse
+    error that plain check reports."""
+    from avglie.cli import main
+
+    obj = one_dim_documents()[name]
+    target = obj
+    for key in path:
+        target = target[key]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(obj))
+    argv = ["check", str(doc)] + ["--field-check"] * field_check
+    assert main(argv) == 0
+    capsys.readouterr()
+    target["entries"][0] = bad
+    doc.write_text(json.dumps(obj))
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["clause"], report["notes"]["message"]) == ("parse-error", message)
 
 
 def test_count_witnesses_print_counts_not_residues(tmp_path, capsys):

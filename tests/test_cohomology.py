@@ -19,7 +19,7 @@ from avglie.cohomology import (
     partial_leib,
 )
 from avglie.documents import load_document, realize_averaging, realize_representation
-from avglie.errors import FieldTooLarge
+from avglie.errors import DimensionMismatch, FieldTooLarge
 from avglie.fields import GF, QQ
 from avglie.lie import (
     AveragingLieAlgebra,
@@ -29,7 +29,7 @@ from avglie.lie import (
     trivial_representation,
 )
 from avglie.linalg import Matrix, Tensor, rank, vec_basis
-from avglie.multilinear import AltMap, MultiMap
+from avglie.multilinear import AltMap
 
 from conftest import (
     FIXTURES,
@@ -79,11 +79,9 @@ def test_partial_leib_vanishes_without_operators(rng):
     a = g2_averaging(QQ, "zero")
     r = trivial_representation(a, 2)
     for arity in (1, 2):
-        theta = MultiMap.from_flat(
+        theta = Tensor(
             QQ,
-            2,
-            arity,
-            2,
+            (2,) * arity + (2,),
             [rng.randrange(-2, 3) for _ in range(2**arity * 2)],
         )
         assert partial_leib(r, theta).is_zero()
@@ -95,7 +93,7 @@ def test_partial_leib_hand_example():
         LieAlgebra.abelian(QQ, 1), Matrix.identity(QQ, 1)
     )
     r = trivial_representation(a, 1, Matrix.identity(QQ, 1))
-    theta = MultiMap(QQ, 1, 1, 1, [(QQ.coerce(5),)])
+    theta = Tensor(QQ, (1, 1), [QQ.coerce(5)])
     out = partial_leib(r, theta)
     # groups: psi terms vanish, Q-term contributes (-1)^2 Q psi theta = 0,
     # insertions vanish (abelian); everything cancels
@@ -410,6 +408,33 @@ def test_cochain_dimension_counts_without_listing_tuples():
     assert Cochain.dimension(80, 1, 5) == 24_040_016 + 80**4
     vec = list(range(Cochain.dimension(3, 2, 2)))
     assert Cochain.from_vector(QQ, 3, 2, 2, vec).vectorize() == tuple(vec)
+
+
+def test_cochain_refuses_components_of_the_wrong_shape():
+    """A component on other spaces than the cochain's is refused: it would
+    vectorize to the wrong length (9 coordinates where C^2 has 3) and
+    could pass for a cocycle."""
+    a = AveragingLieAlgebra.validate(LieAlgebra.abelian(QQ, 2), Matrix.identity(QQ, 2))
+    r = trivial_representation(a, 1)
+    good_f, good_theta = AltMap.zero(QQ, 2, 2, 1), Tensor.zero(QQ, (2, 1))
+    c = Cochain(QQ, 2, 1, 2, good_f, good_theta)
+    assert len(c.vectorize()) == Cochain.dimension(2, 1, 2) == 3 and is_cocycle(r, c)
+    for f, theta in (
+        (AltMap.zero(QQ, 3, 2, 1), Tensor.zero(QQ, (3, 1))),
+        (AltMap.zero(QQ, 3, 2, 1), good_theta),
+        (AltMap.zero(QQ, 2, 2, 2), good_theta),
+        (AltMap.zero(GF(3), 2, 2, 1), good_theta),
+        (good_f, Tensor.zero(QQ, (3, 1))),
+        (good_f, Tensor.zero(QQ, (2, 2))),
+        (good_f, Tensor.zero(QQ, (2, 2, 1))),
+        (good_f, Tensor.zero(GF(3), (2, 1))),
+        (good_f, good_f),
+        (good_theta, good_theta),
+    ):
+        with pytest.raises(DimensionMismatch):
+            Cochain(QQ, 2, 1, 2, f, theta)
+    with pytest.raises(DimensionMismatch):
+        Cochain(QQ, 2, 1, 1, AltMap.zero(QQ, 3, 1, 1), None)
 
 
 def test_large_abelian_module_is_validated_and_refused_quickly():

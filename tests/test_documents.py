@@ -12,7 +12,7 @@ from avglie.errors import ParseError, ValidationError
 from avglie.fields import GF, QQ
 from avglie.lie import adjoint_representation
 from avglie.linalg import Matrix, Tensor
-from avglie.multilinear import AltMap, MultiMap
+from avglie.multilinear import AltMap
 
 from conftest import FIXTURES, fixture_path, g2_averaging, is_canonical_q
 
@@ -154,7 +154,7 @@ def held_scalars(obj):
         yield from obj.flat()
     elif isinstance(obj, Tensor):
         yield from obj.entries
-    elif isinstance(obj, (AltMap, MultiMap)):
+    elif isinstance(obj, AltMap):
         yield from obj.flat()
     elif dataclasses.is_dataclass(obj):
         for value in vars(obj).values():

@@ -19,6 +19,8 @@ from avglie.lie import (
     double_construction,
     embedding_to_averaging,
     induced_leibniz,
+    psi_matrices,
+    psi_tensor,
     semidirect_product,
     sum_bracket,
     trivial_representation,
@@ -318,6 +320,17 @@ def test_sum_bracket_matches_the_entry_formulas():
             rho,
         )
         assert semidirect_bracket(cm) == oracle_blocks.crossed_bracket(g, h, rho)
+
+
+def test_psi_tensor_inverts_psi_matrices():
+    rng = random.Random(6605)
+    for f, n, v in product((GF(2), GF(3), QQ), range(4), range(4)):
+        psi = random_tensor(rng, f, (n, v, v))
+        mats = psi_matrices(f, v, psi)
+        assert psi_tensor(f, v, mats) == psi
+        # psi.get(i, b, a) is the e_b coefficient of psi_{e_i} e_a: mats[i][b, a]
+        for i, b, a in product(range(n), range(v), range(v)):
+            assert psi.get(i, b, a) == mats[i][b, a]
 
 
 def test_double_construction_matches_the_entry_formulas():

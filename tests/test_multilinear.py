@@ -6,32 +6,24 @@ from oracle_linalg import det
 
 from avglie.errors import DimensionMismatch
 from avglie.fields import GF, QQ
-from avglie.linalg import Matrix, vec_add, vec_scale, vec_zero
-from avglie.multilinear import AltMap, MultiMap
+from avglie.linalg import Matrix, Tensor, vec_add, vec_scale, vec_zero
+from avglie.multilinear import AltMap
 
 F3 = GF(3)
 
 
-def random_altmap(rng, field, dim, arity, vdim):
-    n = len(AltMap.zero(field, dim, arity, vdim).comps)
-    return AltMap.from_flat(
-        field, dim, arity, vdim, [rng.randrange(field.p) for _ in range(n * vdim)]
-    )
-
-
 def test_alternating_and_dense_maps_never_equal():
-    # arity 1: both kinds store one component per basis vector
-    comps = [(1,), (2,)]
-    a = AltMap(F3, 2, 1, 1, comps)
-    m = MultiMap(F3, 2, 1, 1, comps)
-    assert a.comps == m.comps
-    assert a != m and m != a
-    assert a == AltMap(F3, 2, 1, 1, comps) and m == MultiMap(F3, 2, 1, 1, comps)
+    # arity 1: the map and its dense tensor hold the same entries in order
+    a = AltMap(F3, 2, 1, 1, [(1,), (2,)])
+    t = a.to_dense()
+    assert t.entries == a.flat()
+    assert a != t and t != a
+    assert a == AltMap(F3, 2, 1, 1, [(1,), (2,)]) and t == Tensor(F3, (2, 1), [1, 2])
 
 
 def test_arithmetic_refuses_other_kinds_and_shapes():
     a = AltMap(F3, 2, 1, 1, [(1,), (2,)])
-    m = MultiMap(F3, 2, 1, 1, [(1,), (2,)])
+    m = Tensor(F3, (2, 1), [1, 2])
     others = [
         m,
         AltMap.zero(F3, 2, 1, 2),
@@ -42,31 +34,55 @@ def test_arithmetic_refuses_other_kinds_and_shapes():
         for op in (a.add, a.sub):
             with pytest.raises(DimensionMismatch):
                 op(other)
-    for op in (m.add, m.sub):
-        with pytest.raises(DimensionMismatch):
-            op(a)
+    tensors = [a, Matrix(F3, [[1], [2]]), Tensor.zero(F3, (1, 2)), Tensor.zero(F3, (2, 1, 1))]
+    tensors.append(Tensor.zero(GF(5), (2, 1)))
+    for other in tensors:
+        for op in (m.add, m.sub):
+            with pytest.raises(DimensionMismatch):
+                op(other)
     assert a.sub(a).is_zero() and a.add(a.neg()).is_zero()
-    assert m.sub(m) == MultiMap.zero(F3, 2, 1, 1)
+    assert m.sub(m) == Tensor.zero(F3, (2, 1)) and m.add(m.neg()).is_zero()
+    assert m.add(m) == Tensor(F3, (2, 1), [2, 1])
 
 
 def test_dense_round_trip_on_random_maps():
     rng = random.Random(7)
-    for dim, arity, vdim in ((3, 2, 2), (4, 3, 1), (4, 2, 3), (2, 0, 2)):
-        for _ in range(5):
-            a = random_altmap(rng, F3, dim, arity, vdim)
-            dense = a.to_dense()
-            assert type(dense) is MultiMap and dense.is_alternating()
-            assert dense.to_alternating() == a
-            assert AltMap.from_flat(F3, dim, arity, vdim, a.flat()) == a
-            assert MultiMap.from_flat(F3, dim, arity, vdim, dense.flat()) == dense
+    for field in (GF(2), F3, QQ):
+        for dim, arity, vdim in ((3, 2, 2), (4, 3, 1), (4, 2, 3), (2, 0, 2), (3, 0, 1), (2, 3, 1)):
+            for _ in range(5):
+                size = len(AltMap.zero(field, dim, arity, vdim).flat())
+                flat = [random_scalar(rng, field) for _ in range(size)]
+                a = AltMap.from_flat(field, dim, arity, vdim, flat)
+                dense = a.to_dense()
+                assert type(dense) is Tensor and dense.shape == (dim,) * arity + (vdim,)
+                assert AltMap.from_dense(dim, dense) == a
+                assert AltMap.from_flat(field, dim, arity, vdim, a.flat()) == a
+
+
+def test_from_dense_refuses_maps_that_are_not_alternating():
+    # value e_0 at (e_1, e_1): nonzero on a repeated index
+    entries = [0] * 8
+    entries[(1 * 2 + 1) * 2 + 0] = 1
+    assert AltMap.from_dense(2, Tensor(F3, (2, 2, 2), entries)) is None
+    # value 1 at (e_0, e_1) and at (e_1, e_0): a swap without the sign flip
+    sym = Tensor(F3, (2, 2, 1), [0, 1, 1, 0])
+    assert AltMap.from_dense(2, sym) is None
+    assert AltMap.from_dense(2, Tensor(F3, (2, 2, 1), [0, 1, 2, 0])) == AltMap(F3, 2, 2, 1, [(1,)])
+    # over F2 a swap flips nothing, so the symmetric map is alternating
+    assert AltMap.from_dense(2, Tensor(GF(2), (2, 2, 1), [0, 1, 1, 0])) is not None
+    with pytest.raises(DimensionMismatch):
+        AltMap.from_dense(3, sym)
 
 
 def test_from_flat_rejects_wrong_length():
-    for cls, n in ((AltMap, 3), (MultiMap, 9)):
-        cls.from_flat(QQ, 3, 2, 1, [0] * n)
-        for bad in (n - 1, n + 1):
-            with pytest.raises(DimensionMismatch):
-                cls.from_flat(QQ, 3, 2, 1, [0] * bad)
+    AltMap.from_flat(QQ, 3, 2, 1, [0] * 3)
+    Tensor(QQ, (3, 3, 1), [0] * 9)
+    for bad in (2, 4):
+        with pytest.raises(DimensionMismatch):
+            AltMap.from_flat(QQ, 3, 2, 1, [0] * bad)
+    for bad in (8, 10):
+        with pytest.raises(DimensionMismatch):
+            Tensor(QQ, (3, 3, 1), [0] * bad)
 
 
 def eval_vectors_by_gaussian_minors(a, vecs):
