@@ -14,9 +14,10 @@ matrix-level artifact depends on this ordering.
 
 The differential delta^n sends (f, theta) to (d_CE f, F_P f + d_Leib theta),
 so in this ordering it is the block matrix [[d_CE, 0], [F_P, d_Leib]].  It
-is defined once, as sparse rows read off the structure constants, the action
-matrices and the minors of P (`delta_rows`); the dense matrix, the
-differentials of single cochains and the cocycle test all apply those rows.
+is defined once, as sparse rows without zeros read off the structure
+constants, the action matrices and the minors of P (`delta_rows`); the
+differentials of single cochains, the cocycle test, and the ranks and
+coboundary solves on the born-sparse matrix all read those rows.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 from math import comb
+from types import SimpleNamespace
 
 from .errors import DimensionMismatch, FieldTooLarge
 from .lie import Representation, psi_of_vec
@@ -31,11 +33,12 @@ from .linalg import Matrix, Tensor, minors, nonzeros, rank, solve_affine
 from .multilinear import AltMap, dense_offset, sort_with_sign
 
 
-# Budget of cohomology_report: the dense cells (rows x columns) of the
-# largest differential it assembles.  Degree 4 on a dim-6 adjoint module,
-# 7812 x 1386 cells, takes about 1 s and 187 MB over Q (Python 3.11, one
-# core of a shared 2-core machine), most of the memory the dense copy; the
-# next size up, dim 7, has four times the cells and is refused.
+# Budget of cohomology_report: the cells (rows x columns) of the largest
+# differential it ranks.  No dense copy is written, so it bounds the work of
+# elimination and its fill-in: degree 4 on the dim-6 adjoint module, 7812 x
+# 1386 cells with 15,025 nonzeros, takes 0.07 s and 4 MB over Q (Python 3.11,
+# one core of a shared 2-core machine), but in a dense basis over F7 about
+# a minute and 255 MB; dim 7, with four times the cells, is refused.
 MAX_DENSE_CELLS = 12_000_000
 
 
@@ -166,26 +169,51 @@ class Cochain:
 # Differentials.
 #
 # Each block is a list of rows, one per output coordinate in the canonical
-# order; a row is a {column: coefficient} dict, its columns numbered within
-# the block's input component.  The rows come from the nonzero structure
-# constants, the action matrices psi_x, psi_{P x} and Q psi_x, and the
-# minors of P: no cochain is ever evaluated.
+# order; a row is a {column: coefficient} dict without zeros, its columns
+# numbered within the block's input component.  The rows come from the
+# nonzero structure constants, the action matrices psi_x, psi_{P x} and
+# Q psi_x, and the minors of P: no cochain is ever evaluated.
 
 
-def _signed(fld, positive, x):
-    return x if positive else fld.neg(x)
+def _signed_nonzeros(fld, m: Matrix):
+    """(row, column, x) for each nonzero entry x of m, and with -x."""
+    pos = [(a, b, x) for a, row in enumerate(m.entries) for b, x in nonzeros(fld, row)]
+    return pos, [(a, b, fld.neg(x)) for a, b, x in pos]
 
 
-def _nonzeros(m: Matrix):
-    """(row, column, entry) of each nonzero entry of m."""
-    return [(a, b, x) for a, row in enumerate(m.entries) for b, x in nonzeros(m.field, row)]
+def _tables(r: Representation):
+    """What delta_rows reads off r in every degree, built once and kept on
+    r as functools.cached_property keeps its psi_mats."""
+    t = r.__dict__.get("_delta_tables")
+    if t is None:
+        fld, dim, g, mats = r.field, r.dim, r.base.algebra, r.psi_mats()
+        pcols = [r.base.P.col(j) for j in range(dim)]
+        pads = [psi_of_vec(fld, dim, g.ad, p) for p in pcols]
+        t = r.__dict__["_delta_tables"] = SimpleNamespace(
+            acts=[_signed_nonzeros(fld, m) for m in mats],
+            pacts=[_signed_nonzeros(fld, psi_of_vec(fld, r.vdim, mats, p)) for p in pcols],
+            qacts=[_signed_nonzeros(fld, r.Q.mul(m)) for m in mats],
+            q=_signed_nonzeros(fld, r.Q)[0],
+            # brackets[i][j] holds [e_i, e_j] and pbr[p][u] holds [P e_p, e_u]
+            brackets=[[nonzeros(fld, m.col(j)) for j in range(dim)] for m in g.ad],
+            pbr=[[nonzeros(fld, m.col(u)) for u in range(dim)] for m in pads],
+            det=minors(r.base.P),
+        )
+    return t
 
 
-def _add_scaled(fld, block, base, entries, scale):
-    """block[a][base + b] += scale * x for each (a, b, x) in entries."""
+def _accumulate(add, block, base, entries):
+    """block[a][base + b] += x for each (a, b, x) in entries; an entry that
+    cancels is deleted, so the rows keep no zeros."""
     for a, b, x in entries:
-        row = block[a]
-        row[base + b] = fld.add(row.get(base + b, fld.zero), fld.mul(scale, x))
+        row, c = block[a], base + b
+        y = row.get(c)
+        if y is None:
+            row[c] = x
+        elif y := add(y, x):
+            row[c] = y
+        else:
+            del row[c]
 
 
 def _minor_table(det, dim, k):
@@ -199,65 +227,47 @@ def _lie_rows(r: Representation, n):
     """d_CE from alternating arity n to n + 1:
     (d f)(x_0..x_n) = sum_i (-1)^i psi_{x_i} f(..^i..)
                     + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..^i..^j..)."""
-    fld, dim, vdim = r.field, r.dim, r.vdim
-    g = r.base.algebra
-    pos = {t: k for k, t in enumerate(combinations(range(dim), n))}
-    ident = _nonzeros(Matrix.identity(fld, vdim))
-    acts = [_nonzeros(m) for m in r.psi_mats()]
+    fld, add, dim, vdim, t = r.field, r.field.add, r.dim, r.vdim, _tables(r)
+    pos = {tup: k for k, tup in enumerate(combinations(range(dim), n))}
     rows = []
     for tup in combinations(range(dim), n + 1):
         block = [{} for _ in range(vdim)]
         for i, x in enumerate(tup):
-            base = pos[tup[:i] + tup[i + 1 :]] * vdim
-            unit = _signed(fld, i % 2 == 0, fld.one)
-            _add_scaled(fld, block, base, acts[x], unit)
+            _accumulate(add, block, pos[tup[:i] + tup[i + 1 :]] * vdim, t.acts[x][i % 2])
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 rest = tup[:i] + tup[i + 1 : j] + tup[j + 1 :]
-                for k, c in enumerate(g.bracket_basis(tup[i], tup[j])):
+                for k, c in t.brackets[tup[i]][tup[j]]:
                     key, sign = sort_with_sign((k, *rest))
-                    if c != fld.zero and sign != 0:
-                        even = (sign > 0) == ((i + j) % 2 == 0)
-                        coeff = _signed(fld, even, c)
-                        _add_scaled(fld, block, pos[key] * vdim, ident, coeff)
+                    if sign:
+                        x = c if (sign > 0) == ((i + j) % 2 == 0) else fld.neg(c)
+                        _accumulate(add, block, pos[key] * vdim, ((a, a, x) for a in range(vdim)))
         rows.extend(block)
     return rows
 
 
-def _leib_rows(r: Representation, n):
-    """d_Leib from dense arity n - 1 to n; with arguments x_1..x_n it is
+def _leib_rows(r: Representation, n, shift=0):
+    """d_Leib from dense arity n - 1 to n, its columns numbered from shift;
+    with arguments x_1..x_n it is
       sum_{i<=n} (-1)^{i+1} psi_{P(x_i)} theta(..^i..)
       + (-1)^n Q(psi_{x_n} theta(x_1..x_{n-1}))
       + sum_{i<j} (-1)^i theta(..^i.., [P(x_i), x_j] at slot j, ..)."""
-    fld, dim, vdim = r.field, r.dim, r.vdim
-    g = r.base.algebra
-    mats = r.psi_mats()
-    pcols = [r.base.P.col(j) for j in range(dim)]
-    ident = _nonzeros(Matrix.identity(fld, vdim))
-    pacts = [_nonzeros(psi_of_vec(fld, vdim, mats, p)) for p in pcols]
-    qacts = [_nonzeros(r.Q.mul(m)) for m in mats]
-    # pbr[p][u] = [P e_p, e_u], column u of ad_{P e_p}
-    pads = [psi_of_vec(fld, dim, g.ad, p) for p in pcols]
-    pbr = [[m.col(u) for u in range(dim)] for m in pads]
+    fld, add, dim, vdim, t = r.field, r.field.add, r.dim, r.vdim, _tables(r)
     rows = []
     for tup in product(range(dim), repeat=n):
         block = [{} for _ in range(vdim)]
         # 0-based slot i below is slot i + 1 of the formula
         for i in range(n):
-            base = dense_offset(dim, tup[:i] + tup[i + 1 :]) * vdim
-            unit = _signed(fld, i % 2 == 0, fld.one)
-            _add_scaled(fld, block, base, pacts[tup[i]], unit)
-        base = dense_offset(dim, tup[:-1]) * vdim
-        unit = _signed(fld, n % 2 == 0, fld.one)
-        _add_scaled(fld, block, base, qacts[tup[-1]], unit)
+            base = dense_offset(dim, tup[:i] + tup[i + 1 :]) * vdim + shift
+            _accumulate(add, block, base, t.pacts[tup[i]][i % 2])
+        base = dense_offset(dim, tup[:-1]) * vdim + shift
+        _accumulate(add, block, base, t.qacts[tup[-1]][n % 2])
         for i in range(n):
             for j in range(i + 1, n):
-                for k, w in enumerate(pbr[tup[i]][tup[j]]):
-                    if w != fld.zero:
-                        args = tup[:i] + tup[i + 1 : j] + (k,) + tup[j + 1 :]
-                        base = dense_offset(dim, args) * vdim
-                        coeff = _signed(fld, i % 2 == 1, w)
-                        _add_scaled(fld, block, base, ident, coeff)
+                for k, w in t.pbr[tup[i]][tup[j]]:
+                    base = dense_offset(dim, tup[:i] + tup[i + 1 : j] + (k,) + tup[j + 1 :])
+                    x = w if i % 2 else fld.neg(w)
+                    _accumulate(add, block, base * vdim + shift, ((a, a, x) for a in range(vdim)))
         rows.extend(block)
     return rows
 
@@ -268,19 +278,16 @@ def _averaging_rows(r: Representation, n):
                       - (-1)^n Q f(P x_1, .., P x_{n-1}, x_n).
     The first term is a sum of n-minors of P; expanding the second along
     its basis-vector column leaves (n-1)-minors."""
-    fld, dim, vdim = r.field, r.dim, r.vdim
-    pos = {t: k for k, t in enumerate(combinations(range(dim), n))}
-    det = minors(r.base.P)
-    top, low = _minor_table(det, dim, n), _minor_table(det, dim, n - 1)
-    ident = _nonzeros(Matrix.identity(fld, vdim))
-    qacts = _nonzeros(r.Q)
+    fld, dim, vdim, t = r.field, r.dim, r.vdim, _tables(r)
+    pos = {tup: k for k, tup in enumerate(combinations(range(dim), n))}
+    top, low = _minor_table(t.det, dim, n), _minor_table(t.det, dim, n - 1)
     rows = []
     for tup in product(range(dim), repeat=n):
         block = [{} for _ in range(vdim)]
         key, sign = sort_with_sign(tup)
         for s, d in top[key] if sign else ():
-            even = (sign > 0) == (n % 2 == 0)
-            _add_scaled(fld, block, pos[s] * vdim, ident, _signed(fld, even, d))
+            x = d if (sign > 0) == (n % 2 == 0) else fld.neg(d)
+            _accumulate(fld.add, block, pos[s] * vdim, ((a, a, x) for a in range(vdim)))
         key, sign = sort_with_sign(tup[:-1])
         last = tup[-1]
         for s, d in low[key] if sign else ():
@@ -288,14 +295,16 @@ def _averaging_rows(r: Representation, n):
                 full = tuple(sorted((*s, last)))
                 # -(-1)^n times the cofactor sign (-1)^(row + n - 1) of the
                 # basis-vector entry is (-1)^row
-                even = (sign > 0) == (full.index(last) % 2 == 0)
-                _add_scaled(fld, block, pos[full] * vdim, qacts, _signed(fld, even, d))
+                d = d if (sign > 0) == (full.index(last) % 2 == 0) else fld.neg(d)
+                entries = ((a, b, fld.mul(d, x)) for a, b, x in t.q)
+                _accumulate(fld.add, block, pos[full] * vdim, entries)
         rows.extend(block)
     return rows
 
 
 def delta_rows(r: Representation, degree: int):
-    """Sparse rows of delta^degree in the canonical cochain bases."""
+    """Sparse rows of delta^degree in the canonical cochain bases, without
+    zeros."""
     if degree < 0:
         raise DimensionMismatch("degree must be >= 0")
     if degree == 0:
@@ -303,8 +312,8 @@ def delta_rows(r: Representation, degree: int):
     lower = _averaging_rows(r, degree)
     if degree >= 2:
         nf = comb(r.dim, degree) * r.vdim
-        for row, leib in zip(lower, _leib_rows(r, degree), strict=True):
-            row.update((nf + c, x) for c, x in leib.items())
+        for row, leib in zip(lower, _leib_rows(r, degree, nf), strict=True):
+            row.update(leib)
     return _lie_rows(r, degree) + lower
 
 
@@ -320,6 +329,8 @@ def _apply(fld, rows, vec):
 
 def delta_lie(r: Representation, f: AltMap) -> AltMap:
     """Chevalley-Eilenberg differential of the underlying Lie module."""
+    if (f.field, f.dim, f.vdim) != (r.field, r.dim, r.vdim):
+        raise DimensionMismatch("f does not match the representation")
     n = f.arity
     return AltMap.from_flat(
         r.field, r.dim, n + 1, r.vdim, _apply(r.field, _lie_rows(r, n), f.flat())
@@ -330,6 +341,8 @@ def partial_leib(r: Representation, theta: Tensor) -> Tensor:
     """Coboundary of the induced Leibniz algebra on dense multilinear maps,
     each the Tensor of shape (dim,)^arity + (vdim,)."""
     n = len(theta.shape)
+    if (theta.field, theta.shape) != (r.field, (r.dim,) * (n - 1) + (r.vdim,)):
+        raise DimensionMismatch("theta does not match the representation")
     return Tensor(
         r.field, (r.dim,) * n + (r.vdim,), _apply(r.field, _leib_rows(r, n), theta.entries)
     )
@@ -338,7 +351,7 @@ def partial_leib(r: Representation, theta: Tensor) -> Tensor:
 def delta_alie(r: Representation, c: Cochain) -> Cochain:
     """Full differential: degree n -> n + 1, (f, theta) goes to
     (d_CE f, F_P f + d_Leib theta); for n = 1 the theta term is absent."""
-    if (c.dim, c.vdim) != (r.dim, r.vdim) or c.field != r.field:
+    if (c.field, c.dim, c.vdim) != (r.field, r.dim, r.vdim):
         raise DimensionMismatch("cochain does not match the representation")
     n = c.degree
     out = _apply(r.field, delta_rows(r, n), c.vectorize())
@@ -346,18 +359,10 @@ def delta_alie(r: Representation, c: Cochain) -> Cochain:
 
 
 def assemble_delta_matrix(r: Representation, degree: int) -> Matrix:
-    """Matrix of the degree differential in the canonical cochain bases."""
-    fld = r.field
-    rows = delta_rows(r, degree)
+    """Matrix of the degree differential in the canonical cochain bases,
+    born sparse on the rows of `delta_rows`."""
     nin = Cochain.dimension(r.dim, r.vdim, degree)
-    dense = []
-    for row in rows:
-        line = [fld.zero] * nin
-        for c, x in row.items():
-            line[c] = x
-        dense.append(line)
-    # the rows hold field values, so the cells are not coerced again
-    return Matrix._of(fld, dense, nin)
+    return Matrix._of_sparse(r.field, delta_rows(r, degree), nin)
 
 
 def is_cocycle(r: Representation, c: Cochain) -> bool:
@@ -365,7 +370,10 @@ def is_cocycle(r: Representation, c: Cochain) -> bool:
 
 
 def is_coboundary(r: Representation, c: Cochain):
-    """A deterministic preimage under the previous differential, or None."""
+    """A deterministic preimage under the previous differential, or None;
+    it is solved on the rows of that differential, never written densely."""
+    if (c.field, c.dim, c.vdim) != (r.field, r.dim, r.vdim):
+        raise DimensionMismatch("cochain does not match the representation")
     n = c.degree
     if n == 0:
         return None
@@ -380,7 +388,9 @@ def cohomology_report(r: Representation, degree: int) -> dict:
     """Dimensions and ranks the CLI prints for one degree.
 
     Raises FieldTooLarge, before assembling anything, when delta^degree
-    has more than MAX_DENSE_CELLS dense cells.
+    has more than MAX_DENSE_CELLS cells.  Both differentials are ranked on
+    their sparse rows, through the module globals `assemble_delta_matrix`
+    and `rank`.
     """
     if degree < 1:
         raise DimensionMismatch("cohomology degree must be >= 1")

@@ -1,8 +1,10 @@
 """Exact matrices and tensors over Q and F_p, and one sparse row reduction.
 
-`Matrix` is dense.  One reduction, `_reduce`, is behind `rank`,
-`Matrix.rref`, `kernel_basis`, `solve_affine` and `Matrix.inverse`, each
-calling it once.  It takes the rows as {column: coefficient} dicts that
+`Matrix` is dense, or born sparse (`Matrix._of_sparse`): it keeps sparse
+rows and writes its dense entries only when something reads them.  One
+reduction, `_reduce`, is behind `rank`, `Matrix.rref`, `kernel_basis`,
+`solve_affine` and `Matrix.inverse`, each calling it once on the kept rows
+of a born-sparse matrix (copied where reduced) or on those of the entries.  It takes the rows as {column: coefficient} dicts that
 store no zeros and reduces each row by the pivot row of its leading column
 until that column is a new pivot, so it costs about the nonzeros and their
 fill-in.  Over F_p the coefficients are residues and each pivot row leads
@@ -80,7 +82,7 @@ def add_scaled(fld, acc, c, entries):
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field."""
+    """Immutable matrix over an exact field, dense or born sparse (`_of_sparse`)."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -106,6 +108,14 @@ class Matrix:
         m = object.__new__(cls)
         m.field, m.rows, m.cols = field, len(rows), cols
         m.entries = tuple(map(tuple, rows))
+        return m
+
+    @staticmethod
+    def _of_sparse(field, rows, cols):
+        """The matrix on a list of sparse rows of field values without
+        zeros, {column: value}, which it keeps (see `_SparseMatrix`)."""
+        m = object.__new__(_SparseMatrix)
+        m.field, m.rows, m.cols, m._sparse = field, len(rows), cols, rows
         return m
 
     @staticmethod
@@ -254,7 +264,7 @@ class Matrix:
     def rref(self):
         """Reduced row-echelon form.  Returns (R, pivot_columns)."""
         f = self.field
-        reduced = _rref(f, _reduce(f, _nonzero_rows(f, self.entries)))
+        reduced = _rref(f, _reduce(f, _nonzero_rows(self)))
         dense = [_densify(f, row, self.cols) for row in reduced.values()]
         dense += [(f.zero,) * self.cols] * (self.rows - len(dense))
         return Matrix._of(f, dense, self.cols), tuple(reduced)
@@ -264,7 +274,7 @@ class Matrix:
         if self.rows != self.cols:
             return None
         f, n = self.field, self.rows
-        rows = _nonzero_rows(f, self.entries)
+        rows = _nonzero_rows(self)
         for i, row in enumerate(rows):
             row[n + i] = f.one
         echelon = _reduce(f, rows)
@@ -273,6 +283,18 @@ class Matrix:
             return None
         inv = [_densify(f, row, 2 * n)[n:] for row in _rref(f, echelon).values()]
         return Matrix._of(f, inv, n)
+
+
+class _SparseMatrix(Matrix):
+    """A matrix born on sparse rows: its `entries` are written on first read."""
+
+    __slots__ = ("_sparse",)
+
+    def __getattr__(self, name):
+        if name != "entries":
+            raise AttributeError(name)
+        self.entries = tuple(tuple(_densify(self.field, r, self.cols)) for r in self._sparse)
+        return self.entries
 
 
 def block_matrix(field, blocks):
@@ -326,11 +348,14 @@ def minors(m: Matrix):
 # its row, {leading column: (coefficient, rest)}.
 
 
-def _nonzero_rows(field, entries):
-    """The dense rows of field values as sparse rows."""
-    zero = field.zero
+def _nonzero_rows(m):
+    """The rows of m as sparse rows the caller owns: copies of the kept
+    rows of a born-sparse m, else read off its dense entries."""
+    if type(m) is _SparseMatrix:
+        return list(map(dict, m._sparse))
+    zero = m.field.zero
     # most zero cells are the field's own zero, which `is` tells cheaply
-    return [{c: x for c, x in enumerate(row) if x is not zero and x} for row in entries]
+    return [{c: x for c, x in enumerate(row) if x is not zero and x} for row in m.entries]
 
 
 def _densify(field, row, ncols):
@@ -441,7 +466,8 @@ def _rref(field, echelon):
 
 def rank(m: Matrix) -> int:
     """The pivot count of `_reduce` on the shorter side of m, with the
-    lines of the other side numbered sparsest first.
+    lines of the other side numbered sparsest first; the rows of a
+    born-sparse m are read as kept, with no dense copy.
 
     A tall m has its columns eliminated, each keyed by rows numbered
     sparsest first; any other m has its rows eliminated, keyed by columns
@@ -450,8 +476,9 @@ def rank(m: Matrix) -> int:
     1957).  Rank is unchanged by transposing and by permuting rows or
     columns, so only the work depends on this order.
     """
-    # a field value is false exactly when it is zero
-    lines = [dict(compress(enumerate(row), row)) for row in m.entries]
+    # neither branch changes a line; a field value is false exactly when zero
+    sparse = type(m) is _SparseMatrix
+    lines = m._sparse if sparse else [dict(compress(enumerate(row), row)) for row in m.entries]
     if m.rows > m.cols:
         cols = [{} for _ in range(m.cols)]
         for r, row in enumerate(sorted(lines, key=len)):
@@ -482,7 +509,7 @@ def solve_affine(m: Matrix, b):
     if len(b) != m.rows:
         raise DimensionMismatch("solve_affine: rhs length mismatch")
     f, n = m.field, m.cols
-    rows = _nonzero_rows(m.field, m.entries)
+    rows = _nonzero_rows(m)
     for row, x in zip(rows, b):
         x = f.coerce(x)
         if x:

@@ -39,6 +39,16 @@ def is_canonical_q(x):
     return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
+def densified(m):
+    """Whether m's dense entries have been written, read off the slot
+    itself so that the reading writes nothing."""
+    try:
+        Matrix.entries.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
 def rational_scalars():
     return [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from avglie.cohomology import _add_scaled, _nonzeros, _signed
 from avglie.errors import DimensionMismatch, InternalError, ValidationError, Verdict
 from avglie.extensions import (
     _section,
@@ -834,6 +833,22 @@ def strict_to_crossed(t: TwoTermLinf, p: HomotopyAveraging) -> CrossedModule:
     return cm
 
 
+def _signed(fld, positive, x):
+    return x if positive else fld.neg(x)
+
+
+def _nonzeros(m: Matrix):
+    """(row, column, entry) of each nonzero entry of m."""
+    return [(a, b, x) for a, row in enumerate(m.entries) for b, x in enumerate(row) if x]
+
+
+def _add_scaled(fld, block, base, entries, scale):
+    """block[a][base + b] += scale * x for each (a, b, x) in entries."""
+    for a, b, x in entries:
+        row = block[a]
+        row[base + b] = fld.add(row.get(base + b, fld.zero), fld.mul(scale, x))
+
+
 def _leib_rows(r: Representation, n):
     """d_Leib from dense arity n - 1 to n; with arguments x_1..x_n it is
       sum_{i<=n} (-1)^{i+1} psi_{P(x_i)} theta(..^i..)
@@ -869,5 +884,6 @@ def _leib_rows(r: Representation, n):
                         coeff = _signed(fld, i % 2 == 1, w)
                         _add_scaled(fld, block, base, ident, coeff)
         rows.extend(block)
-    return rows
+    # the library's rows keep no entry that cancelled
+    return [{c: x for c, x in row.items() if x} for row in rows]
 

@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from avglie.cohomology import (
     cohomology_report,
     delta_alie,
     delta_lie,
+    delta_rows,
     is_coboundary,
     is_cocycle,
     partial_leib,
@@ -34,6 +36,7 @@ from avglie.multilinear import AltMap
 from conftest import (
     FIXTURES,
     dense_invertible,
+    densified,
     fixture_path,
     g2,
     g2_averaging,
@@ -255,6 +258,57 @@ def test_coboundary_round_trip(rng):
             assert delta_alie(r, pre) == target
 
 
+def test_coboundary_is_solved_on_sparse_rows(monkeypatch):
+    """is_coboundary solves on the rows of the previous differential and
+    never writes it densely."""
+    assembled = []
+
+    def spy_assemble(r, n):
+        assembled.append(assemble_delta_matrix(r, n))
+        return assembled[-1]
+
+    monkeypatch.setattr(cohomology, "assemble_delta_matrix", spy_assemble)
+    r = dim6_adjoint_module("Q")
+    target = delta_alie(r, Cochain.random(random.Random(5), QQ, 6, 6, 2))
+    pre = is_coboundary(r, target)
+    assert delta_alie(r, pre) == target
+    assert len(assembled) == 1 and not densified(assembled[0])
+
+
+def test_maps_on_other_spaces_are_refused():
+    """delta_lie, partial_leib, delta_alie and is_coboundary refuse a map
+    or a cochain whose field or spaces are not the representation's; they
+    used to drop entries or answer (None for an F3 cochain over Q)."""
+    a = AveragingLieAlgebra.validate(LieAlgebra.abelian(QQ, 2), Matrix.identity(QQ, 2))
+    r = trivial_representation(a, 1, Matrix.identity(QQ, 1))
+    for theta in (
+        Tensor(QQ, (3, 1), [1, 2, 3]),
+        Tensor(QQ, (2, 2), [1, 2, 3, 4]),
+        Tensor(GF(3), (2, 1), [1, 2]),
+        Tensor(QQ, (2, 3, 1), [1] * 6),
+        Tensor(QQ, (), [1]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            partial_leib(r, theta)
+    for f in (
+        AltMap.from_flat(QQ, 3, 1, 1, [1, 2, 3]),
+        AltMap.from_flat(QQ, 2, 1, 2, [1, 2, 3, 4]),
+        AltMap.from_flat(GF(3), 2, 1, 1, [1, 2]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            delta_lie(r, f)
+    for c in (
+        Cochain.from_vector(GF(3), 2, 1, 2, [1, 0, 0]),
+        Cochain.zero(QQ, 3, 1, 2),
+        Cochain.zero(QQ, 2, 2, 1),
+    ):
+        for fn in (delta_alie, is_coboundary):
+            with pytest.raises(DimensionMismatch):
+                fn(r, c)
+    assert partial_leib(r, Tensor(QQ, (2, 1), [1, 2])).shape == (2, 2, 1)
+    assert is_coboundary(r, Cochain.zero(QQ, 2, 1, 2)) is not None
+
+
 def test_degree1_coboundary_edge():
     r = trivial_dim1(QQ)
     nz = Cochain.from_vector(QQ, 1, 1, 1, [QQ.coerce(2)])
@@ -298,6 +352,9 @@ def test_delta_matrix_columns_match_oracle(rng, fieldname):
     for r in oracle_instances(field, rng):
         for deg in range(5 if r.dim <= 2 else 4):
             m = assemble_delta_matrix(r, deg)
+            # born sparse on delta_rows, which store no zeros
+            assert all(x for row in m._sparse for x in row.values())
+            assert m._sparse == delta_rows(r, deg)
             nin = Cochain.dimension(r.dim, r.vdim, deg)
             assert (m.rows, m.cols) == (Cochain.dimension(r.dim, r.vdim, deg + 1), nin)
             for k in range(nin):
@@ -386,6 +443,52 @@ def test_degree4_cohomology_of_dim6_adjoint_module_over_f7():
         "rank_delta_prev": 236,
         "dim_cohomology": 29,
     }
+
+
+def test_degree4_cohomology_of_dim6_adjoint_module_over_q_stays_sparse():
+    """Over Q, delta^4 has 10.8M dense cells; the report holds only its
+    sparse rows, so its peak stays far below a dense copy."""
+    r = dim6_adjoint_module("Q")
+    tracemalloc.start()
+    try:
+        report = cohomology_report(r, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report["rank_delta"], report["rank_delta_prev"], report["dim_cohomology"]) == (
+        1121, 236, 29,
+    )
+    assert peak < 60 * 2**20
+
+
+@pytest.mark.parametrize("fieldname, degree", [("Q", 1), ("Q", 3), ("F7", 2)])
+def test_report_ranks_exactly_the_matrices_it_assembles(monkeypatch, fieldname, degree):
+    """cohomology_report goes through the module globals
+    assemble_delta_matrix and rank, once for delta^n and once for
+    delta^(n-1) (none in degree 1), and reports the ranks of what it
+    assembled; it writes neither matrix densely, and their entries, read
+    afterwards, compose to zero."""
+    assembled, ranked = {}, []
+
+    def spy_assemble(r, n):
+        assembled[n] = assemble_delta_matrix(r, n)
+        return assembled[n]
+
+    def spy_rank(m):
+        ranked.append((m, rank(m)))
+        return ranked[-1][1]
+
+    monkeypatch.setattr(cohomology, "assemble_delta_matrix", spy_assemble)
+    monkeypatch.setattr(cohomology, "rank", spy_rank)
+    report = cohomology_report(dim6_adjoint_module(fieldname), degree)
+    degrees = [degree, degree - 1] if degree >= 2 else [degree]
+    assert sorted(assembled) == sorted(degrees) and len(ranked) == len(degrees)
+    rank_of = {n: next(k for m, k in ranked if m is assembled[n]) for n in degrees}
+    assert report["rank_delta"] == rank_of[degree]
+    assert report["rank_delta_prev"] == rank_of.get(degree - 1, 0)
+    assert not any(densified(m) for m in assembled.values())
+    if degree >= 2:
+        assert sparse_product_is_zero(assembled[degree], assembled[degree - 1])
 
 
 def test_cohomology_budget_refuses_before_assembly(monkeypatch):

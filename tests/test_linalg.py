@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import oracle_linalg
 import pytest
-from conftest import is_canonical_q, random_matrix
+from conftest import densified, is_canonical_q, random_matrix
 from hypothesis import given, settings, strategies as st
 from oracle_linalg import reference_rref
 
@@ -236,6 +236,41 @@ def test_rank_in_any_order_matches_reference(field, shape, k, extra, density, da
     for a in (m, mt, mp):
         assert oracle_linalg.rank(a) == expected
         assert rank(a) == expected
+
+
+def born_sparse(m):
+    """m's twin born on the sparse rows of its nonzero entries."""
+    rows = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
+    return Matrix._of_sparse(m.field, rows, m.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3), GF(7)]),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.sampled_from([10, 30, 60, 100]),
+    st.data(),
+)
+def test_born_sparse_matrix_solves_as_its_dense_twin(field, rows, cols, density, data):
+    """A matrix born on sparse rows has the rank, RREF, inverse, kernel
+    and solutions of its dense twin, over Q with denominators and over F_p,
+    0 x k and k x 0 shapes included.  The solvers read its kept rows, not
+    dense entries, and leave those rows as they were."""
+    dense = draw_matrix(data, field, rows, cols, density)
+    sparse = born_sparse(dense)
+    kept = [dict(row) for row in sparse._sparse]
+    x = draw_matrix(data, field, cols, 1).col(0)
+    b = data.draw(st.lists(st.integers(-9, 9), min_size=rows, max_size=rows))
+    assert rank(sparse) == rank(dense)
+    assert sparse.rref() == dense.rref()
+    assert sparse.inverse() == dense.inverse()
+    assert kernel_basis(sparse) == kernel_basis(dense)
+    for rhs in (dense.matvec(x), b):
+        assert solve_affine(sparse, rhs) == solve_affine(dense, rhs)
+    assert not densified(sparse) and sparse._sparse == kept
+    assert sparse == dense and (sparse.rows, sparse.cols) == (rows, cols)
+    assert densified(sparse)
 
 
 def prod_of_denominators(m):
