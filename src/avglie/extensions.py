@@ -6,15 +6,18 @@ authored extensions with scrambled bases are first-class inputs.  Every
 postcondition backed by a theorem is still executed; a failure there is an
 InternalError, never a silent pass.
 
-The searches over finite fields (automorphism groups and equivalences of
-extensions) first solve their linear clauses, stated as rows for the
-entries of L X R (`_product_rows`) or X P1 - P2 X (`_commutator_rows`) in
-the unknown map X; `ENUM_LIMIT` bounds the points of that affine space.
-They then fix g column by column inside it (`_bracket_maps`): a column in
-the span of the earlier ones is dropped, and once g e_c is fixed each
-clause g[e_c, e_k] = [g e_c, g e_k] with k > c is linear and cuts the
-space.  Cocycle equivalence needs no search over Q or F_p: (E1) makes the
-quadratic clause (E2) linear, so its witnesses are an affine space too.
+An extension is read through a section s in the basis T = (s | i) of its
+total space (`_basis`): there it is the total space of its cocycle, an
+automorphism keeping the kernel is block triangular with its pair on the
+diagonal, and an equivalence is [[I, 0], [phi, I]] for a witness phi of
+cocycle equivalence.  (E1) makes the quadratic clause (E2) linear, so the
+witnesses and the equivalences are affine spaces, solved over Q and F_p.
+The automorphism searches over F_p solve their linear clauses first, rows
+for the entries of L X R (`_product_rows`) or X P1 - P2 X
+(`_commutator_rows`) in the unknown X; `ENUM_LIMIT` bounds that space.
+Inside it they fix g column by column (`_bracket_maps`): a column in the
+span of the earlier ones is dropped, and once g e_c is fixed each clause
+g[e_c, e_k] = [g e_c, g e_k] with k > c is linear and cuts the space.
 
 The validators use the matrix idiom of `lie`.  (B), (D) and (D1) are read
 off the total space of the cocycle (`check_cocycle`); the derivation
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .cohomology import Cochain, is_coboundary
 from .errors import DimensionMismatch, FieldTooLarge, InternalError, ValidationError, Verdict
@@ -59,12 +63,13 @@ from .linalg import (
     vec_basis,
     vec_is_zero,
     vec_neg,
+    vec_scale,
     vec_sub,
     vec_zero,
 )
 from .multilinear import AltMap
 
-# the most points of an affine solution space that `_bracket_maps` walks
+# the most points of a linear solution space that `_bracket_maps` walks
 ENUM_LIMIT = 2**20
 
 
@@ -237,13 +242,6 @@ class ExtensionData:
             raise ValidationError(v)
         return e
 
-    def pullback(self, v):
-        """Coefficient coordinates of a total-space vector in the image of i."""
-        sol = solve_affine(self.i, v)
-        if sol is None:
-            raise ValidationError(Verdict.failed("kernel-membership", (), v, ()))
-        return sol[0]
-
 
 def check_extension(e: ExtensionData) -> Verdict:
     """Exactness, morphism and section clauses for an extension."""
@@ -305,9 +303,44 @@ def _section(e: ExtensionData, section: Matrix | None = None) -> Matrix:
     return e.s if e.s is not None else default_section(e)
 
 
-def _tau(e: ExtensionData, s: Matrix) -> Matrix:
-    """tau(x, h) = s(x) + i(h), from base + coef coordinates to the total space."""
-    return s.hstack(e.i)
+class _Basis(NamedTuple):
+    """The basis T = (s | i) of the total space for a section s,
+    T(x, h) = s(x) + i(h), and its inverse."""
+
+    s: Matrix
+    T: Matrix
+    inv: Matrix
+
+    def blocks(self, M):
+        """The blocks [[xx, xh], [hx, hh]] of T^-1 M T, base rows first."""
+        C, n = self.inv.mul(M).mul(self.T), self.s.cols
+        cuts = ((0, n), (n, C.cols))
+        return [
+            [Matrix._of(C.field, [r[a:b] for r in C.entries[u:v]], b - a) for a, b in cuts]
+            for u, v in cuts
+        ]
+
+    def block_map(self, pair: "AutomorphismPair", phi: Matrix) -> Matrix:
+        """gamma(s(x) + i(h)) = s(alpha x) + i(beta h + phi alpha x): the
+        block matrix [[alpha, 0], [phi alpha, beta]] in this basis."""
+        f, n, m = self.T.field, pair.alpha.rows, pair.beta.rows
+        grid = [[pair.alpha, Matrix.zero(f, n, m)], [phi.mul(pair.alpha), pair.beta]]
+        return self.T.mul(block_matrix(f, grid)).mul(self.inv)
+
+
+def _basis(e: ExtensionData, section: Matrix | None = None) -> _Basis:
+    """The basis for `_section(e, section)`; the clause `section` when
+    p s != I, `tau-invertible` when (s | i) is singular (never if exact)."""
+    f, n = e.total.field, e.base.dim
+    s = _section(e, section)
+    ps, ident = e.p.mul(s), Matrix.identity(f, n)
+    if ps != ident:
+        raise ValidationError(Verdict.failed("section", (), ps.flat(), ident.flat()))
+    T = s.hstack(e.i)
+    inv = T.inverse()
+    if inv is None:
+        raise ValidationError(Verdict.failed("tau-invertible", (), T.flat(), ()))
+    return _Basis(s, T, inv)
 
 
 def perturbed_section(e: ExtensionData, mu: Matrix) -> Matrix:
@@ -344,43 +377,17 @@ def build_extension(c: NonAbelianCocycle) -> ExtensionData:
 
 
 def extract_cocycle(e: ExtensionData, s: Matrix | None = None) -> NonAbelianCocycle:
-    """The cocycle of an extension relative to a section.
-
-    chi(x,y) = [s(x), s(y)] - s[x,y]; psi_x h = [s(x), i(h)];
-    Phi(x) = U(s(x)) - s(P(x)); all values pulled back through i.
-    """
-    f = e.total.field
-    n, m = e.base.dim, e.coef.dim
-    s = _section(e, s)
-    if e.p.mul(s) != Matrix.identity(f, n):
-        raise ValidationError(
-            Verdict.failed("section", (), e.p.mul(s).flat(), Matrix.identity(f, n).flat())
-        )
-    scols = [s.col(j) for j in range(n)]
-    chi_comps = []
-    for i_, j_ in combinations(range(n), 2):
-        val = vec_sub(
-            f,
-            e.total.algebra.bracket_vec(scols[i_], scols[j_]),
-            s.matvec(e.base.algebra.bracket_basis(i_, j_)),
-        )
-        chi_comps.append(e.pullback(val))
-    chi = AltMap(f, n, 2, m, chi_comps)
-    icols = [e.i.col(a) for a in range(m)]
-    acts = [
-        Matrix.from_cols(f, [e.pullback(e.total.algebra.bracket_vec(x, u)) for u in icols], m)
-        for x in scols
-    ]
-    psi = psi_tensor(f, m, acts)
-    phi_cols = []
-    for i_ in range(n):
-        val = vec_sub(
-            f,
-            e.total.P.matvec(scols[i_]),
-            s.matvec(e.base.P.col(i_)),
-        )
-        phi_cols.append(e.pullback(val))
-    Phi = Matrix.from_cols(f, phi_cols, rows_hint=m)
+    """The cocycle of an extension relative to a section: chi(x,y) =
+    [s(x), s(y)] - s[x,y], psi_x h = [s(x), i(h)] and Phi(x) = U(s(x)) -
+    s(P(x)) in coefficient coordinates, read off as the coefficient rows
+    of T^-1 ad_{s(x)} T and T^-1 U T in the basis T = (s | i)."""
+    f, n, m = e.total.field, e.base.dim, e.coef.dim
+    basis = _basis(e, s)
+    ad = e.total.algebra.ad
+    rows = [basis.blocks(psi_of_vec(f, n + m, ad, basis.s.col(x)))[1] for x in range(n)]
+    chi = AltMap(f, n, 2, m, [rows[x][0].col(y) for x, y in combinations(range(n), 2)])
+    psi = psi_tensor(f, m, [hh for _, hh in rows])
+    Phi = basis.blocks(e.total.P)[1][0]
     c = NonAbelianCocycle(e.base, e.coef, chi, psi, Phi)
     v = check_cocycle(c)
     if not v:
@@ -390,57 +397,62 @@ def extract_cocycle(e: ExtensionData, s: Matrix | None = None) -> NonAbelianCocy
     return c
 
 
+def _equivalence_verdict(tau: Matrix, e1: ExtensionData, e2: ExtensionData) -> Verdict:
+    """Whether tau: e1.total -> e2.total is an equivalence of extensions:
+    an invertible averaging morphism with tau i1 = i2 and p2 tau = p1."""
+    v = _isomorphism_verdict("tau", tau, e1.total, e2.total)
+    if not v:
+        return v
+    lhs = tau.mul(e1.i)
+    if lhs != e2.i:
+        return Verdict.failed("tau-inclusion", (), lhs.flat(), e2.i.flat())
+    lhs = e2.p.mul(tau)
+    if lhs != e1.p:
+        return Verdict.failed("tau-projection", (), lhs.flat(), e1.p.flat())
+    return Verdict.passed()
+
+
 def audit_round_trip(e: ExtensionData, section: Matrix | None = None) -> Verdict:
-    """Verify build(extract(e)) is equivalent to e through tau(x,h) = s(x) + i(h).
+    """Verify build(extract(e)) is equivalent to e through the basis
+    tau = (s | i), tau(x,h) = s(x) + i(h).
 
     tau must be an invertible averaging morphism intertwining both legs of
     the diagram; the verdict notes carry the rebuilt extension.
     """
-    s = _section(e, section)
-    c = extract_cocycle(e, s)
-    rebuilt = build_extension(c)
-    tau = _tau(e, s)
-    if tau.inverse() is None:
-        return Verdict.failed("tau-invertible", (), tau.flat(), ())
-    v = bracket_morphism_mismatch(
-        "tau-bracket", tau, rebuilt.total.algebra, e.total.algebra, increasing=True
-    )
-    if v is not None:
-        return v
-    lhs = tau.mul(rebuilt.total.P)
-    rhs = e.total.P.mul(tau)
-    if lhs != rhs:
-        return Verdict.failed("tau-operator", (), lhs.flat(), rhs.flat())
-    lhs = tau.mul(rebuilt.i)
-    if lhs != e.i:
-        return Verdict.failed("tau-inclusion", (), lhs.flat(), e.i.flat())
-    lhs = e.p.mul(tau)
-    if lhs != rebuilt.p:
-        return Verdict.failed("tau-projection", (), lhs.flat(), rebuilt.p.flat())
-    return Verdict.passed(rebuilt=rebuilt, tau=tau)
+    basis = _basis(e, section)
+    rebuilt = build_extension(extract_cocycle(e, basis.s))
+    v = _equivalence_verdict(basis.T, rebuilt, e)
+    return Verdict.passed(rebuilt=rebuilt, tau=basis.T) if v else v
 
 
 def extensions_equivalent(e1: ExtensionData, e2: ExtensionData) -> Matrix | None:
-    """The lexicographically least equivalence e1 -> e2 over a finite field.
+    """The lexicographically least equivalence e1 -> e2 over F_p, a
+    canonical one over Q, or None.
 
-    The linear clauses tau i1 = i2, p2 tau = p1 and tau P1 = P2 tau are
-    solved exactly; the column walk of `_bracket_maps` finds the invertible
-    bracket morphisms e1.total -> e2.total in their solution space.
+    With T_k = (s_k | i_k), the equivalences are the affine space
+    tau = T2 T1^-1 + i2 phi p1 over the witnesses phi of the extracted
+    cocycles (`_witness_space`).  The answer is its point cleared at the
+    pivot columns of the RREF of its directions: entries before the first
+    pivot are constant, and each pivot entry can be made 0 on its own.
     """
     if e1.base != e2.base or e1.coef != e2.coef:
         raise DimensionMismatch("extensions over different algebra pairs")
-    f = e1.total.field
-    if not f.finite:
-        raise FieldTooLarge("extension equivalence search needs a finite field")
-    dim = e1.total.dim
-    if e2.total.dim != dim:
+    f, n, m, dim = e1.total.field, e1.base.dim, e1.coef.dim, e1.total.dim
+    b1, b2 = _basis(e1), _basis(e2)
+    space = _witness_space(extract_cocycle(e1, b1.s), extract_cocycle(e2, b2.s))
+    if space is None:
         return None
-    ident = Matrix.identity(f, dim)
-    rows = _product_rows(f, ident, e1.i) + _product_rows(f, e2.p, ident)
-    rows += _commutator_rows(f, e1.total.P, e2.total.P)
-    rhs = e2.i.flat() + e1.p.flat() + (f.zero,) * (dim * dim)
-    hits = _bracket_maps(f, e1.total.algebra, e2.total.algebra, rows, rhs)
-    return hits[0] if hits else None
+    phi, directions = space
+    tau = b2.T.mul(b1.inv).add(e2.i.mul(phi).mul(e1.p)).flat()
+    steps = [e2.i.mul(Matrix.from_flat(f, m, n, d)).mul(e1.p).flat() for d in directions]
+    R, pivots = Matrix._of(f, steps, dim * dim).rref()
+    for row, c in zip(R.entries, pivots):
+        tau = vec_sub(f, tau, vec_scale(f, tau[c], row))
+    tau = Matrix.from_flat(f, dim, dim, tau)
+    v = _equivalence_verdict(tau, e1, e2)
+    if not v:
+        raise InternalError(f"equivalence solve produced a map failing clause {v.clause}")
+    return tau
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +532,20 @@ def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
     return c1.Phi.sub(c2.Phi) == c1.coef.P.mul(phi).sub(phi.mul(c1.base.P))
 
 
-def cocycles_equivalent(c1, c2) -> Matrix | None:
-    """The first phi witnessing the equivalence of two cocycles, or None.
+def _witness_space(c1, c2):
+    """The witnesses of the equivalence of two cocycles, as the first
+    phi and the row-major directions of the space, or None.
 
     (E1) and (E3) are linear in phi, and (E1) makes (E2) linear too:
     [phi e_x, phi e_y] = (psi_x - psi'_x) phi e_y.  The witnesses are then
-    an affine space, and two exact solves decide over Q and F_p alike.
+    an affine space, and two exact solves give it over Q and F_p alike.
     The first solves (E1) and (E3), with (E2) when the coefficients are
     abelian, for a point and a kernel basis.  The second solves (E2) for
     the coordinates t of a witness in that basis, with the columns
     reversed, so that its free coordinates are the earliest ones and are
     0.  That is the least t, the first witness a walk of the space in
-    coefficient order would meet.
+    coefficient order would meet; the directions are the second solve's
+    kernel in the reversed basis.
     """
     if c1.base != c2.base or c1.coef != c2.coef:
         raise DimensionMismatch("cocycles live over different algebra pairs")
@@ -544,16 +558,21 @@ def cocycles_equivalent(c1, c2) -> Matrix | None:
     point, kernel = sol
     e2 = Matrix._of(f, _e2_rows(c1, c2), m * n)
     gap = vec_sub(f, c1.chi.sub(c2.chi).flat(), e2.matvec(point))
-    back = kernel[::-1]
-    steps = [e2.matvec(v) for v in back]
+    back = Matrix.from_cols(f, kernel[::-1], rows_hint=m * n)
+    steps = [e2.matvec(v) for v in kernel[::-1]]
     sol = solve_affine(Matrix.from_cols(f, steps, rows_hint=len(gap)), gap)
     if sol is None:
         return None
-    moved = Matrix.from_cols(f, back, rows_hint=m * n).matvec(sol[0])
-    phi = Matrix.from_flat(f, m, n, vec_add(f, point, moved))
+    phi = Matrix.from_flat(f, m, n, vec_add(f, point, back.matvec(sol[0])))
     if not _phi_satisfies(c1, c2, phi):
         raise InternalError("equivalence solve produced a bad witness")
-    return phi
+    return phi, [back.matvec(t) for t in sol[1]]
+
+
+def cocycles_equivalent(c1, c2) -> Matrix | None:
+    """The first phi witnessing the equivalence of two cocycles, or None."""
+    space = _witness_space(c1, c2)
+    return None if space is None else space[0]
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +591,19 @@ def check_algebra_automorphism(a: AveragingLieAlgebra, g: Matrix, tag: str) -> V
     f = a.field
     if (g.rows, g.cols) != (a.dim, a.dim) or g.field != f:
         raise DimensionMismatch("automorphism shape mismatch")
+    return _isomorphism_verdict(tag, g, a, a)
+
+
+def _isomorphism_verdict(tag, g: Matrix, src, dst) -> Verdict:
+    """Whether g: src -> dst is an invertible averaging morphism, as the
+    clauses tag-invertible, tag-bracket and tag-operator."""
     if g.inverse() is None:
         return Verdict.failed(f"{tag}-invertible", (), g.flat(), ())
-    v = bracket_morphism_mismatch(f"{tag}-bracket", g, a.algebra, a.algebra, increasing=True)
+    v = bracket_morphism_mismatch(f"{tag}-bracket", g, src.algebra, dst.algebra, increasing=True)
     if v is not None:
         return v
-    lhs = g.mul(a.P)
-    rhs = a.P.mul(g)
+    lhs = g.mul(src.P)
+    rhs = dst.P.mul(g)
     if lhs != rhs:
         return Verdict.failed(f"{tag}-operator", (), lhs.flat(), rhs.flat())
     return Verdict.passed()
@@ -663,23 +688,13 @@ def lift_automorphism(
 ) -> Matrix:
     """Automorphism of the total algebra inducing the pair.
 
-    gamma(i(h) + s(x)) = i(beta(h) + phi(alpha(x))) + s(alpha(x)); the
-    witness phi must come from the same section (post-verification rejects
-    mismatches).  Invertibility, morphism properties and the induced pair
-    are all verified after construction.
+    gamma(i(h) + s(x)) = i(beta(h) + phi(alpha(x))) + s(alpha(x)), the
+    block map of `_Basis`; the witness phi must come from the same section
+    (post-verification rejects mismatches).  Invertibility, morphism
+    properties and the induced pair are all verified after construction.
     """
-    f = e.total.field
-    n, m, dim = e.base.dim, e.coef.dim, e.total.dim
-    s = _section(e, section)
-    cols = []
-    for j in range(dim):
-        ej = vec_basis(f, dim, j)
-        x = e.p.matvec(ej)
-        h = e.pullback(vec_sub(f, ej, s.matvec(x)))
-        ax = pair.alpha.matvec(x)
-        hval = vec_add(f, pair.beta.matvec(h), phi.matvec(ax))
-        cols.append(vec_add(f, e.i.matvec(hval), s.matvec(ax)))
-    gamma = Matrix.from_cols(f, cols, rows_hint=dim)
+    basis = _basis(e, section)
+    gamma = basis.block_map(pair, phi)
     v = check_algebra_automorphism(e.total, gamma, "gamma")
     if not v:
         raise ValidationError(v)
@@ -689,7 +704,7 @@ def lift_automorphism(
                 "restriction", (), gamma.mul(e.i).flat(), e.i.mul(pair.beta).flat()
             )
         )
-    induced_alpha = e.p.mul(gamma).mul(s)
+    induced_alpha = e.p.mul(gamma).mul(basis.s)
     if induced_alpha != pair.alpha:
         raise ValidationError(
             Verdict.failed("projection", (), induced_alpha.flat(), pair.alpha.flat())
@@ -700,21 +715,17 @@ def lift_automorphism(
 def project_automorphism(
     e: ExtensionData, gamma: Matrix, section: Matrix | None = None
 ) -> AutomorphismPair:
-    """The pair (gamma restricted to the kernel, p gamma s)."""
+    """The pair (gamma restricted to the kernel, p gamma s): the diagonal
+    blocks of gamma in the basis (s | i), whose upper right block is p gamma i."""
     v = check_algebra_automorphism(e.total, gamma, "gamma")
     if not v:
         raise ValidationError(v)
-    f = e.total.field
-    m = e.coef.dim
-    beta_cols = []
-    for a in range(m):
-        val = gamma.matvec(e.i.col(a))
-        sol = solve_affine(e.i, val)
-        if sol is None:
-            raise ValidationError(Verdict.failed("restriction", (a,), val, ()))
-        beta_cols.append(sol[0])
-    beta = Matrix.from_cols(f, beta_cols, rows_hint=m)
-    alpha = e.p.mul(gamma).mul(_section(e, section))
+    (alpha, corner), (_, beta) = _basis(e, section).blocks(gamma)
+    for a in range(e.coef.dim):
+        if not vec_is_zero(e.total.field, corner.col(a)):
+            raise ValidationError(
+                Verdict.failed("restriction", (a,), gamma.matvec(e.i.col(a)), ())
+            )
     pair = AutomorphismPair(beta, alpha)
     pv = check_automorphism_pair(pair, e.base, e.coef)
     if not pv:
@@ -754,32 +765,30 @@ def _commutator_rows(f, P1, P2):
     return [list(vec_sub(f, u, v)) for u, v in zip(left, right)]
 
 
-def _bracket_maps(f, src, dst, rows, rhs):
-    """Every invertible n x n map g with g[x, y]_src = [gx, gy]_dst whose
-    row-major entries solve rows . x = rhs over a finite field, sorted by
-    those entries; FieldTooLarge before any search when that affine space
-    has more than `ENUM_LIMIT` points.  The walk fixes g column by column: c
-    takes each value the space allows outside the span of the columns
-    before it, and the clauses g[e_c, e_k] = [g e_c, g e_k] for k > c,
-    linear once g e_c is fixed, cut the space before column c + 1."""
-    n, p = src.dim, f.p
-    sol = solve_affine(Matrix(f, rows, cols=n * n), rhs)
-    if sol is None:
-        return []
-    point, kernel = sol
+def _bracket_maps(f, a, rows):
+    """Every invertible n x n map g with g[x, y] = [gx, gy] in the Lie
+    algebra a whose row-major entries solve rows . x = 0 over a finite
+    field, sorted by those entries; FieldTooLarge over Q, and before any
+    search when that space has more than `ENUM_LIMIT` points.  The walk fixes g column
+    by column: c takes each value the space allows outside the span of the
+    columns before it, and the clauses g[e_c, e_k] = [g e_c, g e_k] for
+    k > c, linear once g e_c is fixed, cut the space before column c + 1."""
+    if not f.finite:
+        raise FieldTooLarge("automorphism enumeration needs a finite field")
+    n, p = a.dim, f.p
+    kernel = kernel_basis(Matrix(f, rows, cols=n * n))
     count = p ** len(kernel)
     if count > ENUM_LIMIT:
         raise FieldTooLarge(f"{count} candidate maps exceed the limit")
     if n == 0:
         return [Matrix(f, [], cols=0)]
-    src_br = [[src.bracket_basis(c, k) for k in range(n)] for c in range(n)]
-    # ad[r][j][i] is entry r of [e_i, e_j] in dst
-    ad = [[[dst.bracket_basis(i, j)[r] for i in range(n)] for j in range(n)]
-          for r in range(n)]
+    br = [[a.bracket_basis(c, k) for k in range(n)] for c in range(n)]
+    # ad[r][j][i] is entry r of [e_i, e_j]
+    ad = [[[br[i][j][r] for i in range(n)] for j in range(n)] for r in range(n)]
     hits = []
 
     @cache
-    def ad_of(v):  # ad_of(v)[r][j] is entry r of [v, e_j] in dst
+    def ad_of(v):  # ad_of(v)[r][j] is entry r of [v, e_j]
         return [[sum(map(mul, v, a)) for a in ad_r] for ad_r in ad]
 
     def pivot(kern, phi):
@@ -816,7 +825,7 @@ def _bracket_maps(f, src, dst, rows, rhs):
             adv = ad_of(tuple(col))
 
             def phi(u, k, r):  # entry r of g[e_c, e_k] - [g e_c, g e_k]
-                return (sum(map(mul, src_br[c][k], u[r * n:r * n + n]))
+                return (sum(map(mul, br[c][k], u[r * n:r * n + n]))
                         - sum(map(mul, adv[r], u[k::n])))
             rest = kern
             for k, r in product(range(c + 1, n), range(n)):
@@ -832,7 +841,7 @@ def _bracket_maps(f, src, dst, rows, rhs):
                 inv = pow(w[piv], p - 2, p)
                 walk(c + 1, x, rest, basis + [(piv, [a * inv % p for a in w])])
 
-    walk(0, point, [list(v) for v in kernel], [])
+    walk(0, (f.zero,) * (n * n), [list(v) for v in kernel], [])
     # the walk keeps canonical residues, which are not coerced again
     return [Matrix._of(f, [x[r:r + n] for r in range(0, n * n, n)], n)
             for x in sorted(hits)]
@@ -844,10 +853,7 @@ def averaging_automorphisms(a: AveragingLieAlgebra):
     exactly, and the column walk of `_bracket_maps` finds the invertible
     bracket morphisms in its solution space."""
     f = a.field
-    if not f.finite:
-        raise FieldTooLarge("automorphism enumeration needs a finite field")
-    rows = _commutator_rows(f, a.P, a.P)
-    return _bracket_maps(f, a.algebra, a.algebra, rows, (f.zero,) * len(rows))
+    return _bracket_maps(f, a.algebra, _commutator_rows(f, a.P, a.P))
 
 
 def extension_automorphisms(e: ExtensionData):
@@ -861,12 +867,10 @@ def extension_automorphisms(e: ExtensionData):
     bracket morphisms in the solution space.
     """
     f = e.total.field
-    if not f.finite:
-        raise FieldTooLarge("automorphism enumeration needs a finite field")
     m = e.coef.dim
     rows = _commutator_rows(f, e.total.P, e.total.P)
     rows += _product_rows(f, _annihilator(e), e.i)
-    hits = _bracket_maps(f, e.total.algebra, e.total.algebra, rows, (f.zero,) * len(rows))
+    hits = _bracket_maps(f, e.total.algebra, rows)
     for g in hits:
         for a in range(m):
             if solve_affine(e.i, g.matvec(e.i.col(a))) is None:
@@ -1004,16 +1008,10 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
     auth = extension_automorphisms(e)
     cpairs = compatible_pairs(e)
     fixing = kernel_fixing_automorphisms(e, auth)
-    # rho(pair) = tau (alpha + beta) tau^{-1}.
-    tau = _tau(e, s)
-    tinv = tau.inverse()
-    if tinv is None:
-        raise InternalError("splitting coordinates are singular")
+    # rho(pair) = tau (alpha + beta) tau^{-1} in the basis tau = (s | i).
+    basis = _basis(e, s)
     for pair in cpairs:
-        block = block_matrix(
-            f, [[pair.alpha, Matrix.zero(f, n, m)], [Matrix.zero(f, m, n), pair.beta]]
-        )
-        gamma = tau.mul(block).mul(tinv)
+        gamma = basis.block_map(pair, Matrix.zero(f, m, n))
         if not check_algebra_automorphism(e.total, gamma, "rho"):
             return Verdict.failed("split-rho-automorphism", (), gamma.flat(), ())
         back = project_automorphism(e, gamma, s)

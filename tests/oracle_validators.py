@@ -15,7 +15,6 @@ from itertools import combinations, product
 from avglie.errors import DimensionMismatch, InternalError, ValidationError, Verdict
 from avglie.extensions import (
     _section,
-    _tau,
     build_extension,
     compatible_pairs,
     extension_automorphisms,
@@ -508,7 +507,7 @@ def audit_round_trip(e: ExtensionData, section: Matrix | None = None) -> Verdict
     s = _section(e, section)
     c = extract_cocycle(e, s)
     rebuilt = build_extension(c)
-    tau = _tau(e, s)
+    tau = s.hstack(e.i)
     if tau.inverse() is None:
         return Verdict.failed("tau-invertible", (), tau.flat(), ())
     for a in range(e.total.dim):
@@ -562,7 +561,7 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
     cpairs = compatible_pairs(e)
     fixing = kernel_fixing_automorphisms(e, auth)
     # rho(pair) = tau (alpha + beta) tau^{-1}.
-    tau = _tau(e, s)
+    tau = s.hstack(e.i)
     tinv = tau.inverse()
     if tinv is None:
         raise InternalError("splitting coordinates are singular")

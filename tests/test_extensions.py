@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import avglie.documents as docs
 import avglie.extensions as ext
 from avglie.errors import DimensionMismatch, ValidationError
 from avglie.extensions import (
@@ -42,7 +44,7 @@ from avglie.lie import (
 from avglie.linalg import Matrix, Tensor, solve_affine
 from avglie.multilinear import AltMap
 
-from conftest import g2_averaging, heisenberg, random_matrix
+from conftest import fixture_path, g2_averaging, heisenberg, random_matrix
 
 
 def dim1(field, scalar=0):
@@ -268,6 +270,46 @@ def test_extract_rejects_non_section():
     with pytest.raises(ValidationError) as exc:
         extract_cocycle(e, Matrix.zero(QQ, 4, 2))
     assert exc.value.verdict.clause == "section"
+
+
+def test_every_reader_of_a_section_names_a_non_section():
+    # s = 0 has p s = 0: each function reading (s | i) reports `section`
+    e = docs.realize_extension(docs.load_document(fixture_path("extension_f3.json")))
+    F3 = GF(3)
+    ident = AutomorphismPair(Matrix.identity(F3, 1), Matrix.identity(F3, 1))
+    zero = Matrix.zero(F3, 2, 1)
+    for call in (
+        lambda: extract_cocycle(e, zero),
+        lambda: audit_round_trip(e, zero),
+        lambda: wells_class(ident, e, zero),
+        lambda: project_automorphism(e, Matrix.identity(F3, 2), zero),
+        lambda: lift_automorphism(ident, e, Matrix.zero(F3, 1, 1), zero),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert exc.value.verdict.clause == "section"
+
+
+def test_a_singular_basis_is_a_named_clause():
+    # unvalidated data with p i != 0: the section s = i has p s = I, but
+    # (s | i) is singular
+    e = extension_f3()
+    F3 = GF(3)
+    bad = replace(e, p=Matrix(F3, [[0, 1]]), s=e.i)
+    ident = AutomorphismPair(Matrix.identity(F3, 1), Matrix.identity(F3, 1))
+    for call in (
+        lambda: extract_cocycle(bad),
+        lambda: audit_round_trip(bad),
+        lambda: wells_class(ident, bad),
+        lambda: project_automorphism(bad, Matrix.identity(F3, 2)),
+        lambda: lift_automorphism(ident, bad, Matrix.zero(F3, 1, 1)),
+        lambda: check_split_semidirect(bad),
+        lambda: extensions_equivalent(bad, e),
+        lambda: extensions_equivalent(e, bad),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert exc.value.verdict.clause == "tau-invertible"
 
 
 def test_equivalence_reflexive_and_absent(rng):

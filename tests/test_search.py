@@ -1,19 +1,23 @@
 """The linear-first searches against brute force, and their size limit.
 
 Every search solves its linear clauses first and searches only the solution
-space, the automorphism and extension-equivalence searches column by
-column; `oracle_search` keeps the searches over every linear map.  Both
-must return the same maps in the same order.
+space, the automorphism searches column by column; extension equivalence
+solves for its affine space of maps instead.  `oracle_search` keeps the
+searches over every linear map.  Both must return the same maps in the
+same order.
 """
 
 import json
 import random
+from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
 import avglie.extensions as ext
+import oracle_linalg
 import oracle_search
 from avglie import documents as docs
 from avglie.errors import FieldTooLarge
@@ -65,7 +69,7 @@ from conftest import (
     scramble_averaging,
 )
 from test_acceptance import enumerate_extensions_f2
-from test_extensions import dim1, rep_cocycle
+from test_extensions import dim1, heisenberg_cocycles, rep_cocycle
 
 EXTENSION_FIXTURES = (
     "extension_abelian_f3.json",
@@ -210,8 +214,8 @@ def test_extensions_equivalent_matches_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# The column walk, where the linear clauses prune nothing (P = I) or the
-# map runs between two bases (src != dst).
+# The column walk where the linear clauses prune nothing (P = I), and
+# extension equivalence between two bases of the total space.
 
 
 def identity_averaging(g):
@@ -286,6 +290,57 @@ def test_extension_equivalence_across_bases_matches_brute_force():
         assert tau == oracle_search.extensions_equivalent(e1, e2)
         found += tau is not None
     assert len(exts) < found < len(pairs)
+
+
+def is_equivalence(tau, e1, e2):
+    """tau: e1 -> e2 is an equivalence of extensions, checked entry by
+    entry: tau i1 = i2, p2 tau = p1, tau U1 = U2 tau, the bracket on basis
+    pairs, and a nonzero determinant."""
+    a1, a2 = e1.total, e2.total
+    return (
+        tau.mul(e1.i) == e2.i
+        and e2.p.mul(tau) == e1.p
+        and tau.mul(a1.P) == a2.P.mul(tau)
+        and all(
+            tau.matvec(a1.algebra.bracket_basis(x, y))
+            == a2.algebra.bracket_vec(tau.col(x), tau.col(y))
+            for x, y in combinations(range(a1.dim), 2)
+        )
+        and oracle_linalg.det(tau) != a1.field.zero
+    )
+
+
+def test_extension_equivalence_over_q():
+    # the cocycle_adjoint extension against seeded scrambles of itself,
+    # both ways; the answer does not depend on the sections read
+    rng = random.Random(7104)
+    c = docs.realize_cocycle(docs.load_document(fixture_path("cocycle_adjoint.json")))
+    e = build_extension(c)
+    for _ in range(5):
+        e2 = scramble_extension(rng, e)
+        tau = extensions_equivalent(e, e2)
+        assert tau is not None and is_equivalence(tau, e, e2)
+        assert is_equivalence(extensions_equivalent(e2, e), e2, e)
+        moved = replace(e, s=perturbed_section(e, random_matrix(rng, QQ, 2, 2)))
+        assert moved.s != e.s
+        assert extensions_equivalent(moved, e2) == tau
+
+
+def test_extension_equivalence_over_q_agrees_with_the_cocycles():
+    # Heisenberg coefficients with central chi: equivalent exactly when the
+    # chi agree, since (E1) puts phi in the centre
+    rng = random.Random(7105)
+    chis = [(0, 0, 0), (0, 0, 1), (0, 0, Fraction(-1, 2))]
+    exts = [build_extension(c) for c in heisenberg_cocycles(QQ, chis)]
+    found = 0
+    for (chi1, e1), (chi2, e2) in product(zip(chis, exts), repeat=2):
+        e2 = scramble_extension(rng, e2)
+        tau = extensions_equivalent(e1, e2)
+        phi = ext.cocycles_equivalent(extract_cocycle(e1), extract_cocycle(e2))
+        assert (tau is None) == (phi is None) == (chi1 != chi2)
+        assert tau is None or is_equivalence(tau, e1, e2)
+        found += tau is not None
+    assert found == len(chis)
 
 
 def test_cocycle_equivalence_witness_matches_the_product_loop():
@@ -506,14 +561,11 @@ def test_search_commutes_with_a_change_of_basis():
         assert averaging_automorphisms(B2) == conjugated
 
 
-def test_equivalence_limit_applies_to_the_solution_space(monkeypatch):
+def test_extension_equivalence_needs_no_enumeration_limit(monkeypatch):
+    # the equivalences are an affine space that is solved, not walked
     e = fixture_extensions()[1]
-    # tau i = i and p tau = p leave one free entry: three candidates over F3
-    monkeypatch.setattr(ext, "ENUM_LIMIT", 3)
+    monkeypatch.setattr(ext, "ENUM_LIMIT", 1)
     assert extensions_equivalent(e, e) == Matrix.identity(GF(3), 2)
-    monkeypatch.setattr(ext, "ENUM_LIMIT", 2)
-    with pytest.raises(FieldTooLarge, match="^3 candidate maps"):
-        extensions_equivalent(e, e)
 
 
 # ---------------------------------------------------------------------------

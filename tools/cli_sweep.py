@@ -11,6 +11,10 @@ the same relative path on every checkout.  The sweep covers:
 - `cohomology --degree 1..4` on every fixture file, 4 being the CLI's cap;
 - every `extension` and `homotopy` subcommand on every fixture file, with
   and without `--output`;
+- `extension extract --section` on every valid extension fixture, and on
+  the extension built from every valid cocycle fixture, each with three
+  section documents written into the temporary copy: the default section,
+  a `perturbed_section` and a non-section (zero);
 - `wells` on every extension document x automorphism-pair document, with
   every combination of `--abelian` and `--lift`.
 
@@ -36,7 +40,10 @@ import time
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from avglie import documents as docs  # noqa: E402
 from avglie.cli import main  # noqa: E402
+from avglie.extensions import build_extension, default_section, perturbed_section  # noqa: E402
+from avglie.linalg import Matrix  # noqa: E402
 
 EXTENSION_SUBS = ("build", "extract", "audit")
 HOMOTOPY_SUBS = (
@@ -65,8 +72,49 @@ def fixture_kinds():
     return sorted(found)
 
 
-def commands(kinds):
-    """(argv, output path or None) of every run, in a fixed order."""
+def write_sections(kinds):
+    """Write the default, a perturbed and a non-section document for each
+    valid extension fixture, and for the extension built from each valid
+    cocycle fixture, under `sections/`.  Returns (extension path, section
+    path) pairs, in order."""
+    os.makedirs("sections")
+    extensions = []
+    for path, kind in kinds:
+        if path.startswith(os.path.join("fixtures", "broken")):
+            continue
+        if kind == "extension":
+            extensions.append((path, docs.realize_extension(docs.load_document(path))))
+        elif kind == "nonabelian_cocycle":
+            e = build_extension(docs.realize_cocycle(docs.load_document(path)))
+            built = os.path.join("sections", f"{stem_of(path)}-extension.json")
+            write_document(built, docs.extension_doc(e))
+            extensions.append((built, e))
+    pairs = []
+    for path, e in extensions:
+        f, n, m = e.total.field, e.base.dim, e.coef.dim
+        for name, s in (
+            ("default", default_section(e)),
+            ("perturbed", perturbed_section(e, Matrix(f, [[1] * n] * m))),
+            ("nonsection", Matrix.zero(f, e.total.dim, n)),
+        ):
+            out = os.path.join("sections", f"{stem_of(path)}-{name}.json")
+            write_document(out, docs.bare_matrix_doc(s))
+            pairs.append((path, out))
+    return pairs
+
+
+def stem_of(path):
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def write_document(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(docs.dump_document(doc))
+
+
+def commands(kinds, sections):
+    """(argv, output path or None) of every run, in a fixed order;
+    `sections` holds (extension path, section path) pairs."""
     paths = [p for p, _ in kinds]
     runs = []
     for path in paths:
@@ -82,6 +130,8 @@ def commands(kinds):
                 stem = os.path.splitext(path)[0].replace(os.sep, "-")
                 out = os.path.join("out", f"{group}-{sub}-{stem}.json")
                 runs.append(([group, sub, path, "--output", out], out))
+    for path, section in sections:
+        runs.append((["extension", "extract", path, "--section", section], None))
     extensions = [p for p, k in kinds if k == "extension"]
     pairs = [p for p, k in kinds if k == "automorphism_pair"]
     for ext in extensions:
@@ -121,7 +171,8 @@ def sweep_lines():
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            return [run(argv, out) for argv, out in commands(fixture_kinds())]
+            kinds = fixture_kinds()
+            return [run(argv, out) for argv, out in commands(kinds, write_sections(kinds))]
         finally:
             os.chdir(cwd)
 
