@@ -17,7 +17,9 @@ for the entries of L X R (`_product_rows`) or X P1 - P2 X
 (`_commutator_rows`) in the unknown X; `ENUM_LIMIT` bounds that space.
 Inside it they fix g column by column (`_bracket_maps`): a column in the
 span of the earlier ones is dropped, and once g e_c is fixed each clause
-g[e_c, e_k] = [g e_c, g e_k] with k > c is linear and cuts the space.
+g[e_c, e_k] = [g e_c, g e_k] with k > c is linear and cuts the space.  The
+linear clauses cut out a unital matrix algebra, so the maps found are a
+group, listed as products along a stabiliser chain.
 
 The validators use the matrix idiom of `lie`.  (B), (D) and (D1) are read
 off the total space of the cocycle (`check_cocycle`); the derivation
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
+from math import prod
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -381,8 +384,12 @@ def extract_cocycle(e: ExtensionData, s: Matrix | None = None) -> NonAbelianCocy
     [s(x), s(y)] - s[x,y], psi_x h = [s(x), i(h)] and Phi(x) = U(s(x)) -
     s(P(x)) in coefficient coordinates, read off as the coefficient rows
     of T^-1 ad_{s(x)} T and T^-1 U T in the basis T = (s | i)."""
+    return _extract(e, _basis(e, s))
+
+
+def _extract(e: ExtensionData, basis: _Basis) -> NonAbelianCocycle:
+    """`extract_cocycle` in a basis already built."""
     f, n, m = e.total.field, e.base.dim, e.coef.dim
-    basis = _basis(e, s)
     ad = e.total.algebra.ad
     rows = [basis.blocks(psi_of_vec(f, n + m, ad, basis.s.col(x)))[1] for x in range(n)]
     chi = AltMap(f, n, 2, m, [rows[x][0].col(y) for x, y in combinations(range(n), 2)])
@@ -672,7 +679,11 @@ def wells_class(
     pair: AutomorphismPair, e: ExtensionData, section: Matrix | None = None
 ) -> WellsResult:
     """Transformed-minus-original cocycle and whether it is the zero class."""
-    orig = extract_cocycle(e, section)
+    return _wells(pair, extract_cocycle(e, section))
+
+
+def _wells(pair: AutomorphismPair, orig: NonAbelianCocycle) -> WellsResult:
+    """`wells_class` of the pair on an extension with cocycle orig."""
     trans = transform_cocycle(pair, orig)
     dchi = trans.chi.sub(orig.chi)
     dpsi = trans.psi.sub(orig.psi)
@@ -695,9 +706,7 @@ def lift_automorphism(
     """
     basis = _basis(e, section)
     gamma = basis.block_map(pair, phi)
-    v = check_algebra_automorphism(e.total, gamma, "gamma")
-    if not v:
-        raise ValidationError(v)
+    _require_automorphism(e, gamma)
     if gamma.mul(e.i) != e.i.mul(pair.beta):
         raise ValidationError(
             Verdict.failed(
@@ -717,10 +726,19 @@ def project_automorphism(
 ) -> AutomorphismPair:
     """The pair (gamma restricted to the kernel, p gamma s): the diagonal
     blocks of gamma in the basis (s | i), whose upper right block is p gamma i."""
+    _require_automorphism(e, gamma)
+    return _project(e, _basis(e, section), gamma)
+
+
+def _require_automorphism(e: ExtensionData, gamma: Matrix):
     v = check_algebra_automorphism(e.total, gamma, "gamma")
     if not v:
         raise ValidationError(v)
-    (alpha, corner), (_, beta) = _basis(e, section).blocks(gamma)
+
+
+def _project(e: ExtensionData, basis: _Basis, gamma: Matrix) -> AutomorphismPair:
+    """`project_automorphism` of an automorphism gamma in a basis already built."""
+    (alpha, corner), (_, beta) = basis.blocks(gamma)
     for a in range(e.coef.dim):
         if not vec_is_zero(e.total.field, corner.col(a)):
             raise ValidationError(
@@ -735,8 +753,8 @@ def project_automorphism(
 
 # ---------------------------------------------------------------------------
 # Searches at desk scale: linear clauses first, then a column walk inside
-# their solution space.  The walk does not meet its hits in lexicographic
-# order, so it sorts them by their row-major entries.
+# their solution space along a stabiliser chain.  The chain does not meet
+# the group in lexicographic order, so it sorts it by the row-major entries.
 
 
 def _product_rows(f, left, right):
@@ -769,10 +787,17 @@ def _bracket_maps(f, a, rows):
     """Every invertible n x n map g with g[x, y] = [gx, gy] in the Lie
     algebra a whose row-major entries solve rows . x = 0 over a finite
     field, sorted by those entries; FieldTooLarge over Q, and before any
-    search when that space has more than `ENUM_LIMIT` points.  The walk fixes g column
-    by column: c takes each value the space allows outside the span of the
-    columns before it, and the clauses g[e_c, e_k] = [g e_c, g e_k] for
-    k > c, linear once g e_c is fixed, cut the space before column c + 1."""
+    search when that space has more than `ENUM_LIMIT` points.  The rows must
+    cut out a unital matrix algebra, so that the maps are a group G.
+
+    The search fixes g column by column: c takes each value the space allows
+    outside the span of the columns before it, and the clauses g[e_c, e_k] =
+    [g e_c, g e_k] for k > c, linear once g e_c is fixed, cut the space
+    before column c + 1.  Along a stabiliser chain, G_c (fixing e_0 ..
+    e_{c-1}) is the union of the cosets h_v G_{c+1} over the values v of
+    column c, so only v = e_c is searched in full and each other v down to
+    its first leaf h_v.  An InternalError when I is no solution, or when
+    |G| is not the product of the orbit sizes."""
     if not f.finite:
         raise FieldTooLarge("automorphism enumeration needs a finite field")
     n, p = a.dim, f.p
@@ -785,7 +810,7 @@ def _bracket_maps(f, a, rows):
     br = [[a.bracket_basis(c, k) for k in range(n)] for c in range(n)]
     # ad[r][j][i] is entry r of [e_i, e_j]
     ad = [[[br[i][j][r] for i in range(n)] for j in range(n)] for r in range(n)]
-    hits = []
+    unit = tuple(vec_basis(f, n, c) for c in range(n))
 
     @cache
     def ad_of(v):  # ad_of(v)[r][j] is entry r of [v, e_j]
@@ -803,7 +828,8 @@ def _bracket_maps(f, a, rows):
                 for w, u in zip(ws[:t] + ws[t + 1:], kern[:t] + kern[t + 1:])]
         return v, inv, rest
 
-    def walk(c, point, kern, basis):
+    def children(c, point, kern, basis):
+        """Each value of column c the node allows, with the node below it."""
         # the leads carry the values of column c; the rest of the kernel
         # vanishes there, as every vector left does on the columns before c
         leads = []
@@ -812,7 +838,7 @@ def _bracket_maps(f, a, rows):
             if v is not None:
                 leads.append(v)
         for x in affine_points(f, point, leads) if leads else (point,):
-            col = w = x[c::n]
+            col = w = tuple(x[c::n])
             for piv, b in basis:  # invertibility: drop the values in the span
                 if w[piv]:
                     w = [(a - w[piv] * y) % p for a, y in zip(w, b)]
@@ -820,9 +846,9 @@ def _bracket_maps(f, a, rows):
             if piv is None:
                 continue
             if c == n - 1:
-                hits.append(tuple(x))
+                yield col, (x, None, None)
                 continue
-            adv = ad_of(tuple(col))
+            adv = ad_of(col)
 
             def phi(u, k, r):  # entry r of g[e_c, e_k] - [g e_c, g e_k]
                 return (sum(map(mul, br[c][k], u[r * n:r * n + n]))
@@ -839,19 +865,47 @@ def _bracket_maps(f, a, rows):
                     break
             else:
                 inv = pow(w[piv], p - 2, p)
-                walk(c + 1, x, rest, basis + [(piv, [a * inv % p for a in w])])
+                yield col, (x, rest, basis + [(piv, [a * inv % p for a in w])])
 
-    walk(0, (f.zero,) * (n * n), [list(v) for v in kernel], [])
-    # the walk keeps canonical residues, which are not coerced again
-    return [Matrix._of(f, [x[r:r + n] for r in range(0, n * n, n)], n)
-            for x in sorted(hits)]
+    def first_leaf(c, node):
+        if c == n:
+            return node[0]
+        return next(filter(None, (first_leaf(c + 1, b) for _, b in children(c, *node))), None)
+
+    orbits = []
+
+    def stabiliser(c, node):
+        """G_c below a node on the identity prefix, each map as its columns."""
+        if c == n:
+            return [unit]
+        group, reps = None, []
+        for col, below in children(c, *node):
+            if col == unit[c]:
+                group = stabiliser(c + 1, below)
+            elif leaf := first_leaf(c + 1, below):
+                reps.append(leaf)
+        if group is None:
+            raise InternalError(f"the identity fails the linear clauses at column {c}")
+        orbits.append(1 + len(reps))
+        out, cols = list(group), {v for g in group for v in g}
+        for h in reps:  # h G_{c+1}: h times each distinct column of G_{c+1}
+            hrows = [h[r * n:r * n + n] for r in range(n)]
+            image = {v: tuple(sum(map(mul, r, v)) % p for r in hrows) for v in cols}
+            out += [tuple(map(image.__getitem__, g)) for g in group]
+        return out
+
+    group = stabiliser(0, ((f.zero,) * (n * n), [list(v) for v in kernel], []))
+    if len(set(group)) != prod(orbits):
+        raise InternalError(f"{len(set(group))} maps, but orbits of sizes {orbits}")
+    # the chain keeps canonical residues, which are not coerced again
+    return [Matrix._of(f, rows, n) for rows in sorted(tuple(zip(*g)) for g in group)]
 
 
 def averaging_automorphisms(a: AveragingLieAlgebra):
     """All averaging Lie algebra automorphisms over a finite field, in
     lexicographic order of their row-major entries: gP = Pg is solved
-    exactly, and the column walk of `_bracket_maps` finds the invertible
-    bracket morphisms in its solution space."""
+    exactly, and the stabiliser chain of `_bracket_maps` lists the
+    invertible bracket morphisms in its solution space, a unital algebra."""
     f = a.field
     return _bracket_maps(f, a.algebra, _commutator_rows(f, a.P, a.P))
 
@@ -863,8 +917,9 @@ def extension_automorphisms(e: ExtensionData):
     Kernel preservation is L g i = 0, where the rows of L span the
     annihilator of image(i); it is not derived from p, which need not have
     kernel image(i) on an unvalidated extension.  With gP = Pg it is solved
-    exactly, and the column walk of `_bracket_maps` finds the invertible
-    bracket morphisms in the solution space.
+    exactly.  Both clauses hold for I and for products, so their solutions
+    are a unital matrix algebra, and the stabiliser chain of `_bracket_maps`
+    lists the invertible bracket morphisms in it as a group.
     """
     f = e.total.field
     m = e.coef.dim
@@ -889,11 +944,12 @@ def _annihilator(e: ExtensionData) -> Matrix:
 def kernel_fixing_automorphisms(e: ExtensionData, autos):
     """The members of the enumerated group `autos` inducing the identity pair."""
     f = e.total.field
-    ident = (Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
+    ident = AutomorphismPair(Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
+    basis = cache(lambda: _basis(e))  # built once, after the first member's check
     out = []
     for g in autos:
-        pair = project_automorphism(e, g)
-        if (pair.beta, pair.alpha) == ident:
+        _require_automorphism(e, g)
+        if _project(e, basis(), g) == ident:
             out.append(g)
     return out
 
@@ -933,7 +989,8 @@ def abelian_wells(
     """
     if not e.coef.is_abelian():
         raise ValidationError(Verdict.failed("abelian", (), (), ()))
-    induced = induced_representation(e)
+    orig = extract_cocycle(e)
+    induced = Representation.validate(e.base, e.coef.dim, orig.psi, e.coef.P)
     if rep is not None:
         if rep.psi != induced.psi or rep.Q != induced.Q or rep.base != induced.base:
             raise ValidationError(
@@ -945,7 +1002,6 @@ def abelian_wells(
     cv = check_compatible_pair(pair, induced)
     if not cv:
         raise ValidationError(cv)
-    orig = extract_cocycle(e)
     trans = transform_cocycle(pair, orig)
     if trans.psi != orig.psi:
         raise InternalError("compatible pair changed the induced action")
@@ -1000,7 +1056,8 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
     rhs = s.mul(e.base.P)
     if lhs != rhs:
         raise ValidationError(Verdict.failed("section-operator", (), lhs.flat(), rhs.flat()))
-    c = extract_cocycle(e, s)
+    basis = _basis(e, s)
+    c = _extract(e, basis)
     if not c.chi.is_zero() or not c.Phi.is_zero():
         raise ValidationError(
             Verdict.failed("zero-cocycle", (), c.chi.flat() + c.Phi.flat(), ())
@@ -1009,12 +1066,11 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
     cpairs = compatible_pairs(e)
     fixing = kernel_fixing_automorphisms(e, auth)
     # rho(pair) = tau (alpha + beta) tau^{-1} in the basis tau = (s | i).
-    basis = _basis(e, s)
     for pair in cpairs:
         gamma = basis.block_map(pair, Matrix.zero(f, m, n))
         if not check_algebra_automorphism(e.total, gamma, "rho"):
             return Verdict.failed("split-rho-automorphism", (), gamma.flat(), ())
-        back = project_automorphism(e, gamma, s)
+        back = _project(e, basis, gamma)
         if back.beta != pair.beta or back.alpha != pair.alpha:
             return Verdict.failed(
                 "split-rho-section",
@@ -1040,22 +1096,23 @@ def exact_sequence_audit(e: ExtensionData):
     f = e.total.field
     auth = extension_automorphisms(e)
     ident = (Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
-    s = _section(e)
+    basis = _basis(e)
     image = set()
     kernel_failures = []
     for g in auth:
-        pair = project_automorphism(e, g)
+        pair = _project(e, basis, g)
         image.add((pair.beta, pair.alpha))
         in_kernel = (pair.beta, pair.alpha) == ident
-        fixes = g.mul(e.i) == e.i and e.p.mul(g).mul(s) == ident[1]
+        fixes = g.mul(e.i) == e.i and e.p.mul(g).mul(basis.s) == ident[1]
         if in_kernel != fixes:
             kernel_failures.append(g)
     betas = averaging_automorphisms(e.coef)
     alphas = averaging_automorphisms(e.base)
     pairs = [AutomorphismPair(b, a) for b in betas for a in alphas]
+    orig = _extract(e, basis)
     wells_failures = []
     for pair in pairs:
-        if wells_class(pair, e).inducible != ((pair.beta, pair.alpha) in image):
+        if _wells(pair, orig).inducible != ((pair.beta, pair.alpha) in image):
             wells_failures.append(pair)
     return {
         "aut_total": len(auth),

@@ -336,7 +336,7 @@ def psi_tensor(field, vdim, mats) -> Tensor:
     inverse of `psi_matrices`: psi.get(i, b, a) is mats[i][b, a], the e_b
     coefficient of psi_{e_i} e_a, so the tensor holds the rows of each
     matrix in turn."""
-    return Tensor(
+    return Tensor._of(
         field, (len(mats), vdim, vdim), [x for m in mats for row in m.entries for x in row]
     )
 
@@ -514,7 +514,7 @@ def sum_bracket(g: LieAlgebra, h: LieAlgebra, psi: Tensor, chi=None) -> Tensor:
         return zero_g + h.bracket_basis(i - n, j - n)
 
     dim = n + m
-    return Tensor(
+    return Tensor._of(
         f, (dim,) * 3, [x for i in range(dim) for j in range(dim) for x in fibre(i, j)]
     )
 

@@ -586,9 +586,19 @@ class Tensor:
     __slots__ = ("field", "shape", "entries", "_strides")
 
     def __init__(self, field: Field, shape, entries):
+        self._fill(field, shape, tuple(field.coerce(x) for x in entries))
+
+    @classmethod
+    def _of(cls, field, shape, entries):
+        """The tensor on entries that are already values of field
+        (canonical Q scalars or residues), which are not coerced again."""
+        t = object.__new__(cls)
+        t._fill(field, shape, tuple(entries))
+        return t
+
+    def _fill(self, field, shape, ent):
         self.field = field
         self.shape = tuple(shape)
-        ent = tuple(field.coerce(x) for x in entries)
         if len(ent) != prod(self.shape, start=1):
             raise DimensionMismatch(
                 f"tensor shape {self.shape} wants {prod(self.shape, start=1)} entries,"
@@ -649,7 +659,7 @@ class Tensor:
     def _entrywise(self, other, op):
         if type(other) is not Tensor or (other.field, other.shape) != (self.field, self.shape):
             raise DimensionMismatch("tensor shape mismatch")
-        return Tensor(self.field, self.shape, map(op, self.entries, other.entries))
+        return Tensor._of(self.field, self.shape, map(op, self.entries, other.entries))
 
     def add(self, other):
         return self._entrywise(other, self.field.add)
@@ -658,7 +668,7 @@ class Tensor:
         return self._entrywise(other, self.field.sub)
 
     def neg(self):
-        return Tensor(self.field, self.shape, map(self.field.neg, self.entries))
+        return Tensor._of(self.field, self.shape, map(self.field.neg, self.entries))
 
     def __eq__(self, other):
         return (

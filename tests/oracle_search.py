@@ -4,15 +4,27 @@ The automorphism and extension-equivalence searches put every one of the
 p^(n^2) matrices through the full check, in the lexicographic order of
 `enumerate_linear_maps`; usable only at desk scale (about 100 us per
 candidate).  `bracket_automorphisms` is the same brute force on plain
-integers, bracket first, for dim 4 over F2.  Affine solution spaces are walked with one `product` loop over
+integers, bracket first, for dim 4 over F2.  `column_walk` is the column
+search of `extensions._bracket_maps` before the stabiliser chain, which
+reaches every group element as its own leaf; it reaches beyond brute
+force.  Affine solution spaces are walked with one `product` loop over
 the coefficient tuples.  The cocycle-equivalence system is emitted row by
 row from coefficient dicts, clause by clause in the order (E1), (E3), (E2).
 """
 
+from functools import cache
 from itertools import combinations, product
+from operator import itemgetter, mul
 
 from avglie.extensions import _phi_satisfies, check_algebra_automorphism
-from avglie.linalg import Matrix, enumerate_linear_maps, solve_affine, vec_sub
+from avglie.linalg import (
+    Matrix,
+    affine_points,
+    enumerate_linear_maps,
+    kernel_basis,
+    solve_affine,
+    vec_sub,
+)
 from oracle_linalg import det
 
 
@@ -56,6 +68,84 @@ def bracket_automorphisms(a):
             if g.mul(a.P) == a.P.mul(g) and det(g) != f.zero:
                 out.append(g)
     return out
+
+
+def column_walk(f, a, rows):
+    """`extensions._bracket_maps` as it was before the stabiliser chain: the
+    same column walk, with every group element reached as its own leaf.
+    Every invertible n x n map g with g[x, y] = [gx, gy] in the Lie algebra
+    a whose row-major entries solve rows . x = 0 over a finite field,
+    sorted by those entries, with no size limit.  The walk fixes g column
+    by column: c takes each value the space allows outside the span of the
+    columns before it, and the clauses g[e_c, e_k] = [g e_c, g e_k] for
+    k > c, linear once g e_c is fixed, cut the space before column c + 1."""
+    n, p = a.dim, f.p
+    kernel = kernel_basis(Matrix(f, rows, cols=n * n))
+    if n == 0:
+        return [Matrix(f, [], cols=0)]
+    br = [[a.bracket_basis(c, k) for k in range(n)] for c in range(n)]
+    # ad[r][j][i] is entry r of [e_i, e_j]
+    ad = [[[br[i][j][r] for i in range(n)] for j in range(n)] for r in range(n)]
+    hits = []
+
+    @cache
+    def ad_of(v):  # ad_of(v)[r][j] is entry r of [v, e_j]
+        return [[sum(map(mul, v, a)) for a in ad_r] for ad_r in ad]
+
+    def pivot(kern, phi):
+        """The first v in kern with phi(v) != 0, 1 / phi(v), and the other
+        vectors less the multiples of v that make phi vanish on them."""
+        ws = [phi(u) % p for u in kern]
+        t = next((t for t, w in enumerate(ws) if w), None)
+        if t is None:
+            return None, None, kern
+        v, inv = kern[t], pow(ws[t], p - 2, p)
+        rest = [[(x - w * inv * y) % p for x, y in zip(u, v)] if w else u
+                for w, u in zip(ws[:t] + ws[t + 1:], kern[:t] + kern[t + 1:])]
+        return v, inv, rest
+
+    def walk(c, point, kern, basis):
+        # the leads carry the values of column c; the rest of the kernel
+        # vanishes there, as every vector left does on the columns before c
+        leads = []
+        for i in range(c, n * n, n) if kern else ():
+            v, _, kern = pivot(kern, itemgetter(i))
+            if v is not None:
+                leads.append(v)
+        for x in affine_points(f, point, leads) if leads else (point,):
+            col = w = x[c::n]
+            for piv, b in basis:  # invertibility: drop the values in the span
+                if w[piv]:
+                    w = [(a - w[piv] * y) % p for a, y in zip(w, b)]
+            piv = next((r for r in range(n) if w[r]), None)
+            if piv is None:
+                continue
+            if c == n - 1:
+                hits.append(tuple(x))
+                continue
+            adv = ad_of(tuple(col))
+
+            def phi(u, k, r):  # entry r of g[e_c, e_k] - [g e_c, g e_k]
+                return (sum(map(mul, br[c][k], u[r * n:r * n + n]))
+                        - sum(map(mul, adv[r], u[k::n])))
+            rest = kern
+            for k, r in product(range(c + 1, n), range(n)):
+                val = phi(x, k, r) % p
+                if rest:
+                    v, inv, rest = pivot(rest, lambda u: phi(u, k, r))
+                    if v is not None:
+                        x = [(a - val * inv * y) % p for a, y in zip(x, v)]
+                        continue
+                if val:
+                    break
+            else:
+                inv = pow(w[piv], p - 2, p)
+                walk(c + 1, x, rest, basis + [(piv, [a * inv % p for a in w])])
+
+    walk(0, (f.zero,) * (n * n), [list(v) for v in kernel], [])
+    # the walk keeps canonical residues, which are not coerced again
+    return [Matrix._of(f, [x[r:r + n] for r in range(0, n * n, n)], n)
+            for x in sorted(hits)]
 
 
 def extension_automorphisms(e):

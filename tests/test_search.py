@@ -1,7 +1,8 @@
 """The linear-first searches against brute force, and their size limit.
 
 Every search solves its linear clauses first and searches only the solution
-space, the automorphism searches column by column; extension equivalence
+space, the automorphism searches column by column along a stabiliser chain
+(`oracle_search.column_walk` is the walk without it); extension equivalence
 solves for its affine space of maps instead.  `oracle_search` keeps the
 searches over every linear map.  Both must return the same maps in the
 same order.
@@ -12,7 +13,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -20,7 +21,7 @@ import avglie.extensions as ext
 import oracle_linalg
 import oracle_search
 from avglie import documents as docs
-from avglie.errors import FieldTooLarge
+from avglie.errors import FieldTooLarge, InternalError
 from avglie.extensions import (
     AutomorphismPair,
     ExtensionData,
@@ -247,6 +248,37 @@ def test_column_walk_matches_brute_force_with_identity_operator():
     assert len(found) == 8
     assert found == oracle_search.bracket_automorphisms(b)
     assert found == conjugated(averaging_automorphisms(a), B)
+    # the benchmark's P = I case: Heisenberg over F3, 432 maps
+    b = scramble_averaging(rng, identity_averaging(heisenberg(GF(3))), dense_invertible)[0]
+    found = averaging_automorphisms(b)
+    assert len(found) == 432
+    assert found == oracle_search.bracket_automorphisms(b)
+    assert_group(found)
+
+
+def assert_group(found):
+    """found is closed under products, checked against a seeded sample of
+    its members, and its order is the product of the orbit sizes along its
+    stabiliser chain: the values g e_c of the g fixing e_0 .. e_{c-1}."""
+    keys = set(found)
+    for h in random.Random(len(found)).sample(found, min(len(found), 12)):
+        assert all(g.mul(h) in keys for g in found)
+    f, n = found[0].field, found[0].rows
+    orbits = []
+    for c in range(n):
+        found = [g for g in found if c == 0 or g.col(c - 1) == vec_basis(f, n, c - 1)]
+        orbits.append(len({g.col(c) for g in found}))
+    assert prod(orbits) == len(keys)
+
+
+@pytest.mark.parametrize("row, column", [((1, 0, 0, 0), 0), ((0, 0, 0, 1), 1)])
+def test_a_solution_space_without_the_identity_is_refused(row, column):
+    # g[0, 0] = 0 (or g[1, 1] = 0) leaves invertible maps but not the
+    # identity, so the solutions are no group to read off a stabiliser chain
+    F2 = GF(2)
+    want = f"identity fails the linear clauses at column {column}$"
+    with pytest.raises(InternalError, match=want):
+        ext._bracket_maps(F2, LieAlgebra.abelian(F2, 2), [list(row)])
 
 
 def test_scrambled_heisenberg_with_identity_operator_by_conjugation():
@@ -549,9 +581,15 @@ def test_search_commutes_with_a_change_of_basis():
         heisenberg(F3), Matrix(F3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     )
     # g commutes with P = diag(0, 0, 1): any A in GL_2(F3) on the plane and
-    # det A on the centre, 48 maps
+    # det A on the centre, 48 maps.  With a line added and P = diag(1, 1, 1,
+    # 0), Aut(heis) x F3^*: 864 maps
+    P = Matrix(F3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+    heis_line = AveragingLieAlgebra.validate(
+        direct_sum(heisenberg(F3), LieAlgebra.abelian(F3, 1)), P
+    )
     for a, order in (
-        (abelian(F2, jordan(F2, 5)), 16), (abelian(F3, jordan(F3, 4)), 54), (heis, 48)
+        (abelian(F2, jordan(F2, 5)), 16), (abelian(F3, jordan(F3, 4)), 54), (heis, 48),
+        (heis_line, 864),
     ):
         B2, B = scramble_averaging(rng, a, dense_invertible)
         Binv = B.inverse()
@@ -559,6 +597,12 @@ def test_search_commutes_with_a_change_of_basis():
         assert len(found) == order
         conjugated = sorted((Binv.mul(g).mul(B) for g in found), key=Matrix.flat)
         assert averaging_automorphisms(B2) == conjugated
+        # the leaf-by-leaf walk, beyond brute-force reach at dim 4 over F3
+        f = a.field
+        assert conjugated == oracle_search.column_walk(
+            f, B2.algebra, ext._commutator_rows(f, B2.P, B2.P)
+        )
+        assert_group(conjugated)
 
 
 def test_extension_equivalence_needs_no_enumeration_limit(monkeypatch):
@@ -590,8 +634,15 @@ def test_groups_are_enumerated_once(monkeypatch):
     pairs = compatible_pairs(exts["extension_abelian_f3.json"])
     assert len(calls) == 2 and len(pairs) == 2
     calls.clear()
+    bases = counting(monkeypatch, "_basis")
     report = exact_sequence_audit(exts["extension_f3.json"])
     assert len(calls) == 2 and report["pairs_audited"] == 4 and report["ok"]
+    # one section and one (s | i) behind every projection and Wells class,
+    # also when the section is solved for
+    assert len(bases) == 1
+    bases.clear()
+    assert exact_sequence_audit(exts["extension_f3_scrambled.json"])["ok"]
+    assert len(bases) == 1
     auts = counting(monkeypatch, "extension_automorphisms")
     v = check_split_semidirect(exts["extension_split_f2.json"])
     assert len(auts) == 1
