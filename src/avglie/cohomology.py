@@ -22,7 +22,7 @@ coboundary solves on the born-sparse matrix all read those rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from types import SimpleNamespace
@@ -90,32 +90,6 @@ class Cochain:
         if not self.f.is_zero():
             return False
         return self.theta is None or self.theta.is_zero()
-
-    def add(self, other):
-        return self._parts(lambda a, b: a.add(b), other)
-
-    def sub(self, other):
-        return self._parts(lambda a, b: a.sub(b), other)
-
-    def neg(self):
-        return self._parts(lambda a, _: a.neg(), self)
-
-    def _parts(self, op, other):
-        """op on the components f and theta of self and other; degree 0
-        has none and degree 1 no theta."""
-        self._check_like(other)
-        if self.degree == 0:
-            return self
-        theta = None if self.theta is None else op(self.theta, other.theta)
-        return replace(self, f=op(self.f, other.f), theta=theta)
-
-    def _check_like(self, other):
-        if (
-            self.field != other.field
-            or (self.dim, self.vdim, self.degree)
-            != (other.dim, other.vdim, other.degree)
-        ):
-            raise DimensionMismatch("cochain shape mismatch")
 
     def vectorize(self):
         """Coordinates in the canonical cochain basis."""

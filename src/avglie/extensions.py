@@ -10,8 +10,13 @@ An extension is read through a section s in the basis T = (s | i) of its
 total space (`_basis`): there it is the total space of its cocycle, an
 automorphism keeping the kernel is block triangular with its pair on the
 diagonal, and an equivalence is [[I, 0], [phi, I]] for a witness phi of
-cocycle equivalence.  (E1) makes the quadratic clause (E2) linear, so the
-witnesses and the equivalences are affine spaces, solved over Q and F_p.
+cocycle equivalence.  A cocycle is read the same way: the action of a
+pair (beta, alpha) is its cocycle in the basis diag(alpha^-1, beta^-1)
+of its own total space (`transform_cocycle`), and phi is a witness when
+[[I, 0], [phi, I]] is an averaging morphism between the two cocycles'
+total spaces (`_phi_satisfies`).  (E1) makes the quadratic clause (E2)
+linear, so the witnesses and the equivalences are affine spaces, solved
+over Q and F_p; (E1)-(E3) are written out only as the rows solved.
 The automorphism searches over F_p solve their linear clauses first, rows
 for the entries of L X R (`_product_rows`) or X P1 - P2 X
 (`_commutator_rows`) in the unknown X; `ENUM_LIMIT` bounds that space.
@@ -23,13 +28,13 @@ group, listed as products along a stabiliser chain.
 
 The validators use the matrix idiom of `lie`.  (B), (D) and (D1) are read
 off the total space of the cocycle (`check_cocycle`); the derivation
-clause, (A), (C), the bracket morphisms and (E1)-(E3) are one matrix
-identity per leading index.
+clause, (A), (C) and the bracket morphisms are one matrix identity per
+leading index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import combinations, product
 from math import prod
@@ -123,11 +128,6 @@ class NonAbelianCocycle:
         if not v:
             raise ValidationError(v)
         return c
-
-    def components_equal(self, other) -> bool:
-        return (
-            self.chi == other.chi and self.psi == other.psi and self.Phi == other.Phi
-        )
 
 
 def check_cocycle(c: NonAbelianCocycle) -> Verdict:
@@ -307,8 +307,10 @@ def _section(e: ExtensionData, section: Matrix | None = None) -> Matrix:
 
 
 class _Basis(NamedTuple):
-    """The basis T = (s | i) of the total space for a section s,
-    T(x, h) = s(x) + i(h), and its inverse."""
+    """A basis T = (s | i) of a total space over base + coef, T(x, h) =
+    s(x) + i(h), and its inverse: for a section s of an extension
+    (`_basis`), or diag(alpha^-1, beta^-1) of a cocycle's total space
+    (`transform_cocycle`)."""
 
     s: Matrix
     T: Matrix
@@ -387,20 +389,21 @@ def extract_cocycle(e: ExtensionData, s: Matrix | None = None) -> NonAbelianCocy
     return _extract(e, _basis(e, s))
 
 
-def _extract(e: ExtensionData, basis: _Basis) -> NonAbelianCocycle:
-    """`extract_cocycle` in a basis already built."""
-    f, n, m = e.total.field, e.base.dim, e.coef.dim
-    ad = e.total.algebra.ad
+def _extract(src, basis: _Basis, failure="extension produced an invalid cocycle at"):
+    """`extract_cocycle` in a basis already built, of anything with a base,
+    a coef and a total space over base + coef: an extension, or a cocycle
+    read in another basis of its own total space (`transform_cocycle`).
+    The result must be a cocycle; an InternalError names the clause."""
+    f, n, m = src.total.field, src.base.dim, src.coef.dim
+    ad = src.total.algebra.ad
     rows = [basis.blocks(psi_of_vec(f, n + m, ad, basis.s.col(x)))[1] for x in range(n)]
     chi = AltMap(f, n, 2, m, [rows[x][0].col(y) for x, y in combinations(range(n), 2)])
     psi = psi_tensor(f, m, [hh for _, hh in rows])
-    Phi = basis.blocks(e.total.P)[1][0]
-    c = NonAbelianCocycle(e.base, e.coef, chi, psi, Phi)
+    Phi = basis.blocks(src.total.P)[1][0]
+    c = NonAbelianCocycle(src.base, src.coef, chi, psi, Phi)
     v = check_cocycle(c)
     if not v:
-        raise InternalError(
-            f"extension produced an invalid cocycle at clause {v.clause}"
-        )
+        raise InternalError(f"{failure} clause {v.clause}")
     return c
 
 
@@ -519,24 +522,19 @@ def _e2_rows(ca, cb):
 
 
 def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
-    """Full check of (E1), (E2), (E3) for a candidate phi: psi_j - psi'_j =
-    ad_{phi e_j} for each j; chi(x, -) - chi'(x, -) = psi'_x phi - psi'_-
-    phi e_x - phi ad_x + ad_{phi e_x} phi at columns y > x, for each x;
-    and Phi - Phi' = Q phi - phi P."""
-    f = c1.base.field
-    n, m = c1.base.dim, c1.coef.dim
-    mats1, mats2 = c1.psi_mats(), c2.psi_mats()
-    adphi = [psi_of_vec(f, m, c1.coef.algebra.ad, phi.col(j)) for j in range(n)]
-    if any(u.sub(v) != w for u, v, w in zip(mats1, mats2, adphi)):
-        return False
-    dchi = c1.chi.sub(c2.chi)
-    for x in range(n - 1):
-        acts = Matrix.from_cols(f, [u.matvec(phi.col(x)) for u in mats2], m)
-        rhs = mats2[x].mul(phi).sub(acts).sub(phi.mul(c1.base.algebra.ad[x]))
-        rhs = rhs.add(adphi[x].mul(phi))
-        if column_mismatch("(E2)", (x,), dchi.slice(x), rhs, cols=range(x + 1, n)) is not None:
-            return False
-    return c1.Phi.sub(c2.Phi) == c1.coef.P.mul(phi).sub(phi.mul(c1.base.P))
+    """Whether phi witnesses the equivalence of c1 and c2: tau = [[I, 0],
+    [phi, I]] is an averaging morphism from `c1.total` to the total space
+    of c2's triple over c1's algebras.  On the pairs (x, h) that is (E1),
+    on the pairs (x, y) it is (E2), and on the operators (E3).  That total
+    space is c2's own, built once, when c2 is over the same algebras."""
+    if (c2.base, c2.coef) != (c1.base, c1.coef):
+        c2 = replace(c2, base=c1.base, coef=c1.coef)
+    f, n, m = c1.base.field, c1.base.dim, c1.coef.dim
+    ident = Matrix.identity
+    tau = block_matrix(f, [[ident(f, n), Matrix.zero(f, n, m)], [phi, ident(f, m)]])
+    src, dst = c1.total, c2.total
+    mismatch = bracket_morphism_mismatch("tau", tau, src.algebra, dst.algebra, increasing=True)
+    return mismatch is None and tau.mul(src.P) == dst.P.mul(tau)
 
 
 def _witness_space(c1, c2):
@@ -626,32 +624,23 @@ def check_automorphism_pair(
 
 
 def transform_cocycle(pair: AutomorphismPair, c: NonAbelianCocycle) -> NonAbelianCocycle:
-    """Pull the cocycle back along alpha and push forward along beta."""
+    """Pull the cocycle back along alpha and push it forward along beta:
+    chi' = beta chi(alpha^-1 x, alpha^-1 y), psi'_x = beta psi_{alpha^-1 x}
+    beta^-1 and Phi' = beta Phi alpha^-1.  That is the cocycle `_extract`
+    reads off `c.total` in the basis T = diag(alpha^-1, beta^-1), whose
+    inverse is diag(alpha, beta)."""
     v = check_automorphism_pair(pair, c.base, c.coef)
     if not v:
         raise ValidationError(v)
-    f = c.base.field
-    n, m = c.base.dim, c.coef.dim
+    f, n, m = c.base.field, c.base.dim, c.coef.dim
+
+    def diag(a, b):
+        return block_matrix(f, [[a, Matrix.zero(f, n, m)], [Matrix.zero(f, m, n), b]])
+
     ainv = pair.alpha.inverse()
-    binv = pair.beta.inverse()
-    chi_comps = [
-        pair.beta.matvec(c.chi.eval_vectors([ainv.col(i), ainv.col(j)]))
-        for i, j in combinations(range(n), 2)
-    ]
-    chi = AltMap(f, n, 2, m, chi_comps)
-    mats = c.psi_mats()
-    new_mats = [
-        pair.beta.mul(psi_of_vec(f, m, mats, ainv.col(i))).mul(binv) for i in range(n)
-    ]
-    psi = psi_tensor(f, m, new_mats)
-    Phi = pair.beta.mul(c.Phi).mul(ainv)
-    out = NonAbelianCocycle(c.base, c.coef, chi, psi, Phi)
-    vv = check_cocycle(out)
-    if not vv:
-        raise InternalError(
-            f"transformed cocycle failed clause {vv.clause}"
-        )
-    return out
+    s = block_matrix(f, [[ainv], [Matrix.zero(f, m, n)]])
+    basis = _Basis(s, diag(ainv, pair.beta.inverse()), diag(pair.alpha, pair.beta))
+    return _extract(c, basis, "transformed cocycle failed")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ the bilinear map given by its values on basis pairs; `bracket_vec`,
 `br00_vec` and `br01_vec` are that map on a Lie bracket and on the two
 stored brackets of a 2-term structure.  Every verdict (clause, witness
 indices, both sides and notes) of the library must equal the one here.
+`transform_cocycle` is the action of an automorphism pair on a cocycle
+with each component written out, as the library computed it before it
+read the action off the cocycle's total space.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from itertools import combinations, product
 
 from avglie.errors import DimensionMismatch, InternalError, ValidationError, Verdict
 from avglie.extensions import (
+    AutomorphismPair,
+    NonAbelianCocycle,
     _section,
     build_extension,
     compatible_pairs,
@@ -23,7 +28,7 @@ from avglie.extensions import (
     project_automorphism,
 )
 from avglie.homotopy import CrossedModule, is_strict
-from avglie.lie import AveragingLieAlgebra, LeibnizAlgebra, LieAlgebra
+from avglie.lie import AveragingLieAlgebra, LeibnizAlgebra, LieAlgebra, psi_tensor
 from avglie.linalg import (
     Matrix,
     Tensor,
@@ -38,7 +43,7 @@ from avglie.linalg import (
     vec_sub,
     vec_zero,
 )
-from avglie.multilinear import dense_offset
+from avglie.multilinear import AltMap, dense_offset
 from oracle_delta import eval_mixed
 
 
@@ -496,6 +501,46 @@ def check_algebra_automorphism(a: AveragingLieAlgebra, g: Matrix, tag: str) -> V
     if lhs != rhs:
         return Verdict.failed(f"{tag}-operator", (), lhs.flat(), rhs.flat())
     return Verdict.passed()
+
+
+def check_automorphism_pair(
+    pair: AutomorphismPair, base: AveragingLieAlgebra, coef: AveragingLieAlgebra
+) -> Verdict:
+    v = check_algebra_automorphism(coef, pair.beta, "beta")
+    if not v:
+        return v
+    return check_algebra_automorphism(base, pair.alpha, "alpha")
+
+
+def transform_cocycle(pair: AutomorphismPair, c: NonAbelianCocycle) -> NonAbelianCocycle:
+    """Pull the cocycle back along alpha and push forward along beta, each
+    component written out: chi' = beta chi(alpha^-1 x, alpha^-1 y),
+    psi'_x = beta psi_{alpha^-1 x} beta^-1 and Phi' = beta Phi alpha^-1."""
+    v = check_automorphism_pair(pair, c.base, c.coef)
+    if not v:
+        raise ValidationError(v)
+    f = c.base.field
+    n, m = c.base.dim, c.coef.dim
+    ainv = pair.alpha.inverse()
+    binv = pair.beta.inverse()
+    chi_comps = [
+        pair.beta.matvec(c.chi.eval_vectors([ainv.col(i), ainv.col(j)]))
+        for i, j in combinations(range(n), 2)
+    ]
+    chi = AltMap(f, n, 2, m, chi_comps)
+    mats = c.psi_mats()
+    new_mats = [
+        pair.beta.mul(psi_of_vec(f, m, mats, ainv.col(i))).mul(binv) for i in range(n)
+    ]
+    psi = psi_tensor(f, m, new_mats)
+    Phi = pair.beta.mul(c.Phi).mul(ainv)
+    out = NonAbelianCocycle(c.base, c.coef, chi, psi, Phi)
+    vv = check_cocycle(out)
+    if not vv:
+        raise InternalError(
+            f"transformed cocycle failed clause {vv.clause}"
+        )
+    return out
 
 
 def audit_round_trip(e: ExtensionData, section: Matrix | None = None) -> Verdict:

@@ -9,6 +9,8 @@ import json
 import os
 import random
 from dataclasses import replace
+from functools import cache
+from itertools import product
 
 import pytest
 
@@ -21,7 +23,14 @@ from avglie.errors import Verdict
 from avglie.fields import GF, QQ
 from avglie.linalg import Matrix, Tensor
 from avglie.multilinear import AltMap
-from conftest import FIXTURES, g2_averaging, heisenberg, random_scalar, representation_family
+from conftest import (
+    FIXTURES,
+    g2_averaging,
+    heisenberg,
+    random_matrix,
+    random_scalar,
+    representation_family,
+)
 
 FIELDS = (QQ, GF(2), GF(3))
 VARIANTS = 200
@@ -292,6 +301,44 @@ def _oracle_phi_satisfies(c1, c2, phi):
     return oracle._phi_satisfies(c1, c2, phi, (c1.psi_mats(), c2.psi_mats()))
 
 
+def q_automorphisms(a):
+    """The automorphisms of a over Q among the diagonal maps with entries
+    in {1, -1, 2} and the unitriangular ones with entries in {0, 1}."""
+    f, d = a.field, a.dim
+    maps = [Matrix(f, [[x if i == j else 0 for j in range(d)] for i, x in enumerate(xs)])
+            for xs in product((1, -1, 2), repeat=d)]
+    below = [(i, j) for i in range(d) for j in range(i)]
+    for xs in product((0, 1), repeat=len(below)):
+        x = dict(zip(below, xs))
+        for lower in (True, False):
+            maps.append(Matrix(f, [[int(i == j) or x.get((i, j) if lower else (j, i), 0)
+                                    for j in range(d)] for i in range(d)]))
+    return [g for g in dict.fromkeys(maps) if ext.check_algebra_automorphism(a, g, "g")]
+
+
+@cache
+def cocycle_automorphisms(f):
+    """For each cocycle of `cocycles(f)`, the automorphisms of its
+    coefficients and of its base: all of them over F_p, some over Q."""
+    search = ext.averaging_automorphisms if f.finite else q_automorphisms
+    return [(search(c.coef), search(c.base)) for c in cocycles(f)]
+
+
+def transform_variants(rng, f):
+    """Cocycles extracted through a random section, under an automorphism
+    pair of their algebras or, a third of the time, one with a side
+    spoiled."""
+    for c, (betas, alphas) in zip(cocycles(f), cocycle_automorphisms(f)):
+        e = ext.build_extension(c)
+        mu = random_matrix(rng, f, c.coef.dim, c.base.dim)
+        c = ext.extract_cocycle(e, ext.perturbed_section(e, mu))
+        pair = ext.AutomorphismPair(rng.choice(betas), rng.choice(alphas))
+        if rng.random() < 1 / 3:
+            side = rng.choice(("beta", "alpha"))
+            pair = replace(pair, **{side: spoil(rng, getattr(pair, side))})
+        yield ext.transform_cocycle, oracle.transform_cocycle, (pair, c)
+
+
 def extension_variants(rng, f):
     for c in cocycles(f):
         e = ext.build_extension(c)
@@ -369,6 +416,9 @@ REACHED = {
     "representation_variants": {"psi-homomorphism", "rep-chain-1", "rep-chain-2",
                                 "embedding-tensor"},
     "cocycle_variants": {"derivation", "(A)", "(B)", "(C)", "(D)"},
+    # None: a transformed cocycle returned by both
+    "transform_variants": {None, "beta-invertible", "beta-bracket", "beta-operator",
+                           "alpha-invertible", "alpha-bracket"},
     "extension_variants": {"i-morphism-bracket", "p-morphism-bracket", "aut-bracket"},
     "homotopy_variants": {"L1", "L4", "L5", "L6", "L7", "L8", "A2", "A3", "A4"},
     "crossed_variants": {"d-bracket", "rho-derivation", "rho-homomorphism", "cm-anchor",
@@ -379,8 +429,8 @@ REACHED = {
 
 @pytest.mark.parametrize(
     "variants",
-    [lie_variants, representation_variants, cocycle_variants, extension_variants,
-     homotopy_variants, crossed_variants, split_variants],
+    [lie_variants, representation_variants, cocycle_variants, transform_variants,
+     extension_variants, homotopy_variants, crossed_variants, split_variants],
     ids=lambda fn: fn.__name__,
 )
 def test_spoiled_variants_agree_with_the_oracle(variants):

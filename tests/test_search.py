@@ -419,11 +419,10 @@ def test_cocycle_equivalence_takes_the_least_coordinates():
     assert point == (0, 0, 1, 0)
 
 
-def test_cocycle_equivalence_sweep_matches_the_product_loop(monkeypatch):
+def test_cocycle_equivalence_sweep_matches_the_product_loop():
     # unvalidated pairs over F2 and F3; those with psi = Phi = 0 on
     # nonabelian coefficients leave the centre free in (E1).  On abelian
     # coefficients (E2) joins the first solve, so the witness is its point
-    monkeypatch.setattr(ext, "ENUM_LIMIT", 2**40)  # no pair is too large
     rng = random.Random(1308)
     pairs = []
     for f, n, m in product((GF(2), GF(3)), range(1, 4), range(1, 4)):
