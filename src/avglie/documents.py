@@ -152,18 +152,20 @@ def parse_lie(obj, kind="lie_algebra"):
     return field, dim, bracket
 
 
-def parse_averaging(obj, kind="averaging_lie_algebra"):
+def parse_averaging(obj):
+    kind = "averaging_lie_algebra"
     field, dim, bracket = parse_lie(obj, kind)
     P = parse_matrix(field, _want(obj, "P", kind), kind, "P", dim, dim)
     return field, dim, bracket, P
 
 
-def realize_averaging(obj, kind="averaging_lie_algebra") -> AveragingLieAlgebra:
-    field, dim, bracket, P = parse_averaging(obj, kind)
+def realize_averaging(obj) -> AveragingLieAlgebra:
+    field, dim, bracket, P = parse_averaging(obj)
     return AveragingLieAlgebra.validate(LieAlgebra.validate(field, dim, bracket), P)
 
 
-def parse_representation(obj, kind="representation"):
+def parse_representation(obj):
+    kind = "representation"
     field = _field_of(obj, kind)
     base = _sub(obj, "base", kind, "averaging_lie_algebra", field)
     vdim = _natural(obj, "vdim", kind)
@@ -173,8 +175,8 @@ def parse_representation(obj, kind="representation"):
     return base, vdim, psi, Q
 
 
-def realize_representation(obj, kind="representation") -> Representation:
-    base, vdim, psi, Q = parse_representation(obj, kind)
+def realize_representation(obj) -> Representation:
+    base, vdim, psi, Q = parse_representation(obj)
     return Representation.validate(realize_averaging(base), vdim, psi, Q)
 
 

@@ -68,6 +68,12 @@ class Verdict:
         rhs = tuple(rhs) if isinstance(rhs, (tuple, list)) else (rhs,)
         return Verdict(False, clause, Witness(tuple(indices), lhs, rhs), dict(notes))
 
+    def require(self):
+        """This verdict when it passed; otherwise raise ValidationError."""
+        if not self.ok:
+            raise ValidationError(self)
+        return self
+
 
 class ValidationError(AvgLieError):
     """A validator failed; carries the verdict."""

@@ -6,8 +6,10 @@ authored extensions with scrambled bases are first-class inputs.  Every
 postcondition backed by a theorem is still executed; a failure there is an
 InternalError, never a silent pass.
 
-An extension is read through a section s in the basis T = (s | i) of its
-total space (`_basis`): there it is the total space of its cocycle, an
+An extension is read through its own section s (`e.s`, else
+`default_section`) in the basis T = (s | i) of its total space, which it
+builds once, with the cocycle read in it; another section is
+`replace(e, s=...)`.  In that basis it is the total space of its cocycle, an
 automorphism keeping the kernel is block triangular with its pair on the
 diagonal, and an equivalence is [[I, 0], [phi, I]] for a witness phi of
 cocycle equivalence.  A cocycle is read the same way: the action of a
@@ -124,9 +126,7 @@ class NonAbelianCocycle:
     @staticmethod
     def validate(base, coef, chi, psi, Phi) -> "NonAbelianCocycle":
         c = NonAbelianCocycle(base, coef, chi, psi, Phi)
-        v = check_cocycle(c)
-        if not v:
-            raise ValidationError(v)
+        check_cocycle(c).require()
         return c
 
 
@@ -222,7 +222,12 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
 
 @dataclass(frozen=True)
 class ExtensionData:
-    """Short exact sequence of averaging Lie algebras with explicit maps."""
+    """Short exact sequence of averaging Lie algebras with explicit maps.
+
+    Its readers read it through its own section, s or else
+    `default_section`: that section, the basis (s | i) and the cocycle read
+    in it are built on first use and kept.
+    """
 
     base: AveragingLieAlgebra  # quotient
     coef: AveragingLieAlgebra  # kernel
@@ -240,10 +245,20 @@ class ExtensionData:
     @staticmethod
     def validate(base, coef, total, i, p, s=None) -> "ExtensionData":
         e = ExtensionData(base, coef, total, i, p, s)
-        v = check_extension(e)
-        if not v:
-            raise ValidationError(v)
+        check_extension(e).require()
         return e
+
+    @cached_property
+    def _own_section(self) -> Matrix:
+        return self.s if self.s is not None else default_section(self)
+
+    @cached_property
+    def _own_basis(self) -> "_Basis":
+        return _section_basis(self, self._own_section)
+
+    @cached_property
+    def _own_cocycle(self) -> NonAbelianCocycle:
+        return _extract(self, self._own_basis)
 
 
 def check_extension(e: ExtensionData) -> Verdict:
@@ -299,18 +314,11 @@ def default_section(e: ExtensionData) -> Matrix:
     return Matrix.from_cols(f, cols, rows_hint=e.total.dim)
 
 
-def _section(e: ExtensionData, section: Matrix | None = None) -> Matrix:
-    """The given section, else the extension's own, else the default one."""
-    if section is not None:
-        return section
-    return e.s if e.s is not None else default_section(e)
-
-
 class _Basis(NamedTuple):
     """A basis T = (s | i) of a total space over base + coef, T(x, h) =
     s(x) + i(h), and its inverse: for a section s of an extension
-    (`_basis`), or diag(alpha^-1, beta^-1) of a cocycle's total space
-    (`transform_cocycle`)."""
+    (`_section_basis`), or diag(alpha^-1, beta^-1) of a cocycle's total
+    space (`transform_cocycle`)."""
 
     s: Matrix
     T: Matrix
@@ -319,11 +327,8 @@ class _Basis(NamedTuple):
     def blocks(self, M):
         """The blocks [[xx, xh], [hx, hh]] of T^-1 M T, base rows first."""
         C, n = self.inv.mul(M).mul(self.T), self.s.cols
-        cuts = ((0, n), (n, C.cols))
-        return [
-            [Matrix._of(C.field, [r[a:b] for r in C.entries[u:v]], b - a) for a, b in cuts]
-            for u, v in cuts
-        ]
+        halves = (C.entries[:n], C.entries[n:])
+        return [_halves(Matrix._of(C.field, rows, C.cols), n) for rows in halves]
 
     def block_map(self, pair: "AutomorphismPair", phi: Matrix) -> Matrix:
         """gamma(s(x) + i(h)) = s(alpha x) + i(beta h + phi alpha x): the
@@ -333,11 +338,16 @@ class _Basis(NamedTuple):
         return self.T.mul(block_matrix(f, grid)).mul(self.inv)
 
 
-def _basis(e: ExtensionData, section: Matrix | None = None) -> _Basis:
-    """The basis for `_section(e, section)`; the clause `section` when
+def _halves(C: Matrix, n: int):
+    """C as its first n columns and the rest."""
+    cut = [[r[:n] for r in C.entries], [r[n:] for r in C.entries]]
+    return [Matrix._of(C.field, rows, w) for rows, w in zip(cut, (n, C.cols - n))]
+
+
+def _section_basis(e: ExtensionData, s: Matrix) -> _Basis:
+    """The basis (s | i) for a section s of e; the clause `section` when
     p s != I, `tau-invertible` when (s | i) is singular (never if exact)."""
     f, n = e.total.field, e.base.dim
-    s = _section(e, section)
     ps, ident = e.p.mul(s), Matrix.identity(f, n)
     if ps != ident:
         raise ValidationError(Verdict.failed("section", (), ps.flat(), ident.flat()))
@@ -349,8 +359,9 @@ def _basis(e: ExtensionData, section: Matrix | None = None) -> _Basis:
 
 
 def perturbed_section(e: ExtensionData, mu: Matrix) -> Matrix:
-    """Another section: s + i o mu for any linear mu: base -> coef."""
-    return _section(e).add(e.i.mul(mu))
+    """Another section: s + i o mu for any linear mu: base -> coef, where
+    s is e's own section, read unvalidated."""
+    return e._own_section.add(e.i.mul(mu))
 
 
 def build_extension(c: NonAbelianCocycle) -> ExtensionData:
@@ -363,9 +374,7 @@ def build_extension(c: NonAbelianCocycle) -> ExtensionData:
     projection and section of base + coef.  The cocycle clauses make it
     an averaging Lie algebra, so that check is a postcondition.
     """
-    v = check_cocycle(c)
-    if not v:
-        raise ValidationError(v)
+    check_cocycle(c).require()
     f = c.base.field
     n, m = c.base.dim, c.coef.dim
     total = c.total
@@ -382,11 +391,12 @@ def build_extension(c: NonAbelianCocycle) -> ExtensionData:
 
 
 def extract_cocycle(e: ExtensionData, s: Matrix | None = None) -> NonAbelianCocycle:
-    """The cocycle of an extension relative to a section: chi(x,y) =
-    [s(x), s(y)] - s[x,y], psi_x h = [s(x), i(h)] and Phi(x) = U(s(x)) -
-    s(P(x)) in coefficient coordinates, read off as the coefficient rows
-    of T^-1 ad_{s(x)} T and T^-1 U T in the basis T = (s | i)."""
-    return _extract(e, _basis(e, s))
+    """The cocycle of an extension relative to a section s, its own when s
+    is None: chi(x,y) = [s(x), s(y)] - s[x,y], psi_x h = [s(x), i(h)] and
+    Phi(x) = U(s(x)) - s(P(x)) in coefficient coordinates, read off as the
+    coefficient rows of T^-1 ad_{s(x)} T and T^-1 U T in the basis
+    T = (s | i)."""
+    return e._own_cocycle if s is None else _extract(e, _section_basis(e, s))
 
 
 def _extract(src, basis: _Basis, failure="extension produced an invalid cocycle at"):
@@ -396,10 +406,15 @@ def _extract(src, basis: _Basis, failure="extension produced an invalid cocycle 
     The result must be a cocycle; an InternalError names the clause."""
     f, n, m = src.total.field, src.base.dim, src.coef.dim
     ad = src.total.algebra.ad
-    rows = [basis.blocks(psi_of_vec(f, n + m, ad, basis.s.col(x)))[1] for x in range(n)]
+    low = Matrix._of(f, basis.inv.entries[n:], n + m)  # the coefficient rows of T^-1
+
+    def coef_rows(M):  # [hx, hh]: the coefficient rows of T^-1 M T
+        return _halves(low.mul(M).mul(basis.T), n)
+
+    rows = [coef_rows(psi_of_vec(f, n + m, ad, basis.s.col(x))) for x in range(n)]
     chi = AltMap(f, n, 2, m, [rows[x][0].col(y) for x, y in combinations(range(n), 2)])
     psi = psi_tensor(f, m, [hh for _, hh in rows])
-    Phi = basis.blocks(src.total.P)[1][0]
+    Phi = coef_rows(src.total.P)[0]
     c = NonAbelianCocycle(src.base, src.coef, chi, psi, Phi)
     v = check_cocycle(c)
     if not v:
@@ -422,17 +437,17 @@ def _equivalence_verdict(tau: Matrix, e1: ExtensionData, e2: ExtensionData) -> V
     return Verdict.passed()
 
 
-def audit_round_trip(e: ExtensionData, section: Matrix | None = None) -> Verdict:
+def audit_round_trip(e: ExtensionData) -> Verdict:
     """Verify build(extract(e)) is equivalent to e through the basis
-    tau = (s | i), tau(x,h) = s(x) + i(h).
+    tau = (s | i), tau(x,h) = s(x) + i(h), of e's own section.
 
     tau must be an invertible averaging morphism intertwining both legs of
     the diagram; the verdict notes carry the rebuilt extension.
     """
-    basis = _basis(e, section)
-    rebuilt = build_extension(extract_cocycle(e, basis.s))
-    v = _equivalence_verdict(basis.T, rebuilt, e)
-    return Verdict.passed(rebuilt=rebuilt, tau=basis.T) if v else v
+    tau = e._own_basis.T
+    rebuilt = build_extension(extract_cocycle(e))
+    v = _equivalence_verdict(tau, rebuilt, e)
+    return Verdict.passed(rebuilt=rebuilt, tau=tau) if v else v
 
 
 def extensions_equivalent(e1: ExtensionData, e2: ExtensionData) -> Matrix | None:
@@ -448,8 +463,8 @@ def extensions_equivalent(e1: ExtensionData, e2: ExtensionData) -> Matrix | None
     if e1.base != e2.base or e1.coef != e2.coef:
         raise DimensionMismatch("extensions over different algebra pairs")
     f, n, m, dim = e1.total.field, e1.base.dim, e1.coef.dim, e1.total.dim
-    b1, b2 = _basis(e1), _basis(e2)
-    space = _witness_space(extract_cocycle(e1, b1.s), extract_cocycle(e2, b2.s))
+    b1, b2 = e1._own_basis, e2._own_basis
+    space = _witness_space(extract_cocycle(e1), extract_cocycle(e2))
     if space is None:
         return None
     phi, directions = space
@@ -629,9 +644,7 @@ def transform_cocycle(pair: AutomorphismPair, c: NonAbelianCocycle) -> NonAbelia
     beta^-1 and Phi' = beta Phi alpha^-1.  That is the cocycle `_extract`
     reads off `c.total` in the basis T = diag(alpha^-1, beta^-1), whose
     inverse is diag(alpha, beta)."""
-    v = check_automorphism_pair(pair, c.base, c.coef)
-    if not v:
-        raise ValidationError(v)
+    check_automorphism_pair(pair, c.base, c.coef).require()
     f, n, m = c.base.field, c.base.dim, c.coef.dim
 
     def diag(a, b):
@@ -664,15 +677,9 @@ class WellsResult:
         )
 
 
-def wells_class(
-    pair: AutomorphismPair, e: ExtensionData, section: Matrix | None = None
-) -> WellsResult:
+def wells_class(pair: AutomorphismPair, e: ExtensionData) -> WellsResult:
     """Transformed-minus-original cocycle and whether it is the zero class."""
-    return _wells(pair, extract_cocycle(e, section))
-
-
-def _wells(pair: AutomorphismPair, orig: NonAbelianCocycle) -> WellsResult:
-    """`wells_class` of the pair on an extension with cocycle orig."""
+    orig = extract_cocycle(e)
     trans = transform_cocycle(pair, orig)
     dchi = trans.chi.sub(orig.chi)
     dpsi = trans.psi.sub(orig.psi)
@@ -680,20 +687,15 @@ def _wells(pair: AutomorphismPair, orig: NonAbelianCocycle) -> WellsResult:
     return WellsResult(dchi, dpsi, dphi, cocycles_equivalent(trans, orig))
 
 
-def lift_automorphism(
-    pair: AutomorphismPair,
-    e: ExtensionData,
-    phi: Matrix,
-    section: Matrix | None = None,
-) -> Matrix:
+def lift_automorphism(pair: AutomorphismPair, e: ExtensionData, phi: Matrix) -> Matrix:
     """Automorphism of the total algebra inducing the pair.
 
     gamma(i(h) + s(x)) = i(beta(h) + phi(alpha(x))) + s(alpha(x)), the
-    block map of `_Basis`; the witness phi must come from the same section
-    (post-verification rejects mismatches).  Invertibility, morphism
-    properties and the induced pair are all verified after construction.
+    block map of `_Basis` for e's own section s, as is the phi of
+    `wells_class(pair, e)`.  Invertibility, morphism properties and the
+    induced pair are all verified after construction.
     """
-    basis = _basis(e, section)
+    basis = e._own_basis
     gamma = basis.block_map(pair, phi)
     _require_automorphism(e, gamma)
     if gamma.mul(e.i) != e.i.mul(pair.beta):
@@ -710,24 +712,12 @@ def lift_automorphism(
     return gamma
 
 
-def project_automorphism(
-    e: ExtensionData, gamma: Matrix, section: Matrix | None = None
-) -> AutomorphismPair:
+def project_automorphism(e: ExtensionData, gamma: Matrix) -> AutomorphismPair:
     """The pair (gamma restricted to the kernel, p gamma s): the diagonal
-    blocks of gamma in the basis (s | i), whose upper right block is p gamma i."""
+    blocks of gamma in the basis (s | i) of e's own section s, whose upper
+    right block is p gamma i."""
     _require_automorphism(e, gamma)
-    return _project(e, _basis(e, section), gamma)
-
-
-def _require_automorphism(e: ExtensionData, gamma: Matrix):
-    v = check_algebra_automorphism(e.total, gamma, "gamma")
-    if not v:
-        raise ValidationError(v)
-
-
-def _project(e: ExtensionData, basis: _Basis, gamma: Matrix) -> AutomorphismPair:
-    """`project_automorphism` of an automorphism gamma in a basis already built."""
-    (alpha, corner), (_, beta) = basis.blocks(gamma)
+    (alpha, corner), (_, beta) = e._own_basis.blocks(gamma)
     for a in range(e.coef.dim):
         if not vec_is_zero(e.total.field, corner.col(a)):
             raise ValidationError(
@@ -738,6 +728,10 @@ def _project(e: ExtensionData, basis: _Basis, gamma: Matrix) -> AutomorphismPair
     if not pv:
         raise InternalError(f"projected pair failed clause {pv.clause}")
     return pair
+
+
+def _require_automorphism(e: ExtensionData, gamma: Matrix):
+    check_algebra_automorphism(e.total, gamma, "gamma").require()
 
 
 # ---------------------------------------------------------------------------
@@ -934,13 +928,7 @@ def kernel_fixing_automorphisms(e: ExtensionData, autos):
     """The members of the enumerated group `autos` inducing the identity pair."""
     f = e.total.field
     ident = AutomorphismPair(Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
-    basis = cache(lambda: _basis(e))  # built once, after the first member's check
-    out = []
-    for g in autos:
-        _require_automorphism(e, g)
-        if _project(e, basis(), g) == ident:
-            out.append(g)
-    return out
+    return [g for g in autos if project_automorphism(e, g) == ident]
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +936,8 @@ def kernel_fixing_automorphisms(e: ExtensionData, autos):
 
 
 def induced_representation(e: ExtensionData) -> Representation:
-    """The base acting on an abelian kernel through any section."""
+    """The base acting on an abelian kernel, read through e's own section
+    (every section induces the same action)."""
     if not e.coef.is_abelian():
         raise ValidationError(Verdict.failed("abelian", (), (), ()))
     c = extract_cocycle(e)
@@ -967,30 +956,16 @@ def check_compatible_pair(pair: AutomorphismPair, r: Representation) -> Verdict:
     return Verdict.passed()
 
 
-def abelian_wells(
-    pair: AutomorphismPair, e: ExtensionData, rep: Representation | None = None
-):
+def abelian_wells(pair: AutomorphismPair, e: ExtensionData):
     """The difference class as a genuine degree-2 cochain.
 
-    Returns (cochain, is_zero_class); coefficients must be abelian, the
-    pair compatible, and any prescribed representation must coincide with
-    the induced one.
+    Returns (cochain, is_zero_class); coefficients must be abelian and the
+    pair compatible with the induced representation.
     """
-    if not e.coef.is_abelian():
-        raise ValidationError(Verdict.failed("abelian", (), (), ()))
+    induced = induced_representation(e)
     orig = extract_cocycle(e)
-    induced = Representation.validate(e.base, e.coef.dim, orig.psi, e.coef.P)
-    if rep is not None:
-        if rep.psi != induced.psi or rep.Q != induced.Q or rep.base != induced.base:
-            raise ValidationError(
-                Verdict.failed("induced-representation", (), rep.psi.entries, induced.psi.entries)
-            )
-    v = check_automorphism_pair(pair, e.base, e.coef)
-    if not v:
-        raise ValidationError(v)
-    cv = check_compatible_pair(pair, induced)
-    if not cv:
-        raise ValidationError(cv)
+    check_automorphism_pair(pair, e.base, e.coef).require()
+    check_compatible_pair(pair, induced).require()
     trans = transform_cocycle(pair, orig)
     if trans.psi != orig.psi:
         raise InternalError("compatible pair changed the induced action")
@@ -1035,7 +1010,7 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
         raise ValidationError(Verdict.failed("abelian", (), (), ()))
     f = e.total.field
     n, m = e.base.dim, e.coef.dim
-    s = _section(e)
+    s = e._own_section
     v = bracket_morphism_mismatch(
         "section-bracket", s, e.base.algebra, e.total.algebra, increasing=True, swap=True
     )
@@ -1045,8 +1020,7 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
     rhs = s.mul(e.base.P)
     if lhs != rhs:
         raise ValidationError(Verdict.failed("section-operator", (), lhs.flat(), rhs.flat()))
-    basis = _basis(e, s)
-    c = _extract(e, basis)
+    c = extract_cocycle(e)
     if not c.chi.is_zero() or not c.Phi.is_zero():
         raise ValidationError(
             Verdict.failed("zero-cocycle", (), c.chi.flat() + c.Phi.flat(), ())
@@ -1056,10 +1030,10 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
     fixing = kernel_fixing_automorphisms(e, auth)
     # rho(pair) = tau (alpha + beta) tau^{-1} in the basis tau = (s | i).
     for pair in cpairs:
-        gamma = basis.block_map(pair, Matrix.zero(f, m, n))
+        gamma = e._own_basis.block_map(pair, Matrix.zero(f, m, n))
         if not check_algebra_automorphism(e.total, gamma, "rho"):
             return Verdict.failed("split-rho-automorphism", (), gamma.flat(), ())
-        back = _project(e, basis, gamma)
+        back = project_automorphism(e, gamma)
         if back.beta != pair.beta or back.alpha != pair.alpha:
             return Verdict.failed(
                 "split-rho-section",
@@ -1085,23 +1059,21 @@ def exact_sequence_audit(e: ExtensionData):
     f = e.total.field
     auth = extension_automorphisms(e)
     ident = (Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
-    basis = _basis(e)
     image = set()
     kernel_failures = []
     for g in auth:
-        pair = _project(e, basis, g)
+        pair = project_automorphism(e, g)
         image.add((pair.beta, pair.alpha))
         in_kernel = (pair.beta, pair.alpha) == ident
-        fixes = g.mul(e.i) == e.i and e.p.mul(g).mul(basis.s) == ident[1]
+        fixes = g.mul(e.i) == e.i and e.p.mul(g).mul(e._own_section) == ident[1]
         if in_kernel != fixes:
             kernel_failures.append(g)
     betas = averaging_automorphisms(e.coef)
     alphas = averaging_automorphisms(e.base)
     pairs = [AutomorphismPair(b, a) for b in betas for a in alphas]
-    orig = _extract(e, basis)
     wells_failures = []
     for pair in pairs:
-        if _wells(pair, orig).inducible != ((pair.beta, pair.alpha) in image):
+        if wells_class(pair, e).inducible != ((pair.beta, pair.alpha) in image):
             wells_failures.append(pair)
     return {
         "aut_total": len(auth),

@@ -178,9 +178,7 @@ def check_homotopy_averaging(t: TwoTermLinf, p: HomotopyAveraging) -> Verdict:
     A3 contains two asserted-equal right-hand sides; both are checked and
     the verdict notes record whether they agreed everywhere.
     """
-    base = check_two_term(t)
-    if not base:
-        raise ValidationError(base)
+    check_two_term(t).require()
     f = t.field
     n0, n1 = t.n0, t.n1
     if p.P0.rows != n0 or p.P0.cols != n0 or p.P1.rows != n1 or p.P1.cols != n1:
@@ -264,9 +262,7 @@ def skeletal_to_triple(t: TwoTermLinf, p: HomotopyAveraging):
     """
     if not is_skeletal(t):
         raise ValidationError(Verdict.failed("skeletal", (), t.d.flat(), ()))
-    v = check_homotopy_averaging(t, p)
-    if not v:
-        raise ValidationError(v)
+    check_homotopy_averaging(t, p).require()
     r = _rep_from_mixed_bracket(t, p)
     c = Cochain(t.field, t.n0, t.n1, 3, t.l3, p.P2.to_dense())
     if not is_cocycle(r, c):
@@ -395,9 +391,7 @@ def strict_to_crossed(t: TwoTermLinf, p: HomotopyAveraging) -> CrossedModule:
     """Level-1 bracket [h,k] := <dh, k> and action rho_x h := <x, h>."""
     if not is_strict(t, p):
         raise ValidationError(Verdict.failed("strict", (), t.l3.flat(), ()))
-    v = check_homotopy_averaging(t, p)
-    if not v:
-        raise ValidationError(v)
+    check_homotopy_averaging(t, p).require()
     f = t.field
     n0, n1 = t.n0, t.n1
     br1 = Tensor.of_matrices(f, (n1, n1, n1), t.level1_mats())
@@ -412,9 +406,7 @@ def strict_to_crossed(t: TwoTermLinf, p: HomotopyAveraging) -> CrossedModule:
 
 def crossed_to_strict(c: CrossedModule):
     """The strict structure with mixed bracket given by the action."""
-    v = check_crossed_module(c)
-    if not v:
-        raise ValidationError(v)
+    check_crossed_module(c).require()
     f = c.g0.field
     n0, n1 = c.g0.dim, c.g1.dim
     t = TwoTermLinf(
@@ -445,9 +437,7 @@ def semidirect_bracket(c: CrossedModule) -> Tensor:
 
 def crossed_semidirect(c: CrossedModule) -> AveragingLieAlgebra:
     """Semidirect averaging Lie algebra of a crossed module."""
-    v = check_crossed_module(c)
-    if not v:
-        raise ValidationError(v)
+    check_crossed_module(c).require()
     f = c.g0.field
     n0, n1 = c.g0.dim, c.g1.dim
     lie = LieAlgebra.validate(f, n0 + n1, semidirect_bracket(c))

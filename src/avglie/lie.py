@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import DimensionMismatch, InternalError, ValidationError, Verdict
+from .errors import DimensionMismatch, InternalError, Verdict
 from .linalg import (
     Matrix,
     Tensor,
@@ -140,9 +140,7 @@ class LieAlgebra:
 
     @staticmethod
     def validate(field, dim, bracket) -> "LieAlgebra":
-        v = check_lie(field, dim, bracket)
-        if not v:
-            raise ValidationError(v)
+        check_lie(field, dim, bracket).require()
         return LieAlgebra(field, dim, bracket)
 
     @staticmethod
@@ -211,9 +209,7 @@ class LeibnizAlgebra:
 
     @staticmethod
     def validate(field, dim, bracket) -> "LeibnizAlgebra":
-        v = check_leibniz(field, dim, bracket)
-        if not v:
-            raise ValidationError(v)
+        check_leibniz(field, dim, bracket).require()
         return LeibnizAlgebra(field, dim, bracket)
 
 
@@ -251,9 +247,7 @@ class AveragingLieAlgebra:
 
     @staticmethod
     def validate(algebra: LieAlgebra, P: Matrix) -> "AveragingLieAlgebra":
-        v = check_averaging(algebra, P)
-        if not v:
-            raise ValidationError(v)
+        v = check_averaging(algebra, P).require()
         if not v.notes.get("sides_agree", True):
             raise InternalError("left and right averaging checks disagree")
         return AveragingLieAlgebra(algebra, P)
@@ -429,9 +423,7 @@ class Representation:
 
     @staticmethod
     def validate(base, vdim, psi, Q) -> "Representation":
-        v = check_representation(base, vdim, psi, Q)
-        if not v:
-            raise ValidationError(v)
+        check_representation(base, vdim, psi, Q).require()
         return Representation(base, vdim, psi, Q)
 
     @property
@@ -521,9 +513,7 @@ def sum_bracket(g: LieAlgebra, h: LieAlgebra, psi: Tensor, chi=None) -> Tensor:
 
 def semidirect_product(g: LieAlgebra, vdim, psi: Tensor) -> LieAlgebra:
     """g + V with bracket [(x,u),(y,v)] = ([x,y], psi_x v - psi_y u)."""
-    v = check_lie_representation(g, vdim, psi)
-    if not v:
-        raise ValidationError(v)
+    check_lie_representation(g, vdim, psi).require()
     f = g.field
     bracket = sum_bracket(g, LieAlgebra.abelian(f, vdim), psi)
     return LieAlgebra.validate(f, g.dim + vdim, bracket)
@@ -531,9 +521,7 @@ def semidirect_product(g: LieAlgebra, vdim, psi: Tensor) -> LieAlgebra:
 
 def embedding_to_averaging(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> AveragingLieAlgebra:
     """P_T(x, u) = (T(u), 0) on the semidirect product; validated output."""
-    v = check_embedding_tensor(g, vdim, psi, T)
-    if not v:
-        raise ValidationError(v)
+    check_embedding_tensor(g, vdim, psi, T).require()
     f, n = g.field, g.dim
     total = semidirect_product(g, vdim, psi)
     zero_n, zero_v = Matrix.zero(f, n, n), Matrix.zero(f, vdim, vdim)

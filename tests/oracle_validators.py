@@ -13,13 +13,13 @@ read the action off the cocycle's total space.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations, product
 
 from avglie.errors import DimensionMismatch, InternalError, ValidationError, Verdict
 from avglie.extensions import (
     AutomorphismPair,
     NonAbelianCocycle,
-    _section,
     build_extension,
     compatible_pairs,
     extension_automorphisms,
@@ -543,13 +543,28 @@ def transform_cocycle(pair: AutomorphismPair, c: NonAbelianCocycle) -> NonAbelia
     return out
 
 
-def audit_round_trip(e: ExtensionData, section: Matrix | None = None) -> Verdict:
+def own_section(e: ExtensionData) -> Matrix:
+    """e's section, else the right inverse of p that solves for each basis
+    vector with the free coordinates zero."""
+    if e.s is not None:
+        return e.s
+    f, n = e.total.field, e.base.dim
+    cols = []
+    for j in range(n):
+        sol = solve_affine(e.p, vec_basis(f, n, j))
+        if sol is None:
+            raise ValidationError(Verdict.failed("p-surjective", (j,), (), ()))
+        cols.append(sol[0])
+    return Matrix.from_cols(f, cols, rows_hint=e.total.dim)
+
+
+def audit_round_trip(e: ExtensionData) -> Verdict:
     """Verify build(extract(e)) is equivalent to e through tau(x,h) = s(x) + i(h).
 
     tau must be an invertible averaging morphism intertwining both legs of
     the diagram; the verdict notes carry the rebuilt extension.
     """
-    s = _section(e, section)
+    s = own_section(e)
     c = extract_cocycle(e, s)
     rebuilt = build_extension(c)
     tau = s.hstack(e.i)
@@ -586,7 +601,7 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
         raise ValidationError(Verdict.failed("abelian", (), (), ()))
     f = e.total.field
     n, m = e.base.dim, e.coef.dim
-    s = _section(e)
+    s = own_section(e)
     for i_ in range(n):
         for j_ in range(i_ + 1, n):
             lhs = bracket_vec(e.total.algebra, s.col(i_), s.col(j_))
@@ -610,6 +625,7 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
     tinv = tau.inverse()
     if tinv is None:
         raise InternalError("splitting coordinates are singular")
+    split = replace(e, s=s)
     for pair in cpairs:
         block = block_matrix(
             f, [[pair.alpha, Matrix.zero(f, n, m)], [Matrix.zero(f, m, n), pair.beta]]
@@ -617,7 +633,7 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
         gamma = tau.mul(block).mul(tinv)
         if not check_algebra_automorphism(e.total, gamma, "rho"):
             return Verdict.failed("split-rho-automorphism", (), gamma.flat(), ())
-        back = project_automorphism(e, gamma, s)
+        back = project_automorphism(split, gamma)
         if back.beta != pair.beta or back.alpha != pair.alpha:
             return Verdict.failed(
                 "split-rho-section",

@@ -353,6 +353,39 @@ def test_wells_abelian_lift_without_a_witness_is_an_error(monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_wells_reads_the_extension_through_one_section(tmp_path, monkeypatch, capsys):
+    """`wells --abelian --lift` on an extension without a stored section
+    solves for the default section once, builds (s | i) once and extracts
+    the extension's cocycle once, for all four readers of the extension."""
+    from dataclasses import replace
+
+    import avglie.documents as docs
+    import avglie.extensions as ext
+    from avglie import cli
+    from avglie.linalg import Matrix
+
+    e = docs.realize_extension(docs.load_document(fixture_path("extension_abelian_f3.json")))
+    e = replace(e, s=None)
+    f = e.total.field
+    ident = ext.AutomorphismPair(Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
+    ext_path, pair_path = tmp_path / "extension.json", tmp_path / "pair.json"
+    ext_path.write_text(docs.dump_document(docs.extension_doc(e)))
+    pair_path.write_text(docs.dump_document(docs.pair_doc(e.base, e.coef, ident)))
+    calls = {name: [] for name in ("default_section", "_section_basis", "_extract")}
+    for name, seen in calls.items():
+        def wrapper(*args, _inner=getattr(ext, name), _seen=seen):
+            _seen.append(args[0])
+            return _inner(*args)
+        monkeypatch.setattr(ext, name, wrapper)
+    assert cli.main(["wells", str(ext_path), str(pair_path), "--abelian", "--lift"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["data"]["inducible"] is True and "gamma" in report["data"]
+    assert len(calls["default_section"]) == 1
+    assert len(calls["_section_basis"]) == 1
+    # the other calls read the transformed cocycles off their own total spaces
+    assert sum(isinstance(src, ext.ExtensionData) for src in calls["_extract"]) == 1
+
+
 def test_wells_pair_mismatch():
     code, report, _ = run_cli(
         "wells",

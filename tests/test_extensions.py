@@ -15,6 +15,7 @@ from avglie.extensions import (
     audit_round_trip,
     averaging_automorphisms,
     build_extension,
+    check_algebra_automorphism,
     check_automorphism_pair,
     check_cocycle,
     check_compatible_pair,
@@ -41,7 +42,7 @@ from avglie.lie import (
     adjoint_representation,
     trivial_representation,
 )
-from avglie.linalg import Matrix, Tensor, solve_affine
+from avglie.linalg import Matrix, Tensor, block_matrix, solve_affine
 from avglie.multilinear import AltMap
 
 from conftest import fixture_path, g2_averaging, heisenberg, random_matrix
@@ -278,12 +279,13 @@ def test_every_reader_of_a_section_names_a_non_section():
     F3 = GF(3)
     ident = AutomorphismPair(Matrix.identity(F3, 1), Matrix.identity(F3, 1))
     zero = Matrix.zero(F3, 2, 1)
+    e0 = replace(e, s=zero)
     for call in (
         lambda: extract_cocycle(e, zero),
-        lambda: audit_round_trip(e, zero),
-        lambda: wells_class(ident, e, zero),
-        lambda: project_automorphism(e, Matrix.identity(F3, 2), zero),
-        lambda: lift_automorphism(ident, e, Matrix.zero(F3, 1, 1), zero),
+        lambda: audit_round_trip(e0),
+        lambda: wells_class(ident, e0),
+        lambda: project_automorphism(e0, Matrix.identity(F3, 2)),
+        lambda: lift_automorphism(ident, e0, Matrix.zero(F3, 1, 1)),
     ):
         with pytest.raises(ValidationError) as exc:
             call()
@@ -487,11 +489,11 @@ def test_wells_verdict_section_independent(rng):
         mu = random_matrix(rng, GF(3), 1, 1)
         s2 = perturbed_section(e, mu)
         w1 = wells_class(pair, e)
-        w2 = wells_class(pair, e, section=s2)
+        w2 = wells_class(pair, replace(e, s=s2))
         assert w1.inducible == w2.inducible
     bad = AutomorphismPair(Matrix(GF(3), [[1]]), Matrix(GF(3), [[2]]))
     s2 = perturbed_section(e, Matrix(GF(3), [[2]]))
-    assert wells_class(bad, e, section=s2).inducible is False
+    assert wells_class(bad, replace(e, s=s2)).inducible is False
 
 
 def test_projection_section_independent(rng):
@@ -499,9 +501,49 @@ def test_projection_section_independent(rng):
     for gamma in extension_automorphisms(e):
         p1 = project_automorphism(e, gamma)
         p2 = project_automorphism(
-            e, gamma, section=perturbed_section(e, Matrix(GF(3), [[1]]))
+            replace(e, s=perturbed_section(e, Matrix(GF(3), [[1]]))), gamma
         )
         assert p1.alpha == p2.alpha and p1.beta == p2.beta
+
+
+def some_automorphisms(a):
+    """All automorphisms of a over F_p; over Q the diagonal ones with
+    entries in {1, -1, 2}."""
+    if a.field.finite:
+        return averaging_automorphisms(a)
+    diagonals = (
+        Matrix(a.field, [[d if r == k else 0 for k in range(a.dim)] for r, d in enumerate(ds)])
+        for ds in product((1, -1, 2), repeat=a.dim)
+    )
+    return [g for g in diagonals if check_algebra_automorphism(a, g, "g")]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+def test_another_section_is_the_extension_with_that_section(rng, field):
+    # replace(e, s=s2) reads e as the explicit extraction through s2 does
+    for c in random_cocycles(rng, field, 4):
+        e = build_extension(c)
+        n, m = c.base.dim, c.coef.dim
+        s2 = perturbed_section(e, random_matrix(rng, field, m, n))
+        e2, c2, T = replace(e, s=s2), extract_cocycle(e, s2), s2.hstack(e.i)
+        assert extract_cocycle(e2) == c2
+        v = audit_round_trip(e2)
+        assert v.ok and v.notes["tau"] == T and v.notes["rebuilt"] == build_extension(c2)
+        betas, alphas = some_automorphisms(c.coef), some_automorphisms(c.base)
+        ident = AutomorphismPair(Matrix.identity(field, m), Matrix.identity(field, n))
+        for pair in [ident] + [AutomorphismPair(rng.choice(betas), rng.choice(alphas))
+                               for _ in range(2)]:
+            w, t = wells_class(pair, e2), transform_cocycle(pair, c2)
+            assert w.delta_chi == t.chi.sub(c2.chi) and w.delta_psi == t.psi.sub(c2.psi)
+            assert w.delta_phi == t.Phi.sub(c2.Phi) and w.phi == cocycles_equivalent(t, c2)
+            assert w.inducible == wells_class(pair, e).inducible
+            if not w.inducible:
+                continue
+            gamma = lift_automorphism(pair, e2, w.phi)
+            grid = [[pair.alpha, Matrix.zero(field, n, m)], [w.phi.mul(pair.alpha), pair.beta]]
+            assert gamma == T.mul(block_matrix(field, grid)).mul(T.inverse())
+            assert gamma.mul(e.i) == e.i.mul(pair.beta) and e.p.mul(gamma).mul(s2) == pair.alpha
+            assert project_automorphism(e2, gamma) == pair == project_automorphism(e, gamma)
 
 
 def test_project_requires_kernel_preservation():

@@ -633,7 +633,7 @@ def test_groups_are_enumerated_once(monkeypatch):
     pairs = compatible_pairs(exts["extension_abelian_f3.json"])
     assert len(calls) == 2 and len(pairs) == 2
     calls.clear()
-    bases = counting(monkeypatch, "_basis")
+    bases = counting(monkeypatch, "_section_basis")
     report = exact_sequence_audit(exts["extension_f3.json"])
     assert len(calls) == 2 and report["pairs_audited"] == 4 and report["ok"]
     # one section and one (s | i) behind every projection and Wells class,
