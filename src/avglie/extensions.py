@@ -26,7 +26,8 @@ Inside it they fix g column by column (`_bracket_maps`): a column in the
 span of the earlier ones is dropped, and once g e_c is fixed each clause
 g[e_c, e_k] = [g e_c, g e_k] with k > c is linear and cuts the space.  The
 linear clauses cut out a unital matrix algebra, so the maps found are a
-group, listed as products along a stabiliser chain.
+group, listed as products along a stabiliser chain whose orbits are closed
+under the maps found so far: only the values they do not reach are searched.
 
 The validators use the matrix idiom of `lie`.  (B), (D) and (D1) are read
 off the total space of the cocycle (`check_cocycle`); the derivation
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -548,8 +549,12 @@ def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
     ident = Matrix.identity
     tau = block_matrix(f, [[ident(f, n), Matrix.zero(f, n, m)], [phi, ident(f, m)]])
     src, dst = c1.total, c2.total
-    mismatch = bracket_morphism_mismatch("tau", tau, src.algebra, dst.algebra, increasing=True)
-    return mismatch is None and tau.mul(src.P) == dst.P.mul(tau)
+    for a in range(n):  # tau is I on the kernel, so the pairs n <= a < b agree
+        lhs = tau.mul(src.algebra.ad[a])
+        rhs = psi_of_vec(f, n + m, dst.algebra.ad, tau.col(a)).mul(tau)
+        if column_mismatch("tau", (a,), lhs, rhs, cols=range(a + 1, n + m)) is not None:
+            return False
+    return tau.mul(src.P) == dst.P.mul(tau)
 
 
 def _witness_space(c1, c2):
@@ -717,6 +722,12 @@ def project_automorphism(e: ExtensionData, gamma: Matrix) -> AutomorphismPair:
     blocks of gamma in the basis (s | i) of e's own section s, whose upper
     right block is p gamma i."""
     _require_automorphism(e, gamma)
+    return _project(e, gamma)
+
+
+def _project(e: ExtensionData, gamma: Matrix) -> AutomorphismPair:
+    """`project_automorphism` of a gamma already known to be an
+    automorphism of e.total."""
     (alpha, corner), (_, beta) = e._own_basis.blocks(gamma)
     for a in range(e.coef.dim):
         if not vec_is_zero(e.total.field, corner.col(a)):
@@ -776,11 +787,16 @@ def _bracket_maps(f, a, rows):
     The search fixes g column by column: c takes each value the space allows
     outside the span of the columns before it, and the clauses g[e_c, e_k] =
     [g e_c, g e_k] for k > c, linear once g e_c is fixed, cut the space
-    before column c + 1.  Along a stabiliser chain, G_c (fixing e_0 ..
-    e_{c-1}) is the union of the cosets h_v G_{c+1} over the values v of
-    column c, so only v = e_c is searched in full and each other v down to
-    its first leaf h_v.  An InternalError when I is no solution, or when
-    |G| is not the product of the orbit sizes."""
+    before column c + 1.  Along a stabiliser chain (Sims, 1970), G_c (fixing
+    e_0 .. e_{c-1}) is the union of the cosets t_w G_{c+1} over the orbit of
+    e_c, t_w e_c = w, and only e_c is searched in full.  The orbit is closed
+    under the generators known so far, those of G_{c+1} and the leaves found
+    at column c, as they arrive (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, 4.1): a point w = g u gets t_w = g t_u
+    and is skipped, and any other value is searched down to its first leaf,
+    its t_w, or is outside the orbit.  An InternalError when I is no
+    solution, when some t_w = g t_u fails the rows (they cut out no unital
+    matrix algebra), or when |G| is not the product of the orbit sizes."""
     if not f.finite:
         raise FieldTooLarge("automorphism enumeration needs a finite field")
     n, p = a.dim, f.p
@@ -811,8 +827,9 @@ def _bracket_maps(f, a, rows):
                 for w, u in zip(ws[:t] + ws[t + 1:], kern[:t] + kern[t + 1:])]
         return v, inv, rest
 
-    def children(c, point, kern, basis):
-        """Each value of column c the node allows, with the node below it."""
+    def children(c, point, kern, basis, reached=()):
+        """Each value of column c the node allows, with the node below it,
+        but for the values in reached other than e_c."""
         # the leads carry the values of column c; the rest of the kernel
         # vanishes there, as every vector left does on the columns before c
         leads = []
@@ -822,6 +839,8 @@ def _bracket_maps(f, a, rows):
                 leads.append(v)
         for x in affine_points(f, point, leads) if leads else (point,):
             col = w = tuple(x[c::n])
+            if col in reached and col != unit[c]:
+                continue
             for piv, b in basis:  # invertibility: drop the values in the span
                 if w[piv]:
                     w = [(a - w[piv] * y) % p for a, y in zip(w, b)]
@@ -858,26 +877,46 @@ def _bracket_maps(f, a, rows):
     orbits = []
 
     def stabiliser(c, node):
-        """G_c below a node on the identity prefix, each map as its columns."""
+        """G_c below a node on the identity prefix, each map as its columns,
+        and generators of G_c, each as its rows."""
         if c == n:
-            return [unit]
-        group, reps = None, []
-        for col, below in children(c, *node):
+            return [unit], []
+        # the orbit of e_c under the generators so far, with t_w e_c = w
+        trans, gens, group = {unit[c]: unit}, [], None
+
+        def close(new):  # new onto the old points, then all onto the new ones
+            todo = list(product(new, trans))
+            gens.extend(new)
+            while todo:
+                g, u = todo.pop()
+                w = tuple(sum(map(mul, r, u)) % p for r in g)
+                if w not in trans:
+                    t = [[sum(map(mul, r, v)) % p for v in zip(*trans[u])] for r in g]
+                    flat = list(chain(*t))
+                    if any(sum(map(mul, row, flat)) % p for row in rows):
+                        raise InternalError(
+                            "a product of solutions fails the linear clauses: "
+                            "they cut out no unital matrix algebra")
+                    trans[w] = t
+                    todo += product(gens, [w])
+
+        for col, below in children(c, *node, trans):
             if col == unit[c]:
-                group = stabiliser(c + 1, below)
+                group, below_gens = stabiliser(c + 1, below)
+                close(below_gens)
             elif leaf := first_leaf(c + 1, below):
-                reps.append(leaf)
+                trans[col] = [leaf[r * n:r * n + n] for r in range(n)]
+                close([trans[col]])
         if group is None:
             raise InternalError(f"the identity fails the linear clauses at column {c}")
-        orbits.append(1 + len(reps))
+        orbits.append(len(trans))
         out, cols = list(group), {v for g in group for v in g}
-        for h in reps:  # h G_{c+1}: h times each distinct column of G_{c+1}
-            hrows = [h[r * n:r * n + n] for r in range(n)]
-            image = {v: tuple(sum(map(mul, r, v)) % p for r in hrows) for v in cols}
+        for t in list(trans.values())[1:]:  # t G_{c+1}: t times each distinct column of G_{c+1}
+            image = {v: tuple(sum(map(mul, r, v)) % p for r in t) for v in cols}
             out += [tuple(map(image.__getitem__, g)) for g in group]
-        return out
+        return out, gens
 
-    group = stabiliser(0, ((f.zero,) * (n * n), [list(v) for v in kernel], []))
+    group, _ = stabiliser(0, ((f.zero,) * (n * n), [list(v) for v in kernel], []))
     if len(set(group)) != prod(orbits):
         raise InternalError(f"{len(set(group))} maps, but orbits of sizes {orbits}")
     # the chain keeps canonical residues, which are not coerced again
@@ -1061,8 +1100,8 @@ def exact_sequence_audit(e: ExtensionData):
     ident = (Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
     image = set()
     kernel_failures = []
-    for g in auth:
-        pair = project_automorphism(e, g)
+    for g in auth:  # automorphisms already, so not checked again
+        pair = _project(e, g)
         image.add((pair.beta, pair.alpha))
         in_kernel = (pair.beta, pair.alpha) == ident
         fixes = g.mul(e.i) == e.i and e.p.mul(g).mul(e._own_section) == ident[1]

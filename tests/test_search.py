@@ -10,6 +10,7 @@ same order.
 
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -51,6 +52,7 @@ from avglie.linalg import (
     Tensor,
     affine_points,
     enumerate_linear_maps,
+    kernel_basis,
     solve_affine,
     vec_basis,
     vec_sub,
@@ -258,17 +260,22 @@ def test_column_walk_matches_brute_force_with_identity_operator():
 
 def assert_group(found):
     """found is closed under products, checked against a seeded sample of
-    its members, and its order is the product of the orbit sizes along its
-    stabiliser chain: the values g e_c of the g fixing e_0 .. e_{c-1}."""
+    its members, and its order is the product of its orbit sizes."""
     keys = set(found)
     for h in random.Random(len(found)).sample(found, min(len(found), 12)):
         assert all(g.mul(h) in keys for g in found)
+    assert prod(orbit_sizes(found)) == len(keys)
+
+
+def orbit_sizes(found):
+    """The orbit sizes along the stabiliser chain of the group found: the
+    number of values g e_c of the g fixing e_0 .. e_{c-1}, for each c."""
     f, n = found[0].field, found[0].rows
     orbits = []
     for c in range(n):
         found = [g for g in found if c == 0 or g.col(c - 1) == vec_basis(f, n, c - 1)]
         orbits.append(len({g.col(c) for g in found}))
-    assert prod(orbits) == len(keys)
+    return orbits
 
 
 @pytest.mark.parametrize("row, column", [((1, 0, 0, 0), 0), ((0, 0, 0, 1), 1)])
@@ -301,6 +308,77 @@ def test_scrambled_heisenberg_with_identity_operator_by_conjugation():
     found = averaging_automorphisms(b)
     assert found == conjugated(closed, B)
     assert all(ext.check_algebra_automorphism(b, g, "aut") for g in found)
+
+
+# ---------------------------------------------------------------------------
+# Orbit closure: a value of column c is searched only when the maps found
+# so far do not carry e_c to it.
+
+
+def profiled_search(a):
+    """averaging_automorphisms(a), the number of leaf searches `stabiliser`
+    starts, the leaves they find at each column, and the number of nodes
+    `children` expands, counted with sys.setprofile."""
+    searches, leaves, nodes = 0, {}, set()
+
+    def profile(frame, event, arg):
+        nonlocal searches
+        name = frame.f_code.co_name
+        if name == "first_leaf" and frame.f_back.f_code.co_name == "stabiliser":
+            if event == "call":
+                searches += 1
+            elif event == "return" and arg is not None:
+                c = frame.f_back.f_locals["c"]
+                leaves[c] = leaves.get(c, 0) + 1
+        elif name == "children" and event == "call":
+            nodes.add(frame)  # a generator's frame is called on every resume
+
+    sys.setprofile(profile)
+    try:
+        found = averaging_automorphisms(a)
+    finally:
+        sys.setprofile(None)
+    return found, searches, leaves, len(nodes)
+
+
+def test_orbit_closure_halves_the_leaf_searches():
+    # the 432 maps of the scrambled Heisenberg algebra above.  Searching
+    # every value of column c but e_c down to its first leaf takes 48
+    # searches here (23 + 17 orbit points, 8 values outside the orbits)
+    # and 158 node expansions
+    a = identity_averaging(heisenberg(GF(3)))
+    b = scramble_averaging(random.Random(7103), a, dense_invertible)[0]
+    found, searches, _, nodes = profiled_search(b)
+    assert len(found) == 432
+    assert searches < 48 / 2
+    assert nodes < 158
+
+
+def test_a_later_leaf_extends_the_orbit():
+    # Heisenberg + line over F3 with P = diag(1, 1, 1, 0), 864 maps: at some
+    # column c the first leaf and G_{c+1} do not reach the whole orbit, so a
+    # later leaf extends it, and still not every other point is searched
+    F3 = GF(3)
+    P = Matrix(F3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+    a = AveragingLieAlgebra.validate(direct_sum(heisenberg(F3), LieAlgebra.abelian(F3, 1)), P)
+    for b in (a, scramble_averaging(random.Random(7104), a, dense_invertible)[0]):
+        found, _, leaves, _ = profiled_search(b)
+        assert len(found) == 864
+        orbits = orbit_sizes(found)
+        assert any(1 < leaves.get(c, 0) < orbits[c] - 1 for c in range(4))
+        rows = ext._commutator_rows(F3, b.P, b.P)
+        assert found == oracle_search.column_walk(F3, b.algebra, rows)
+
+
+def test_a_solution_space_not_closed_under_products_is_refused():
+    # span{I, N} over F2 with N e_i = e_{i+1}: I + N is invertible, but
+    # (I + N)^2 = I + N^2, the map the closure forms to carry e_0 to
+    # e_0 + e_2, is no solution
+    F2 = GF(2)
+    N = Matrix(F2, [[1 if i == j + 1 else 0 for j in range(3)] for i in range(3)])
+    rows = kernel_basis(Matrix(F2, [Matrix.identity(F2, 3).flat(), N.flat()], cols=9))
+    with pytest.raises(InternalError, match="no unital matrix algebra$"):
+        ext._bracket_maps(F2, LieAlgebra.abelian(F2, 3), [list(r) for r in rows])
 
 
 def test_extension_equivalence_across_bases_matches_brute_force():

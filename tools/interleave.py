@@ -18,7 +18,9 @@ through the workload's own checks, outside the timed passes.
 It prints each side's median and quartiles of the pass time, the ratio
 change / base of the medians, the median of that ratio taken round by
 round (steadier when pass times jump between the machine's speed phases),
-and the number of rounds each side won.  It exits 1 if any answer fails its check.
+and the number of rounds each side won; under "jobs", each job's median
+time on each side and its paired ratio, which show where a change lands.
+It exits 1 if any answer fails its check.
 """
 
 import argparse
@@ -70,6 +72,7 @@ def main(argv=None):
     os.chdir(ROOT)
     expected = run.load_expected()
     times = {side: [] for side in SIDES}
+    job_times = {side: [] for side in SIDES}
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -79,20 +82,28 @@ def main(argv=None):
         }
         for k in range(args.passes):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                outputs, _, wall = run.run_pass(loaded[side])
+                outputs, per_job, wall = run.run_pass(loaded[side])
                 times[side].append(wall)
+                job_times[side].append(per_job)
                 for job, reason in run.verify(loaded[side], outputs):
                     print(f"FAILED {side} {job}: {reason}", file=sys.stderr)
                     failed += 1
     base, change = times["base"], times["change"]
     won = sum(c < b for b, c in zip(base, change))
+    jobs = {}
+    for k, job in enumerate(loaded["base"].jobs):
+        b, c = ([row[k] for row in job_times[side]] for side in SIDES)
+        jobs[job.name] = {
+            "base_median_s": median(b), "change_median_s": median(c),
+            "paired_ratio": median(y / x for x, y in zip(b, c)),
+        }
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "passes": args.passes, "failed": failed,
         "base_median_s": median(base), "change_median_s": median(change),
         "ratio": median(change) / median(base),
         "paired_ratio": median(c / b for b, c in zip(base, change)),
         "base_quartiles_s": quantiles(base, n=4), "change_quartiles_s": quantiles(change, n=4),
-        "change_won": won, "base_won": len(base) - won,
+        "change_won": won, "base_won": len(base) - won, "jobs": jobs,
     }))
     return 1 if failed else 0
 
