@@ -28,8 +28,8 @@ from math import comb
 from types import SimpleNamespace
 
 from .errors import DimensionMismatch, FieldTooLarge
-from .lie import Representation, psi_of_vec
-from .linalg import Matrix, Tensor, minors, nonzeros, rank, solve_affine
+from .lie import Representation, psi_columns
+from .linalg import Matrix, Tensor, minors, rank, solve_affine, sparse_cols, sparse_mul, sparse_sum
 from .multilinear import AltMap, dense_offset, sort_with_sign
 
 
@@ -146,12 +146,13 @@ class Cochain:
 # order; a row is a {column: coefficient} dict without zeros, its columns
 # numbered within the block's input component.  The rows come from the
 # nonzero structure constants, the action matrices psi_x, psi_{P x} and
-# Q psi_x, and the minors of P: no cochain is ever evaluated.
+# Q psi_x, and the minors of P on its nonzero rows and columns, all formed
+# on sparse matrices (`linalg.sparse_cols`): no cochain is evaluated.
 
 
-def _signed_nonzeros(fld, m: Matrix):
-    """(row, column, x) for each nonzero entry x of m, and with -x."""
-    pos = [(a, b, x) for a, row in enumerate(m.entries) for b, x in nonzeros(fld, row)]
+def _signed_nonzeros(fld, m):
+    """(row, column, x) for each nonzero x of the sparse matrix m, and with -x."""
+    pos = [(a, b, x) for b, col in m.items() for a, x in col.items()]
     return pos, [(a, b, fld.neg(x)) for a, b, x in pos]
 
 
@@ -160,18 +161,19 @@ def _tables(r: Representation):
     r as functools.cached_property keeps its psi_mats."""
     t = r.__dict__.get("_delta_tables")
     if t is None:
-        fld, dim, g, mats = r.field, r.dim, r.base.algebra, r.psi_mats()
-        pcols = [r.base.P.col(j) for j in range(dim)]
-        pads = [psi_of_vec(fld, dim, g.ad, p) for p in pcols]
+        fld, dim, ad, P = r.field, r.dim, r.base.algebra.sparse_ad, r.base.P
+        acts, p, q = psi_columns(r.psi), sparse_cols(P), sparse_cols(r.Q)
+        pads = [sparse_sum(fld, ad, p.get(j, {})) for j in range(dim)]
         t = r.__dict__["_delta_tables"] = SimpleNamespace(
-            acts=[_signed_nonzeros(fld, m) for m in mats],
-            pacts=[_signed_nonzeros(fld, psi_of_vec(fld, r.vdim, mats, p)) for p in pcols],
-            qacts=[_signed_nonzeros(fld, r.Q.mul(m)) for m in mats],
-            q=_signed_nonzeros(fld, r.Q)[0],
+            acts=[_signed_nonzeros(fld, m) for m in acts],
+            pacts=[_signed_nonzeros(fld, sparse_sum(fld, acts, p.get(j, {}))) for j in range(dim)],
+            qacts=[_signed_nonzeros(fld, sparse_mul(fld, q, m)) for m in acts],
+            q=_signed_nonzeros(fld, q)[0],
             # brackets[i][j] holds [e_i, e_j] and pbr[p][u] holds [P e_p, e_u]
-            brackets=[[nonzeros(fld, m.col(j)) for j in range(dim)] for m in g.ad],
-            pbr=[[nonzeros(fld, m.col(u)) for u in range(dim)] for m in pads],
-            det=minors(r.base.P),
+            brackets=[[m.get(j, {}) for j in range(dim)] for m in ad],
+            pbr=[[m.get(u, {}) for u in range(dim)] for m in pads],
+            det=minors(P),
+            p=p,
         )
     return t
 
@@ -190,11 +192,11 @@ def _accumulate(add, block, base, entries):
             del row[c]
 
 
-def _minor_table(det, dim, k):
-    """Increasing column k-tuple t -> [(increasing row k-tuple s, det P[s, t])]
-    over the nonzero k-minors of a dim x dim matrix P, given its minors."""
-    tuples = list(combinations(range(dim), k))
-    return {t: [(s, d) for s in tuples if (d := det(s, t))] for t in tuples}
+def _minor_table(t, k):
+    """Increasing column k-tuple c -> [(increasing row k-tuple s, det P[s, c])]
+    over the nonzero k-minors of P; a minor on a zero row or column is 0."""
+    rows = list(combinations(sorted({a for col in t.p.values() for a in col}), k))
+    return {c: [(s, d) for s in rows if (d := t.det(s, c))] for c in combinations(t.p, k)}
 
 
 def _lie_rows(r: Representation, n):
@@ -211,7 +213,7 @@ def _lie_rows(r: Representation, n):
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 rest = tup[:i] + tup[i + 1 : j] + tup[j + 1 :]
-                for k, c in t.brackets[tup[i]][tup[j]]:
+                for k, c in t.brackets[tup[i]][tup[j]].items():
                     key, sign = sort_with_sign((k, *rest))
                     if sign:
                         x = c if (sign > 0) == ((i + j) % 2 == 0) else fld.neg(c)
@@ -238,7 +240,7 @@ def _leib_rows(r: Representation, n, shift=0):
         _accumulate(add, block, base, t.qacts[tup[-1]][n % 2])
         for i in range(n):
             for j in range(i + 1, n):
-                for k, w in t.pbr[tup[i]][tup[j]]:
+                for k, w in t.pbr[tup[i]][tup[j]].items():
                     base = dense_offset(dim, tup[:i] + tup[i + 1 : j] + (k,) + tup[j + 1 :])
                     x = w if i % 2 else fld.neg(w)
                     _accumulate(add, block, base * vdim + shift, ((a, a, x) for a in range(vdim)))
@@ -254,17 +256,17 @@ def _averaging_rows(r: Representation, n):
     its basis-vector column leaves (n-1)-minors."""
     fld, dim, vdim, t = r.field, r.dim, r.vdim, _tables(r)
     pos = {tup: k for k, tup in enumerate(combinations(range(dim), n))}
-    top, low = _minor_table(t.det, dim, n), _minor_table(t.det, dim, n - 1)
+    top, low = _minor_table(t, n), _minor_table(t, n - 1)
     rows = []
     for tup in product(range(dim), repeat=n):
         block = [{} for _ in range(vdim)]
         key, sign = sort_with_sign(tup)
-        for s, d in top[key] if sign else ():
+        for s, d in top.get(key, ()) if sign else ():
             x = d if (sign > 0) == (n % 2 == 0) else fld.neg(d)
             _accumulate(fld.add, block, pos[s] * vdim, ((a, a, x) for a in range(vdim)))
         key, sign = sort_with_sign(tup[:-1])
         last = tup[-1]
-        for s, d in low[key] if sign else ():
+        for s, d in low.get(key, ()) if sign else ():
             if last not in s:
                 full = tuple(sorted((*s, last)))
                 # -(-1)^n times the cofactor sign (-1)^(row + n - 1) of the

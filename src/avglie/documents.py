@@ -11,6 +11,7 @@ fixtures diff cleanly and reports are byte-stable.
 from __future__ import annotations
 
 import json
+import re
 from math import comb, prod
 
 from .cohomology import Cochain
@@ -50,6 +51,10 @@ def _nat_list(val, kind, key):
     return val
 
 
+# Entries that are plain ASCII integers int() takes, joined by commas: one pass reads them.
+_INTEGERS = re.compile(r"-?[0-9]{1,999}(,-?[0-9]{1,999})*")
+
+
 def _scalars(field: Field, val, kind, key, want_len):
     if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
         raise ParseError(f"{kind}: {key}.entries must be a list of scalar strings")
@@ -57,6 +62,9 @@ def _scalars(field: Field, val, kind, key, want_len):
         raise ParseError(
             f"{kind}: {key} wants {want_len} entries, document has {len(val)}"
         )
+    if _INTEGERS.fullmatch(text := ",".join(val)) and text.count(",") == len(val) - 1:
+        ints = list(map(int, val))
+        return [x % field.p for x in ints] if field.finite else ints
     try:
         return [field.parse(x) for x in val]
     except ParseError as exc:
@@ -84,7 +92,7 @@ def parse_tensor(field, obj, kind, key, shape=None) -> Tensor:
     flat = _scalars(
         field, _want(obj, "entries", kind), kind, key, prod(got, start=1)
     )
-    return Tensor(field, got, flat)
+    return Tensor._of(field, got, flat)
 
 
 def parse_altmap(field, obj, kind, key, dim, arity, vdim) -> AltMap:

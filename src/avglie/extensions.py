@@ -56,7 +56,6 @@ from .lie import (
     derivation_mismatch,
     first_mismatch,
     jacobiator,
-    nonzero_fibres,
     psi_matrices,
     psi_of_vec,
     psi_tensor,
@@ -171,9 +170,9 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
         record(column_mismatch("(A)", (i, j), defect, inner))
 
     # (B): sum over cyclic (x, y, z) of psi_x chi(y, z) - chi([x, y], z).
-    nz = nonzero_fibres(c.total.algebra.bracket)
+    ad = c.total.algebra.sparse_ad
     for i, j, k in combinations(range(n), 3):
-        acc = vec_neg(f, jacobiator(f, nz, i, j, k)[n:])
+        acc = vec_neg(f, jacobiator(f, ad, i, j, k)[n:])
         if not vec_is_zero(f, acc):
             record(Verdict.failed("(B)", (i, j, k), acc, vec_zero(f, m)))
 

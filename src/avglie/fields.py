@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-_Q_RE = re.compile(r"^-?\d+(/\d+)?$")
-_INT_RE = re.compile(r"^-?\d+$")
+# ASCII digits, matched in full (\d takes other digits, $ a final newline)
+_Q_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 # int() refuses longer digit strings (CPython's default limit), so longer
@@ -144,7 +145,7 @@ class Rationals(Field):
         return d // n if n in (1, -1) else Fraction(d, n)
 
     def parse(self, text: str):
-        if not _Q_RE.match(text):
+        if not _Q_RE.fullmatch(text):
             raise ParseError(f"not a rational scalar: {text!r}")
         num, _, den = text.partition("/")
         n = _parse_int(num, text)
@@ -204,7 +205,7 @@ class PrimeField(Field):
         return range(self.p)
 
     def parse(self, text: str):
-        if not _INT_RE.match(text):
+        if not _INT_RE.fullmatch(text):
             raise ParseError(f"not a residue: {text!r}")
         return _parse_int(text, text) % self.p
 
@@ -233,7 +234,7 @@ def field_from_string(text: str) -> Field:
     """Parse a field tag: ``"Q"`` or ``"F<p>"`` with p prime."""
     if text == "Q":
         return QQ
-    m = re.match(r"^F(\d+)$", text)
+    m = re.fullmatch(r"F([0-9]+)", text)
     if m:
         digits = m.group(1).lstrip("0") or "0"
         # the length test comes first: int() refuses over 4300 digits

@@ -33,7 +33,6 @@ from .lie import (
     derivation_mismatch,
     first_mismatch,
     jacobiator,
-    nonzero_fibres,
     psi_of_vec,
     psi_tensor,
     representation_verdict,
@@ -45,6 +44,7 @@ from .linalg import (
     add_scaled,
     block_matrix,
     nonzeros,
+    sparse_cols,
     vec_neg,
 )
 from .multilinear import AltMap
@@ -132,7 +132,7 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
     # L6: d l3(x,y,z) = Jacobi cycle of the level-0 bracket, which is minus
     # its Jacobiator once L1 holds.  Both sides then alternate and
     # increasing tuples suffice (same for L8 below).
-    nz00 = nonzero_fibres(t.l2_00)
+    nz00 = [sparse_cols(m) for m in t.l2_00.matrices()]
     for i, j, k in combinations(range(n0), 3):
         lhs = t.d.matvec(t.l3.eval_basis((i, j, k)))
         rhs = vec_neg(f, jacobiator(f, nz00, i, j, k))
@@ -147,14 +147,14 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
         if v is not None:
             return v
     # L8: the alternating action sum of l3 equals its bracket-insertion sum.
-    nz01 = nonzero_fibres(t.l2_01)
+    nz01 = [sparse_cols(m) for m in t.l2_01.matrices()]
     for w, x, y, z in combinations(range(n0), 4):
         tup = (w, x, y, z)
         lhs = [f.zero] * n1
         for pos, sign in ((0, 1), (1, -1), (2, 1), (3, -1)):
             rest = tup[:pos] + tup[pos + 1 :]
             for a, val in nonzeros(f, t.l3.eval_basis(rest)):
-                add_scaled(f, lhs, val if sign > 0 else f.neg(val), nz01[tup[pos]][a])
+                add_scaled(f, lhs, val if sign > 0 else f.neg(val), nz01[tup[pos]].get(a, {}).items())
         rhs = [f.zero] * n1
         for (a, b), rest, sign in (
             ((w, x), (y, z), 1),
@@ -164,7 +164,7 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
             ((x, z), (w, y), -1),
             ((y, z), (w, x), 1),
         ):
-            for k, coeff in nz00[a][b]:
+            for k, coeff in nz00[a].get(b, {}).items():
                 term = nonzeros(f, t.l3.eval_basis((k, *rest)))
                 add_scaled(f, rhs, coeff if sign > 0 else f.neg(coeff), term)
         if lhs != rhs:
@@ -369,7 +369,7 @@ def check_crossed_module(c: CrossedModule) -> Verdict:
     if v is not None:
         return v
     # rho is a Lie homomorphism and makes g1 a representation of g0.
-    rep_v = representation_verdict(c.g0, mats, c.g1.P)
+    rep_v = representation_verdict(c.g0, [sparse_cols(m) for m in mats], c.g1.P)
     if not rep_v:
         clause = {"psi-homomorphism": "rho-homomorphism"}.get(rep_v.clause, rep_v.clause)
         return Verdict(False, clause, rep_v.witness, rep_v.notes)

@@ -18,9 +18,13 @@ reads them.
 
 A clause whose last argument runs over a basis is one matrix identity per
 leading index, and `column_mismatch` reports its first differing column:
-the witness a loop over basis pairs in the same order finds.  Antisymmetry
-keeps its loop, and `jacobiator` sums over the nonzero structure constants
-only; it also serves L6 of `homotopy` and (B) of `extensions`.
+the witness a loop over basis pairs in the same order finds.  The
+averaging identity, the homomorphism property and the representation
+chains form these identities on sparse matrices (`linalg.sparse_cols`), at
+the cost of their nonzeros, and make two sides dense only where they
+differ, for the witness.  Antisymmetry keeps its loop, and `jacobiator`
+sums over the nonzero structure constants only; it also serves L6 of
+`homotopy` and (B) of `extensions`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from .linalg import (
     add_scaled,
     block_matrix,
     nonzeros,
+    sparse_cols,
+    sparse_mul,
+    sparse_sum,
     vec_is_zero,
     vec_neg,
     vec_zero,
@@ -60,6 +67,12 @@ def psi_of_vec(field, vdim, mats, x):
                     acc[k] = add(acc[k], mul(c, y))
         out.append(acc)
     return Matrix._of(field, out, cols)
+
+
+def _dense(field, m, n):
+    """The n x n Matrix of a sparse matrix, for a witness."""
+    rows = [[m.get(c, {}).get(r, field.zero) for c in range(n)] for r in range(n)]
+    return Matrix._of(field, rows, n)
 
 
 def column_mismatch(clause, prefix, lhs: Matrix, rhs: Matrix, cols=None, **notes):
@@ -97,19 +110,13 @@ def antisymmetry_mismatch(clause, bracket: Tensor):
                 return Verdict.failed(clause, (i, j), lhs, rhs)
 
 
-def nonzero_fibres(t: Tensor):
-    """nz[i][j] = the nonzero (k, entry) of fibre (i, j) of a 3-tensor."""
-    f, (n, m, _) = t.field, t.shape
-    return [[nonzeros(f, t.fibre(i, j)) for j in range(m)] for i in range(n)]
-
-
-def jacobiator(field, nz, i, j, k):
+def jacobiator(field, ad, i, j, k):
     """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j], as a list,
-    from the nonzero fibres nz of a bracket."""
-    acc = [field.zero] * len(nz)
+    from the sparse ad matrices of a bracket (`linalg.sparse_cols`)."""
+    acc = [field.zero] * len(ad)
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        for t, coeff in nz[a][b]:
-            add_scaled(field, acc, coeff, nz[t][c])
+        for t, coeff in ad[a].get(b, {}).items():
+            add_scaled(field, acc, coeff, ad[t].get(c, {}).items())
     return acc
 
 
@@ -122,9 +129,9 @@ def check_lie(field, dim, bracket: Tensor) -> Verdict:
         return v
     # antisymmetry holds past this point, so the Jacobiator is alternating
     # and increasing triples cover all basis triples
-    nz = nonzero_fibres(bracket)
+    ad = [sparse_cols(m) for m in bracket.matrices()]
     for i, j, k in combinations(range(dim), 3):
-        acc = jacobiator(field, nz, i, j, k)
+        acc = jacobiator(field, ad, i, j, k)
         if not vec_is_zero(field, acc):
             return Verdict.failed("jacobi", (i, j, k), acc, vec_zero(field, dim))
     return Verdict.passed()
@@ -169,6 +176,11 @@ class LieAlgebra:
     def ad(self):
         """The ad matrices: column j of ad[i] is [e_i, e_j]."""
         return self.bracket.matrices()
+
+    @cached_property
+    def sparse_ad(self):
+        """The ad matrices as sparse matrices (`linalg.sparse_cols`)."""
+        return [sparse_cols(m) for m in self.ad]
 
     def bracket_vec(self, u, v):
         """[u, v] = sum_{i,j} u_i v_j [e_i, e_j], over the nonzero pairs."""
@@ -224,14 +236,14 @@ def check_averaging(g: LieAlgebra, P: Matrix) -> Verdict:
     """
     if P.field != g.field or P.rows != g.dim or P.cols != g.dim:
         raise DimensionMismatch("operator shape does not match the algebra")
-    left = None
-    right_ok = True
-    for i in range(g.dim):
-        adp = psi_of_vec(g.field, g.dim, g.ad, P.col(i))
-        lhs = adp.mul(P)
-        if left is None:
-            left = column_mismatch("eq1", (i,), lhs, P.mul(adp))
-        right_ok = right_ok and lhs == P.mul(g.ad[i]).mul(P)
+    f, n, ad, p = g.field, g.dim, g.sparse_ad, sparse_cols(P)
+    left, right_ok = None, True
+    for i in range(n):
+        adp = sparse_sum(f, ad, p.get(i, {}))
+        lhs = sparse_mul(f, adp, p)
+        if left is None and lhs != (rhs := sparse_mul(f, p, adp)):
+            left = column_mismatch("eq1", (i,), _dense(f, lhs, n), _dense(f, rhs, n))
+        right_ok = right_ok and lhs == sparse_mul(f, p, sparse_mul(f, ad[i], p))
     notes = {"right_holds": right_ok, "sides_agree": (left is None) == right_ok}
     if left is None:
         return Verdict.passed(**notes)
@@ -362,12 +374,20 @@ def derivation_mismatch(clause, h: LieAlgebra, mats):
                 return v
 
 
-def _homomorphism(g: LieAlgebra, vdim, mats) -> Verdict:
-    """psi_[x,y] = psi_x psi_y - psi_y psi_x on basis pairs x < y."""
+def psi_columns(psi: Tensor):
+    """`psi_matrices` of an action tensor as sparse matrices."""
+    return [sparse_cols(m) for m in psi_matrices(psi.field, psi.shape[1], psi)]
+
+
+def _homomorphism(g: LieAlgebra, vdim, acts) -> Verdict:
+    """psi_[x,y] = psi_x psi_y - psi_y psi_x on basis pairs x < y (acts sparse)."""
+    f, ad = g.field, g.sparse_ad
     for i, j in combinations(range(g.dim), 2):
-        lhs = psi_of_vec(g.field, vdim, mats, g.bracket_basis(i, j))
-        rhs = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i]))
+        lhs = sparse_sum(f, acts, ad[i].get(j, {}))
+        ij, ji = sparse_mul(f, acts[i], acts[j]), sparse_mul(f, acts[j], acts[i])
+        rhs = sparse_sum(f, (ij, ji), {0: f.one, 1: f.neg(f.one)})
         if lhs != rhs:
+            lhs, rhs = _dense(f, lhs, vdim), _dense(f, rhs, vdim)
             return Verdict.failed("psi-homomorphism", (i, j), lhs.flat(), rhs.flat())
     return Verdict.passed()
 
@@ -376,7 +396,7 @@ def check_lie_representation(g: LieAlgebra, vdim, psi: Tensor) -> Verdict:
     """psi_[x,y] = psi_x psi_y - psi_y psi_x on basis pairs."""
     if psi.shape != (g.dim, vdim, vdim):
         raise DimensionMismatch("psi tensor shape mismatch")
-    return _homomorphism(g, vdim, psi_matrices(g.field, vdim, psi))
+    return _homomorphism(g, vdim, psi_columns(psi))
 
 
 def check_representation(base: AveragingLieAlgebra, vdim, psi: Tensor, Q: Matrix) -> Verdict:
@@ -390,25 +410,26 @@ def check_representation(base: AveragingLieAlgebra, vdim, psi: Tensor, Q: Matrix
         raise DimensionMismatch("Q shape does not match the module")
     if psi.shape != (base.dim, vdim, vdim):
         raise DimensionMismatch("psi tensor shape mismatch")
-    return representation_verdict(base, psi_matrices(base.field, vdim, psi), Q)
+    return representation_verdict(base, psi_columns(psi), Q)
 
 
-def representation_verdict(base: AveragingLieAlgebra, mats, Q: Matrix) -> Verdict:
-    """`check_representation` on the action matrices mats[i] = psi_{e_i}
-    and a Q of their shape."""
-    v = _homomorphism(base.algebra, Q.rows, mats)
+def representation_verdict(base: AveragingLieAlgebra, acts, Q: Matrix) -> Verdict:
+    """`check_representation` on the sparse action matrices acts[i] =
+    psi_{e_i} and a Q of their shape."""
+    f, vdim = base.field, Q.rows
+    v = _homomorphism(base.algebra, vdim, acts)
     if not v:
         return v
+    p, q = sparse_cols(base.P), sparse_cols(Q)
     for i in range(base.dim):
-        pm = psi_of_vec(base.field, Q.rows, mats, base.P.col(i))
-        mid = Q.mul(pm)
+        pm = sparse_sum(f, acts, p.get(i, {}))
+        mid = sparse_mul(f, q, pm)
         for clause, lhs, rhs in (
-            ("rep-chain-1", pm.mul(Q), mid),
-            ("rep-chain-2", mid, Q.mul(mats[i]).mul(Q)),
+            ("rep-chain-1", sparse_mul(f, pm, q), mid),
+            ("rep-chain-2", mid, sparse_mul(f, q, sparse_mul(f, acts[i], q))),
         ):
-            v = column_mismatch(clause, (i,), lhs, rhs)
-            if v is not None:
-                return v
+            if lhs != rhs:
+                return column_mismatch(clause, (i,), _dense(f, lhs, vdim), _dense(f, rhs, vdim))
     return Verdict.passed()
 
 
@@ -466,9 +487,8 @@ def check_embedding_tensor(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> Verdi
     for each a, ad_{T e_a} T = T psi_{T e_a}, column b."""
     if psi.shape != (g.dim, vdim, vdim):
         raise DimensionMismatch("psi tensor shape mismatch")
-    f = g.field
-    mats = psi_matrices(f, vdim, psi)
-    v = _homomorphism(g, vdim, mats)
+    f, mats = g.field, psi_matrices(g.field, vdim, psi)
+    v = _homomorphism(g, vdim, [sparse_cols(m) for m in mats])
     if not v:
         return v
     if T.rows != g.dim or T.cols != vdim or T.field != g.field:

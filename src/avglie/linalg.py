@@ -81,6 +81,36 @@ def add_scaled(fld, acc, c, entries):
         acc[k] = fld.add(acc[k], fld.mul(c, x))
 
 
+def sparse_cols(m):
+    """The sparse matrix of the Matrix m: {column: {row: entry}} without
+    zeros or empty columns.  The sums and products below cost the nonzeros
+    of their operands (Gustavson 1978)."""
+    return {c: {r: x for r, x in enumerate(v) if x} for c, v in enumerate(zip(*m.entries)) if any(v)}
+
+
+def sparse_matvec(fld, vecs, x):
+    """The sparse vector sum_k x_k vecs[k]: the sparse matrix vecs times x."""
+    add, mul, out = fld.add, fld.mul, {}
+    for k, c in x.items():
+        for r, y in vecs.get(k, {}).items():
+            out[r] = add(out[r], mul(c, y)) if r in out else mul(c, y)
+    return {r: y for r, y in out.items() if y}
+
+
+def sparse_sum(fld, mats, x):
+    """The sparse matrix sum_k x_k mats[k] over the k of the sparse vector x."""
+    cols = {}
+    for k in x:
+        for j, v in mats[k].items():
+            cols.setdefault(j, {})[k] = v
+    return {j: v for j, vs in cols.items() if (v := sparse_matvec(fld, vs, x))}
+
+
+def sparse_mul(fld, a, b):
+    """The sparse matrix a b: column j is a applied to column j of b."""
+    return {j: v for j, col in b.items() if (v := sparse_matvec(fld, a, col))}
+
+
 class Matrix:
     """Immutable matrix over an exact field, dense or born sparse (`_of_sparse`)."""
 

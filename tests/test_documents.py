@@ -184,3 +184,32 @@ def test_q_fixtures_hold_only_canonical_scalars():
         assert all(is_canonical_q(x) for x in scalars), name
         seen += 1
     assert seen == 19
+
+
+def test_plain_integer_entries_read_as_the_scalar_parser_reads_them():
+    entries = ["-0", "007", "13", "-1", "8" * 1200, "-" + "3" * 999]
+    for field in (QQ, GF(7)):
+        obj = {"shape": [1, len(entries)], "entries": entries}
+        m = docs.parse_matrix(field, obj, "matrix", "P")
+        assert list(m.entries[0]) == [field.parse(x) for x in entries]
+
+
+@pytest.mark.parametrize("entry", ["1\n", "１", "٣", "0,0", "F7"])
+def test_entries_take_plain_ascii_digits_only(entry):
+    obj = {"shape": [1, 2], "entries": ["1", entry]}
+    with pytest.raises(ParseError, match=r"^matrix: P: not a rational scalar: "):
+        docs.parse_matrix(QQ, obj, "matrix", "P")
+
+
+def test_non_ascii_digits_exit_as_parse_errors(tmp_path):
+    for name, edit in (("scalar", lambda obj: obj["P"]["entries"].__setitem__(0, "１")),
+                       ("newline", lambda obj: obj["P"]["entries"].__setitem__(0, "1\n")),
+                       ("tag", lambda obj: obj.__setitem__("field", "F7\n"))):
+        obj = docs.load_document(fixture_path("identity_averaging.json"))
+        edit(obj)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        proc = subprocess.run([sys.executable, "-m", "avglie.cli", "check", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, name
+        assert json.loads(proc.stdout)["clause"] == "parse-error"

@@ -210,3 +210,18 @@ def test_scalars_over_the_digit_limit_are_parse_errors(tmp_path):
         proc = _check_lie_doc(tmp_path, tag, "5" * 5001)
         assert proc.returncode == 2, proc.stderr
         assert json.loads(proc.stdout)["clause"] == "parse-error"
+
+
+@pytest.mark.parametrize("text", ["1\n", "１", "٣", "-٣", "1/２", "٣/２", "7/2\n"])
+def test_scalars_take_plain_ascii_digits_only(text):
+    with pytest.raises(ParseError, match="not a rational scalar"):
+        QQ.parse(text)
+    if "/" not in text:
+        with pytest.raises(ParseError, match="not a residue"):
+            GF(7).parse(text)
+
+
+@pytest.mark.parametrize("tag", ["F７", "F7\n", "F٧", "Q\n"])
+def test_field_tags_take_plain_ascii_digits_only(tag):
+    with pytest.raises(ParseError, match="unknown field tag"):
+        field_from_string(tag)
