@@ -28,7 +28,7 @@ from math import comb
 from types import SimpleNamespace
 
 from .errors import DimensionMismatch, FieldTooLarge
-from .lie import Representation, psi_columns
+from .lie import Representation
 from .linalg import Matrix, Tensor, minors, rank, solve_affine, sparse_cols, sparse_mul, sparse_sum
 from .multilinear import AltMap, dense_offset, sort_with_sign
 
@@ -157,12 +157,12 @@ def _signed_nonzeros(fld, m):
 
 
 def _tables(r: Representation):
-    """What delta_rows reads off r in every degree, built once and kept on
-    r as functools.cached_property keeps its psi_mats."""
+    """What delta_rows reads off r in every degree, built once and kept on r,
+    from the sparse actions validation cached there (`Representation.sparse_acts`)."""
     t = r.__dict__.get("_delta_tables")
     if t is None:
         fld, dim, ad, P = r.field, r.dim, r.base.algebra.sparse_ad, r.base.P
-        acts, p, q = psi_columns(r.psi), sparse_cols(P), sparse_cols(r.Q)
+        acts, p, q = r.sparse_acts, sparse_cols(P), sparse_cols(r.Q)
         pads = [sparse_sum(fld, ad, p.get(j, {})) for j in range(dim)]
         t = r.__dict__["_delta_tables"] = SimpleNamespace(
             acts=[_signed_nonzeros(fld, m) for m in acts],

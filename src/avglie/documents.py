@@ -11,7 +11,6 @@ fixtures diff cleanly and reports are byte-stable.
 from __future__ import annotations
 
 import json
-import re
 from math import comb, prod
 
 from .cohomology import Cochain
@@ -51,10 +50,6 @@ def _nat_list(val, kind, key):
     return val
 
 
-# Entries that are plain ASCII integers int() takes, joined by commas: one pass reads them.
-_INTEGERS = re.compile(r"-?[0-9]{1,999}(,-?[0-9]{1,999})*")
-
-
 def _scalars(field: Field, val, kind, key, want_len):
     if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
         raise ParseError(f"{kind}: {key}.entries must be a list of scalar strings")
@@ -62,9 +57,6 @@ def _scalars(field: Field, val, kind, key, want_len):
         raise ParseError(
             f"{kind}: {key} wants {want_len} entries, document has {len(val)}"
         )
-    if _INTEGERS.fullmatch(text := ",".join(val)) and text.count(",") == len(val) - 1:
-        ints = list(map(int, val))
-        return [x % field.p for x in ints] if field.finite else ints
     try:
         return [field.parse(x) for x in val]
     except ParseError as exc:

@@ -44,7 +44,7 @@ from .linalg import (
     add_scaled,
     block_matrix,
     nonzeros,
-    sparse_cols,
+    sparse_matrices,
     vec_neg,
 )
 from .multilinear import AltMap
@@ -132,7 +132,7 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
     # L6: d l3(x,y,z) = Jacobi cycle of the level-0 bracket, which is minus
     # its Jacobiator once L1 holds.  Both sides then alternate and
     # increasing tuples suffice (same for L8 below).
-    nz00 = [sparse_cols(m) for m in t.l2_00.matrices()]
+    nz00 = sparse_matrices(t.l2_00)
     for i, j, k in combinations(range(n0), 3):
         lhs = t.d.matvec(t.l3.eval_basis((i, j, k)))
         rhs = vec_neg(f, jacobiator(f, nz00, i, j, k))
@@ -147,7 +147,7 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
         if v is not None:
             return v
     # L8: the alternating action sum of l3 equals its bracket-insertion sum.
-    nz01 = [sparse_cols(m) for m in t.l2_01.matrices()]
+    nz01 = sparse_matrices(t.l2_01)
     for w, x, y, z in combinations(range(n0), 4):
         tup = (w, x, y, z)
         lhs = [f.zero] * n1
@@ -369,7 +369,7 @@ def check_crossed_module(c: CrossedModule) -> Verdict:
     if v is not None:
         return v
     # rho is a Lie homomorphism and makes g1 a representation of g0.
-    rep_v = representation_verdict(c.g0, [sparse_cols(m) for m in mats], c.g1.P)
+    rep_v = representation_verdict(c.g0, sparse_matrices(c.rho), c.g1.P)
     if not rep_v:
         clause = {"psi-homomorphism": "rho-homomorphism"}.get(rep_v.clause, rep_v.clause)
         return Verdict(False, clause, rep_v.witness, rep_v.notes)

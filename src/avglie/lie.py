@@ -17,14 +17,13 @@ structure's l2_01) holds them column by column, as `Tensor.matrices`
 reads them.
 
 A clause whose last argument runs over a basis is one matrix identity per
-leading index, and `column_mismatch` reports its first differing column:
-the witness a loop over basis pairs in the same order finds.  The
-averaging identity, the homomorphism property and the representation
-chains form these identities on sparse matrices (`linalg.sparse_cols`), at
-the cost of their nonzeros, and make two sides dense only where they
-differ, for the witness.  Antisymmetry keeps its loop, and `jacobiator`
-sums over the nonzero structure constants only; it also serves L6 of
-`homotopy` and (B) of `extensions`.
+leading index, and `column_mismatch` reports its first differing column: the
+witness a loop over basis pairs in the same order finds.  The averaging
+identity, the homomorphism property and the representation chains are formed
+on sparse matrices (`linalg.sparse_cols`) at the cost of their nonzeros;
+only two sides that differ are made dense, for the witness.  Antisymmetry
+keeps its loop; `jacobiator` sums over the nonzero structure constants only,
+also for L6 of `homotopy` and (B) of `extensions`.
 """
 
 from __future__ import annotations
@@ -39,8 +38,10 @@ from .linalg import (
     Tensor,
     add_scaled,
     block_matrix,
+    from_sparse,
     nonzeros,
     sparse_cols,
+    sparse_matrices,
     sparse_mul,
     sparse_sum,
     vec_is_zero,
@@ -67,12 +68,6 @@ def psi_of_vec(field, vdim, mats, x):
                     acc[k] = add(acc[k], mul(c, y))
         out.append(acc)
     return Matrix._of(field, out, cols)
-
-
-def _dense(field, m, n):
-    """The n x n Matrix of a sparse matrix, for a witness."""
-    rows = [[m.get(c, {}).get(r, field.zero) for c in range(n)] for r in range(n)]
-    return Matrix._of(field, rows, n)
 
 
 def column_mismatch(clause, prefix, lhs: Matrix, rhs: Matrix, cols=None, **notes):
@@ -129,7 +124,7 @@ def check_lie(field, dim, bracket: Tensor) -> Verdict:
         return v
     # antisymmetry holds past this point, so the Jacobiator is alternating
     # and increasing triples cover all basis triples
-    ad = [sparse_cols(m) for m in bracket.matrices()]
+    ad = sparse_matrices(bracket)
     for i, j, k in combinations(range(dim), 3):
         acc = jacobiator(field, ad, i, j, k)
         if not vec_is_zero(field, acc):
@@ -180,7 +175,7 @@ class LieAlgebra:
     @cached_property
     def sparse_ad(self):
         """The ad matrices as sparse matrices (`linalg.sparse_cols`)."""
-        return [sparse_cols(m) for m in self.ad]
+        return sparse_matrices(self.bracket)
 
     def bracket_vec(self, u, v):
         """[u, v] = sum_{i,j} u_i v_j [e_i, e_j], over the nonzero pairs."""
@@ -242,7 +237,7 @@ def check_averaging(g: LieAlgebra, P: Matrix) -> Verdict:
         adp = sparse_sum(f, ad, p.get(i, {}))
         lhs = sparse_mul(f, adp, p)
         if left is None and lhs != (rhs := sparse_mul(f, p, adp)):
-            left = column_mismatch("eq1", (i,), _dense(f, lhs, n), _dense(f, rhs, n))
+            left = column_mismatch("eq1", (i,), from_sparse(f, lhs, n), from_sparse(f, rhs, n))
         right_ok = right_ok and lhs == sparse_mul(f, p, sparse_mul(f, ad[i], p))
     notes = {"right_holds": right_ok, "sides_agree": (left is None) == right_ok}
     if left is None:
@@ -374,11 +369,6 @@ def derivation_mismatch(clause, h: LieAlgebra, mats):
                 return v
 
 
-def psi_columns(psi: Tensor):
-    """`psi_matrices` of an action tensor as sparse matrices."""
-    return [sparse_cols(m) for m in psi_matrices(psi.field, psi.shape[1], psi)]
-
-
 def _homomorphism(g: LieAlgebra, vdim, acts) -> Verdict:
     """psi_[x,y] = psi_x psi_y - psi_y psi_x on basis pairs x < y (acts sparse)."""
     f, ad = g.field, g.sparse_ad
@@ -387,7 +377,7 @@ def _homomorphism(g: LieAlgebra, vdim, acts) -> Verdict:
         ij, ji = sparse_mul(f, acts[i], acts[j]), sparse_mul(f, acts[j], acts[i])
         rhs = sparse_sum(f, (ij, ji), {0: f.one, 1: f.neg(f.one)})
         if lhs != rhs:
-            lhs, rhs = _dense(f, lhs, vdim), _dense(f, rhs, vdim)
+            lhs, rhs = from_sparse(f, lhs, vdim), from_sparse(f, rhs, vdim)
             return Verdict.failed("psi-homomorphism", (i, j), lhs.flat(), rhs.flat())
     return Verdict.passed()
 
@@ -396,11 +386,12 @@ def check_lie_representation(g: LieAlgebra, vdim, psi: Tensor) -> Verdict:
     """psi_[x,y] = psi_x psi_y - psi_y psi_x on basis pairs."""
     if psi.shape != (g.dim, vdim, vdim):
         raise DimensionMismatch("psi tensor shape mismatch")
-    return _homomorphism(g, vdim, psi_columns(psi))
+    return _homomorphism(g, vdim, sparse_matrices(psi, transpose=True))
 
 
-def check_representation(base: AveragingLieAlgebra, vdim, psi: Tensor, Q: Matrix) -> Verdict:
-    """Homomorphism property plus both representation chains.
+def check_representation(base: AveragingLieAlgebra, vdim, psi: Tensor, Q: Matrix, acts=None) -> Verdict:
+    """Homomorphism property plus both representation chains; acts, when
+    given, are psi's sparse action matrices (`Representation.sparse_acts`).
 
     Clause names: "psi-homomorphism", then "rep-chain-1" for
     psi_{P(x)} Q = Q psi_{P(x)} and "rep-chain-2" for
@@ -410,7 +401,7 @@ def check_representation(base: AveragingLieAlgebra, vdim, psi: Tensor, Q: Matrix
         raise DimensionMismatch("Q shape does not match the module")
     if psi.shape != (base.dim, vdim, vdim):
         raise DimensionMismatch("psi tensor shape mismatch")
-    return representation_verdict(base, psi_columns(psi), Q)
+    return representation_verdict(base, sparse_matrices(psi, True) if acts is None else acts, Q)
 
 
 def representation_verdict(base: AveragingLieAlgebra, acts, Q: Matrix) -> Verdict:
@@ -429,7 +420,7 @@ def representation_verdict(base: AveragingLieAlgebra, acts, Q: Matrix) -> Verdic
             ("rep-chain-2", mid, sparse_mul(f, q, sparse_mul(f, acts[i], q))),
         ):
             if lhs != rhs:
-                return column_mismatch(clause, (i,), _dense(f, lhs, vdim), _dense(f, rhs, vdim))
+                return column_mismatch(clause, (i,), from_sparse(f, lhs, vdim), from_sparse(f, rhs, vdim))
     return Verdict.passed()
 
 
@@ -444,8 +435,9 @@ class Representation:
 
     @staticmethod
     def validate(base, vdim, psi, Q) -> "Representation":
-        check_representation(base, vdim, psi, Q).require()
-        return Representation(base, vdim, psi, Q)
+        r = Representation(base, vdim, psi, Q)
+        check_representation(base, vdim, psi, Q, r.sparse_acts).require()
+        return r
 
     @property
     def field(self):
@@ -461,6 +453,11 @@ class Representation:
     @cached_property
     def _mats(self):
         return psi_matrices(self.field, self.vdim, self.psi)
+
+    @cached_property
+    def sparse_acts(self):
+        """The action matrices psi_{e_i} as sparse matrices (`linalg.sparse_cols`)."""
+        return sparse_matrices(self.psi, transpose=True)
 
 
 def adjoint_representation(a: AveragingLieAlgebra) -> Representation:
@@ -488,7 +485,7 @@ def check_embedding_tensor(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> Verdi
     if psi.shape != (g.dim, vdim, vdim):
         raise DimensionMismatch("psi tensor shape mismatch")
     f, mats = g.field, psi_matrices(g.field, vdim, psi)
-    v = _homomorphism(g, vdim, [sparse_cols(m) for m in mats])
+    v = _homomorphism(g, vdim, sparse_matrices(psi, transpose=True))
     if not v:
         return v
     if T.rows != g.dim or T.cols != vdim or T.field != g.field:

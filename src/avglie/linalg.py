@@ -81,11 +81,22 @@ def add_scaled(fld, acc, c, entries):
         acc[k] = fld.add(acc[k], fld.mul(c, x))
 
 
-def sparse_cols(m):
-    """The sparse matrix of the Matrix m: {column: {row: entry}} without
-    zeros or empty columns.  The sums and products below cost the nonzeros
-    of their operands (Gustavson 1978)."""
-    return {c: {r: x for r, x in enumerate(v) if x} for c, v in enumerate(zip(*m.entries)) if any(v)}
+def sparse_cols(m, transpose=False):
+    """The sparse matrix of the Matrix m (or of its transpose): {column: {row:
+    entry}} without zeros or empty columns.  The sums and products below
+    cost the nonzeros of their operands (Gustavson 1978)."""
+    lines = m.entries if transpose else zip(*m.entries)
+    return {c: {r: x for r, x in enumerate(v) if x} for c, v in enumerate(lines) if any(v)}
+
+
+def from_sparse(fld, m, n):
+    """The n x n Matrix of the sparse matrix m, the inverse of `sparse_cols`."""
+    return Matrix._of(fld, [[m.get(c, {}).get(r, fld.zero) for c in range(n)] for r in range(n)], n)
+
+
+def sparse_matrices(t, transpose=False):
+    """`sparse_cols` of each of the 3-tensor t's `Tensor.matrices`, or of its transpose."""
+    return [sparse_cols(m, transpose) for m in t.matrices()]
 
 
 def sparse_matvec(fld, vecs, x):
