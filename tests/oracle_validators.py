@@ -543,6 +543,20 @@ def transform_cocycle(pair: AutomorphismPair, c: NonAbelianCocycle) -> NonAbelia
     return out
 
 
+def check_compatible_pair(pair: AutomorphismPair, r: Representation) -> Verdict:
+    """beta psi_x h = psi_{alpha x} beta h on basis pairs (x, h)."""
+    f = r.field
+    mats = psi_matrices(f, r.vdim, r.psi)
+    for i in range(r.dim):
+        act = psi_of_vec(f, r.vdim, mats, pair.alpha.col(i))
+        for a in range(r.vdim):
+            lhs = pair.beta.matvec(mats[i].col(a))
+            rhs = act.matvec(pair.beta.col(a))
+            if lhs != rhs:
+                return Verdict.failed("compatible", (i, a), lhs, rhs)
+    return Verdict.passed()
+
+
 def own_section(e: ExtensionData) -> Matrix:
     """e's section, else the right inverse of p that solves for each basis
     vector with the free coordinates zero."""

@@ -409,6 +409,50 @@ def split_variants(rng, f):
             yield ext.check_split_semidirect, oracle.check_split_semidirect, (replace(e, s=s),)
 
 
+def split_abelian(r):
+    """The split extension of r's base by its module, made abelian with Q."""
+    f, n, k = r.field, r.dim, r.vdim
+    coef = lie.AveragingLieAlgebra(lie.LieAlgebra.abelian(f, k), r.Q)
+    return ext.build_extension(ext.NonAbelianCocycle(
+        r.base, coef, AltMap.zero(f, n, 2, k), r.psi, Matrix.zero(f, k, n)))
+
+
+@cache
+def compatible_cases(f):
+    """(induced representation, compatible pairs) of the abelian extension
+    fixtures over f and of split extensions of scrambled representations
+    on at most two dimensions: `compatible_pairs` over F_p, the pairs of
+    `q_automorphisms` the oracle finds compatible over Q."""
+    exts = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "extension*.json"))):
+        obj = docs.load_document(path)
+        if obj["field"] == f.name:
+            exts.append(docs.realize_extension(obj))
+    family = representation_family(f, random.Random(7))
+    exts += [split_abelian(r) for r in family if r.dim <= 2 and r.vdim <= 2]
+    out = []
+    for e in exts:
+        r = ext.induced_representation(e)
+        if f.finite:
+            pairs = ext.compatible_pairs(e)
+        else:
+            pairs = [ext.AutomorphismPair(b, a)
+                     for b in q_automorphisms(e.coef) for a in q_automorphisms(e.base)]
+            pairs = [x for x in pairs if oracle.check_compatible_pair(x, r)]
+        out.append((r, pairs))
+    return out
+
+
+def compatible_variants(rng, f):
+    """Compatible pairs with, most of the time, one side spoiled."""
+    for r, pairs in compatible_cases(f):
+        pair = rng.choice(pairs)
+        if rng.random() < 0.8:
+            side = rng.choice(("beta", "alpha"))
+            pair = replace(pair, **{side: spoil(rng, getattr(pair, side))})
+        yield ext.check_compatible_pair, oracle.check_compatible_pair, (pair, r)
+
+
 # the clauses in the matrix idiom, or with loops over nonzero entries,
 # that the spoiled variants of each generator reach
 REACHED = {
@@ -424,13 +468,15 @@ REACHED = {
     "crossed_variants": {"d-bracket", "rho-derivation", "rho-homomorphism", "cm-anchor",
                          "cm-peiffer"},
     "split_variants": {"section-bracket"},
+    "compatible_variants": {None, "compatible"},
 }
 
 
 @pytest.mark.parametrize(
     "variants",
     [lie_variants, representation_variants, cocycle_variants, transform_variants,
-     extension_variants, homotopy_variants, crossed_variants, split_variants],
+     extension_variants, homotopy_variants, crossed_variants, split_variants,
+     compatible_variants],
     ids=lambda fn: fn.__name__,
 )
 def test_spoiled_variants_agree_with_the_oracle(variants):
