@@ -29,10 +29,13 @@ linear clauses cut out a unital matrix algebra, so the maps found are a
 group, listed as products along a stabiliser chain whose orbits are closed
 under the maps found so far: only the values they do not reach are searched.
 
-The validators use the matrix idiom of `lie`.  (B), (D) and (D1) are read
-off the total space of the cocycle (`check_cocycle`); the derivation
-clause, (A), (C) and the bracket morphisms are one matrix identity per
-leading index.
+The validators state their clauses on sparse matrices, as `lie` does: the
+derivation clause, (A), (C), (D) and (D1), the bracket morphisms, the
+witness check `_phi_satisfies` and the compatible-pair clause are one
+sparse matrix identity per leading index, with `lie.column_mismatch` for
+the witness.  (B), (D) and (D1) are read off the total space of the
+cocycle (`check_cocycle`).  Basis changes (`_Basis`, `_extract`, lifts)
+and whole-map equalities with flat witnesses stay dense products.
 """
 
 from __future__ import annotations
@@ -56,8 +59,7 @@ from .lie import (
     derivation_mismatch,
     first_mismatch,
     jacobiator,
-    psi_matrices,
-    psi_of_vec,
+    later_cols,
     psi_tensor,
     sum_bracket,
 )
@@ -66,9 +68,16 @@ from .linalg import (
     Tensor,
     affine_points,
     block_matrix,
+    from_sparse,
     kernel_basis,
     rank,
     solve_affine,
+    sparse_add,
+    sparse_cols,
+    sparse_matrices,
+    sparse_mul,
+    sparse_sum,
+    sparse_vec,
     vec_add,
     vec_basis,
     vec_is_zero,
@@ -106,13 +115,6 @@ class NonAbelianCocycle:
         if (self.Phi.rows, self.Phi.cols) != (m, n):
             raise DimensionMismatch("Phi shape mismatch")
 
-    def psi_mats(self):
-        return self._mats
-
-    @cached_property
-    def _mats(self):
-        return psi_matrices(self.base.field, self.coef.dim, self.psi)
-
     @cached_property
     def total(self) -> AveragingLieAlgebra:
         """base + coef with the `sum_bracket` of the triple and the operator
@@ -148,9 +150,9 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
     """
     f = c.base.field
     n, m = c.base.dim, c.coef.dim
-    g, h = c.base.algebra, c.coef.algebra
-    mats = c.psi_mats()
-    Q = c.coef.P
+    gad, had = c.base.algebra.sparse_ad, c.coef.algebra.sparse_ad
+    acts = sparse_matrices(c.psi, transpose=True)
+    p, q, phi = sparse_cols(c.base.P), sparse_cols(c.coef.P), sparse_cols(c.Phi)
     failures = {}
 
     def record(v):
@@ -158,16 +160,15 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
             failures[v.clause] = v
 
     # psi_x is a derivation of the coefficient bracket.
-    record(derivation_mismatch("derivation", h, mats))
+    record(derivation_mismatch("derivation", c.coef.algebra, acts))
 
     # (A): commutator defect of psi is the inner derivation by chi:
     # [psi_i, psi_j] - psi_[e_i, e_j] = ad_chi(i, j), column a.
     for i, j in combinations(range(n), 2):
-        defect = mats[i].mul(mats[j]).sub(mats[j].mul(mats[i])).sub(
-            psi_of_vec(f, m, mats, g.bracket_basis(i, j))
-        )
-        inner = psi_of_vec(f, m, h.ad, c.chi.eval_basis((i, j)))
-        record(column_mismatch("(A)", (i, j), defect, inner))
+        defect = sparse_add(f, (sparse_mul(f, acts[i], acts[j]),), (
+            sparse_mul(f, acts[j], acts[i]), sparse_sum(f, acts, gad[i].get(j, {}))))
+        inner = sparse_sum(f, had, sparse_vec(c.chi.eval_basis((i, j))))
+        record(column_mismatch(f, "(A)", (i, j), defect, inner, m))
 
     # (B): sum over cyclic (x, y, z) of psi_x chi(y, z) - chi([x, y], z).
     ad = c.total.algebra.sparse_ad
@@ -180,29 +181,31 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
     # psi_{P e_i} Q = Q psi_{P e_i} + Q ad_{Phi e_i} - ad_{Phi e_i} Q
     #               = Q psi_i Q - ad_{Phi e_i} Q.
     for i in range(n):
-        pm = psi_of_vec(f, m, mats, c.base.P.col(i))
-        adphi = psi_of_vec(f, m, h.ad, c.Phi.col(i))
-        lhs = pm.mul(Q)
-        mid = Q.mul(pm).add(Q.mul(adphi)).sub(adphi.mul(Q))
-        rhs = Q.mul(mats[i]).mul(Q).sub(adphi.mul(Q))
+        pm = sparse_sum(f, acts, p.get(i, {}))
+        adphi = sparse_sum(f, had, phi.get(i, {}))
+        lhs, adq = sparse_mul(f, pm, q), sparse_mul(f, adphi, q)
+        mid = sparse_add(f, (sparse_mul(f, q, pm), sparse_mul(f, q, adphi)), (adq,))
+        rhs = sparse_add(f, (sparse_mul(f, q, sparse_mul(f, acts[i], q)),), (adq,))
         record(first_mismatch(
-            column_mismatch("(C)", (i,), lhs, mid, chain=1),
-            column_mismatch("(C)", (i,), lhs, rhs, chain=2),
+            column_mismatch(f, "(C)", (i,), lhs, mid, m, chain=1),
+            column_mismatch(f, "(C)", (i,), lhs, rhs, m, chain=2),
         ))
 
     # (D): [U e_i, U e_j] = U[U e_i, e_j] and (D1): = U[e_i, U e_j] on the
     # coefficient rows, column j < n.
-    U, ad = c.total.P, c.total.algebra.ad
-    zero = Matrix.zero(f, m, n)
+    u = sparse_cols(c.total.P)
 
     def coef_rows(mat):
-        return Matrix._of(f, [row[:n] for row in mat.entries[n:]], n)
+        rows = {j: {r - n: x for r, x in col.items() if r >= n} for j, col in mat.items() if j < n}
+        return {j: col for j, col in rows.items() if col}
 
     for i in range(n):
-        adu = psi_of_vec(f, n + m, ad, U.col(i))
-        lhs = adu.mul(U)
-        record(column_mismatch("(D)", (i,), coef_rows(lhs.sub(U.mul(adu))), zero))
-        record(column_mismatch("(D1)", (i,), coef_rows(lhs.sub(U.mul(ad[i]).mul(U))), zero))
+        adu = sparse_sum(f, ad, u.get(i, {}))
+        lhs = sparse_mul(f, adu, u)
+        d = sparse_add(f, (lhs,), (sparse_mul(f, u, adu),))
+        d1 = sparse_add(f, (lhs,), (sparse_mul(f, u, sparse_mul(f, ad[i], u)),))
+        record(column_mismatch(f, "(D)", (i,), coef_rows(d), {}, m))
+        record(column_mismatch(f, "(D1)", (i,), coef_rows(d1), {}, m))
 
     notes = {
         "d_holds": "(D)" not in failures,
@@ -405,13 +408,13 @@ def _extract(src, basis: _Basis, failure="extension produced an invalid cocycle 
     read in another basis of its own total space (`transform_cocycle`).
     The result must be a cocycle; an InternalError names the clause."""
     f, n, m = src.total.field, src.base.dim, src.coef.dim
-    ad = src.total.algebra.ad
+    ad, s = src.total.algebra.sparse_ad, sparse_cols(basis.s)
     low = Matrix._of(f, basis.inv.entries[n:], n + m)  # the coefficient rows of T^-1
 
     def coef_rows(M):  # [hx, hh]: the coefficient rows of T^-1 M T
         return _halves(low.mul(M).mul(basis.T), n)
 
-    rows = [coef_rows(psi_of_vec(f, n + m, ad, basis.s.col(x))) for x in range(n)]
+    rows = [coef_rows(from_sparse(f, sparse_sum(f, ad, s.get(x, {})), n + m)) for x in range(n)]
     chi = AltMap(f, n, 2, m, [rows[x][0].col(y) for x, y in combinations(range(n), 2)])
     psi = psi_tensor(f, m, [hh for _, hh in rows])
     Phi = coef_rows(src.total.P)[0]
@@ -496,14 +499,13 @@ def _equivalence_linear_system(c1, c2, include_e2):
     f = c1.base.field
     n, m = c1.base.dim, c1.coef.dim
     h = c1.coef.algebra
-    mats1, mats2 = c1.psi_mats(), c2.psi_mats()
-    dpsi = [u.sub(v) for u, v in zip(mats1, mats2)]
+    psi1, psi2 = c1.psi.get, c2.psi.get
     ident_n = Matrix.identity(f, n)
     rows, rhs = [], []
     for a in range(m):
         right = Matrix.from_cols(f, [h.bracket_basis(b, a) for b in range(m)])
         rows += _product_rows(f, right, ident_n)
-        rhs += [dpsi[j][t, a] for t in range(m) for j in range(n)]
+        rhs += [f.sub(psi1(j, t, a), psi2(j, t, a)) for t in range(m) for j in range(n)]
     rows += _commutator_rows(f, c1.base.P, c1.coef.P)
     rhs += c2.Phi.sub(c1.Phi).flat()
     if include_e2:
@@ -520,7 +522,7 @@ def _e2_rows(ca, cb):
     written as (psi_x - psi'_x) phi e_y, as (E1) allows."""
     f = ca.base.field
     n, m = ca.base.dim, ca.coef.dim
-    psi, psi_ = ca.psi_mats(), cb.psi_mats()
+    psi, psi_ = ca.psi.get, cb.psi.get
     rows = []
     for x, y in combinations(range(n), 2):
         br = ca.base.algebra.bracket_basis(x, y)
@@ -528,8 +530,8 @@ def _e2_rows(ca, cb):
             # entry s * n + j of row t is the coefficient of phi[s, j]
             row = [f.zero] * (m * n)
             for s in range(m):
-                row[s * n + y] = psi[x][t, s]
-                row[s * n + x] = f.neg(psi_[y][t, s])
+                row[s * n + y] = psi(x, t, s)
+                row[s * n + x] = f.neg(psi_(y, t, s))
             for j in range(n):
                 row[t * n + j] = f.sub(row[t * n + j], br[j])
             rows.append(row)
@@ -547,11 +549,11 @@ def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
     f, n, m = c1.base.field, c1.base.dim, c1.coef.dim
     ident = Matrix.identity
     tau = block_matrix(f, [[ident(f, n), Matrix.zero(f, n, m)], [phi, ident(f, m)]])
-    src, dst = c1.total, c2.total
+    src, dst, t = c1.total, c2.total, sparse_cols(tau)
     for a in range(n):  # tau is I on the kernel, so the pairs n <= a < b agree
-        lhs = tau.mul(src.algebra.ad[a])
-        rhs = psi_of_vec(f, n + m, dst.algebra.ad, tau.col(a)).mul(tau)
-        if column_mismatch("tau", (a,), lhs, rhs, cols=range(a + 1, n + m)) is not None:
+        lhs = sparse_mul(f, t, later_cols(src.algebra.sparse_ad[a], a))
+        rhs = sparse_mul(f, sparse_sum(f, dst.algebra.sparse_ad, t[a]), later_cols(t, a))
+        if lhs != rhs:
             return False
     return tau.mul(src.P) == dst.P.mul(tau)
 
@@ -983,12 +985,13 @@ def induced_representation(e: ExtensionData) -> Representation:
 
 
 def check_compatible_pair(pair: AutomorphismPair, r: Representation) -> Verdict:
-    """beta psi_x = psi_{alpha(x)} beta on basis pairs."""
-    f = r.field
-    mats = r.psi_mats()
+    """beta psi_x = psi_{alpha(x)} beta on basis pairs: for each i,
+    beta psi_i = psi_{alpha e_i} beta, column a."""
+    f, acts = r.field, r.sparse_acts
+    beta, alpha = sparse_cols(pair.beta), sparse_cols(pair.alpha)
     for i in range(r.dim):
-        acc = psi_of_vec(f, r.vdim, mats, pair.alpha.col(i))
-        v = column_mismatch("compatible", (i,), pair.beta.mul(mats[i]), acc.mul(pair.beta))
+        rhs = sparse_mul(f, sparse_sum(f, acts, alpha.get(i, {})), beta)
+        v = column_mismatch(f, "compatible", (i,), sparse_mul(f, beta, acts[i]), rhs, r.vdim)
         if v is not None:
             return v
     return Verdict.passed()

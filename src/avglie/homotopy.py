@@ -7,11 +7,14 @@ the level-1 x level-0 bracket is the negation and level-1 x level-1 is
 zero, so the unrepresentable invalid states cannot occur.  Axiom clause
 names in verdicts are L1..L8 and A1..A4.
 
-The axioms use the matrix idiom of `lie` on the level-0 ad and level-1
-action matrices and the slices of l3 and P2: L4, L5, L7, A2, A3, A4 and
-the anchor are one matrix identity per leading index or pair.  L6 is
-minus the Jacobiator of `lie`.  L8 has four basis arguments and keeps its
-loop over the nonzero constants.
+The axioms are stated on sparse matrices, as in `lie`: the level-0 ad
+and level-1 action matrices and the slices of l3 (`TwoTermLinf.sparse_ad0`,
+`sparse_act`, `sparse_l3`) and of P2.  L4, L5, L7, A2, A3, A4 and the crossed-module
+anchor and Peiffer clauses are one sparse matrix identity per leading
+index or pair, witnessed by `lie.column_mismatch`.  L6 is minus the
+Jacobiator of `lie`.  L8 has four basis arguments and keeps its loop over
+the nonzero constants.  A1 and the operator clauses are whole-map
+equalities with flat witnesses and stay dense.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .lie import (
     derivation_mismatch,
     first_mismatch,
     jacobiator,
-    psi_of_vec,
     psi_tensor,
     representation_verdict,
     sum_bracket,
@@ -43,8 +45,13 @@ from .linalg import (
     Tensor,
     add_scaled,
     block_matrix,
-    nonzeros,
+    sparse_add,
+    sparse_cols,
     sparse_matrices,
+    sparse_matvec,
+    sparse_mul,
+    sparse_sum,
+    sparse_vec,
     vec_neg,
 )
 from .multilinear import AltMap
@@ -72,31 +79,26 @@ class TwoTermLinf:
         if (self.l3.dim, self.l3.arity, self.l3.vdim) != (self.n0, 3, self.n1):
             raise DimensionMismatch("Jacobiator shape mismatch")
 
-    # bracket of basis elements; vectors live in the indicated level
-    def br00(self, i, j):
-        return self.l2_00.fibre(i, j)
-
-    def br01(self, i, a):
-        return self.l2_01.fibre(i, a)
+    @cached_property
+    def sparse_ad0(self):
+        """The sparse matrices (`linalg.sparse_cols`) of the level-0
+        bracket: column j of sparse_ad0[i] is <x_i, x_j>."""
+        return sparse_matrices(self.l2_00)
 
     @cached_property
-    def ad0(self):
-        """Column j of ad0[i] is <x_i, x_j>."""
-        return self.l2_00.matrices()
+    def sparse_act(self):
+        """The sparse level-1 action: column a of sparse_act[i] is <x_i, h_a>."""
+        return sparse_matrices(self.l2_01)
 
     @cached_property
-    def act(self):
-        """Column a of act[i] is <x_i, h_a>."""
-        return self.l2_01.matrices()
+    def sparse_l3(self):
+        """Column k of sparse_l3[i][j] is l3(x_i, x_j, x_k)."""
+        return [[sparse_cols(self.l3.slice(i, j)) for j in range(self.n0)] for i in range(self.n0)]
 
-    @cached_property
-    def l3_slices(self):
-        """Column k of l3_slices[i][j] is l3(x_i, x_j, x_k)."""
-        return [[self.l3.slice(i, j) for j in range(self.n0)] for i in range(self.n0)]
-
-    def level1_mats(self):
-        """Column b of the a-th matrix is <d h_a, h_b>."""
-        return [psi_of_vec(self.field, self.n1, self.act, self.d.col(a)) for a in range(self.n1)]
+    def sparse_level1(self):
+        """The sparse level-1 matrices: column b of the a-th is <d h_a, h_b>."""
+        d = sparse_cols(self.d)
+        return [sparse_sum(self.field, self.sparse_act, d.get(a, {})) for a in range(self.n1)]
 
 
 @dataclass(frozen=True)
@@ -112,49 +114,49 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
     """Axioms L1 and L4..L8 on basis tuples (L2, L3 are structural)."""
     f = t.field
     n0, n1 = t.n0, t.n1
+    ad0, act, d = t.sparse_ad0, t.sparse_act, sparse_cols(t.d)
     # L1: the level-0 bracket is antisymmetric with zero diagonal.
     v = antisymmetry_mismatch("L1", t.l2_00)
     if v is not None:
         return v
     # L4: d<x, h> = <x, dh>: d act_i = ad0_i d, column a.
     for i in range(n0):
-        v = column_mismatch("L4", (i,), t.d.mul(t.act[i]), t.ad0[i].mul(t.d))
+        v = column_mismatch(f, "L4", (i,), sparse_mul(f, d, act[i]), sparse_mul(f, ad0[i], d), n0)
         if v is not None:
             return v
     # L5: <dh, k> = <h, dk> = -<dk, h>: column b of the a-th level-1
     # matrix against minus column a of the b-th.
-    lev1 = t.level1_mats()
+    lev1 = t.sparse_level1()
     for a in range(n1):
-        rhs = Matrix.from_cols(f, [vec_neg(f, lev1[b].col(a)) for b in range(n1)])
-        v = column_mismatch("L5", (a,), lev1[a], rhs)
+        rhs = {b: {r: f.neg(x) for r, x in m[a].items()} for b, m in enumerate(lev1) if a in m}
+        v = column_mismatch(f, "L5", (a,), lev1[a], rhs, n1)
         if v is not None:
             return v
     # L6: d l3(x,y,z) = Jacobi cycle of the level-0 bracket, which is minus
     # its Jacobiator once L1 holds.  Both sides then alternate and
     # increasing tuples suffice (same for L8 below).
-    nz00 = sparse_matrices(t.l2_00)
     for i, j, k in combinations(range(n0), 3):
         lhs = t.d.matvec(t.l3.eval_basis((i, j, k)))
-        rhs = vec_neg(f, jacobiator(f, nz00, i, j, k))
+        rhs = vec_neg(f, jacobiator(f, ad0, i, j, k))
         if lhs != rhs:
             return Verdict.failed("L6", (i, j, k), lhs, rhs)
     # L7: l3(x, y, dh) = <x,<y,h>> - <y,<x,h>> - <<x,y>, h>: for each
     # (i, j), l3(x_i, x_j, -) d = [act_i, act_j] - act_<x_i,x_j>, column a.
     for i, j in product(range(n0), repeat=2):
-        comm = t.act[i].mul(t.act[j]).sub(t.act[j].mul(t.act[i]))
-        rhs = comm.sub(psi_of_vec(f, n1, t.act, t.br00(i, j)))
-        v = column_mismatch("L7", (i, j), t.l3_slices[i][j].mul(t.d), rhs)
+        rhs = sparse_add(f, (sparse_mul(f, act[i], act[j]),), (
+            sparse_mul(f, act[j], act[i]), sparse_sum(f, act, ad0[i].get(j, {}))))
+        v = column_mismatch(f, "L7", (i, j), sparse_mul(f, t.sparse_l3[i][j], d), rhs, n1)
         if v is not None:
             return v
     # L8: the alternating action sum of l3 equals its bracket-insertion sum.
-    nz01 = sparse_matrices(t.l2_01)
     for w, x, y, z in combinations(range(n0), 4):
         tup = (w, x, y, z)
         lhs = [f.zero] * n1
         for pos, sign in ((0, 1), (1, -1), (2, 1), (3, -1)):
             rest = tup[:pos] + tup[pos + 1 :]
-            for a, val in nonzeros(f, t.l3.eval_basis(rest)):
-                add_scaled(f, lhs, val if sign > 0 else f.neg(val), nz01[tup[pos]].get(a, {}).items())
+            for a, val in sparse_vec(t.l3.eval_basis(rest)).items():
+                term = act[tup[pos]].get(a, {}).items()
+                add_scaled(f, lhs, val if sign > 0 else f.neg(val), term)
         rhs = [f.zero] * n1
         for (a, b), rest, sign in (
             ((w, x), (y, z), 1),
@@ -164,8 +166,8 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
             ((x, z), (w, y), -1),
             ((y, z), (w, x), 1),
         ):
-            for k, coeff in nz00[a].get(b, {}).items():
-                term = nonzeros(f, t.l3.eval_basis((k, *rest)))
+            for k, coeff in ad0[a].get(b, {}).items():
+                term = sparse_vec(t.l3.eval_basis((k, *rest))).items()
                 add_scaled(f, rhs, coeff if sign > 0 else f.neg(coeff), term)
         if lhs != rhs:
             return Verdict.failed("L8", (w, x, y, z), lhs, rhs)
@@ -185,34 +187,34 @@ def check_homotopy_averaging(t: TwoTermLinf, p: HomotopyAveraging) -> Verdict:
         raise DimensionMismatch("operator shape mismatch")
     if (p.P2.dim, p.P2.arity, p.P2.vdim) != (n0, 2, n1):
         raise DimensionMismatch("homotopy shape mismatch")
-    p0c = [p.P0.col(j) for j in range(n0)]
     lhs = p.P0.mul(t.d)
     rhs = t.d.mul(p.P1)
     if lhs != rhs:
         return Verdict.failed("A1", (), lhs.flat(), rhs.flat())
+    d, act, p0, p1 = sparse_cols(t.d), t.sparse_act, sparse_cols(p.P0), sparse_cols(p.P1)
     # column j of p2[i] is P2(x_i, x_j); pad0[i] and pact[i] are the
     # level-0 ad and the level-1 action of P0 x_i
-    p2 = [p.P2.slice(i) for i in range(n0)]
-    pad0 = [psi_of_vec(f, n0, t.ad0, p0c[i]) for i in range(n0)]
-    pact = [psi_of_vec(f, n1, t.act, p0c[i]) for i in range(n0)]
+    p2 = [sparse_cols(p.P2.slice(i)) for i in range(n0)]
+    pad0 = [sparse_sum(f, t.sparse_ad0, p0.get(i, {})) for i in range(n0)]
+    pact = [sparse_sum(f, act, p0.get(i, {})) for i in range(n0)]
     # A2: d P2(x, y) = P0<P0 x, y> - <P0 x, P0 y>, column j.
     for i in range(n0):
-        rhs = p.P0.mul(pad0[i]).sub(pad0[i].mul(p.P0))
-        v = column_mismatch("A2", (i,), t.d.mul(p2[i]), rhs)
+        rhs = sparse_add(f, (sparse_mul(f, p0, pad0[i]),), (sparse_mul(f, pad0[i], p0),))
+        v = column_mismatch(f, "A2", (i,), sparse_mul(f, d, p2[i]), rhs, n0)
         if v is not None:
             return v
     # A3: P2(x, dh) = P1<P0 x, h> - <P0 x, P1 h> = P1<x, P1 h> - <P0 x, P1 h>,
     # column a.
     a3_sides_agree = True
     for i in range(n0):
-        lhs = p2[i].mul(t.d)
-        cross = pact[i].mul(p.P1)
-        rhs1 = p.P1.mul(pact[i]).sub(cross)
-        rhs2 = p.P1.mul(t.act[i]).mul(p.P1).sub(cross)
+        lhs = sparse_mul(f, p2[i], d)
+        cross = sparse_mul(f, pact[i], p1)
+        rhs1 = sparse_add(f, (sparse_mul(f, p1, pact[i]),), (cross,))
+        rhs2 = sparse_add(f, (sparse_mul(f, p1, sparse_mul(f, act[i], p1)),), (cross,))
         a3_sides_agree = a3_sides_agree and rhs1 == rhs2
         v = first_mismatch(
-            column_mismatch("A3", (i,), lhs, rhs1, equality=1),
-            column_mismatch("A3", (i,), lhs, rhs2, equality=2),
+            column_mismatch(f, "A3", (i,), lhs, rhs1, n1, equality=1),
+            column_mismatch(f, "A3", (i,), lhs, rhs2, n1, equality=2),
         )
         if v is not None:
             return v
@@ -221,15 +223,19 @@ def check_homotopy_averaging(t: TwoTermLinf, p: HomotopyAveraging) -> Verdict:
     # - P2(<P0 x, y>, z) - P2(y, <P0 x, z>) + P2(x, <P0 y, z>)
     # = l3(P0 x, P0 y, P0 z) - P1 l3(P0 x, P0 y, z).  Column z of acts is
     # <z, w>, and l3p[y][a] is l3(x_a, P0 y, -).
-    l3p = [[psi_of_vec(f, n1, row, p0c[y]) for row in t.l3_slices] for y in range(n0)]
+    l3p = [[sparse_sum(f, row, p0.get(y, {})) for row in t.sparse_l3] for y in range(n0)]
     for x, y in product(range(n0), repeat=2):
-        acts = Matrix.from_cols(f, [u.matvec(p.P2.eval_basis((x, y))) for u in t.act], n1)
-        lhs = pact[x].mul(p2[y]).sub(pact[y].mul(p2[x]))
-        lhs = lhs.add(acts.mul(p.P0)).sub(p.P1.mul(acts))
-        lhs = lhs.sub(psi_of_vec(f, n1, p2, pad0[x].col(y)))
-        lhs = lhs.sub(p2[y].mul(pad0[x])).add(p2[x].mul(pad0[y]))
-        l3xy = psi_of_vec(f, n1, l3p[y], p0c[x])
-        v = column_mismatch("A4", (x, y), lhs, l3xy.mul(p.P0).sub(p.P1.mul(l3xy)))
+        w = p2[x].get(y, {})
+        acts = {z: v for z in range(n0) if (v := sparse_matvec(f, act[z], w))}
+        lhs = sparse_add(f, (
+            sparse_mul(f, pact[x], p2[y]), sparse_mul(f, acts, p0), sparse_mul(f, p2[x], pad0[y]),
+        ), (
+            sparse_mul(f, pact[y], p2[x]), sparse_mul(f, p1, acts),
+            sparse_sum(f, p2, pad0[x].get(y, {})), sparse_mul(f, p2[y], pad0[x]),
+        ))
+        l3xy = sparse_sum(f, l3p[y], p0.get(x, {}))
+        rhs = sparse_add(f, (sparse_mul(f, l3xy, p0),), (sparse_mul(f, p1, l3xy),))
+        v = column_mismatch(f, "A4", (x, y), lhs, rhs, n1)
         if v is not None:
             return v
     return Verdict.passed(a3_sides_agree=a3_sides_agree)
@@ -251,7 +257,7 @@ def _rep_from_mixed_bracket(t: TwoTermLinf, p: HomotopyAveraging) -> Representat
     f = t.field
     g0 = LieAlgebra.validate(f, t.n0, t.l2_00)
     a = AveragingLieAlgebra.validate(g0, p.P0)
-    return Representation.validate(a, t.n1, psi_tensor(f, t.n1, t.act), p.P1)
+    return Representation.validate(a, t.n1, psi_tensor(f, t.n1, t.l2_01.matrices()), p.P1)
 
 
 def skeletal_to_triple(t: TwoTermLinf, p: HomotopyAveraging):
@@ -287,7 +293,7 @@ def triple_to_skeletal(a: AveragingLieAlgebra, r: Representation, c: Cochain):
         raise ValidationError(Verdict.failed("theta-alternating", (), c.theta.entries, ()))
     f = a.field
     n0, n1 = a.dim, r.vdim
-    l2_01 = Tensor.of_matrices(f, (n0, n1, n1), r.psi_mats())
+    l2_01 = Tensor.of_sparse(f, (n0, n1, n1), r.sparse_acts)
     t = TwoTermLinf(
         f, n0, n1, Matrix.zero(f, n0, n1), a.algebra.bracket, l2_01, c.f
     )
@@ -355,7 +361,7 @@ def check_crossed_module(c: CrossedModule) -> Verdict:
     """Morphism, action, representation-chain, anchor and Peiffer clauses."""
     f = c.g0.field
     n0, n1 = c.g0.dim, c.g1.dim
-    mats = c.rho.matrices()  # column a of mats[i] is rho_{e_i} h_a
+    mats = sparse_matrices(c.rho)  # column a of mats[i] is rho_{e_i} h_a
     # d is an averaging Lie algebra morphism.
     v = bracket_morphism_mismatch("d-bracket", c.d, c.g1.algebra, c.g0.algebra)
     if v is not None:
@@ -369,19 +375,20 @@ def check_crossed_module(c: CrossedModule) -> Verdict:
     if v is not None:
         return v
     # rho is a Lie homomorphism and makes g1 a representation of g0.
-    rep_v = representation_verdict(c.g0, sparse_matrices(c.rho), c.g1.P)
+    rep_v = representation_verdict(c.g0, mats, c.g1.P)
     if not rep_v:
         clause = {"psi-homomorphism": "rho-homomorphism"}.get(rep_v.clause, rep_v.clause)
         return Verdict(False, clause, rep_v.witness, rep_v.notes)
     # Anchor: d(rho_x h) = [x, dh]: d rho_i = ad_i d, column a.
+    d, ad0, ad1 = sparse_cols(c.d), c.g0.algebra.sparse_ad, c.g1.algebra.sparse_ad
     for i in range(n0):
-        v = column_mismatch("cm-anchor", (i,), c.d.mul(mats[i]), c.g0.algebra.ad[i].mul(c.d))
+        lhs, rhs = sparse_mul(f, d, mats[i]), sparse_mul(f, ad0[i], d)
+        v = column_mismatch(f, "cm-anchor", (i,), lhs, rhs, n0)
         if v is not None:
             return v
     # Peiffer: rho_{dh} k = [h, k]: rho_{d h_a} = ad_a, column b.
     for a in range(n1):
-        act = psi_of_vec(f, n1, mats, c.d.col(a))
-        v = column_mismatch("cm-peiffer", (a,), act, c.g1.algebra.ad[a])
+        v = column_mismatch(f, "cm-peiffer", (a,), sparse_sum(f, mats, d.get(a, {})), ad1[a], n1)
         if v is not None:
             return v
     return Verdict.passed()
@@ -394,7 +401,7 @@ def strict_to_crossed(t: TwoTermLinf, p: HomotopyAveraging) -> CrossedModule:
     check_homotopy_averaging(t, p).require()
     f = t.field
     n0, n1 = t.n0, t.n1
-    br1 = Tensor.of_matrices(f, (n1, n1, n1), t.level1_mats())
+    br1 = Tensor.of_sparse(f, (n1, n1, n1), t.sparse_level1())
     g1 = AveragingLieAlgebra.validate(LieAlgebra.validate(f, n1, br1), p.P1)
     g0 = AveragingLieAlgebra.validate(LieAlgebra.validate(f, n0, t.l2_00), p.P0)
     cm = CrossedModule(g1, g0, t.d, t.l2_01)

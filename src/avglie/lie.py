@@ -8,22 +8,24 @@ in [e_i, e_j].  Over characteristic 2 the antisymmetry check includes the
 alternating condition [e_i, e_i] = 0, which is what every construction
 here actually relies on.
 
-An algebra holds its ad matrices (column j of ad[i] is [e_i, e_j]) and a
-module its action matrices, each built once.  An action tensor psi holds
-the action matrices row by row, psi.get(i, b, a) being the e_b
-coefficient of psi_{e_i} e_a: `psi_tensor` writes it from the matrices
-and `psi_matrices` reads them back.  A crossed module's rho (and a 2-term
-structure's l2_01) holds them column by column, as `Tensor.matrices`
-reads them.
+An algebra holds its ad matrices (column j of sparse_ad[i] is [e_i, e_j])
+and a module its action matrices, each built once as sparse matrices
+(`linalg.sparse_cols`).  An action tensor psi holds the action matrices row
+by row, psi.get(i, b, a) being the e_b coefficient of psi_{e_i} e_a:
+`psi_tensor` writes it from dense matrices and `sparse_matrices(psi,
+transpose=True)` reads them back.  A crossed module's rho (and a 2-term
+structure's l2_01) holds them column by column, as `sparse_matrices` reads
+them.
 
-A clause whose last argument runs over a basis is one matrix identity per
-leading index, and `column_mismatch` reports its first differing column: the
-witness a loop over basis pairs in the same order finds.  The averaging
-identity, the homomorphism property and the representation chains are formed
-on sparse matrices (`linalg.sparse_cols`) at the cost of their nonzeros;
-only two sides that differ are made dense, for the witness.  Antisymmetry
-keeps its loop; `jacobiator` sums over the nonzero structure constants only,
-also for L6 of `homotopy` and (B) of `extensions`.
+A clause whose last argument runs over a basis is one sparse matrix
+identity per leading index, formed at the cost of its nonzeros, and
+`column_mismatch` reports its first differing column: the witness a loop
+over basis pairs in the same order finds.  It is the one place a witness
+column is made dense.  A clause on the pairs a < b only cuts the columns
+after a (`later_cols`) before the product.  Every such clause of
+`extensions` and `homotopy` is stated the same way.  Antisymmetry keeps its
+loop; `jacobiator` sums over the nonzero structure constants only, also for
+L6 of `homotopy` and (B) of `extensions`.
 """
 
 from __future__ import annotations
@@ -38,50 +40,35 @@ from .linalg import (
     Tensor,
     add_scaled,
     block_matrix,
+    dense_col,
     from_sparse,
-    nonzeros,
+    sparse_add,
     sparse_cols,
     sparse_matrices,
     sparse_mul,
     sparse_sum,
+    sparse_vec,
     vec_is_zero,
     vec_neg,
     vec_zero,
 )
 
 
-def psi_of_vec(field, vdim, mats, x):
-    """The matrix sum_k x_k mats[k], of the shape of the vdim-row matrices
-    mats (vdim x vdim when there are none): the action matrix psi_x of an
-    algebra vector x from the basis action matrices, ad_x from the ad ones."""
-    zero, add, mul = field.zero, field.add, field.mul
-    terms = [(c, m) for c, m in zip(x, mats) if c != zero]
-    if len(terms) == 1 and terms[0][0] == field.one:
-        return terms[0][1]
-    cols = mats[0].cols if mats else vdim
-    out = []
-    for r in range(vdim):
-        acc = [zero] * cols
-        for c, m in terms:
-            for k, y in enumerate(m.entries[r]):
-                if y:
-                    acc[k] = add(acc[k], mul(c, y))
-        out.append(acc)
-    return Matrix._of(field, out, cols)
+def column_mismatch(fld, clause, prefix, lhs, rhs, rows, **notes):
+    """Failed verdict at the first column a where the sparse matrices lhs
+    and rhs with `rows` rows differ, witnessed on prefix + (a,) with both
+    columns made dense; None when they are equal."""
+    if lhs == rhs:
+        return None
+    a = min(c for c in lhs.keys() | rhs.keys() if lhs.get(c) != rhs.get(c))
+    return Verdict.failed(
+        clause, (*prefix, a), dense_col(fld, lhs, a, rows), dense_col(fld, rhs, a, rows), **notes
+    )
 
 
-def column_mismatch(clause, prefix, lhs: Matrix, rhs: Matrix, cols=None, **notes):
-    """Failed verdict at the first column a of `cols` (every column by
-    default) where lhs and rhs differ, witnessed on prefix + (a,); None
-    when they agree there."""
-    if cols is None:
-        if lhs == rhs:
-            return None
-        cols = range(lhs.cols)
-    for a in cols:
-        left, right = lhs.col(a), rhs.col(a)
-        if left != right:
-            return Verdict.failed(clause, (*prefix, a), left, right, **notes)
+def later_cols(m, a):
+    """The columns of the sparse matrix m after column a."""
+    return {c: v for c, v in m.items() if c > a}
 
 
 def first_mismatch(*verdicts):
@@ -168,21 +155,17 @@ class LieAlgebra:
         return self.bracket.fibre(i, j)
 
     @cached_property
-    def ad(self):
-        """The ad matrices: column j of ad[i] is [e_i, e_j]."""
-        return self.bracket.matrices()
-
-    @cached_property
     def sparse_ad(self):
-        """The ad matrices as sparse matrices (`linalg.sparse_cols`)."""
+        """The ad matrices as sparse matrices (`linalg.sparse_cols`): column
+        j of sparse_ad[i] is [e_i, e_j]."""
         return sparse_matrices(self.bracket)
 
     def bracket_vec(self, u, v):
         """[u, v] = sum_{i,j} u_i v_j [e_i, e_j], over the nonzero pairs."""
         f = self.field
         out = [f.zero] * self.dim
-        for i, a in nonzeros(f, u):
-            for j, b in nonzeros(f, v):
+        for i, a in sparse_vec(u).items():
+            for j, b in sparse_vec(v).items():
                 add_scaled(f, out, f.mul(a, b), enumerate(self.bracket_basis(i, j)))
         return tuple(out)
 
@@ -196,13 +179,13 @@ def check_leibniz(field, dim, bracket: Tensor) -> Verdict:
     {e_i, e_k}), L_i L_j = L_{e_i,e_j} + L_j L_i, column k, for each (i, j)."""
     if bracket.shape != (dim, dim, dim):
         raise DimensionMismatch(f"bracket tensor must have shape {(dim,) * 3}")
-    f = field
-    left = bracket.matrices()
+    f, left = field, sparse_matrices(bracket)
     for i in range(dim):
         for j in range(dim):
-            lhs = left[i].mul(left[j])
-            rhs = psi_of_vec(f, dim, left, bracket.fibre(i, j)).add(left[j].mul(left[i]))
-            v = column_mismatch("leibniz", (i, j), lhs, rhs)
+            lhs = sparse_mul(f, left[i], left[j])
+            rhs = sparse_add(f, (sparse_sum(f, left, left[i].get(j, {})),
+                                 sparse_mul(f, left[j], left[i])))
+            v = column_mismatch(f, "leibniz", (i, j), lhs, rhs, dim)
             if v is not None:
                 return v
     return Verdict.passed()
@@ -236,8 +219,8 @@ def check_averaging(g: LieAlgebra, P: Matrix) -> Verdict:
     for i in range(n):
         adp = sparse_sum(f, ad, p.get(i, {}))
         lhs = sparse_mul(f, adp, p)
-        if left is None and lhs != (rhs := sparse_mul(f, p, adp)):
-            left = column_mismatch("eq1", (i,), from_sparse(f, lhs, n), from_sparse(f, rhs, n))
+        if left is None:
+            left = column_mismatch(f, "eq1", (i,), lhs, sparse_mul(f, p, adp), n)
         right_ok = right_ok and lhs == sparse_mul(f, p, sparse_mul(f, ad[i], p))
     notes = {"right_holds": right_ok, "sides_agree": (left is None) == right_ok}
     if left is None:
@@ -267,9 +250,6 @@ class AveragingLieAlgebra:
     def dim(self):
         return self.algebra.dim
 
-    def bracket_vec(self, u, v):
-        return self.algebra.bracket_vec(u, v)
-
     def is_abelian(self):
         return self.algebra.is_abelian()
 
@@ -292,7 +272,7 @@ def double_construction(g: LieAlgebra, copies: int):
     # e_i acts on each of the other copies by ad_i
     blocks = range(copies - 1)
     acts = [block_matrix(f, [[m if b == c else zero for c in blocks] for b in blocks])
-            for m in g.ad]
+            for m in g.bracket.matrices()]
     others = LieAlgebra.abelian(f, rest)
     big = LieAlgebra.validate(f, n + rest, sum_bracket(g, others, psi_tensor(f, rest, acts)))
 
@@ -307,10 +287,8 @@ def double_construction(g: LieAlgebra, copies: int):
 
 def induced_leibniz(a: AveragingLieAlgebra) -> LeibnizAlgebra:
     """The Leibniz bracket {x, y} = [P(x), y] on the same space."""
-    f = a.field
-    n = a.dim
-    adp = [psi_of_vec(f, n, a.algebra.ad, a.P.col(i)) for i in range(n)]
-    t = Tensor.of_matrices(f, (n, n, n), adp)
+    f, n, ad, p = a.field, a.dim, a.algebra.sparse_ad, sparse_cols(a.P)
+    t = Tensor.of_sparse(f, (n, n, n), [sparse_sum(f, ad, p.get(i, {})) for i in range(n)])
     v = check_leibniz(f, n, t)
     if not v:
         raise InternalError(
@@ -324,19 +302,11 @@ def induced_leibniz(a: AveragingLieAlgebra) -> LeibnizAlgebra:
 # tensors and as the underlying layer of Definition-style representations.
 
 
-def psi_matrices(field, vdim, psi: Tensor):
-    """The action matrices: column a of mats[i] is psi_{e_i} e_a."""
-    if psi.shape[1:] != (vdim, vdim):
-        raise DimensionMismatch("psi tensor shape mismatch")
-    rows = [[psi.fibre(i, a) for a in range(vdim)] for i in range(psi.shape[0])]
-    return tuple(Matrix._of(field, r, vdim) for r in rows)
-
-
 def psi_tensor(field, vdim, mats) -> Tensor:
-    """The action tensor of the vdim x vdim action matrices mats, the
-    inverse of `psi_matrices`: psi.get(i, b, a) is mats[i][b, a], the e_b
-    coefficient of psi_{e_i} e_a, so the tensor holds the rows of each
-    matrix in turn."""
+    """The action tensor of the vdim x vdim action matrices mats:
+    psi.get(i, b, a) is mats[i][b, a], the e_b coefficient of psi_{e_i}
+    e_a, so the tensor holds the rows of each matrix in turn and
+    `sparse_matrices(psi, transpose=True)` reads the matrices back."""
     return Tensor._of(
         field, (len(mats), vdim, vdim), [x for m in mats for row in m.entries for x in row]
     )
@@ -346,25 +316,27 @@ def bracket_morphism_mismatch(clause, phi: Matrix, src, dst, increasing=False, s
     """The first basis pair (a, b) of src, b > a when increasing, with
     phi[e_a, e_b] != [phi e_a, phi e_b] in dst, witnessed with these sides
     (swapped with swap), or None: column b of phi ad_a and ad_{phi e_a} phi."""
-    f = phi.field
+    f, ph, ad = phi.field, sparse_cols(phi), dst.sparse_ad
     for a in range(src.dim - 1 if increasing else src.dim):
-        sides = phi.mul(src.ad[a]), psi_of_vec(f, dst.dim, dst.ad, phi.col(a)).mul(phi)
-        cols = range(a + 1, src.dim) if increasing else None
-        v = column_mismatch(clause, (a,), *(sides[::-1] if swap else sides), cols=cols)
+        left, right = src.sparse_ad[a], ph
+        if increasing:
+            left, right = later_cols(left, a), later_cols(right, a)
+        sides = sparse_mul(f, ph, left), sparse_mul(f, sparse_sum(f, ad, ph.get(a, {})), right)
+        v = column_mismatch(f, clause, (a,), *(sides[::-1] if swap else sides), dst.dim)
         if v is not None:
             return v
 
 
 def derivation_mismatch(clause, h: LieAlgebra, mats):
     """The first (i, a, b) with D_i[h_a, h_b] != [D_i h_a, h_b] + [h_a, D_i h_b]
-    for the matrices D_i = mats[i], as a failed verdict; None when each is
-    a derivation.  For each (i, a) the identity is D_i ad_a =
+    for the sparse matrices D_i = mats[i], as a failed verdict; None when
+    each is a derivation.  For each (i, a) the identity is D_i ad_a =
     ad_{D_i h_a} + ad_a D_i, column b."""
-    f, m = h.field, h.dim
+    f, m, ad = h.field, h.dim, h.sparse_ad
     for i, D in enumerate(mats):
         for a in range(m):
-            rhs = psi_of_vec(f, m, h.ad, D.col(a)).add(h.ad[a].mul(D))
-            v = column_mismatch(clause, (i, a), D.mul(h.ad[a]), rhs)
+            rhs = sparse_add(f, (sparse_sum(f, ad, D.get(a, {})), sparse_mul(f, ad[a], D)))
+            v = column_mismatch(f, clause, (i, a), sparse_mul(f, D, ad[a]), rhs, m)
             if v is not None:
                 return v
 
@@ -419,8 +391,9 @@ def representation_verdict(base: AveragingLieAlgebra, acts, Q: Matrix) -> Verdic
             ("rep-chain-1", sparse_mul(f, pm, q), mid),
             ("rep-chain-2", mid, sparse_mul(f, q, sparse_mul(f, acts[i], q))),
         ):
-            if lhs != rhs:
-                return column_mismatch(clause, (i,), from_sparse(f, lhs, vdim), from_sparse(f, rhs, vdim))
+            v = column_mismatch(f, clause, (i,), lhs, rhs, vdim)
+            if v is not None:
+                return v
     return Verdict.passed()
 
 
@@ -447,13 +420,6 @@ class Representation:
     def dim(self):
         return self.base.dim
 
-    def psi_mats(self):
-        return self._mats
-
-    @cached_property
-    def _mats(self):
-        return psi_matrices(self.field, self.vdim, self.psi)
-
     @cached_property
     def sparse_acts(self):
         """The action matrices psi_{e_i} as sparse matrices (`linalg.sparse_cols`)."""
@@ -464,7 +430,7 @@ def adjoint_representation(a: AveragingLieAlgebra) -> Representation:
     """The algebra acting on itself by ad, with Q = P."""
     f = a.field
     n = a.dim
-    return Representation.validate(a, n, psi_tensor(f, n, a.algebra.ad), a.P)
+    return Representation.validate(a, n, psi_tensor(f, n, a.algebra.bracket.matrices()), a.P)
 
 
 def trivial_representation(a: AveragingLieAlgebra, vdim, Q: Matrix | None = None):
@@ -484,16 +450,18 @@ def check_embedding_tensor(g: LieAlgebra, vdim, psi: Tensor, T: Matrix) -> Verdi
     for each a, ad_{T e_a} T = T psi_{T e_a}, column b."""
     if psi.shape != (g.dim, vdim, vdim):
         raise DimensionMismatch("psi tensor shape mismatch")
-    f, mats = g.field, psi_matrices(g.field, vdim, psi)
-    v = _homomorphism(g, vdim, sparse_matrices(psi, transpose=True))
+    f, acts = g.field, sparse_matrices(psi, transpose=True)
+    v = _homomorphism(g, vdim, acts)
     if not v:
         return v
     if T.rows != g.dim or T.cols != vdim or T.field != g.field:
         raise DimensionMismatch("embedding tensor shape mismatch")
+    t = sparse_cols(T)
     for a in range(vdim):
-        ta = T.col(a)
-        lhs = psi_of_vec(f, g.dim, g.ad, ta).mul(T)
-        v = column_mismatch("embedding-tensor", (a,), lhs, T.mul(psi_of_vec(f, vdim, mats, ta)))
+        ta = t.get(a, {})
+        lhs = sparse_mul(f, sparse_sum(f, g.sparse_ad, ta), t)
+        rhs = sparse_mul(f, t, sparse_sum(f, acts, ta))
+        v = column_mismatch(f, "embedding-tensor", (a,), lhs, rhs, g.dim)
         if v is not None:
             return v
     return Verdict.passed()

@@ -69,10 +69,11 @@ def vec_is_zero(fld, u):
     return not any(u)
 
 
-def nonzeros(fld, u):
-    """(index, entry) of each nonzero entry of u."""
-    zero = fld.zero
-    return [(k, x) for k, x in enumerate(u) if x is not zero and x]
+def sparse_vec(u):
+    """The sparse vector of the sequence u: {index: entry} without zeros.
+    A field value is false exactly when it is zero, so `compress` reads
+    the nonzeros at C speed; every sparse line here is read this way."""
+    return dict(compress(enumerate(u), u))
 
 
 def add_scaled(fld, acc, c, entries):
@@ -86,12 +87,18 @@ def sparse_cols(m, transpose=False):
     entry}} without zeros or empty columns.  The sums and products below
     cost the nonzeros of their operands (Gustavson 1978)."""
     lines = m.entries if transpose else zip(*m.entries)
-    return {c: {r: x for r, x in enumerate(v) if x} for c, v in enumerate(lines) if any(v)}
+    return {c: v for c, line in enumerate(lines) if (v := sparse_vec(line))}
 
 
 def from_sparse(fld, m, n):
     """The n x n Matrix of the sparse matrix m, the inverse of `sparse_cols`."""
     return Matrix._of(fld, [[m.get(c, {}).get(r, fld.zero) for c in range(n)] for r in range(n)], n)
+
+
+def dense_col(fld, m, c, rows):
+    """Column c of the sparse matrix m, dense over its first `rows` rows."""
+    col = m.get(c, {})
+    return tuple(col.get(r, fld.zero) for r in range(rows))
 
 
 def sparse_matrices(t, transpose=False):
@@ -120,6 +127,13 @@ def sparse_sum(fld, mats, x):
 def sparse_mul(fld, a, b):
     """The sparse matrix a b: column j is a applied to column j of b."""
     return {j: v for j, col in b.items() if (v := sparse_matvec(fld, a, col))}
+
+
+def sparse_add(fld, plus, minus=()):
+    """The sparse matrix sum(plus) - sum(minus) of sparse matrices."""
+    one, sign = fld.one, fld.neg(fld.one)
+    return sparse_sum(fld, (*plus, *minus), {k: one if k < len(plus) else sign
+                                             for k in range(len(plus) + len(minus))})
 
 
 class Matrix:
@@ -394,9 +408,7 @@ def _nonzero_rows(m):
     rows of a born-sparse m, else read off its dense entries."""
     if type(m) is _SparseMatrix:
         return list(map(dict, m._sparse))
-    zero = m.field.zero
-    # most zero cells are the field's own zero, which `is` tells cheaply
-    return [{c: x for c, x in enumerate(row) if x is not zero and x} for row in m.entries]
+    return list(map(sparse_vec, m.entries))
 
 
 def _densify(field, row, ncols):
@@ -517,9 +529,8 @@ def rank(m: Matrix) -> int:
     1957).  Rank is unchanged by transposing and by permuting rows or
     columns, so only the work depends on this order.
     """
-    # neither branch changes a line; a field value is false exactly when zero
-    sparse = type(m) is _SparseMatrix
-    lines = m._sparse if sparse else [dict(compress(enumerate(row), row)) for row in m.entries]
+    # neither branch changes a line
+    lines = m._sparse if type(m) is _SparseMatrix else list(map(sparse_vec, m.entries))
     if m.rows > m.cols:
         cols = [{} for _ in range(m.cols)]
         for r, row in enumerate(sorted(lines, key=len)):
@@ -690,12 +701,12 @@ class Tensor:
         )
 
     @staticmethod
-    def of_matrices(field, shape, mats):
+    def of_sparse(field, shape, mats):
         """The 3-tensor of the given shape whose fibre (i, j) is column j
-        of mats[i]; the inverse of `matrices`."""
-        return Tensor(
-            field, shape, [x for m in mats for j in range(m.cols) for x in m.col(j)]
-        )
+        of the sparse matrix mats[i]: the inverse of `sparse_matrices`."""
+        _, m, k = shape
+        return Tensor._of(field, shape, [x for a in mats for j in range(m)
+                                         for x in dense_col(field, a, j, k)])
 
     def _entrywise(self, other, op):
         if type(other) is not Tensor or (other.field, other.shape) != (self.field, self.shape):

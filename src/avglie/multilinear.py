@@ -96,9 +96,6 @@ class AltMap:
     def flat(self):
         return tuple(x for c in self.comps for x in c)
 
-    def tuples(self):
-        return increasing_tuples(self.dim, self.arity)
-
     # -- vector space --------------------------------------------------------
 
     def _shape(self):

@@ -21,6 +21,7 @@ from avglie.lie import (
     trivial_representation,
 )
 from avglie.linalg import Matrix, Tensor
+from oracle_validators import psi_matrices
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -160,7 +161,7 @@ def scramble_representation(rng, r, invertible=random_invertible):
     a2, S = scramble_averaging(rng, r.base, invertible)
     T = invertible(rng, f, r.vdim)
     Tinv = T.inverse()
-    mats = r.psi_mats()
+    mats = psi_matrices(f, r.vdim, r.psi)
 
     def entry(i, b, c):
         acc = Matrix.zero(f, r.vdim, r.vdim)

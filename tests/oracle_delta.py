@@ -8,9 +8,29 @@ the same differentials as sparse rows and the tests compare the two.
 from itertools import combinations, product
 
 from avglie.cohomology import Cochain
-from avglie.lie import psi_of_vec
-from avglie.linalg import Tensor, vec_add, vec_basis, vec_neg, vec_scale, vec_sub, vec_zero
+from avglie.errors import DimensionMismatch
+from avglie.linalg import Matrix, Tensor, vec_add, vec_basis, vec_neg, vec_scale, vec_sub, vec_zero
 from avglie.multilinear import AltMap
+
+
+def psi_matrices(field, vdim, psi: Tensor):
+    """The action matrices: column a of the i-th is psi_{e_i} e_a."""
+    if psi.shape[1:] != (vdim, vdim):
+        raise DimensionMismatch("psi tensor shape mismatch")
+    return tuple(
+        Matrix(field, [[psi.get(i, a, b) for b in range(vdim)] for a in range(vdim)])
+        for i in range(psi.shape[0])
+    )
+
+
+def psi_of_vec(field, vdim, mats, x):
+    """The action matrix sum_k x_k psi_{e_k} of an algebra vector x, from
+    the basis action matrices `mats`."""
+    out = Matrix.zero(field, vdim, vdim)
+    for k, coeff in enumerate(x):
+        if coeff != field.zero:
+            out = out.add(mats[k].scale(coeff))
+    return out
 
 
 def eval_mixed(theta, args):
@@ -46,7 +66,7 @@ def delta_lie(r, f):
     g = r.base.algebra
     fld = r.field
     n = f.arity
-    mats = r.psi_mats()
+    mats = psi_matrices(fld, r.vdim, r.psi)
     out = []
     for tup in combinations(range(g.dim), n + 1):
         acc = vec_zero(fld, r.vdim)
@@ -72,7 +92,7 @@ def partial_leib(r, theta):
     g = r.base.algebra
     fld = r.field
     n = len(theta.shape)
-    mats = r.psi_mats()
+    mats = psi_matrices(fld, r.vdim, r.psi)
     pcols = [r.base.P.col(j) for j in range(g.dim)]
     pmats = [psi_of_vec(fld, r.vdim, mats, pcols[i]) for i in range(g.dim)]
     out = []

@@ -26,6 +26,7 @@ from avglie.linalg import (
     vec_sub,
 )
 from oracle_linalg import det
+from oracle_validators import psi_matrices
 
 
 def averaging_automorphisms(a):
@@ -214,8 +215,8 @@ def equivalence_linear_system(c1, c2, include_e2):
     nvar = m * n  # phi[b][j] at index b * n + j
     rows = []
     rhs = []
-    mats1 = c1.psi_mats()
-    mats2 = c2.psi_mats()
+    mats1 = psi_matrices(f, m, c1.psi)
+    mats2 = psi_matrices(f, m, c2.psi)
 
     def emit(coeffs, target):
         for t in range(len(target)):

@@ -44,7 +44,7 @@ from avglie.linalg import (
     vec_zero,
 )
 from avglie.multilinear import AltMap, dense_offset
-from oracle_delta import eval_mixed
+from oracle_delta import eval_mixed, psi_matrices, psi_of_vec
 
 
 def bracket_vec(g, u, v):
@@ -52,11 +52,11 @@ def bracket_vec(g, u, v):
 
 
 def br00_vec(t, u, v):
-    return vec_bilinear(t.field, t.n0, u, v, t.br00)
+    return vec_bilinear(t.field, t.n0, u, v, t.l2_00.fibre)
 
 
 def br01_vec(t, x, h):
-    return vec_bilinear(t.field, t.n1, x, h, t.br01)
+    return vec_bilinear(t.field, t.n1, x, h, t.l2_01.fibre)
 
 
 def vec_bilinear(fld, n, u, v, row):
@@ -187,25 +187,6 @@ def induced_leibniz(a: AveragingLieAlgebra) -> LeibnizAlgebra:
     return LeibnizAlgebra(f, n, t)
 
 
-def psi_matrices(field, vdim, psi: Tensor):
-    if psi.shape[1:] != (vdim, vdim):
-        raise DimensionMismatch("psi tensor shape mismatch")
-    return tuple(
-        Matrix(field, [[psi.get(i, a, b) for b in range(vdim)] for a in range(vdim)])
-        for i in range(psi.shape[0])
-    )
-
-
-def psi_of_vec(field, vdim, mats, x):
-    """The action matrix sum_k x_k psi_{e_k} of an algebra vector x, from
-    the basis action matrices `mats`."""
-    out = Matrix.zero(field, vdim, vdim)
-    for k, coeff in enumerate(x):
-        if coeff != field.zero:
-            out = out.add(mats[k].scale(coeff))
-    return out
-
-
 def column_mismatch(clause, i, lhs: Matrix, rhs: Matrix):
     """Failed verdict at the first column a where lhs and rhs differ,
     witnessed on (i, a); None when the matrices are equal."""
@@ -291,7 +272,7 @@ def check_cocycle(c: NonAbelianCocycle) -> Verdict:
     f = c.base.field
     n, m = c.base.dim, c.coef.dim
     g, h = c.base.algebra, c.coef.algebra
-    mats = c.psi_mats()
+    mats = psi_matrices(f, m, c.psi)
     pcols = [c.base.P.col(j) for j in range(n)]
     Q = c.coef.P
     pm = [psi_of_vec(f, m, mats, pcols[i]) for i in range(n)]
@@ -484,6 +465,19 @@ def _phi_satisfies(c1, c2, phi: Matrix, mats) -> bool:
     return True
 
 
+def bracket_morphism_mismatch(clause, phi: Matrix, src, dst, increasing=False, swap=False):
+    """The first basis pair (a, b) of src, b > a when increasing, with
+    phi[e_a, e_b] != [phi e_a, phi e_b] in dst, witnessed with these sides
+    (swapped with swap), or None."""
+    for a in range(src.dim):
+        for b in range(a + 1 if increasing else 0, src.dim):
+            lhs = phi.matvec(src.bracket_basis(a, b))
+            rhs = bracket_vec(dst, phi.col(a), phi.col(b))
+            if lhs != rhs:
+                return Verdict.failed(clause, (a, b), *((rhs, lhs) if swap else (lhs, rhs)))
+    return None
+
+
 def check_algebra_automorphism(a: AveragingLieAlgebra, g: Matrix, tag: str) -> Verdict:
     f = a.field
     if (g.rows, g.cols) != (a.dim, a.dim) or g.field != f:
@@ -528,7 +522,7 @@ def transform_cocycle(pair: AutomorphismPair, c: NonAbelianCocycle) -> NonAbelia
         for i, j in combinations(range(n), 2)
     ]
     chi = AltMap(f, n, 2, m, chi_comps)
-    mats = c.psi_mats()
+    mats = psi_matrices(f, m, c.psi)
     new_mats = [
         pair.beta.mul(psi_of_vec(f, m, mats, ainv.col(i))).mul(binv) for i in range(n)
     ]
@@ -677,17 +671,17 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
     n0, n1 = t.n0, t.n1
     # L1: the level-0 bracket is antisymmetric with zero diagonal.
     for i in range(n0):
-        if not vec_is_zero(f, t.br00(i, i)):
-            return Verdict.failed("L1", (i, i), t.br00(i, i), vec_zero(f, n0))
+        if not vec_is_zero(f, t.l2_00.fibre(i, i)):
+            return Verdict.failed("L1", (i, i), t.l2_00.fibre(i, i), vec_zero(f, n0))
         for j in range(i + 1, n0):
-            lhs = t.br00(i, j)
-            rhs = vec_neg(f, t.br00(j, i))
+            lhs = t.l2_00.fibre(i, j)
+            rhs = vec_neg(f, t.l2_00.fibre(j, i))
             if lhs != rhs:
                 return Verdict.failed("L1", (i, j), lhs, rhs)
     # L4: d<x, h> = <x, dh>.
     for i in range(n0):
         for a in range(n1):
-            lhs = t.d.matvec(t.br01(i, a))
+            lhs = t.d.matvec(t.l2_01.fibre(i, a))
             rhs = br00_vec(t, vec_basis(f, n0, i), t.d.col(a))
             if lhs != rhs:
                 return Verdict.failed("L4", (i, a), lhs, rhs)
@@ -706,7 +700,7 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
         rhs = vec_zero(f, n0)
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             rhs = vec_add(
-                f, rhs, br00_vec(t, vec_basis(f, n0, a), t.br00(b, c))
+                f, rhs, br00_vec(t, vec_basis(f, n0, a), t.l2_00.fibre(b, c))
             )
         if lhs != rhs:
             return Verdict.failed("L6", (i, j, k), lhs, rhs)
@@ -717,12 +711,12 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
                 lhs = t.l3.eval_vectors(
                     [vec_basis(f, n0, i), vec_basis(f, n0, j), t.d.col(a)]
                 )
-                rhs = br01_vec(t, vec_basis(f, n0, i), t.br01(j, a))
+                rhs = br01_vec(t, vec_basis(f, n0, i), t.l2_01.fibre(j, a))
                 rhs = vec_sub(
-                    f, rhs, br01_vec(t, vec_basis(f, n0, j), t.br01(i, a))
+                    f, rhs, br01_vec(t, vec_basis(f, n0, j), t.l2_01.fibre(i, a))
                 )
                 rhs = vec_sub(
-                    f, rhs, br01_vec(t, t.br00(i, j), vec_basis(f, n1, a))
+                    f, rhs, br01_vec(t, t.l2_00.fibre(i, j), vec_basis(f, n1, a))
                 )
                 if lhs != rhs:
                     return Verdict.failed("L7", (i, j, a), lhs, rhs)
@@ -743,7 +737,7 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
             ((x, z), (w, y), -1),
             ((y, z), (w, x), 1),
         ):
-            term = eval_mixed(t.l3, [t.br00(a, b), *rest])
+            term = eval_mixed(t.l3, [t.l2_00.fibre(a, b), *rest])
             rhs = vec_add(f, rhs, term if sign > 0 else vec_neg(f, term))
         if lhs != rhs:
             return Verdict.failed("L8", (w, x, y, z), lhs, rhs)
@@ -930,7 +924,7 @@ def _leib_rows(r: Representation, n):
       + sum_{i<j} (-1)^i theta(..^i.., [P(x_i), x_j] at slot j, ..)."""
     fld, dim, vdim = r.field, r.dim, r.vdim
     g = r.base.algebra
-    mats = r.psi_mats()
+    mats = psi_matrices(fld, vdim, r.psi)
     pcols = [r.base.P.col(j) for j in range(dim)]
     ident = _nonzeros(Matrix.identity(fld, vdim))
     pacts = [_nonzeros(psi_of_vec(fld, vdim, mats, p)) for p in pcols]

@@ -29,11 +29,10 @@ from avglie.lie import (
     adjoint_representation,
     check_averaging,
     check_lie,
-    psi_matrices,
     psi_tensor,
     trivial_representation,
 )
-from avglie.linalg import Matrix, Tensor, kernel_basis, vec_add
+from avglie.linalg import Matrix, Tensor, kernel_basis, sparse_matrices, vec_add
 from avglie.multilinear import AltMap
 
 from conftest import g2, g2_averaging, heisenberg, random_tensor, scramble_representation
@@ -421,7 +420,7 @@ def test_crossed_semidirect_matches_strict_bracket(rng):
     for i in range(2):
         for a in range(2):
             got = total.algebra.bracket_basis(i, n0 + a)[n0:]
-            want = t.br01(i, a)
+            want = t.l2_01.fibre(i, a)
             assert got == want
 
 
@@ -461,4 +460,4 @@ def test_action_tensor_of_a_crossed_action_is_its_transpose(rng):
             rho = random_tensor(rng, f, (n0, n1, n1))
             psi = psi_tensor(f, n1, rho.matrices())
             assert psi == transposed_action(f, rho)
-            assert Tensor.of_matrices(f, rho.shape, psi_matrices(f, n1, psi)) == rho
+            assert Tensor.of_sparse(f, rho.shape, sparse_matrices(psi, transpose=True)) == rho

@@ -1,6 +1,9 @@
-"""Every name a module of avglie imports is used in that module.  A change
-that moves code between modules tends to leave imports behind.
-`__init__` is skipped: it imports names to export them."""
+"""Every name a module of avglie imports is used in that module, every
+private helper is named outside its own body, and every public function,
+class or method is exported, named in avglie, or listed with its caller
+outside it.  A change that moves code between modules, or moves a check to
+another idiom, tends to leave imports and helpers behind.  `__init__` is
+skipped by the import check: it imports names to export them."""
 
 import ast
 import os
@@ -45,6 +48,25 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def named(node):
+    """The name a node reads: a name, an attribute or an import."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or (
+        node.name if isinstance(node, ast.alias) else None)
+
+
+def name_counts(trees):
+    total = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            total[named(node)] = total.get(named(node), 0) + 1
+    return total
+
+
+def times_named(total, d):
+    # a definition naming itself, as a recursive call does, does not use it
+    return total.get(d.name, 0) - sum(named(n) == d.name for n in ast.walk(d))
+
+
 def private_definitions(sources):
     """[(name, times named)] for the private functions, methods and classes
     of the module texts in sources, counting the names, attributes and
@@ -55,18 +77,29 @@ def private_definitions(sources):
     defs = [node for tree in trees for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_") and not node.name.startswith("__")]
+    total = name_counts(trees)
+    return [(d.name, times_named(total, d)) for d in defs]
 
-    def named(node):
-        return getattr(node, "id", None) or getattr(node, "attr", None) or (
-            node.name if isinstance(node, ast.alias) else None)
 
-    total = {}
+def unnamed_public_definitions(sources):
+    """The public module-level functions and classes, and the public
+    methods of those classes, of the module texts in sources that no module
+    names outside the definition itself, as "name" or "Class.name", sorted.
+    The imports of `__init__` count as names, so an exported definition is
+    named; as for private helpers, a name stands for every definition that
+    bears it."""
+    trees = [ast.parse(text) for text in sources]
+    defs = []
     for tree in trees:
-        for node in ast.walk(tree):
-            total[named(node)] = total.get(named(node), 0) + 1
-    # a definition naming itself, as a recursive call does, does not use it
-    return [(d.name, total.get(d.name, 0) - sum(named(n) == d.name for n in ast.walk(d)))
-            for d in defs]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+    total = name_counts(trees)
+    return sorted(q for q, d in defs
+                  if not d.name.startswith("_") and times_named(total, d) == 0)
 
 
 def test_the_check_finds_unused_helpers():
@@ -90,3 +123,45 @@ def test_every_private_helper_is_used():
     counts = private_definitions(sources)
     assert len(counts) > 60
     assert sorted(name for name, n in counts if n == 0) == []
+
+
+def test_the_check_finds_unnamed_public_definitions():
+    sources = [
+        "from .m import exported\n",
+        "def exported():\n    return exported()\n"
+        "def unnamed():\n    return unnamed()\n"
+        "def helper():\n    return 1\n"
+        "class Kept:\n    def used(self):\n        return helper()\n"
+        "    def unused(self):\n        return self.used()\n"
+        "    def _private(self):\n        pass\n",
+        "x = Kept()\n",
+    ]
+    assert unnamed_public_definitions(sources) == ["Kept.unused", "unnamed"]
+
+
+# The public definitions that no module of avglie names, each with its
+# caller outside it or the reason a test-only one is kept.
+OUTSIDE_CALLERS = {
+    "Cochain.random": "perfbench/workloads.py, a probe of delta_lie and delta_alie",
+    "AltMap.eval_vectors": "perfbench/workloads.py, a probe of the minors table",
+    "LieAlgebra.bracket_vec": "perfbench/inputs.py, tools/gen_fixtures.py: scrambled brackets",
+    "LieAlgebra.from_pairs": "perfbench/inputs.py, tools/gen_fixtures.py, the README tour",
+    "perturbed_section": "tools/cli_sweep.py, its perturbed-section documents",
+    "realize_cocycle": "perfbench/tracing.py, tools/cli_sweep.py",
+    "pair_doc": "perfbench/inputs.py, tools/gen_fixtures.py",
+    "bare_matrix_doc": "tools/cli_sweep.py, its section documents",
+    "Field.div": "tests only: the field API stays complete, and test_fields pins division",
+    "PrimeField.elements": "tests only: the order affine_points and the searches follow",
+    "Matrix.scale": "tests only: the loop oracles build action matrices with it",
+    "WellsResult.difference_is_zero": "tests only: the acceptance criteria read the "
+                                      "difference cocycle through it",
+}
+
+
+def test_every_public_definition_is_exported_named_or_listed():
+    sources = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                sources.append(fh.read())
+    assert unnamed_public_definitions(sources) == sorted(OUTSIDE_CALLERS)

@@ -19,14 +19,20 @@ from avglie.lie import (
     double_construction,
     embedding_to_averaging,
     induced_leibniz,
-    psi_matrices,
     psi_tensor,
     semidirect_product,
     sum_bracket,
     trivial_representation,
 )
 from avglie.homotopy import CrossedModule, semidirect_bracket
-from avglie.linalg import Matrix, Tensor, block_matrix, enumerate_linear_maps
+from avglie.linalg import (
+    Matrix,
+    Tensor,
+    block_matrix,
+    enumerate_linear_maps,
+    sparse_cols,
+    sparse_matrices,
+)
 from avglie.multilinear import AltMap
 
 from conftest import (
@@ -37,6 +43,7 @@ from conftest import (
     random_tensor,
     scramble_averaging,
 )
+from oracle_validators import psi_matrices
 
 
 def test_validate_lie_abelian_and_dim2():
@@ -328,6 +335,7 @@ def test_psi_tensor_inverts_psi_matrices():
         psi = random_tensor(rng, f, (n, v, v))
         mats = psi_matrices(f, v, psi)
         assert psi_tensor(f, v, mats) == psi
+        assert sparse_matrices(psi, transpose=True) == [sparse_cols(m) for m in mats]
         # psi.get(i, b, a) is the e_b coefficient of psi_{e_i} e_a: mats[i][b, a]
         for i, b, a in product(range(n), range(v), range(v)):
             assert psi.get(i, b, a) == mats[i][b, a]

@@ -7,7 +7,7 @@ from oracle_linalg import det
 from avglie.errors import DimensionMismatch
 from avglie.fields import GF, QQ
 from avglie.linalg import Matrix, Tensor, vec_add, vec_scale, vec_zero
-from avglie.multilinear import AltMap
+from avglie.multilinear import AltMap, increasing_tuples
 
 F3 = GF(3)
 
@@ -90,7 +90,7 @@ def eval_vectors_by_gaussian_minors(a, vecs):
     columns) times a(e_t), each minor by Gaussian elimination."""
     f = a.field
     out = vec_zero(f, a.vdim)
-    for t, comp in zip(a.tuples(), a.comps):
+    for t, comp in zip(increasing_tuples(a.dim, a.arity), a.comps):
         if a.arity:
             d = det(Matrix(f, [[vecs[c][r] for c in range(a.arity)] for r in t]))
             out = vec_add(f, out, vec_scale(f, d, comp))

@@ -298,7 +298,9 @@ def _phi_satisfies(c1, c2, phi):
 
 
 def _oracle_phi_satisfies(c1, c2, phi):
-    return oracle._phi_satisfies(c1, c2, phi, (c1.psi_mats(), c2.psi_mats()))
+    f, m = c1.base.field, c1.coef.dim
+    mats = oracle.psi_matrices(f, m, c1.psi), oracle.psi_matrices(f, m, c2.psi)
+    return oracle._phi_satisfies(c1, c2, phi, mats)
 
 
 def q_automorphisms(a):

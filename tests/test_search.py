@@ -43,7 +43,6 @@ from avglie.lie import (
     AveragingLieAlgebra,
     LieAlgebra,
     adjoint_representation,
-    psi_matrices,
     sum_bracket,
     trivial_representation,
 )
@@ -71,6 +70,7 @@ from conftest import (
     random_tensor,
     scramble_averaging,
 )
+from oracle_validators import psi_matrices
 from test_acceptance import enumerate_extensions_f2
 from test_extensions import dim1, heisenberg_cocycles, rep_cocycle
 

@@ -1,31 +1,48 @@
 """The validators and differential tables that work on sparse matrices,
-against their loop forms: `check_averaging`, `check_lie_representation`
-and `check_representation` against `oracle_validators` on drawn operators
-with and without a spoiled constant, and `delta_rows` against the
-differential of `oracle_delta` on operators with zero rows and columns."""
+against their loop forms: every validator stated on sparse matrices against
+`oracle_validators` on drawn maps, operators and structure constants, each
+0, I, one nonzero entry or dense (a zero column is an absent key on the
+sparse side), with and without a spoiled constant; and `delta_rows`
+against the differential of `oracle_delta` on operators with zero rows and
+columns."""
 
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
 import oracle_delta
 import oracle_validators as oracle
+from avglie import extensions as ext
+from avglie import homotopy as hom
 from avglie import lie
 from avglie.cohomology import Cochain, assemble_delta_matrix, delta_rows
+from avglie.errors import ValidationError
 from avglie.fields import GF, QQ
 from avglie.linalg import Matrix, Tensor, vec_basis
+from avglie.multilinear import AltMap
 from conftest import dense_invertible, g2, heisenberg, scramble_representation
 from test_cohomology import sparse_product_is_zero
 
 FIELDS = (GF(2), GF(3), QQ)
 
 
-def verdict(v):
+def verdict(fn, *args):
+    """A validator's answer: ok, clause, witness and notes of its verdict
+    (None when it returns None), or the verdict of the ValidationError it
+    raises."""
+    try:
+        v = fn(*args)
+    except ValidationError as exc:
+        return "raised", verdict(lambda: exc.verdict)
+    if v is None:
+        return None
     return v.ok, v.clause, v.witness and v.witness.as_strings(), v.notes
 
 
 def agree(lib_fn, oracle_fn, *args):
-    assert verdict(lib_fn(*args)) == verdict(oracle_fn(*args)), (lib_fn.__name__, args)
+    assert verdict(lib_fn, *args) == verdict(oracle_fn, *args), (lib_fn.__name__, args)
 
 
 def scalars(f, nonzero=False):
@@ -36,17 +53,39 @@ def scalars(f, nonzero=False):
 
 
 @st.composite
-def operators(draw, f, n):
-    """An n x n matrix: 0, I, one nonzero entry, or dense."""
-    kind = draw(st.sampled_from(("zero", "identity", "single", "dense")))
-    if kind == "identity":
-        return Matrix.identity(f, n)
-    rows = [[f.zero] * n for _ in range(n)]
-    if kind == "single":
-        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(scalars(f, True))
+def entries(draw, f, size):
+    """size scalars: all 0, one nonzero, or dense."""
+    kind = draw(st.sampled_from(("zero", "single", "dense")))
+    flat = [f.zero] * size
+    if kind == "single" and size:
+        flat[draw(st.integers(0, size - 1))] = draw(scalars(f, True))
     elif kind == "dense":
-        rows = [[draw(scalars(f)) for _ in range(n)] for _ in range(n)]
-    return Matrix(f, rows)
+        flat = [draw(scalars(f)) for _ in range(size)]
+    return flat
+
+
+@st.composite
+def maps(draw, f, rows, cols):
+    """A rows x cols matrix: 0, I when square, one nonzero entry, or dense."""
+    if rows == cols and draw(st.integers(0, 3)) == 0:
+        return Matrix.identity(f, rows)
+    return Matrix.from_flat(f, rows, cols, draw(entries(f, rows * cols)))
+
+
+def operators(f, n):
+    return maps(f, n, n)
+
+
+@st.composite
+def lie_algebras(draw, f):
+    """One of `algebras(f)`, now and then with one structure constant moved."""
+    g = draw(st.sampled_from(algebras(f)))
+    if draw(st.integers(0, 4)) == 0:
+        flat = list(g.bracket.entries)
+        k = draw(st.integers(0, len(flat) - 1))
+        flat[k] = f.add(flat[k], draw(scalars(f, True)))
+        g = lie.LieAlgebra(f, g.dim, Tensor(f, g.bracket.shape, flat))
+    return g
 
 
 def algebras(f):
@@ -61,7 +100,7 @@ def instances(draw):
     f = draw(st.sampled_from(FIELDS))
     g = draw(st.sampled_from(algebras(f)))
     if draw(st.booleans()):
-        vdim, psi = g.dim, lie.psi_tensor(f, g.dim, g.ad)
+        vdim, psi = g.dim, lie.psi_tensor(f, g.dim, g.bracket.matrices())
     else:
         vdim = draw(st.integers(1, 2))
         psi = Tensor.zero(f, (g.dim, vdim, vdim))
@@ -90,6 +129,111 @@ def test_sparse_validators_match_the_loop_oracles(inst):
     agree(lie.check_lie_representation, oracle.check_lie_representation, g, vdim, psi)
     base = lie.AveragingLieAlgebra(g, P)
     agree(lie.check_representation, oracle.check_representation, base, vdim, psi, Q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.data())
+def test_leibniz_and_embedding_tensors_match_the_loop_oracles(inst, data):
+    g, P, vdim, psi, Q = inst
+    f, n = g.field, g.dim
+    # {x, y} = [P x, y]: a Leibniz bracket when P is averaging
+    bracket = Tensor.build(
+        f, (n, n, n), lambda i, j, k: g.bracket_vec(P.col(i), vec_basis(f, n, j))[k])
+    agree(lie.check_leibniz, oracle.check_leibniz, f, n, bracket)
+    T = data.draw(maps(f, n, vdim))
+    agree(lie.check_embedding_tensor, oracle.check_embedding_tensor, g, vdim, psi, T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bracket_morphisms_and_automorphisms_match_the_loop_oracles(data):
+    f = data.draw(st.sampled_from(FIELDS))
+    src, dst = data.draw(lie_algebras(f)), data.draw(lie_algebras(f))
+    phi = data.draw(maps(f, dst.dim, src.dim))
+    for increasing, swap in product((False, True), repeat=2):
+        agree(lie.bracket_morphism_mismatch, oracle.bracket_morphism_mismatch,
+              "phi", phi, src, dst, increasing, swap)
+    a = lie.AveragingLieAlgebra(src, data.draw(operators(f, src.dim)))
+    g = data.draw(operators(f, src.dim))
+    agree(ext.check_algebra_automorphism, oracle.check_algebra_automorphism, a, g, "g")
+
+
+@st.composite
+def cocycles(draw):
+    """A triple over g: on g itself by ad, or on an abelian algebra by a
+    drawn action, with drawn chi, Phi and operators."""
+    f = draw(st.sampled_from(FIELDS))
+    g = draw(lie_algebras(f))
+    n, P = g.dim, draw(operators(f, g.dim))
+    if draw(st.booleans()):
+        h, psi = g, lie.psi_tensor(f, n, g.bracket.matrices())
+    else:
+        h = lie.LieAlgebra.abelian(f, draw(st.integers(1, 2)))
+        psi = Tensor(f, (n, h.dim, h.dim), draw(entries(f, n * h.dim * h.dim)))
+    m = h.dim
+    Q = P if h is g and draw(st.booleans()) else draw(operators(f, m))
+    chi = AltMap.from_flat(f, n, 2, m, draw(entries(f, comb(n, 2) * m)))
+    return ext.NonAbelianCocycle(lie.AveragingLieAlgebra(g, P), lie.AveragingLieAlgebra(h, Q),
+                                 chi, psi, draw(maps(f, m, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cocycles())
+def test_cocycles_match_the_loop_oracle(c):
+    agree(ext.check_cocycle, oracle.check_cocycle, c)
+
+
+@st.composite
+def crossed_modules(draw):
+    """g acting on itself by its bracket, or on an abelian algebra by a
+    drawn action, through a drawn d."""
+    f = draw(st.sampled_from(FIELDS))
+    g = draw(lie_algebras(f))
+    n0, P0 = g.dim, draw(operators(f, g.dim))
+    if draw(st.booleans()):
+        g1, rho = g, g.bracket
+    else:
+        g1 = lie.LieAlgebra.abelian(f, draw(st.integers(1, 2)))
+        rho = Tensor(f, (n0, g1.dim, g1.dim), draw(entries(f, n0 * g1.dim ** 2)))
+    n1 = g1.dim
+    P1 = P0 if g1 is g and draw(st.booleans()) else draw(operators(f, n1))
+    return hom.CrossedModule(lie.AveragingLieAlgebra(g1, P1), lie.AveragingLieAlgebra(g, P0),
+                             draw(maps(f, n0, n1)), rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(crossed_modules())
+def test_crossed_modules_match_the_loop_oracle(cm):
+    agree(hom.check_crossed_module, oracle.check_crossed_module, cm)
+
+
+@st.composite
+def two_terms(draw):
+    """A level-0 bracket acting on itself or on a level 1 of dimension 1
+    or 2, with a drawn d, Jacobiator and operators; a level 0 of dimension
+    1 lets L4 hold and L5 fail."""
+    f = draw(st.sampled_from(FIELDS))
+    g = draw(st.one_of(lie_algebras(f), st.just(lie.LieAlgebra.abelian(f, 1))))
+    n0 = g.dim
+    if draw(st.booleans()):
+        n1, l2_01 = n0, g.bracket
+    else:
+        n1 = draw(st.integers(1, 2))
+        l2_01 = Tensor(f, (n0, n1, n1), draw(entries(f, n0 * n1 * n1)))
+    l3 = AltMap.from_flat(f, n0, 3, n1, draw(entries(f, comb(n0, 3) * n1)))
+    t = hom.TwoTermLinf(f, n0, n1, draw(maps(f, n0, n1)), g.bracket, l2_01, l3)
+    P0 = draw(operators(f, n0))
+    P1 = P0 if n1 == n0 and draw(st.booleans()) else draw(operators(f, n1))
+    P2 = AltMap.from_flat(f, n0, 2, n1, draw(entries(f, comb(n0, 2) * n1)))
+    return t, hom.HomotopyAveraging(P0, P1, P2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_terms())
+def test_two_term_structures_match_the_loop_oracles(tp):
+    t, p = tp
+    agree(hom.check_two_term, oracle.check_two_term, t)
+    agree(hom.check_homotopy_averaging, oracle.check_homotopy_averaging, t, p)
 
 
 def test_only_the_right_sided_averaging_identity_fails():
