@@ -87,7 +87,7 @@ def sparse_cols(m, transpose=False):
     entry}} without zeros or empty columns.  The sums and products below
     cost the nonzeros of their operands (Gustavson 1978)."""
     lines = m.entries if transpose else zip(*m.entries)
-    return {c: v for c, line in enumerate(lines) if (v := sparse_vec(line))}
+    return {c: sparse_vec(line) for c, line in enumerate(lines) if any(line)}
 
 
 def from_sparse(fld, m, n):
