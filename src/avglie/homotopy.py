@@ -95,6 +95,7 @@ class TwoTermLinf:
         """Column k of sparse_l3[i][j] is l3(x_i, x_j, x_k)."""
         return [[sparse_cols(self.l3.slice(i, j)) for j in range(self.n0)] for i in range(self.n0)]
 
+    @cached_property
     def sparse_level1(self):
         """The sparse level-1 matrices: column b of the a-th is <d h_a, h_b>."""
         d = sparse_cols(self.d)
@@ -126,7 +127,7 @@ def check_two_term(t: TwoTermLinf) -> Verdict:
             return v
     # L5: <dh, k> = <h, dk> = -<dk, h>: column b of the a-th level-1
     # matrix against minus column a of the b-th.
-    lev1 = t.sparse_level1()
+    lev1 = t.sparse_level1
     for a in range(n1):
         rhs = {b: {r: f.neg(x) for r, x in m[a].items()} for b, m in enumerate(lev1) if a in m}
         v = column_mismatch(f, "L5", (a,), lev1[a], rhs, n1)
@@ -401,7 +402,7 @@ def strict_to_crossed(t: TwoTermLinf, p: HomotopyAveraging) -> CrossedModule:
     check_homotopy_averaging(t, p).require()
     f = t.field
     n0, n1 = t.n0, t.n1
-    br1 = Tensor.of_sparse(f, (n1, n1, n1), t.sparse_level1())
+    br1 = Tensor.of_sparse(f, (n1, n1, n1), t.sparse_level1)
     g1 = AveragingLieAlgebra.validate(LieAlgebra.validate(f, n1, br1), p.P1)
     g0 = AveragingLieAlgebra.validate(LieAlgebra.validate(f, n0, t.l2_00), p.P0)
     cm = CrossedModule(g1, g0, t.d, t.l2_01)

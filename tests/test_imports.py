@@ -142,8 +142,8 @@ def test_the_check_finds_unnamed_public_definitions():
 # The public definitions that no module of avglie names, each with its
 # caller outside it or the reason a test-only one is kept.
 OUTSIDE_CALLERS = {
-    "Cochain.random": "perfbench/workloads.py, a probe of delta_lie and delta_alie",
-    "AltMap.eval_vectors": "perfbench/workloads.py, a probe of the minors table",
+    "Cochain.random": "perfbench/workloads.py, the cochain of the delta_alie probes",
+    "AltMap.eval_vectors": "perfbench/workloads.py, the probe multilinear.eval_vectors_ms",
     "LieAlgebra.bracket_vec": "perfbench/inputs.py, tools/gen_fixtures.py: scrambled brackets",
     "LieAlgebra.from_pairs": "perfbench/inputs.py, tools/gen_fixtures.py, the README tour",
     "perturbed_section": "tools/cli_sweep.py, its perturbed-section documents",
