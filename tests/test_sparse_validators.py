@@ -4,10 +4,13 @@ against their loop forms: every validator stated on sparse matrices against
 0, I, one nonzero entry or dense (a zero column is an absent key on the
 sparse side), with and without a spoiled constant; and `delta_rows`
 against the differential of `oracle_delta` on operators with zero rows and
-columns."""
+columns.  The linear clauses of the searches and of cocycle equivalence,
+`extensions._product_rows`, `_commutator_rows` and `_e2_rows`, are read
+against the products they stand for, evaluated directly."""
 
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from hypothesis import given, settings, strategies as st
@@ -281,3 +284,51 @@ def test_delta_rows_match_the_oracle_differential(rng):
                     assert tuple(row.get(k, f.zero) for row in rows) == want
             for low, high in zip(mats, mats[1:]):
                 assert sparse_product_is_zero(high, low)
+
+
+def dot(f, row, x):
+    """A linear form times the vector x: the form a dense list, or a
+    {column: coefficient} dict that stores no zeros."""
+    if isinstance(row, dict):
+        assert all(row.values()), row
+        items = row.items()
+    else:
+        items = enumerate(row)
+    acc = f.zero
+    for c, y in items:
+        acc = f.add(acc, f.mul(y, x[c]))
+    return acc
+
+
+def forms_agree(f, rows, x, want):
+    assert len(rows) == len(want)
+    assert [dot(f, row, x) for row in rows] == list(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_and_commutator_rows_match_the_products(data):
+    f = data.draw(st.sampled_from(FIELDS))
+    a, b, c, d = (data.draw(st.integers(1, 3)) for _ in range(4))
+    L, R, X = data.draw(maps(f, a, b)), data.draw(maps(f, c, d)), data.draw(maps(f, b, c))
+    forms_agree(f, ext._product_rows(f, L, R), X.flat(), L.mul(X).mul(R).flat())
+    P1, P2 = data.draw(operators(f, c)), data.draw(operators(f, b))
+    forms_agree(f, ext._commutator_rows(f, P1, P2), X.flat(), X.mul(P1).sub(P2.mul(X)).flat())
+
+
+@settings(max_examples=200, deadline=None)
+@given(cocycles(), st.data())
+def test_e2_rows_match_the_clause(ca, data):
+    # one pair (x, y) after another, row t: entry t of
+    # psi_x phi e_y - psi'_y phi e_x - phi [e_x, e_y]
+    f, n, m = ca.base.field, ca.base.dim, ca.coef.dim
+    cb = replace(ca, psi=Tensor(f, (n, m, m), data.draw(entries(f, n * m * m))))
+    phi = data.draw(maps(f, m, n))
+    psi, psi_ = oracle.psi_matrices(f, m, ca.psi), oracle.psi_matrices(f, m, cb.psi)
+    want = []
+    for x, y in combinations(range(n), 2):
+        v = psi[x].matvec(phi.col(y))
+        v = [f.sub(s, t) for s, t in zip(v, psi_[y].matvec(phi.col(x)))]
+        v = [f.sub(s, t) for s, t in zip(v, phi.matvec(ca.base.algebra.bracket_basis(x, y)))]
+        want += v
+    forms_agree(f, ext._e2_rows(ca, cb), phi.flat(), want)
