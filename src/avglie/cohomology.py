@@ -16,8 +16,9 @@ The differential delta^n sends (f, theta) to (d_CE f, F_P f + d_Leib theta),
 so in this ordering it is the block matrix [[d_CE, 0], [F_P, d_Leib]].  It
 is defined once, as sparse rows without zeros read off the structure
 constants, the action matrices and the minors of P (`delta_rows`); the
-differentials of single cochains, the cocycle test, and the ranks and
-coboundary solves on the born-sparse matrix all read those rows.
+differentials of single cochains (`linalg.rows_matvec`), the cocycle
+test, and the ranks and coboundary solves on the born-sparse matrix all
+read those rows.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from types import SimpleNamespace
 
 from .errors import DimensionMismatch, FieldTooLarge
 from .lie import Representation
-from .linalg import Matrix, Tensor, minors, rank, solve_affine, sparse_cols, sparse_mul, sparse_sum
+from .linalg import (Matrix, Tensor, minors, rank, rows_matvec, solve_affine, sparse_cols,
+                     sparse_mul, sparse_sum)
 from .multilinear import AltMap, dense_offset, sort_with_sign
 
 
@@ -293,23 +295,13 @@ def delta_rows(r: Representation, degree: int):
     return _lie_rows(r, degree) + lower
 
 
-def _apply(fld, rows, vec):
-    out = []
-    for row in rows:
-        acc = fld.zero
-        for c, x in row.items():
-            acc = fld.add(acc, fld.mul(x, vec[c]))
-        out.append(acc)
-    return tuple(out)
-
-
 def delta_lie(r: Representation, f: AltMap) -> AltMap:
     """Chevalley-Eilenberg differential of the underlying Lie module."""
     if (f.field, f.dim, f.vdim) != (r.field, r.dim, r.vdim):
         raise DimensionMismatch("f does not match the representation")
     n = f.arity
     return AltMap.from_flat(
-        r.field, r.dim, n + 1, r.vdim, _apply(r.field, _lie_rows(r, n), f.flat())
+        r.field, r.dim, n + 1, r.vdim, rows_matvec(r.field, _lie_rows(r, n), f.flat())
     )
 
 
@@ -320,7 +312,7 @@ def partial_leib(r: Representation, theta: Tensor) -> Tensor:
     if (theta.field, theta.shape) != (r.field, (r.dim,) * (n - 1) + (r.vdim,)):
         raise DimensionMismatch("theta does not match the representation")
     return Tensor(
-        r.field, (r.dim,) * n + (r.vdim,), _apply(r.field, _leib_rows(r, n), theta.entries)
+        r.field, (r.dim,) * n + (r.vdim,), rows_matvec(r.field, _leib_rows(r, n), theta.entries)
     )
 
 
@@ -330,7 +322,7 @@ def delta_alie(r: Representation, c: Cochain) -> Cochain:
     if (c.field, c.dim, c.vdim) != (r.field, r.dim, r.vdim):
         raise DimensionMismatch("cochain does not match the representation")
     n = c.degree
-    out = _apply(r.field, delta_rows(r, n), c.vectorize())
+    out = rows_matvec(r.field, delta_rows(r, n), c.vectorize())
     return Cochain.from_vector(r.field, r.dim, r.vdim, n + 1, out)
 
 

@@ -22,6 +22,8 @@ over Q and F_p; (E1)-(E3) are written out only as the rows solved.
 The automorphism searches over F_p solve their linear clauses first, rows
 for the entries of L X R (`_product_rows`) or X P1 - P2 X
 (`_commutator_rows`) in the unknown X; `ENUM_LIMIT` bounds that space.
+Every such row, and every row of (E1)-(E3), is a sparse row {column:
+coefficient} without zeros, solved as a born-sparse `Matrix`.
 Inside it they fix g column by column (`_bracket_maps`): a column in the
 span of the earlier ones is dropped, and once g e_c is fixed each clause
 g[e_c, e_k] = [g e_c, g e_k] with k > c is linear and cuts the space.  The
@@ -40,7 +42,7 @@ and whole-map equalities with flat witnesses stay dense products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, product
 from math import prod
@@ -71,6 +73,7 @@ from .linalg import (
     from_sparse,
     kernel_basis,
     rank,
+    rows_matvec,
     solve_affine,
     sparse_add,
     sparse_cols,
@@ -511,13 +514,13 @@ def _equivalence_linear_system(c1, c2, include_e2):
     if include_e2:
         rows += _e2_rows(c2, c2)
         rhs += c1.chi.sub(c2.chi).flat()
-    return Matrix(f, rows, cols=m * n), tuple(rhs)
+    return Matrix._of_sparse(f, rows, m * n), tuple(rhs)
 
 
 def _e2_rows(ca, cb):
-    """Rows for psi_x phi e_y - psi'_y phi e_x - phi [e_x, e_y], x < y one
-    pair after another, as linear forms in the row-major entries of an
-    m x n map phi; psi acts as in ca and psi' as in cb.  With psi from c1
+    """Sparse rows for psi_x phi e_y - psi'_y phi e_x - phi [e_x, e_y],
+    x < y one pair after another, in the row-major entries of an m x n
+    map phi; psi acts as in ca and psi' as in cb.  With psi from c1
     and psi' from c2 it is the side of (E2) with [phi e_x, phi e_y]
     written as (psi_x - psi'_x) phi e_y, as (E1) allows."""
     f = ca.base.field
@@ -527,14 +530,14 @@ def _e2_rows(ca, cb):
     for x, y in combinations(range(n), 2):
         br = ca.base.algebra.bracket_basis(x, y)
         for t in range(m):
-            # entry s * n + j of row t is the coefficient of phi[s, j]
-            row = [f.zero] * (m * n)
+            # column s * n + j of row t is the coefficient of phi[s, j]
+            row = {}
             for s in range(m):
                 row[s * n + y] = psi(x, t, s)
                 row[s * n + x] = f.neg(psi_(y, t, s))
             for j in range(n):
-                row[t * n + j] = f.sub(row[t * n + j], br[j])
-            rows.append(row)
+                row[t * n + j] = f.sub(row.get(t * n + j, f.zero), br[j])
+            rows.append({c: v for c, v in row.items() if v})
     return rows
 
 
@@ -543,9 +546,7 @@ def _phi_satisfies(c1, c2, phi: Matrix) -> bool:
     [phi, I]] is an averaging morphism from `c1.total` to the total space
     of c2's triple over c1's algebras.  On the pairs (x, h) that is (E1),
     on the pairs (x, y) it is (E2), and on the operators (E3).  That total
-    space is c2's own, built once, when c2 is over the same algebras."""
-    if (c2.base, c2.coef) != (c1.base, c1.coef):
-        c2 = replace(c2, base=c1.base, coef=c1.coef)
+    space is c2's own, built once; c2 is over c1's algebras."""
     f, n, m = c1.base.field, c1.base.dim, c1.coef.dim
     ident = Matrix.identity
     tau = block_matrix(f, [[ident(f, n), Matrix.zero(f, n, m)], [phi, ident(f, m)]])
@@ -582,10 +583,10 @@ def _witness_space(c1, c2):
     if sol is None:
         return None
     point, kernel = sol
-    e2 = Matrix._of(f, _e2_rows(c1, c2), m * n)
-    gap = vec_sub(f, c1.chi.sub(c2.chi).flat(), e2.matvec(point))
+    e2 = _e2_rows(c1, c2)
+    gap = vec_sub(f, c1.chi.sub(c2.chi).flat(), rows_matvec(f, e2, point))
     back = Matrix.from_cols(f, kernel[::-1], rows_hint=m * n)
-    steps = [e2.matvec(v) for v in kernel[::-1]]
+    steps = [rows_matvec(f, e2, v) for v in kernel[::-1]]
     sol = solve_affine(Matrix.from_cols(f, steps, rows_hint=len(gap)), gap)
     if sol is None:
         return None
@@ -753,34 +754,30 @@ def _require_automorphism(e: ExtensionData, gamma: Matrix):
 
 
 def _product_rows(f, left, right):
-    """Rows for the entries of left X right, row-major, as linear forms in
-    the row-major entries of the unknown map X; each row is built from the
-    nonzero entries of its row of left and its column of right only."""
-    rcols = [[(c, y) for c, y in enumerate(right.col(a)) if y != f.zero]
-             for a in range(right.cols)]
-    out = []
-    for lrow in left.entries:
-        lnz = [(r * right.rows, x) for r, x in enumerate(lrow) if x != f.zero]
-        for rnz in rcols:
-            row = [f.zero] * (left.cols * right.rows)
-            for off, x in lnz:
-                for c, y in rnz:
-                    row[off + c] = f.mul(x, y)
-            out.append(row)
-    return out
+    """Sparse rows for the entries of left X right, row-major, in the
+    row-major entries of the unknown map X: the row of entry (r, a) holds
+    left[r, s] right[c, a] at the column of X[s, c], for the nonzero
+    entries of row r of left and of column a of right only."""
+    k = right.rows
+    lrows = [sparse_vec(row).items() for row in left.entries]
+    rcols = [sparse_vec(right.col(a)).items() for a in range(right.cols)]
+    return [{s * k + c: f.mul(x, y) for s, x in lrow for c, y in rcol}
+            for lrow in lrows for rcol in rcols]
 
 
 def _commutator_rows(f, P1, P2):
-    """Rows for the entries of X P1 - P2 X, for square P1 and P2 and a
-    rectangular unknown X with P2.rows rows and P1.rows columns."""
+    """Sparse rows for the entries of X P1 - P2 X, for square P1 and P2
+    and a rectangular unknown X with P2.rows rows and P1.rows columns; a
+    list of rows is read as the sparse matrix {k: row k}."""
     left = _product_rows(f, Matrix.identity(f, P2.rows), P1)
     right = _product_rows(f, P2, Matrix.identity(f, P1.rows))
-    return [list(vec_sub(f, u, v)) for u, v in zip(left, right)]
+    diff = sparse_add(f, (dict(enumerate(left)),), (dict(enumerate(right)),))
+    return [diff.get(k, {}) for k in range(len(left))]
 
 
 def _bracket_maps(f, a, rows):
     """Every invertible n x n map g with g[x, y] = [gx, gy] in the Lie
-    algebra a whose row-major entries solve rows . x = 0 over a finite
+    algebra a whose row-major entries solve the sparse rows over a finite
     field, sorted by those entries; FieldTooLarge over Q, and before any
     search when that space has more than `ENUM_LIMIT` points.  The rows must
     cut out a unital matrix algebra, so that the maps are a group G.
@@ -801,7 +798,7 @@ def _bracket_maps(f, a, rows):
     if not f.finite:
         raise FieldTooLarge("automorphism enumeration needs a finite field")
     n, p = a.dim, f.p
-    kernel = kernel_basis(Matrix(f, rows, cols=n * n))
+    kernel = kernel_basis(Matrix._of_sparse(f, rows, n * n))
     count = p ** len(kernel)
     if count > ENUM_LIMIT:
         raise FieldTooLarge(f"{count} candidate maps exceed the limit")
@@ -894,7 +891,7 @@ def _bracket_maps(f, a, rows):
                 if w not in trans:
                     t = [[sum(map(mul, r, v)) % p for v in zip(*trans[u])] for r in g]
                     flat = list(chain(*t))
-                    if any(sum(map(mul, row, flat)) % p for row in rows):
+                    if any(sum(x * flat[c] for c, x in row.items()) % p for row in rows):
                         raise InternalError(
                             "a product of solutions fails the linear clauses: "
                             "they cut out no unital matrix algebra")
@@ -962,13 +959,6 @@ def _annihilator(e: ExtensionData) -> Matrix:
     f, dim = e.total.field, e.total.dim
     cols = [e.i.col(a) for a in range(e.coef.dim)]
     return Matrix(f, kernel_basis(Matrix(f, cols, cols=dim)), cols=dim)
-
-
-def kernel_fixing_automorphisms(e: ExtensionData, autos):
-    """The members of the enumerated group `autos` inducing the identity pair."""
-    f = e.total.field
-    ident = AutomorphismPair(Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
-    return [g for g in autos if project_automorphism(e, g) == ident]
 
 
 # ---------------------------------------------------------------------------
@@ -1068,13 +1058,15 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
         )
     auth = extension_automorphisms(e)
     cpairs = compatible_pairs(e)
-    fixing = kernel_fixing_automorphisms(e, auth)
+    # the kernel-fixing maps: automorphisms already, so not checked again
+    ident = AutomorphismPair(Matrix.identity(f, m), Matrix.identity(f, n))
+    fixing = sum(_project(e, g) == ident for g in auth)
     # rho(pair) = tau (alpha + beta) tau^{-1} in the basis tau = (s | i).
     for pair in cpairs:
         gamma = e._own_basis.block_map(pair, Matrix.zero(f, m, n))
         if not check_algebra_automorphism(e.total, gamma, "rho"):
             return Verdict.failed("split-rho-automorphism", (), gamma.flat(), ())
-        back = project_automorphism(e, gamma)
+        back = _project(e, gamma)
         if back.beta != pair.beta or back.alpha != pair.alpha:
             return Verdict.failed(
                 "split-rho-section",
@@ -1082,13 +1074,9 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
                 back.beta.flat() + back.alpha.flat(),
                 pair.beta.flat() + pair.alpha.flat(),
             )
-    if len(auth) != len(cpairs) * len(fixing):
-        return Verdict.failed(
-            "split-counts", (), (len(auth),), (len(cpairs) * len(fixing),)
-        )
-    return Verdict.passed(
-        aut_total=len(auth), compatible_pairs=len(cpairs), kernel_fixing=len(fixing)
-    )
+    if len(auth) != len(cpairs) * fixing:
+        return Verdict.failed("split-counts", (), (len(auth),), (len(cpairs) * fixing,))
+    return Verdict.passed(aut_total=len(auth), compatible_pairs=len(cpairs), kernel_fixing=fixing)
 
 
 def exact_sequence_audit(e: ExtensionData):

@@ -4,25 +4,31 @@
 rows and writes its dense entries only when something reads them.  One
 reduction, `_reduce`, is behind `rank`, `Matrix.rref`, `kernel_basis`,
 `solve_affine` and `Matrix.inverse`, each calling it once on the kept rows
-of a born-sparse matrix (copied where reduced) or on those of the entries.  It takes the rows as {column: coefficient} dicts that
-store no zeros and reduces each row by the pivot row of its leading column
-until that column is a new pivot, so it costs about the nonzeros and their
-fill-in.  Over F_p the coefficients are residues and each pivot row leads
-with 1.  Over Q it runs on integer rows (Bareiss 1968): each row's
-denominators are cleared, a row is reduced by cross-multiplying it with
-the pivot row, and the result is divided by its content gcd.  `rank`
-picks its own order, since any order gives the same pivot count: it
-reduces the shorter side of the matrix (the columns of a tall one) with
-the lines of the other side numbered sparsest first, and counts the
-pivots of that echelon.  The solvers need the leftmost pivots, so they
-reduce the rows with the columns as they are, back-substitute the echelon
-(`_rref`) and scale each pivot to 1; RREF is unique, so this is the
-canonical leftmost-pivot RREF.  Over Q that scaling is the only division:
-it leaves an entry an int where the pivot divides it, and a Fraction only
-where there is a denominator (the canonical Q form of `fields`).  A solve
-reduces [m | b] once and reads both its point and the canonical
-free-variable kernel basis off it: when b is consistent no pivot falls in
-b's column, so the reduced rows restricted to m's columns are m's RREF.
+of a born-sparse matrix (copied where reduced) or on those of the entries.
+It takes the rows as {column: coefficient} dicts that store no zeros and
+reduces each row by the pivot row of its leading column until that column
+is a new pivot, so it costs about the nonzeros and their fill-in.  Over
+F_p the coefficients are residues and each pivot row leads with 1.  Over Q
+it runs on integer rows (Bareiss 1968): each row's denominators are
+cleared, a row is reduced by cross-multiplying it with the pivot row, and
+the result is divided by its content gcd.  `rank` picks its own order,
+since any order gives the same pivot count: it reduces the shorter side of
+the matrix (the columns of a tall one) with the lines of the other side
+numbered sparsest first, and counts the pivots of that echelon.  The
+solvers need the leftmost pivots, so they reduce the rows with the columns
+as they are, back-substitute the echelon (`_rref`) and scale each pivot to
+1; RREF is unique, so this is the canonical leftmost-pivot RREF.  Over Q
+that scaling is the only division: it leaves an entry an int where the
+pivot divides it, and a Fraction only where there is a denominator (the
+canonical Q form of `fields`).  A solve reduces [m | b] once and reads
+both its point and the canonical free-variable kernel basis off it: when b
+is consistent no pivot falls in b's column, so the reduced rows restricted
+to m's columns are m's RREF.
+
+Every linear condition of the package is such a list of sparse rows, and
+`rows_matvec` is the one product of sparse rows with a vector.
+`affine_points` is the one enumerator of F_p points; `enumerate_linear_maps`
+is its walk over the unit vectors.
 """
 
 from __future__ import annotations
@@ -80,6 +86,17 @@ def add_scaled(fld, acc, c, entries):
     """acc[k] += c * x for each (k, x) in entries, in the list acc."""
     for k, x in entries:
         acc[k] = fld.add(acc[k], fld.mul(c, x))
+
+
+def rows_matvec(fld, rows, v):
+    """The sparse rows times the vector v: entry k is sum_c rows[k][c] v[c]."""
+    add, mul, out = fld.add, fld.mul, []
+    for row in rows:
+        acc = fld.zero
+        for c, x in row.items():
+            acc = add(acc, mul(x, v[c]))
+        out.append(acc)
+    return tuple(out)
 
 
 def sparse_cols(m, transpose=False):
@@ -262,10 +279,6 @@ class Matrix:
 
     def sub(self, other):
         return self._entrywise(other, self.field.sub, "sub")
-
-    def neg(self):
-        f = self.field
-        return Matrix._of(f, [[f.neg(x) for x in row] for row in self.entries], self.cols)
 
     def scale(self, c):
         f = self.field
@@ -605,31 +618,14 @@ def affine_points(field, particular, kernel):
     return walk(0, tuple(particular))
 
 
-def enumerate_linear_maps(domain_dim, codomain_dim, field, start=0, stop=None):
-    """All matrices of a linear map F_p^domain -> F_p^codomain.
-
-    Yields every codomain x domain matrix exactly once, ordered
-    lexicographically by the row-major entry tuple.  The [start, stop)
-    window makes the stream restartable and partitionable; the union of
-    disjoint windows reproduces the full run.
-    """
-    if not field.finite:
-        raise FieldTooLarge("cannot enumerate linear maps over an infinite field")
-    p = field.p
-    n = domain_dim * codomain_dim
-    total = p**n
-    if stop is None:
-        stop = total
-    if not (0 <= start <= stop <= total):
-        raise ValueError(f"window [{start}, {stop}) outside [0, {total})")
-    for idx in range(start, stop):
-        digits = []
-        k = idx
-        for _ in range(n):
-            digits.append(k % p)
-            k //= p
-        digits.reverse()
-        yield Matrix.from_flat(field, codomain_dim, domain_dim, digits)
+def enumerate_linear_maps(domain_dim, codomain_dim, field):
+    """All matrices of a linear map F_p^domain -> F_p^codomain, each once,
+    ordered lexicographically by the row-major entry tuple: the
+    `affine_points` of the unit vectors, each read as its matrix."""
+    n, k = domain_dim * codomain_dim, domain_dim
+    units = [vec_basis(field, n, c) for c in range(n)]
+    return (Matrix._of(field, [flat[r * k:r * k + k] for r in range(codomain_dim)], k)
+            for flat in affine_points(field, vec_zero(field, n), units))
 
 
 class Tensor:
@@ -718,9 +714,6 @@ class Tensor:
 
     def sub(self, other):
         return self._entrywise(other, self.field.sub)
-
-    def neg(self):
-        return Tensor._of(self.field, self.shape, map(self.field.neg, self.entries))
 
     def __eq__(self, other):
         return (

@@ -113,9 +113,6 @@ class AltMap:
     def sub(self, other):
         return self._combine(other, vec_sub)
 
-    def neg(self):
-        return AltMap(*self._shape(), [vec_neg(self.field, c) for c in self.comps])
-
     def is_zero(self):
         return all(vec_is_zero(self.field, c) for c in self.comps)
 

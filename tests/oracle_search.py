@@ -75,13 +75,15 @@ def column_walk(f, a, rows):
     """`extensions._bracket_maps` as it was before the stabiliser chain: the
     same column walk, with every group element reached as its own leaf.
     Every invertible n x n map g with g[x, y] = [gx, gy] in the Lie algebra
-    a whose row-major entries solve rows . x = 0 over a finite field,
-    sorted by those entries, with no size limit.  The walk fixes g column
+    a whose row-major entries solve the sparse rows over a finite field,
+    sorted by those entries, with no size limit; the rows are sparse, and
+    it writes them densely itself.  The walk fixes g column
     by column: c takes each value the space allows outside the span of the
     columns before it, and the clauses g[e_c, e_k] = [g e_c, g e_k] for
     k > c, linear once g e_c is fixed, cut the space before column c + 1."""
     n, p = a.dim, f.p
-    kernel = kernel_basis(Matrix(f, rows, cols=n * n))
+    dense = [[row.get(c, f.zero) for c in range(n * n)] for row in rows]
+    kernel = kernel_basis(Matrix(f, dense, cols=n * n))
     if n == 0:
         return [Matrix(f, [], cols=0)]
     br = [[a.bracket_basis(c, k) for k in range(n)] for c in range(n)]

@@ -24,7 +24,6 @@ from avglie.extensions import (
     compatible_pairs,
     extension_automorphisms,
     extract_cocycle,
-    kernel_fixing_automorphisms,
     project_automorphism,
 )
 from avglie.homotopy import CrossedModule, is_strict
@@ -627,7 +626,8 @@ def check_split_semidirect(e: ExtensionData) -> Verdict:
         )
     auth = extension_automorphisms(e)
     cpairs = compatible_pairs(e)
-    fixing = kernel_fixing_automorphisms(e, auth)
+    ident = AutomorphismPair(Matrix.identity(f, m), Matrix.identity(f, n))
+    fixing = [g for g in auth if project_automorphism(e, g) == ident]
     # rho(pair) = tau (alpha + beta) tau^{-1}.
     tau = s.hstack(e.i)
     tinv = tau.inverse()

@@ -1,7 +1,8 @@
 """Every name a module of avglie imports is used in that module, every
 private helper is named outside its own body, and every public function,
 class or method is exported, named in avglie, or listed with its caller
-outside it.  A change that moves code between modules, or moves a check to
+outside it; an attribute read on a field names no method of another
+class.  A change that moves code between modules, or moves a check to
 another idiom, tends to leave imports and helpers behind.  `__init__` is
 skipped by the import check: it imports names to export them."""
 
@@ -54,17 +55,31 @@ def named(node):
         node.name if isinstance(node, ast.alias) else None)
 
 
-def name_counts(trees):
+def name_counts(trees, keep=None):
+    """How often each name is read, counting only the nodes keep accepts."""
     total = {}
     for tree in trees:
         for node in ast.walk(tree):
-            total[named(node)] = total.get(named(node), 0) + 1
+            if keep is None or keep(node):
+                total[named(node)] = total.get(named(node), 0) + 1
     return total
 
 
-def times_named(total, d):
+def times_named(total, d, keep=None):
     # a definition naming itself, as a recursive call does, does not use it
-    return total.get(d.name, 0) - sum(named(n) == d.name for n in ast.walk(d))
+    return total.get(d.name, 0) - sum(
+        named(n) == d.name and (keep is None or keep(n)) for n in ast.walk(d))
+
+
+FIELD_CLASSES = ("Field", "Rationals", "PrimeField")
+
+
+def off_a_field(node):
+    """False for an attribute read on a field, f.x, fld.x, field.x or
+    <y>.field.x: it names no method of a class other than the fields."""
+    v = getattr(node, "value", None)
+    return not (isinstance(node, ast.Attribute) and (
+        getattr(v, "id", None) in ("f", "fld", "field") or getattr(v, "attr", None) == "field"))
 
 
 def private_definitions(sources):
@@ -87,19 +102,21 @@ def unnamed_public_definitions(sources):
     names outside the definition itself, as "name" or "Class.name", sorted.
     The imports of `__init__` count as names, so an exported definition is
     named; as for private helpers, a name stands for every definition that
-    bears it."""
+    bears it, but an attribute read on a field (`off_a_field`) names only a
+    method of a field class: `f.neg(x)` names `Field.neg`, not `Matrix.neg`."""
     trees = [ast.parse(text) for text in sources]
     defs = []
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((node.name, node))
+                defs.append((node.name, node, None))
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                keep = None if node.name in FIELD_CLASSES else off_a_field
+                defs += [(f"{node.name}.{m.name}", m, keep) for m in node.body
                          if isinstance(m, ast.FunctionDef)]
-    total = name_counts(trees)
-    return sorted(q for q, d in defs
-                  if not d.name.startswith("_") and times_named(total, d) == 0)
+    totals = {keep: name_counts(trees, keep) for keep in (None, off_a_field)}
+    return sorted(q for q, d, keep in defs
+                  if not d.name.startswith("_") and times_named(totals[keep], d, keep) == 0)
 
 
 def test_the_check_finds_unused_helpers():
@@ -135,8 +152,13 @@ def test_the_check_finds_unnamed_public_definitions():
         "    def unused(self):\n        return self.used()\n"
         "    def _private(self):\n        pass\n",
         "x = Kept()\n",
+        # f.neg and self.field.neg name the field's neg, not the container's
+        "class Field:\n    def neg(self, x):\n        return x\n"
+        "class Box:\n    def neg(self):\n        return self\n"
+        "    def twice(self, f):\n        return f.neg(self.field.neg(1))\n",
+        "y = Box().twice(Field())\n",
     ]
-    assert unnamed_public_definitions(sources) == ["Kept.unused", "unnamed"]
+    assert unnamed_public_definitions(sources) == ["Box.neg", "Kept.unused", "unnamed"]
 
 
 # The public definitions that no module of avglie names, each with its

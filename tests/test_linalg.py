@@ -104,12 +104,6 @@ def test_enumerate_linear_maps_order_and_count():
 
 
 def test_enumerate_linear_maps_partitioning():
-    F3 = GF(3)
-    full = list(enumerate_linear_maps(2, 1, F3))
-    parts = list(enumerate_linear_maps(2, 1, F3, 0, 4)) + list(
-        enumerate_linear_maps(2, 1, F3, 4, 9)
-    )
-    assert parts == full
     with pytest.raises(FieldTooLarge):
         next(enumerate_linear_maps(1, 1, QQ))
 

@@ -294,7 +294,8 @@ def cocycle_variants(rng, f):
 
 
 def _phi_satisfies(c1, c2, phi):
-    return ext._phi_satisfies(c1, c2, phi)
+    # the triple of c2 over c1's algebras, as the oracle reads it
+    return ext._phi_satisfies(c1, replace(c2, base=c1.base, coef=c1.coef), phi)
 
 
 def _oracle_phi_satisfies(c1, c2, phi):

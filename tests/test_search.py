@@ -53,6 +53,7 @@ from avglie.linalg import (
     enumerate_linear_maps,
     kernel_basis,
     solve_affine,
+    sparse_vec,
     vec_basis,
     vec_sub,
 )
@@ -285,7 +286,7 @@ def test_a_solution_space_without_the_identity_is_refused(row, column):
     F2 = GF(2)
     want = f"identity fails the linear clauses at column {column}$"
     with pytest.raises(InternalError, match=want):
-        ext._bracket_maps(F2, LieAlgebra.abelian(F2, 2), [list(row)])
+        ext._bracket_maps(F2, LieAlgebra.abelian(F2, 2), [sparse_vec(row)])
 
 
 def test_scrambled_heisenberg_with_identity_operator_by_conjugation():
@@ -378,7 +379,7 @@ def test_a_solution_space_not_closed_under_products_is_refused():
     N = Matrix(F2, [[1 if i == j + 1 else 0 for j in range(3)] for i in range(3)])
     rows = kernel_basis(Matrix(F2, [Matrix.identity(F2, 3).flat(), N.flat()], cols=9))
     with pytest.raises(InternalError, match="no unital matrix algebra$"):
-        ext._bracket_maps(F2, LieAlgebra.abelian(F2, 3), [list(r) for r in rows])
+        ext._bracket_maps(F2, LieAlgebra.abelian(F2, 3), [sparse_vec(r) for r in rows])
 
 
 def test_extension_equivalence_across_bases_matches_brute_force():
