@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import shutil
@@ -213,3 +214,29 @@ def test_non_ascii_digits_exit_as_parse_errors(tmp_path):
                               capture_output=True, text=True)
         assert proc.returncode == 2, name
         assert json.loads(proc.stdout)["clause"] == "parse-error"
+
+
+PINNED_PARSE_SWEEP = os.path.join(os.path.dirname(__file__), "data", "parse_sweep.txt")
+
+
+def test_parse_sweep_matches_the_pinned_output():
+    """Every single fault at every key path of every fixture, and a seeded
+    sample of two faults, gives the pinned exit codes and messages under
+    `check` and `check --field-check`, and no run raises.  A change that
+    alters a parse error on purpose rewrites the pin:
+    python tools/parse_sweep.py > tests/data/parse_sweep.txt"""
+    tools = os.path.join(os.path.dirname(__file__), "..", "tools")
+    spec = importlib.util.spec_from_file_location(
+        "parse_sweep", os.path.join(tools, "parse_sweep.py")
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    cwd = os.getcwd()
+    lines = sweep.sweep_lines()
+    assert os.getcwd() == cwd
+    assert not [line for line in lines if "!" in line]
+    with open(PINNED_PARSE_SWEEP, encoding="utf-8") as fh:
+        pinned = fh.read().splitlines()
+    assert len(lines) == len(pinned)
+    differ = [(got, want) for got, want in zip(lines, pinned) if got != want]
+    assert not differ, differ[:5]
