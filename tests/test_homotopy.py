@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 
 from avglie.cohomology import Cochain, assemble_delta_matrix, delta_alie, is_cocycle
-from avglie.errors import ValidationError
+from avglie import documents as docs
+from avglie.errors import DimensionMismatch, ValidationError
 from avglie.fields import GF, QQ
 from avglie.homotopy import (
     CrossedModule,
@@ -35,7 +36,7 @@ from avglie.lie import (
 from avglie.linalg import Matrix, Tensor, kernel_basis, sparse_matrices, vec_add
 from avglie.multilinear import AltMap
 
-from conftest import g2, g2_averaging, heisenberg, random_tensor, scramble_representation
+from conftest import fixture_path, g2, g2_averaging, heisenberg, random_tensor, scramble_representation
 
 
 def adjoint_two_term(field, which="proj"):
@@ -461,3 +462,15 @@ def test_action_tensor_of_a_crossed_action_is_its_transpose(rng):
             psi = psi_tensor(f, n1, rho.matrices())
             assert psi == transposed_action(f, rho)
             assert Tensor.of_sparse(f, rho.shape, sparse_matrices(psi, transpose=True)) == rho
+
+
+def test_operators_of_the_wrong_shape_are_refused():
+    """A P0 or a P1 of the wrong shape is refused before any axiom is
+    evaluated, each on its own: documents cannot carry one, so only a
+    library caller reaches the guard."""
+    t, p = docs.parse_two_term(docs.load_document(fixture_path("strict_two_term.json")))
+    assert (t.n0, t.n1) == (2, 2)
+    assert check_homotopy_averaging(t, p)
+    for P0, P1 in ((Matrix.zero(QQ, 3, 2), p.P1), (p.P0, Matrix.zero(QQ, 2, 3))):
+        with pytest.raises(DimensionMismatch, match="^operator shape mismatch$"):
+            check_homotopy_averaging(t, HomotopyAveraging(P0, P1, p.P2))
