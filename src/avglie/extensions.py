@@ -565,9 +565,10 @@ def _witness_space(c1, c2):
 
     (E1) and (E3) are linear in phi, and (E1) makes (E2) linear too:
     [phi e_x, phi e_y] = (psi_x - psi'_x) phi e_y.  The witnesses are then
-    an affine space, and two exact solves give it over Q and F_p alike.
+    an affine space, and at most two exact solves give it over Q and F_p.
     The first solves (E1) and (E3), with (E2) when the coefficients are
-    abelian, for a point and a kernel basis.  The second solves (E2) for
+    abelian, for a point and a kernel basis; on abelian coefficients that
+    point is the first witness.  Otherwise the second solves (E2) for
     the coordinates t of a witness in that basis, with the columns
     reversed, so that its free coordinates are the earliest ones and are
     0.  That is the least t, the first witness a walk of the space in
@@ -578,22 +579,30 @@ def _witness_space(c1, c2):
         raise DimensionMismatch("cocycles live over different algebra pairs")
     f = c1.base.field
     n, m = c1.base.dim, c1.coef.dim
-    system, rhs = _equivalence_linear_system(c1, c2, c1.coef.is_abelian())
+    abelian = c1.coef.is_abelian()
+    system, rhs = _equivalence_linear_system(c1, c2, abelian)
     sol = solve_affine(system, rhs)
     if sol is None:
         return None
     point, kernel = sol
-    e2 = _e2_rows(c1, c2)
-    gap = vec_sub(f, c1.chi.sub(c2.chi).flat(), rows_matvec(f, e2, point))
-    back = Matrix.from_cols(f, kernel[::-1], rows_hint=m * n)
-    steps = [rows_matvec(f, e2, v) for v in kernel[::-1]]
-    sol = solve_affine(Matrix.from_cols(f, steps, rows_hint=len(gap)), gap)
-    if sol is None:
-        return None
-    phi = Matrix.from_flat(f, m, n, vec_add(f, point, back.matvec(sol[0])))
+    if abelian:
+        # (E2) is in the first system, so the second would solve 0 t = 0:
+        # t = 0, and the kernel is every coordinate of the reversed basis
+        directions = kernel[::-1]
+    else:
+        e2 = _e2_rows(c1, c2)
+        gap = vec_sub(f, c1.chi.sub(c2.chi).flat(), rows_matvec(f, e2, point))
+        back = Matrix.from_cols(f, kernel[::-1], rows_hint=m * n)
+        steps = [rows_matvec(f, e2, v) for v in kernel[::-1]]
+        sol = solve_affine(Matrix.from_cols(f, steps, rows_hint=len(gap)), gap)
+        if sol is None:
+            return None
+        point = vec_add(f, point, back.matvec(sol[0]))
+        directions = [back.matvec(t) for t in sol[1]]
+    phi = Matrix.from_flat(f, m, n, point)
     if not _phi_satisfies(c1, c2, phi):
         raise InternalError("equivalence solve produced a bad witness")
-    return phi, [back.matvec(t) for t in sol[1]]
+    return phi, directions
 
 
 def cocycles_equivalent(c1, c2) -> Matrix | None:
