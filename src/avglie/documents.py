@@ -6,12 +6,17 @@ All scalars are strings in the exact text form of the declared field
 as {"arity": k, "dim": n, "vdim": m, "entries": [...]} on increasing
 index tuples.  Emission is canonical (sorted keys, two-space indent), so
 fixtures diff cleanly and reports are byte-stable.
+
+`SCHEMAS` states each kind once: its keys in the order they are read,
+each with its type and shape.  One walker reads every kind by it, and
+each `parse_*` is a view of the values the walker returns.
 """
 
 from __future__ import annotations
 
 import json
 from math import comb, prod
+from operator import itemgetter
 
 from .cohomology import Cochain
 from .errors import ParseError
@@ -54,9 +59,7 @@ def _scalars(field: Field, val, kind, key, want_len):
     if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
         raise ParseError(f"{kind}: {key}.entries must be a list of scalar strings")
     if len(val) != want_len:
-        raise ParseError(
-            f"{kind}: {key} wants {want_len} entries, document has {len(val)}"
-        )
+        raise ParseError(f"{kind}: {key} wants {want_len} entries, document has {len(val)}")
     try:
         return [field.parse(x) for x in val]
     except ParseError as exc:
@@ -75,15 +78,11 @@ def parse_matrix(field, obj, kind, key, rows=None, cols=None) -> Matrix:
     return Matrix.from_flat(field, shape[0], shape[1], flat)
 
 
-def parse_tensor(field, obj, kind, key, shape=None) -> Tensor:
+def parse_tensor(field, obj, kind, key, *shape) -> Tensor:
     got = tuple(_nat_list(_want(obj, "shape", kind), kind, f"{key}.shape"))
-    if shape is not None and got != tuple(shape):
-        raise ParseError(
-            f"{kind}: {key} wants shape {tuple(shape)}, document has {got}"
-        )
-    flat = _scalars(
-        field, _want(obj, "entries", kind), kind, key, prod(got, start=1)
-    )
+    if shape and got != shape:
+        raise ParseError(f"{kind}: {key} wants shape {shape}, document has {got}")
+    flat = _scalars(field, _want(obj, "entries", kind), kind, key, prod(got, start=1))
     return Tensor._of(field, got, flat)
 
 
@@ -92,33 +91,21 @@ def parse_altmap(field, obj, kind, key, dim, arity, vdim) -> AltMap:
         val = _want(obj, name, kind)
         if type(val) is not int or val != want:
             raise ParseError(f"{kind}: {key}.{name} must be {want}, got {val}")
-    flat = _scalars(
-        field, _want(obj, "entries", kind), kind, key, comb(dim, arity) * vdim
-    )
+    flat = _scalars(field, _want(obj, "entries", kind), kind, key, comb(dim, arity) * vdim)
     return AltMap.from_flat(field, dim, arity, vdim, flat)
 
 
 def matrix_doc(m: Matrix):
-    f = m.field
-    return {
-        "shape": [m.rows, m.cols],
-        "entries": [f.format(x) for x in m.flat()],
-    }
+    return {"shape": [m.rows, m.cols], "entries": [m.field.format(x) for x in m.flat()]}
 
 
 def tensor_doc(t: Tensor):
-    f = t.field
-    return {"shape": list(t.shape), "entries": [f.format(x) for x in t.entries]}
+    return {"shape": list(t.shape), "entries": [t.field.format(x) for x in t.entries]}
 
 
 def altmap_doc(a: AltMap):
-    f = a.field
-    return {
-        "arity": a.arity,
-        "dim": a.dim,
-        "vdim": a.vdim,
-        "entries": [f.format(x) for x in a.flat()],
-    }
+    entries = [a.field.format(x) for x in a.flat()]
+    return {"arity": a.arity, "dim": a.dim, "vdim": a.vdim, "entries": entries}
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +132,158 @@ def _sub(obj, key, kind, want_kind, field):
     return sub
 
 
-def parse_lie(obj, kind="lie_algebra"):
+def _degree(obj, field, v):
+    """A positive integer."""
+    degree = _want(obj, "degree", "cochain")
+    if type(degree) is not int or degree < 1:
+        raise ParseError("cochain: degree must be a positive integer")
+    return degree
+
+
+def _theta(obj, field, v):
+    """A dense tensor of shape (dim,) * (degree - 1) + (vdim,), absent in degree 1."""
+    if v["degree"] == 1:
+        if obj.get("theta") is not None:
+            raise ParseError("cochain: degree-1 cochains carry no theta")
+        return None
+    shape = (v["dim"],) * (v["degree"] - 1) + (v["vdim"],)
+    return parse_tensor(field, _want(obj, "theta", "cochain"), "cochain", "theta", *shape)
+
+
+def _dims(obj, field, v):
+    """The pair [n0, n1], also read as n0 and n1."""
+    dims = _nat_list(_want(obj, "dims", "two_term"), "two_term", "dims")
+    if len(dims) != 2:
+        raise ParseError("two_term: dims must be [n0, n1]")
+    v["n0"], v["n1"] = dims
+    return dims
+
+
+def _operators(obj, field, v):
+    """P0, once P0, P1 and P2 are known to be given together or not at all."""
+    have = [obj.get(k) is not None for k in ("P0", "P1", "P2")]
+    if any(have) and not all(have):
+        raise ParseError("two_term: P0, P1, P2 must be given together")
+    return parse_matrix(field, obj["P0"], "two_term", "P0", v["n0"], v["n0"]) if have[0] else None
+
+
+# Each kind's keys after its field tag, in the order they are read:
+# (key, type, shape).  A type is "nat" (a natural); "mat", "ten" or "alt"
+# (a matrix, tensor or alternating map), or "mat?" or "alt?" when it may
+# be null; a nested kind; a natural of a nested document, such as
+# "coef.dim"; or one of the four rules above.  A shape names earlier keys
+# or gives constants: (rows, cols), the tensor's shape or (dim, arity, vdim).
+_AVG = "averaging_lie_algebra"
+SCHEMAS = {
+    "lie_algebra": (("dim", "nat", ()), ("bracket", "ten", ("dim", "dim", "dim"))),
+    _AVG: (("dim", "nat", ()), ("bracket", "ten", ("dim", "dim", "dim")),
+           ("P", "mat", ("dim", "dim"))),
+    "representation": (("base", _AVG, ()), ("vdim", "nat", ()), ("dim", "base.dim", ()),
+                       ("psi", "ten", ("dim", "vdim", "vdim")), ("Q", "mat", ("vdim", "vdim"))),
+    "cochain": (("representation", "representation", ()), ("degree", _degree, ()),
+                ("dim", "representation.base.dim", ()), ("vdim", "representation.vdim", ()),
+                ("f", "alt", ("dim", "degree", "vdim")), ("theta", _theta, ())),
+    "nonabelian_cocycle": (("base", _AVG, ()), ("coef", _AVG, ()), ("n", "base.dim", ()),
+                           ("m", "coef.dim", ()), ("chi", "alt", ("n", 2, "m")),
+                           ("psi", "ten", ("n", "m", "m")), ("Phi", "mat", ("m", "n"))),
+    "extension": (("base", _AVG, ()), ("coef", _AVG, ()), ("total", _AVG, ()),
+                  ("n", "base.dim", ()), ("m", "coef.dim", ()), ("dim", "total.dim", ()),
+                  ("i", "mat", ("dim", "m")), ("p", "mat", ("n", "dim")),
+                  ("s", "mat?", ("dim", "n"))),
+    "automorphism_pair": (("base", _AVG, ()), ("coef", _AVG, ()), ("n", "base.dim", ()),
+                          ("m", "coef.dim", ()), ("beta", "mat", ("m", "m")),
+                          ("alpha", "mat", ("n", "n"))),
+    "two_term": (("dims", _dims, ()), ("d", "mat", ("n0", "n1")),
+                 ("l2_00", "ten", ("n0", "n0", "n0")), ("l2_01", "ten", ("n0", "n1", "n1")),
+                 ("l3", "alt", ("n0", 3, "n1")), ("P0", _operators, ()),
+                 ("P1", "mat?", ("n1", "n1")), ("P2", "alt?", ("n0", 2, "n1"))),
+    "crossed_module": (("g0", _AVG, ()), ("g1", _AVG, ()), ("n0", "g0.dim", ()),
+                       ("n1", "g1.dim", ()), ("d", "mat", ("n0", "n1")),
+                       ("rho", "ten", ("n0", "n1", "n1"))),
+    "matrix": (("matrix", "mat", (None, None)),),
+}
+KINDS = tuple(SCHEMAS)
+# The sub-documents of each kind, in the order its realize step parses them.
+NESTED = {kind: tuple(k for k, t, _ in entries if t in SCHEMAS)
+          for kind, entries in SCHEMAS.items()}
+NESTED["crossed_module"] = ("g1", "g0")
+
+
+def _reader(kind, key, typ, shape):
+    """One entry compiled into a function of the document, its field and
+    the values read before it, giving the entry's value."""
+    if callable(typ):
+        return typ
+    if typ == "nat":
+        return lambda obj, field, v: _natural(obj, key, kind)
+    if typ in SCHEMAS:
+        return lambda obj, field, v: _sub(obj, key, kind, typ, field)
+    if "." in typ:
+        first, *hops, last = typ.split(".")
+        kinds = [kind]  # the kind of each document on the way down
+        for hop in [first, *hops]:
+            kinds.append({k: t for k, t, _ in SCHEMAS[kinds[-1]]}[hop])
+
+        def nested_natural(obj, field, v):
+            doc = v[first]
+            for hop, of in zip(hops, kinds[1:]):
+                doc = _want(doc, hop, of)
+            return _natural(doc, last, kinds[-1])
+        return nested_natural
+    parse = {"mat": parse_matrix, "ten": parse_tensor, "alt": parse_altmap}[typ.rstrip("?")]
+    label = None if kind == "matrix" else key  # a bare matrix's messages name no key
+    if all(type(s) is str for s in shape):
+        dims = itemgetter(*shape)
+    else:  # constants among the names
+        def dims(v):
+            return [v[s] if type(s) is str else s for s in shape]
+    if typ.endswith("?"):
+        return lambda obj, field, v: None if obj.get(key) is None else parse(
+            field, obj[key], kind, label, *dims(v))
+    return lambda obj, field, v: parse(field, _want(obj, key, kind), kind, label, *dims(v))
+
+
+_READERS = {kind: [(key, _reader(kind, key, typ, shape)) for key, typ, shape in entries]
+            for kind, entries in SCHEMAS.items()}
+
+
+def _walk(obj, kind):
+    """The field and the value of every entry of a document of kind."""
     field = _field_of(obj, kind)
-    dim = _natural(obj, "dim", kind)
-    bracket = parse_tensor(field, _want(obj, "bracket", kind), kind, "bracket", (dim,) * 3)
-    return field, dim, bracket
+    v = {"field": field}
+    for key, read in _READERS[kind]:
+        v[key] = read(obj, field, v)
+    return v
 
 
-def parse_averaging(obj):
-    kind = "averaging_lie_algebra"
-    field, dim, bracket = parse_lie(obj, kind)
-    P = parse_matrix(field, _want(obj, "P", kind), kind, "P", dim, dim)
-    return field, dim, bracket, P
+def _view(kind, *names):
+    """The parser of kind that returns the named values."""
+    get = itemgetter(*names)
+    return lambda obj: get(_walk(obj, kind))
+
+
+parse_lie = _view("lie_algebra", "field", "dim", "bracket")
+parse_averaging = _view(_AVG, "field", "dim", "bracket", "P")
+parse_representation = _view("representation", "base", "vdim", "psi", "Q")
+parse_cochain = _view("cochain", "representation", "field", "dim", "vdim", "degree", "f", "theta")
+parse_cocycle = _view("nonabelian_cocycle", "base", "coef", "chi", "psi", "Phi")
+parse_extension = _view("extension", "base", "coef", "total", "i", "p", "s")
+parse_crossed = _view("crossed_module", "g0", "g1", "d", "rho")
+
+
+def parse_pair(obj):
+    v = _walk(obj, "automorphism_pair")
+    return v["base"], v["coef"], AutomorphismPair(v["beta"], v["alpha"])
+
+
+def parse_two_term(obj):
+    v = _walk(obj, "two_term")
+    t = TwoTermLinf(*[v[k] for k in ("field", "n0", "n1", "d", "l2_00", "l2_01", "l3")])
+    return t, None if v["P0"] is None else HomotopyAveraging(v["P0"], v["P1"], v["P2"])
+
+
+def parse_bare_matrix(obj):
+    return _walk(obj, "matrix")["matrix"]
 
 
 def realize_averaging(obj) -> AveragingLieAlgebra:
@@ -164,39 +291,9 @@ def realize_averaging(obj) -> AveragingLieAlgebra:
     return AveragingLieAlgebra.validate(LieAlgebra.validate(field, dim, bracket), P)
 
 
-def parse_representation(obj):
-    kind = "representation"
-    field = _field_of(obj, kind)
-    base = _sub(obj, "base", kind, "averaging_lie_algebra", field)
-    vdim = _natural(obj, "vdim", kind)
-    dim = _natural(base, "dim", "averaging_lie_algebra")
-    psi = parse_tensor(field, _want(obj, "psi", kind), kind, "psi", (dim, vdim, vdim))
-    Q = parse_matrix(field, _want(obj, "Q", kind), kind, "Q", vdim, vdim)
-    return base, vdim, psi, Q
-
-
 def realize_representation(obj) -> Representation:
     base, vdim, psi, Q = parse_representation(obj)
     return Representation.validate(realize_averaging(base), vdim, psi, Q)
-
-
-def parse_cochain(obj):
-    kind = "cochain"
-    field = _field_of(obj, kind)
-    rep = _sub(obj, "representation", kind, "representation", field)
-    degree = _want(obj, "degree", kind)
-    if type(degree) is not int or degree < 1:
-        raise ParseError("cochain: degree must be a positive integer")
-    dim = _natural(_want(rep, "base", "representation"), "dim", "averaging_lie_algebra")
-    vdim = _natural(rep, "vdim", "representation")
-    f = parse_altmap(field, _want(obj, "f", kind), kind, "f", dim, degree, vdim)
-    theta = None
-    if degree >= 2:
-        shape = (dim,) * (degree - 1) + (vdim,)
-        theta = parse_tensor(field, _want(obj, "theta", kind), kind, "theta", shape)
-    elif obj.get("theta") is not None:
-        raise ParseError("cochain: degree-1 cochains carry no theta")
-    return rep, field, dim, vdim, degree, f, theta
 
 
 def realize_cochain(obj):
@@ -204,96 +301,14 @@ def realize_cochain(obj):
     return realize_representation(rep), Cochain(field, dim, vdim, degree, f, theta)
 
 
-def parse_cocycle(obj):
-    kind = "nonabelian_cocycle"
-    field = _field_of(obj, kind)
-    base = _sub(obj, "base", kind, "averaging_lie_algebra", field)
-    coef = _sub(obj, "coef", kind, "averaging_lie_algebra", field)
-    n = _natural(base, "dim", "averaging_lie_algebra")
-    m = _natural(coef, "dim", "averaging_lie_algebra")
-    chi = parse_altmap(field, _want(obj, "chi", kind), kind, "chi", n, 2, m)
-    psi = parse_tensor(field, _want(obj, "psi", kind), kind, "psi", (n, m, m))
-    Phi = parse_matrix(field, _want(obj, "Phi", kind), kind, "Phi", m, n)
-    return base, coef, chi, psi, Phi
-
-
 def realize_cocycle(obj) -> NonAbelianCocycle:
     base, coef, chi, psi, Phi = parse_cocycle(obj)
-    return NonAbelianCocycle.validate(
-        realize_averaging(base), realize_averaging(coef), chi, psi, Phi
-    )
-
-
-def parse_extension(obj):
-    kind = "extension"
-    field = _field_of(obj, kind)
-    base = _sub(obj, "base", kind, "averaging_lie_algebra", field)
-    coef = _sub(obj, "coef", kind, "averaging_lie_algebra", field)
-    total = _sub(obj, "total", kind, "averaging_lie_algebra", field)
-    n = _natural(base, "dim", "averaging_lie_algebra")
-    m = _natural(coef, "dim", "averaging_lie_algebra")
-    dim = _natural(total, "dim", "averaging_lie_algebra")
-    i = parse_matrix(field, _want(obj, "i", kind), kind, "i", dim, m)
-    p = parse_matrix(field, _want(obj, "p", kind), kind, "p", n, dim)
-    s = None
-    if obj.get("s") is not None:
-        s = parse_matrix(field, obj["s"], kind, "s", dim, n)
-    return base, coef, total, i, p, s
+    return NonAbelianCocycle.validate(*map(realize_averaging, (base, coef)), chi, psi, Phi)
 
 
 def realize_extension(obj) -> ExtensionData:
-    base, coef, total, i, p, s = parse_extension(obj)
-    return ExtensionData.validate(
-        realize_averaging(base), realize_averaging(coef), realize_averaging(total), i, p, s
-    )
-
-
-def parse_pair(obj):
-    kind = "automorphism_pair"
-    field = _field_of(obj, kind)
-    base = _sub(obj, "base", kind, "averaging_lie_algebra", field)
-    coef = _sub(obj, "coef", kind, "averaging_lie_algebra", field)
-    n = _natural(base, "dim", "averaging_lie_algebra")
-    m = _natural(coef, "dim", "averaging_lie_algebra")
-    beta = parse_matrix(field, _want(obj, "beta", kind), kind, "beta", m, m)
-    alpha = parse_matrix(field, _want(obj, "alpha", kind), kind, "alpha", n, n)
-    return base, coef, AutomorphismPair(beta, alpha)
-
-
-def parse_two_term(obj):
-    kind = "two_term"
-    field = _field_of(obj, kind)
-    dims = _nat_list(_want(obj, "dims", kind), kind, "dims")
-    if len(dims) != 2:
-        raise ParseError("two_term: dims must be [n0, n1]")
-    n0, n1 = dims
-    d = parse_matrix(field, _want(obj, "d", kind), kind, "d", n0, n1)
-    l2_00 = parse_tensor(field, _want(obj, "l2_00", kind), kind, "l2_00", (n0,) * 3)
-    l2_01 = parse_tensor(field, _want(obj, "l2_01", kind), kind, "l2_01", (n0, n1, n1))
-    l3 = parse_altmap(field, _want(obj, "l3", kind), kind, "l3", n0, 3, n1)
-    t = TwoTermLinf(field, n0, n1, d, l2_00, l2_01, l3)
-    have = [obj.get(k) is not None for k in ("P0", "P1", "P2")]
-    if any(have) and not all(have):
-        raise ParseError("two_term: P0, P1, P2 must be given together")
-    p = None
-    if all(have):
-        P0 = parse_matrix(field, obj["P0"], kind, "P0", n0, n0)
-        P1 = parse_matrix(field, obj["P1"], kind, "P1", n1, n1)
-        P2 = parse_altmap(field, obj["P2"], kind, "P2", n0, 2, n1)
-        p = HomotopyAveraging(P0, P1, P2)
-    return t, p
-
-
-def parse_crossed(obj):
-    kind = "crossed_module"
-    field = _field_of(obj, kind)
-    g0 = _sub(obj, "g0", kind, "averaging_lie_algebra", field)
-    g1 = _sub(obj, "g1", kind, "averaging_lie_algebra", field)
-    n0 = _natural(g0, "dim", "averaging_lie_algebra")
-    n1 = _natural(g1, "dim", "averaging_lie_algebra")
-    d = parse_matrix(field, _want(obj, "d", kind), kind, "d", n0, n1)
-    rho = parse_tensor(field, _want(obj, "rho", kind), kind, "rho", (n0, n1, n1))
-    return g0, g1, d, rho
+    *algebras, i, p, s = parse_extension(obj)
+    return ExtensionData.validate(*map(realize_averaging, algebras), i, p, s)
 
 
 def realize_crossed(obj) -> CrossedModule:
@@ -301,41 +316,11 @@ def realize_crossed(obj) -> CrossedModule:
     return CrossedModule(realize_averaging(g1), realize_averaging(g0), d, rho)
 
 
-def parse_bare_matrix(obj):
-    field = _field_of(obj, "matrix")
-    return parse_matrix(field, _want(obj, "matrix", "matrix"), "matrix", None, None)
-
-
-# Every document kind with its parser; a kind missing here is not a document.
-PARSERS = {
-    "lie_algebra": parse_lie,
-    "averaging_lie_algebra": parse_averaging,
-    "representation": parse_representation,
-    "cochain": parse_cochain,
-    "nonabelian_cocycle": parse_cocycle,
-    "extension": parse_extension,
-    "automorphism_pair": parse_pair,
-    "two_term": parse_two_term,
-    "crossed_module": parse_crossed,
-    "matrix": parse_bare_matrix,
-}
-KINDS = tuple(PARSERS)
-# The sub-documents of each kind, in the order its realize step parses them.
-NESTED = {
-    "representation": ("base",),
-    "cochain": ("representation",),
-    "nonabelian_cocycle": ("base", "coef"),
-    "extension": ("base", "coef", "total"),
-    "automorphism_pair": ("base", "coef"),
-    "crossed_module": ("g1", "g0"),
-}
-
-
 def parse_nested(obj):
     """Parse a document, then each sub-document nested in it, depth first:
     every shape and scalar is checked, no algebraic law."""
-    PARSERS[obj["kind"]](obj)
-    for key in NESTED.get(obj["kind"], ()):
+    _walk(obj, obj["kind"])
+    for key in NESTED[obj["kind"]]:
         parse_nested(obj[key])
 
 
@@ -363,110 +348,62 @@ def dump_document(obj: dict) -> str:
 # Emitters: library objects back to document dictionaries.
 
 
+def _doc(kind, field, **values):
+    """A document of kind over field, each matrix, tensor, alternating map
+    and averaging Lie algebra among the values written as a document."""
+    for key, x in values.items():
+        if isinstance(x, Matrix):
+            values[key] = matrix_doc(x)
+        elif isinstance(x, Tensor):
+            values[key] = tensor_doc(x)
+        elif isinstance(x, AltMap):
+            values[key] = altmap_doc(x)
+        elif isinstance(x, AveragingLieAlgebra):
+            values[key] = averaging_doc(x)
+    return {"kind": kind, "field": field.name, **values}
+
+
 def lie_doc(g: LieAlgebra):
-    return {
-        "kind": "lie_algebra",
-        "field": g.field.name,
-        "dim": g.dim,
-        "bracket": tensor_doc(g.bracket),
-    }
+    return _doc("lie_algebra", g.field, dim=g.dim, bracket=g.bracket)
 
 
 def averaging_doc(a: AveragingLieAlgebra):
-    doc = lie_doc(a.algebra)
-    doc["kind"] = "averaging_lie_algebra"
-    doc["P"] = matrix_doc(a.P)
-    return doc
+    return _doc(_AVG, a.field, dim=a.dim, bracket=a.algebra.bracket, P=a.P)
 
 
 def representation_doc(r: Representation):
-    return {
-        "kind": "representation",
-        "field": r.field.name,
-        "base": averaging_doc(r.base),
-        "vdim": r.vdim,
-        "psi": tensor_doc(r.psi),
-        "Q": matrix_doc(r.Q),
-    }
+    return _doc("representation", r.field, base=r.base, vdim=r.vdim, psi=r.psi, Q=r.Q)
 
 
 def cochain_doc(r: Representation, c: Cochain):
-    return {
-        "kind": "cochain",
-        "field": c.field.name,
-        "representation": representation_doc(r),
-        "degree": c.degree,
-        "f": altmap_doc(c.f),
-        "theta": None if c.theta is None else tensor_doc(c.theta),
-    }
+    return _doc("cochain", c.field, representation=representation_doc(r), degree=c.degree,
+                f=c.f, theta=c.theta)
 
 
 def cocycle_doc(c: NonAbelianCocycle):
-    return {
-        "kind": "nonabelian_cocycle",
-        "field": c.base.field.name,
-        "base": averaging_doc(c.base),
-        "coef": averaging_doc(c.coef),
-        "chi": altmap_doc(c.chi),
-        "psi": tensor_doc(c.psi),
-        "Phi": matrix_doc(c.Phi),
-    }
+    return _doc("nonabelian_cocycle", c.base.field, base=c.base, coef=c.coef, chi=c.chi,
+                psi=c.psi, Phi=c.Phi)
 
 
 def extension_doc(e: ExtensionData):
-    return {
-        "kind": "extension",
-        "field": e.total.field.name,
-        "base": averaging_doc(e.base),
-        "coef": averaging_doc(e.coef),
-        "total": averaging_doc(e.total),
-        "i": matrix_doc(e.i),
-        "p": matrix_doc(e.p),
-        "s": matrix_doc(e.s) if e.s is not None else None,
-    }
+    return _doc("extension", e.total.field, base=e.base, coef=e.coef, total=e.total,
+                i=e.i, p=e.p, s=e.s)
 
 
 def pair_doc(base: AveragingLieAlgebra, coef: AveragingLieAlgebra, pair: AutomorphismPair):
-    return {
-        "kind": "automorphism_pair",
-        "field": base.field.name,
-        "base": averaging_doc(base),
-        "coef": averaging_doc(coef),
-        "beta": matrix_doc(pair.beta),
-        "alpha": matrix_doc(pair.alpha),
-    }
+    return _doc("automorphism_pair", base.field, base=base, coef=coef, beta=pair.beta,
+                alpha=pair.alpha)
 
 
 def two_term_doc(t: TwoTermLinf, p: HomotopyAveraging | None = None):
-    doc = {
-        "kind": "two_term",
-        "field": t.field.name,
-        "dims": [t.n0, t.n1],
-        "d": matrix_doc(t.d),
-        "l2_00": tensor_doc(t.l2_00),
-        "l2_01": tensor_doc(t.l2_01),
-        "l3": altmap_doc(t.l3),
-        "P0": None,
-        "P1": None,
-        "P2": None,
-    }
-    if p is not None:
-        doc["P0"] = matrix_doc(p.P0)
-        doc["P1"] = matrix_doc(p.P1)
-        doc["P2"] = altmap_doc(p.P2)
-    return doc
+    P0, P1, P2 = (None, None, None) if p is None else (p.P0, p.P1, p.P2)
+    return _doc("two_term", t.field, dims=[t.n0, t.n1], d=t.d, l2_00=t.l2_00,
+                l2_01=t.l2_01, l3=t.l3, P0=P0, P1=P1, P2=P2)
 
 
 def crossed_doc(c: CrossedModule):
-    return {
-        "kind": "crossed_module",
-        "field": c.g0.field.name,
-        "g0": averaging_doc(c.g0),
-        "g1": averaging_doc(c.g1),
-        "d": matrix_doc(c.d),
-        "rho": tensor_doc(c.rho),
-    }
+    return _doc("crossed_module", c.g0.field, g0=c.g0, g1=c.g1, d=c.d, rho=c.rho)
 
 
 def bare_matrix_doc(m: Matrix):
-    return {"kind": "matrix", "field": m.field.name, "matrix": matrix_doc(m)}
+    return _doc("matrix", m.field, matrix=m)

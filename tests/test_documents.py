@@ -139,6 +139,18 @@ def test_gen_fixtures_reproduces_the_committed_fixtures(tmp_path):
             assert fh.read() == want.read(), name
 
 
+PARSERS = {
+    "lie_algebra": docs.parse_lie,
+    "averaging_lie_algebra": docs.parse_averaging,
+    "representation": docs.parse_representation,
+    "cochain": docs.parse_cochain,
+    "nonabelian_cocycle": docs.parse_cocycle,
+    "extension": docs.parse_extension,
+    "automorphism_pair": docs.parse_pair,
+    "two_term": docs.parse_two_term,
+    "crossed_module": docs.parse_crossed,
+    "matrix": docs.parse_bare_matrix,
+}
 REALIZERS = {
     "averaging_lie_algebra": docs.realize_averaging,
     "representation": docs.realize_representation,
@@ -175,7 +187,7 @@ def test_q_fixtures_hold_only_canonical_scalars():
         obj = docs.load_document(fixture_path(name))
         if obj["field"] != "Q":
             continue
-        parse = docs.PARSERS[obj["kind"]]
+        parse = PARSERS[obj["kind"]]
         try:
             value = REALIZERS.get(obj["kind"], parse)(obj)
         except ValidationError:

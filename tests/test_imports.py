@@ -172,6 +172,7 @@ OUTSIDE_CALLERS = {
     "realize_cocycle": "perfbench/tracing.py, tools/cli_sweep.py",
     "pair_doc": "perfbench/inputs.py, tools/gen_fixtures.py",
     "bare_matrix_doc": "tools/cli_sweep.py, its section documents",
+    "lie_doc": "tests only: the emitter of the lie_algebra kind, which no command writes",
     "Field.div": "tests only: the field API stays complete, and test_fields pins division",
     "PrimeField.elements": "tests only: the order affine_points and the searches follow",
     "Matrix.scale": "tests only: the loop oracles build action matrices with it",
