@@ -36,7 +36,14 @@ from avglie.lie import (
 from avglie.linalg import Matrix, Tensor, kernel_basis, sparse_matrices, vec_add
 from avglie.multilinear import AltMap
 
-from conftest import fixture_path, g2, g2_averaging, heisenberg, random_tensor, scramble_representation
+from conftest import (
+    fixture_path,
+    g2,
+    g2_averaging,
+    heisenberg,
+    random_tensor,
+    scramble_representation,
+)
 
 
 def adjoint_two_term(field, which="proj"):
