@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParseError
 
@@ -230,8 +231,10 @@ def GF(p: int) -> PrimeField:
     return _gf_cache[p]
 
 
+@lru_cache(maxsize=64)
 def field_from_string(text: str) -> Field:
-    """Parse a field tag: ``"Q"`` or ``"F<p>"`` with p prime."""
+    """Parse a field tag: ``"Q"`` or ``"F<p>"`` with p prime.  A document
+    and each one nested in it carry the tag, so recent ones are kept."""
     if text == "Q":
         return QQ
     m = re.fullmatch(r"F([0-9]+)", text)

@@ -15,7 +15,6 @@ from avglie import documents as docs
 from avglie.cohomology import Cochain
 from avglie.errors import ParseError
 from avglie.extensions import ExtensionData, NonAbelianCocycle
-from avglie.fields import GF, QQ
 from avglie.homotopy import CrossedModule
 from avglie.lie import AveragingLieAlgebra, LieAlgebra, Representation
 
@@ -150,10 +149,6 @@ def without(doc, path):
     return doc
 
 
-def test_the_emitters_cover_every_kind():
-    assert list(REEMIT) == list(docs.KINDS)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(docs.KINDS), st.sampled_from(sorted(SCALARS)), st.data())
 def test_drawn_documents_round_trip_and_need_every_key(kind, field, data):
@@ -168,11 +163,6 @@ def test_drawn_documents_round_trip_and_need_every_key(kind, field, data):
             continue
         with pytest.raises(ParseError):
             docs.parse_nested(without(doc, path))
-
-
-def test_the_scalars_drawn_are_canonical():
-    for name, field in (("Q", QQ), ("F2", GF(2)), ("F3", GF(3))):
-        assert [field.format(field.parse(x)) for x in SCALARS[name]] == SCALARS[name]
 
 
 def readme_payloads():

@@ -102,10 +102,6 @@ def broken(doc, faults):
     return doc
 
 
-def sha(data):
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
 def run(argv):
     """The exit code of one in-process run and its stdout and stderr."""
     stdout, stderr = io.StringIO(), io.StringIO()
