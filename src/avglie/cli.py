@@ -14,36 +14,26 @@ import sys
 from functools import cache
 
 from . import documents as docs
-from .cohomology import cohomology_report, is_cocycle
+from .cohomology import cohomology_report
 from .errors import AvgLieError, FieldTooLarge, InternalError, ParseError, ValidationError, Verdict
 from .extensions import (
-    ExtensionData,
-    NonAbelianCocycle,
     abelian_wells,
     audit_round_trip,
     build_extension,
     check_automorphism_pair,
-    check_cocycle,
     check_compatible_pair,
-    check_extension,
     extract_cocycle,
     induced_representation,
     lift_automorphism,
     wells_class,
 )
 from .homotopy import (
-    check_crossed_module,
-    check_homotopy_averaging,
-    check_two_term,
     crossed_semidirect,
     crossed_to_strict,
-    is_skeletal,
-    is_strict,
     skeletal_to_triple,
     strict_to_crossed,
     triple_to_skeletal,
 )
-from .lie import LieAlgebra, check_averaging, check_lie, check_representation
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -135,65 +125,9 @@ def _finish_conversion(out_doc, args, data):
 # check
 
 
-def _unchecked_cocycle(obj) -> NonAbelianCocycle:
-    """The triple of a cocycle document over its validated algebras, with
-    the cocycle clauses not yet checked."""
-    base, coef, chi, psi, Phi = docs.parse_cocycle(obj)
-    a = docs.realize_averaging(base)
-    h = docs.realize_averaging(coef)
-    return NonAbelianCocycle(a, h, chi, psi, Phi)
-
-
-def _check_dispatch(obj):
-    """The verdict on a document and the data its report carries."""
-    kind = obj["kind"]
-    if kind == "lie_algebra":
-        return check_lie(*docs.parse_lie(obj)), {}
-    if kind == "averaging_lie_algebra":
-        field, dim, bracket, P = docs.parse_averaging(obj)
-        v = check_lie(field, dim, bracket)
-        if not v:
-            return v, {}
-        return check_averaging(LieAlgebra(field, dim, bracket), P), {}
-    if kind == "representation":
-        base, vdim, psi, Q = docs.parse_representation(obj)
-        a = docs.realize_averaging(base)
-        return check_representation(a, vdim, psi, Q), {}
-    if kind == "cochain":
-        r, c = docs.realize_cochain(obj)
-        return Verdict.passed(), {"degree": c.degree, "is_cocycle": is_cocycle(r, c)}
-    if kind == "nonabelian_cocycle":
-        return check_cocycle(_unchecked_cocycle(obj)), {}
-    if kind == "extension":
-        *algebras, i, p, s = docs.parse_extension(obj)
-        e = ExtensionData(*map(docs.realize_averaging, algebras), i, p, s)
-        return check_extension(e), {}
-    if kind == "automorphism_pair":
-        base, coef, pair = docs.parse_pair(obj)
-        a = docs.realize_averaging(base)
-        h = docs.realize_averaging(coef)
-        return check_automorphism_pair(pair, a, h), {}
-    if kind == "two_term":
-        t, p = docs.parse_two_term(obj)
-        v = check_two_term(t)
-        if not v or p is None:
-            data = {"has_operators": p is not None}
-            if v:
-                data["skeletal"] = is_skeletal(t)
-            return v, data
-        hv = check_homotopy_averaging(t, p)
-        data = {
-            "has_operators": True,
-            "skeletal": is_skeletal(t),
-            "strict": is_strict(t, p) if hv else None,
-        }
-        return hv, data
-    if kind == "crossed_module":
-        return check_crossed_module(docs.realize_crossed(obj)), {}
-    if kind == "matrix":
-        m = docs.parse_bare_matrix(obj)
-        return Verdict.passed(), {"shape": [m.rows, m.cols]}
-    raise ParseError(f"unsupported kind {kind!r}")
+def _check(obj):
+    verdict, data = docs.check(obj)
+    return _finish(_verdict_report(verdict, {**data, "kind": obj["kind"]}))
 
 
 def cmd_check(args):
@@ -202,9 +136,7 @@ def cmd_check(args):
         # re-parse only: shapes and scalars, no algebraic laws
         docs.parse_nested(obj)
         return _finish(_report("pass", data={"kind": obj["kind"]}))
-    verdict, data = _check_dispatch(obj)
-    data["kind"] = obj["kind"]
-    return _finish(_verdict_report(verdict, data))
+    return _check(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +169,7 @@ def _parse_section(obj, e):
 def cmd_extension(args):
     if args.sub == "build":
         # build_extension checks the cocycle clauses
-        e = build_extension(_unchecked_cocycle(docs.load_document(args.path)))
+        e = build_extension(docs.unchecked("nonabelian_cocycle", docs.load_document(args.path)))
         out = docs.extension_doc(e)
         return _finish_conversion(out, args, {"total_dim": e.total.dim})
     if args.sub == "extract":
@@ -265,9 +197,7 @@ def cmd_extension(args):
 
 def cmd_wells(args):
     e = docs.realize_extension(docs.load_document(args.extension))
-    base_doc, coef_doc, pair = docs.parse_pair(docs.load_document(args.pair))
-    pbase = docs.realize_averaging(base_doc)
-    pcoef = docs.realize_averaging(coef_doc)
+    pbase, pcoef, pair = docs.unchecked("automorphism_pair", docs.load_document(args.pair))
     if pbase != e.base or pcoef != e.coef:
         return _finish(
             _report(
@@ -332,10 +262,7 @@ def cmd_wells(args):
 def cmd_homotopy(args):
     sub = args.sub
     if sub == "check":
-        obj = docs.load_document(args.path)
-        verdict, data = _check_dispatch(obj)
-        data["kind"] = obj["kind"]
-        return _finish(_verdict_report(verdict, data))
+        return _check(docs.load_document(args.path))
     if sub == "skeletal-to-cocycle":
         t, p = docs.parse_two_term(docs.load_document(args.path))
         if p is None:
@@ -356,12 +283,13 @@ def cmd_homotopy(args):
         out = docs.crossed_doc(cm)
         return _finish_conversion(out, args, {"crossed_module": True})
     if sub == "crossed-to-strict":
-        cm = docs.realize_crossed(docs.load_document(args.path))
+        # crossed_to_strict and crossed_semidirect check the crossed-module laws
+        cm = docs.unchecked("crossed_module", docs.load_document(args.path))
         t, p = crossed_to_strict(cm)
         out = docs.two_term_doc(t, p)
         return _finish_conversion(out, args, {"strict": True})
     if sub == "semidirect":
-        cm = docs.realize_crossed(docs.load_document(args.path))
+        cm = docs.unchecked("crossed_module", docs.load_document(args.path))
         a = crossed_semidirect(cm)
         out = docs.averaging_doc(a)
         return _finish_conversion(out, args, {"dim": a.dim})

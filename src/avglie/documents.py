@@ -9,7 +9,10 @@ fixtures diff cleanly and reports are byte-stable.
 
 `SCHEMAS` states each kind once: its keys in the order they are read,
 each with its type and shape.  One walker reads every kind by it, and
-each `parse_*` is a view of the values the walker returns.
+each `parse_*` is a view of the values the walker returns.  One entry
+of `OBJECTS` per kind builds its object from those values and names the
+laws the object must satisfy: `check` reports them, `realize_*` requires
+them.
 """
 
 from __future__ import annotations
@@ -18,12 +21,15 @@ import json
 from math import comb, prod
 from operator import itemgetter
 
-from .cohomology import Cochain
-from .errors import ParseError
-from .extensions import AutomorphismPair, ExtensionData, NonAbelianCocycle
+from .cohomology import Cochain, is_cocycle
+from .errors import InternalError, ParseError, Verdict
+from .extensions import (AutomorphismPair, ExtensionData, NonAbelianCocycle,
+                         check_automorphism_pair, check_cocycle, check_extension)
 from .fields import Field, field_from_string
-from .homotopy import CrossedModule, HomotopyAveraging, TwoTermLinf
-from .lie import AveragingLieAlgebra, LieAlgebra, Representation
+from .homotopy import (CrossedModule, HomotopyAveraging, TwoTermLinf, check_crossed_module,
+                       check_homotopy_averaging, check_two_term, is_skeletal, is_strict)
+from .lie import (AveragingLieAlgebra, LieAlgebra, Representation, check_averaging, check_lie,
+                  check_representation)
 from .linalg import Matrix, Tensor
 from .multilinear import AltMap
 
@@ -231,7 +237,6 @@ def _reader(kind, key, typ, shape):
             return _natural(doc, last, kinds[-1])
         return nested_natural
     parse = {"mat": parse_matrix, "ten": parse_tensor, "alt": parse_altmap}[typ.rstrip("?")]
-    label = None if kind == "matrix" else key  # a bare matrix's messages name no key
     if all(type(s) is str for s in shape):
         dims = itemgetter(*shape)
     else:  # constants among the names
@@ -239,8 +244,8 @@ def _reader(kind, key, typ, shape):
             return [v[s] if type(s) is str else s for s in shape]
     if typ.endswith("?"):
         return lambda obj, field, v: None if obj.get(key) is None else parse(
-            field, obj[key], kind, label, *dims(v))
-    return lambda obj, field, v: parse(field, _want(obj, key, kind), kind, label, *dims(v))
+            field, obj[key], kind, key, *dims(v))
+    return lambda obj, field, v: parse(field, _want(obj, key, kind), kind, key, *dims(v))
 
 
 _READERS = {kind: [(key, _reader(kind, key, typ, shape)) for key, typ, shape in entries]
@@ -277,43 +282,107 @@ def parse_pair(obj):
 
 
 def parse_two_term(obj):
-    v = _walk(obj, "two_term")
-    t = TwoTermLinf(*[v[k] for k in ("field", "n0", "n1", "d", "l2_00", "l2_01", "l3")])
-    return t, None if v["P0"] is None else HomotopyAveraging(v["P0"], v["P1"], v["P2"])
+    return unchecked("two_term", obj)
 
 
 def parse_bare_matrix(obj):
     return _walk(obj, "matrix")["matrix"]
 
 
-def realize_averaging(obj) -> AveragingLieAlgebra:
-    field, dim, bracket, P = parse_averaging(obj)
-    return AveragingLieAlgebra.validate(LieAlgebra.validate(field, dim, bracket), P)
+# ---------------------------------------------------------------------------
+# Objects and their laws.
 
 
-def realize_representation(obj) -> Representation:
-    base, vdim, psi, Q = parse_representation(obj)
-    return Representation.validate(realize_averaging(base), vdim, psi, Q)
+def _two_term(v):
+    t = TwoTermLinf(*[v[k] for k in ("field", "n0", "n1", "d", "l2_00", "l2_01", "l3")])
+    return t, None if v["P0"] is None else HomotopyAveraging(v["P0"], v["P1"], v["P2"])
+
+
+def _two_term_laws(tp):
+    t, p = tp
+    v, data = check_two_term(t), {"has_operators": p is not None}
+    if v:
+        data["skeletal"] = is_skeletal(t)
+        if p is not None:
+            v = check_homotopy_averaging(t, p)
+            data["strict"] = is_strict(t, p) if v else None
+    return v, data
+
+
+# kind -> (build, laws).  build makes the kind's object from the walker's
+# values, every nested document realized and none of the kind's own laws
+# checked; laws gives the verdict on them and the data `check` reports.
+OBJECTS = {
+    "lie_algebra": (lambda v: LieAlgebra(v["field"], v["dim"], v["bracket"]),
+                    lambda g: (check_lie(g.field, g.dim, g.bracket), {})),
+    _AVG: (lambda v: AveragingLieAlgebra(LieAlgebra(v["field"], v["dim"], v["bracket"]), v["P"]),
+           lambda a: (check_lie(a.field, a.dim, a.algebra.bracket)
+                      and check_averaging(a.algebra, a.P), {})),
+    "representation": (
+        lambda v: Representation(realize_averaging(v["base"]), v["vdim"], v["psi"], v["Q"]),
+        lambda r: (check_representation(r.base, r.vdim, r.psi, r.Q, r.sparse_acts), {})),
+    "cochain": (
+        lambda v: (realize_representation(v["representation"]), Cochain(
+            *itemgetter("field", "dim", "vdim", "degree", "f", "theta")(v))),
+        lambda rc: (Verdict.passed(), {"degree": rc[1].degree, "is_cocycle": is_cocycle(*rc)})),
+    "nonabelian_cocycle": (
+        lambda v: NonAbelianCocycle(realize_averaging(v["base"]), realize_averaging(v["coef"]),
+                                    v["chi"], v["psi"], v["Phi"]),
+        lambda c: (check_cocycle(c), {})),
+    "extension": (
+        lambda v: ExtensionData(*map(realize_averaging, itemgetter("base", "coef", "total")(v)),
+                                v["i"], v["p"], v["s"]),
+        lambda e: (check_extension(e), {})),
+    "automorphism_pair": (
+        lambda v: (realize_averaging(v["base"]), realize_averaging(v["coef"]),
+                   AutomorphismPair(v["beta"], v["alpha"])),
+        lambda x: (check_automorphism_pair(x[2], x[0], x[1]), {})),
+    "two_term": (_two_term, _two_term_laws),
+    "crossed_module": (
+        lambda v: CrossedModule(realize_averaging(v["g1"]), realize_averaging(v["g0"]),
+                                v["d"], v["rho"]),
+        lambda c: (check_crossed_module(c), {})),
+    "matrix": (itemgetter("matrix"),
+               lambda m: (Verdict.passed(), {"shape": [m.rows, m.cols]})),
+}
+
+
+def unchecked(kind, obj):
+    """The object of a document of kind, every nested document realized
+    and none of the kind's own laws checked."""
+    return OBJECTS[kind][0](_walk(obj, kind))
+
+
+def check(obj):
+    """The verdict on a document's laws and the data its report carries.
+    A nested document that breaks its laws raises ValidationError."""
+    kind = obj["kind"]
+    return OBJECTS[kind][1](unchecked(kind, obj))
+
+
+def _realizer(kind):
+    def realize(obj):
+        """The document's object with its laws required: a broken law
+        raises ValidationError carrying the verdict `check` gives."""
+        x = unchecked(kind, obj)
+        verdict, _ = OBJECTS[kind][1](x)
+        if not verdict.require().notes.get("sides_agree", True):  # as AveragingLieAlgebra.validate
+            raise InternalError("left and right averaging checks disagree")
+        return x
+    return realize
+
+
+realize_averaging = _realizer(_AVG)
+realize_representation = _realizer("representation")
+realize_cocycle = _realizer("nonabelian_cocycle")
+realize_extension = _realizer("extension")
+realize_crossed = _realizer("crossed_module")
 
 
 def realize_cochain(obj):
-    rep, field, dim, vdim, degree, f, theta = parse_cochain(obj)
-    return realize_representation(rep), Cochain(field, dim, vdim, degree, f, theta)
-
-
-def realize_cocycle(obj) -> NonAbelianCocycle:
-    base, coef, chi, psi, Phi = parse_cocycle(obj)
-    return NonAbelianCocycle.validate(*map(realize_averaging, (base, coef)), chi, psi, Phi)
-
-
-def realize_extension(obj) -> ExtensionData:
-    *algebras, i, p, s = parse_extension(obj)
-    return ExtensionData.validate(*map(realize_averaging, algebras), i, p, s)
-
-
-def realize_crossed(obj) -> CrossedModule:
-    g0, g1, d, rho = parse_crossed(obj)
-    return CrossedModule(realize_averaging(g1), realize_averaging(g0), d, rho)
+    """A cochain has no laws of its own: whether it is a cocycle is data
+    `check` reports, which realizing does not compute."""
+    return unchecked("cochain", obj)
 
 
 def parse_nested(obj):

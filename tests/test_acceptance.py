@@ -104,9 +104,7 @@ BROKEN_FIXTURES = {
 
 def validate_document(obj):
     """Verdict of the full validator for a parsed document."""
-    from avglie.cli import _check_dispatch
-
-    verdict, _ = _check_dispatch(obj)
+    verdict, _ = docs.check(obj)
     return verdict
 
 

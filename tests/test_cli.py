@@ -212,6 +212,18 @@ def test_extension_extract_rejects_a_misshapen_section(tmp_path):
         assert message in report["notes"]["message"]
 
 
+def test_a_bare_matrix_names_its_key_in_parse_errors(tmp_path):
+    bad = tmp_path / "matrix.json"
+    bad.write_text(json.dumps({"kind": "matrix", "field": "F3",
+                               "matrix": {"shape": [2], "entries": []}}))
+    for argv in (("check", str(bad)),
+                 ("extension", "extract", fixture_path("extension_f3.json"),
+                  "--section", str(bad))):
+        code, report, _ = run_cli(*argv)
+        assert code == 2, argv
+        assert report["notes"]["message"] == "matrix: matrix must be 2-dimensional", argv
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, report, err = run_cli(

@@ -65,10 +65,11 @@ def name_counts(trees, keep=None):
     return total
 
 
-def times_named(total, d, keep=None):
+def times_named(total, d, keep=None, name=None):
     # a definition naming itself, as a recursive call does, does not use it
-    return total.get(d.name, 0) - sum(
-        named(n) == d.name and (keep is None or keep(n)) for n in ast.walk(d))
+    name = name or d.name
+    return total.get(name, 0) - sum(
+        named(n) == name and (keep is None or keep(n)) for n in ast.walk(d))
 
 
 FIELD_CLASSES = ("Field", "Rationals", "PrimeField")
@@ -97,9 +98,11 @@ def private_definitions(sources):
 
 
 def unnamed_public_definitions(sources):
-    """The public module-level functions and classes, and the public
-    methods of those classes, of the module texts in sources that no module
-    names outside the definition itself, as "name" or "Class.name", sorted.
+    """The public module-level functions and classes, the public methods of
+    those classes and the public names bound to what a private factory
+    returns (`parse_lie = _view(...)`), of the module texts in sources that
+    no module names outside the definition itself, as "name" or
+    "Class.name", sorted.
     The imports of `__init__` count as names, so an exported definition is
     named; as for private helpers, a name stands for every definition that
     bears it, but an attribute read on a field (`off_a_field`) names only a
@@ -110,13 +113,17 @@ def unnamed_public_definitions(sources):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((node.name, node, None))
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                  and getattr(node.value.func, "id", "").startswith("_")):
+                defs += [(t.id, node, None) for t in node.targets if isinstance(t, ast.Name)]
             if isinstance(node, ast.ClassDef):
                 keep = None if node.name in FIELD_CLASSES else off_a_field
                 defs += [(f"{node.name}.{m.name}", m, keep) for m in node.body
                          if isinstance(m, ast.FunctionDef)]
     totals = {keep: name_counts(trees, keep) for keep in (None, off_a_field)}
     return sorted(q for q, d, keep in defs
-                  if not d.name.startswith("_") and times_named(totals[keep], d, keep) == 0)
+                  if not (name := q.rsplit(".", 1)[-1]).startswith("_")
+                  and times_named(totals[keep], d, keep, name) == 0)
 
 
 def test_the_check_finds_unused_helpers():
@@ -157,8 +164,10 @@ def test_the_check_finds_unnamed_public_definitions():
         "class Box:\n    def neg(self):\n        return self\n"
         "    def twice(self, f):\n        return f.neg(self.field.neg(1))\n",
         "y = Box().twice(Field())\n",
+        # a name a private factory makes is a definition; a constant is not
+        "made = _factory(1)\nused = _factory(2)\nLIMIT = max(1, 2)\nz = used()\n",
     ]
-    assert unnamed_public_definitions(sources) == ["Box.neg", "Kept.unused", "unnamed"]
+    assert unnamed_public_definitions(sources) == ["Box.neg", "Kept.unused", "made", "unnamed"]
 
 
 # The public definitions that no module of avglie names, each with its
@@ -170,6 +179,15 @@ OUTSIDE_CALLERS = {
     "LieAlgebra.from_pairs": "perfbench/inputs.py, tools/gen_fixtures.py, the README tour",
     "perturbed_section": "tools/cli_sweep.py, its perturbed-section documents",
     "realize_cocycle": "perfbench/tracing.py, tools/cli_sweep.py",
+    "realize_crossed": "perfbench/tracing.py, tests: the acceptance criteria and test_schemas",
+    "parse_lie": "perfbench/tracing.py, tests: the oracle's lie_algebra fixtures",
+    "parse_averaging": "perfbench/tracing.py, tests: test_documents and the oracle's fixtures",
+    "parse_representation": "perfbench/tracing.py, which spans every parse_* view",
+    "parse_cochain": "perfbench/tracing.py, which spans every parse_* view",
+    "parse_cocycle": "perfbench/tracing.py, which spans every parse_* view",
+    "parse_extension": "perfbench/tracing.py, tests: test_documents and test_schemas",
+    "parse_pair": "perfbench/tracing.py, which spans every parse_* view",
+    "parse_crossed": "perfbench/tracing.py, which spans every parse_* view",
     "pair_doc": "perfbench/inputs.py, tools/gen_fixtures.py",
     "bare_matrix_doc": "tools/cli_sweep.py, its section documents",
     "lie_doc": "tests only: the emitter of the lie_algebra kind, which no command writes",

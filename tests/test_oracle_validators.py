@@ -189,21 +189,17 @@ def fixture_checks(obj):
             out.append((lie.induced_leibniz, oracle.induced_leibniz, (a,)))
         return out
     if kind == "representation":
-        base, vdim, psi, Q = docs.parse_representation(obj)
-        a = docs.realize_averaging(base)
-        out = [(lie.check_representation, oracle.check_representation, (a, vdim, psi, Q))]
+        r = docs.unchecked(kind, obj)
+        a, vdim, psi = r.base, r.vdim, r.psi
+        out = [(lie.check_representation, oracle.check_representation, (a, vdim, psi, r.Q))]
         if vdim == a.dim:
             out.append((lie.check_embedding_tensor, oracle.check_embedding_tensor,
                         (a.algebra, vdim, psi, Matrix.identity(a.field, vdim))))
         return out
     if kind == "nonabelian_cocycle":
-        base, coef, chi, psi, Phi = docs.parse_cocycle(obj)
-        c = ext.NonAbelianCocycle(docs.realize_averaging(base), docs.realize_averaging(coef),
-                                  chi, psi, Phi)
-        return [(ext.check_cocycle, oracle.check_cocycle, (c,))]
+        return [(ext.check_cocycle, oracle.check_cocycle, (docs.unchecked(kind, obj),))]
     if kind == "extension":
-        *algebras_, i, p, s = docs.parse_extension(obj)
-        e = ext.ExtensionData(*map(docs.realize_averaging, algebras_), i, p, s)
+        e = docs.unchecked(kind, obj)
         out = [(ext.check_extension, oracle.check_extension, (e,))]
         if ext.check_extension(e):
             out.append((ext.audit_round_trip, oracle.audit_round_trip, (e,)))
@@ -211,8 +207,7 @@ def fixture_checks(obj):
                 out.append((ext.check_split_semidirect, oracle.check_split_semidirect, (e,)))
         return out
     if kind == "automorphism_pair":
-        base, coef, pair = docs.parse_pair(obj)
-        a, h = docs.realize_averaging(base), docs.realize_averaging(coef)
+        a, h, pair = docs.unchecked(kind, obj)
         return [(ext.check_algebra_automorphism, oracle.check_algebra_automorphism,
                  (h, pair.beta, "beta")),
                 (ext.check_algebra_automorphism, oracle.check_algebra_automorphism,
@@ -223,7 +218,7 @@ def fixture_checks(obj):
                (hom.check_homotopy_averaging, oracle.check_homotopy_averaging, (t, p))]
         return out + [(hom.strict_to_crossed, oracle.strict_to_crossed, (t, p))]
     assert kind == "crossed_module"
-    return [(hom.check_crossed_module, oracle.check_crossed_module, (docs.realize_crossed(obj),))]
+    return [(hom.check_crossed_module, oracle.check_crossed_module, (docs.unchecked(kind, obj),))]
 
 
 def test_every_fixture_agrees_with_the_oracle():

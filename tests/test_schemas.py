@@ -3,6 +3,8 @@ back byte for byte and break when a key is left out; and the README's
 table of kinds names the keys it states."""
 
 import copy
+import functools
+import glob
 import os
 import re
 from math import comb, prod
@@ -12,11 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avglie import documents as docs
-from avglie.cohomology import Cochain
-from avglie.errors import ParseError
-from avglie.extensions import ExtensionData, NonAbelianCocycle
-from avglie.homotopy import CrossedModule
-from avglie.lie import AveragingLieAlgebra, LieAlgebra, Representation
+from avglie.errors import ParseError, ValidationError
+
+from conftest import FIXTURES
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -80,54 +80,30 @@ def documents(draw, kind, field):
     return doc
 
 
-def averaging(doc):
-    field, dim, bracket, P = docs.parse_averaging(doc)
-    return AveragingLieAlgebra(LieAlgebra(field, dim, bracket), P)
-
-
-def representation(doc):
-    base, vdim, psi, Q = docs.parse_representation(doc)
-    return Representation(averaging(base), vdim, psi, Q)
-
-
-def cochain(doc):
-    rep, *values = docs.parse_cochain(doc)
-    return docs.cochain_doc(representation(rep), Cochain(*values))
-
-
-def cocycle(doc):
-    base, coef, *values = docs.parse_cocycle(doc)
-    return docs.cocycle_doc(NonAbelianCocycle(averaging(base), averaging(coef), *values))
-
-
-def extension(doc):
-    base, coef, total, *values = docs.parse_extension(doc)
-    return docs.extension_doc(ExtensionData(*map(averaging, (base, coef, total)), *values))
-
-
-def pair(doc):
-    base, coef, p = docs.parse_pair(doc)
-    return docs.pair_doc(averaging(base), averaging(coef), p)
-
-
-def crossed(doc):
-    g0, g1, d, rho = docs.parse_crossed(doc)
-    return docs.crossed_doc(CrossedModule(averaging(g1), averaging(g0), d, rho))
-
-
-# each kind's document through its library objects, no law checked, and back
-REEMIT = {
-    "lie_algebra": lambda doc: docs.lie_doc(LieAlgebra(*docs.parse_lie(doc))),
-    "averaging_lie_algebra": lambda doc: docs.averaging_doc(averaging(doc)),
-    "representation": lambda doc: docs.representation_doc(representation(doc)),
-    "cochain": cochain,
-    "nonabelian_cocycle": cocycle,
-    "extension": extension,
-    "automorphism_pair": pair,
-    "two_term": lambda doc: docs.two_term_doc(*docs.parse_two_term(doc)),
-    "crossed_module": crossed,
-    "matrix": lambda doc: docs.bare_matrix_doc(docs.parse_bare_matrix(doc)),
+# each kind's emitter: a tuple object is written from its parts
+EMITTERS = {
+    "lie_algebra": docs.lie_doc,
+    "averaging_lie_algebra": docs.averaging_doc,
+    "representation": docs.representation_doc,
+    "cochain": docs.cochain_doc,
+    "nonabelian_cocycle": docs.cocycle_doc,
+    "extension": docs.extension_doc,
+    "automorphism_pair": docs.pair_doc,
+    "two_term": docs.two_term_doc,
+    "crossed_module": docs.crossed_doc,
+    "matrix": docs.bare_matrix_doc,
 }
+
+
+def reemit(kind, doc):
+    """doc through its library objects, built by `documents.OBJECTS` with
+    no law checked at any depth, and back."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, nested in (("realize_averaging", "averaging_lie_algebra"),
+                             ("realize_representation", "representation")):
+            mp.setattr(docs, name, functools.partial(docs.unchecked, nested))
+        x = docs.unchecked(kind, doc)
+    return EMITTERS[kind](*x) if isinstance(x, tuple) else EMITTERS[kind](x)
 
 
 def key_paths(obj, prefix=()):
@@ -154,7 +130,7 @@ def without(doc, path):
 def test_drawn_documents_round_trip_and_need_every_key(kind, field, data):
     doc = data.draw(documents(kind, field))
     docs.parse_nested(doc)
-    assert docs.dump_document(REEMIT[kind](doc)) == docs.dump_document(doc)
+    assert docs.dump_document(reemit(kind, doc)) == docs.dump_document(doc)
     for path in key_paths(doc):
         if path == ("kind",):  # read by load_document, before any parser
             continue
@@ -163,6 +139,50 @@ def test_drawn_documents_round_trip_and_need_every_key(kind, field, data):
             continue
         with pytest.raises(ParseError):
             docs.parse_nested(without(doc, path))
+
+
+REALIZE = {
+    "averaging_lie_algebra": docs.realize_averaging,
+    "representation": docs.realize_representation,
+    "cochain": docs.realize_cochain,
+    "nonabelian_cocycle": docs.realize_cocycle,
+    "extension": docs.realize_extension,
+    "crossed_module": docs.realize_crossed,
+}
+
+
+def assert_realize_agrees_with_check(doc):
+    """realize_<kind> returns the object `check` built when `check` passes,
+    and otherwise raises ValidationError with the verdict `check` returns,
+    or raises when a nested document breaks a law; any other exception
+    propagates."""
+    kind = doc["kind"]
+    try:
+        verdict, _ = docs.check(doc)
+    except ValidationError as exc:
+        verdict = exc.verdict
+    if verdict:
+        assert REALIZE[kind](doc) == docs.unchecked(kind, doc)
+        return
+    with pytest.raises(ValidationError) as got:
+        REALIZE[kind](doc)
+    assert got.value.verdict == verdict
+
+
+def test_realize_agrees_with_check_on_every_fixture():
+    seen = set()
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.json"), recursive=True)):
+        doc = docs.load_document(path)
+        if doc["kind"] in REALIZE:
+            assert_realize_agrees_with_check(doc)
+            seen.add(doc["kind"])
+    assert seen == set(REALIZE) - {"cochain"}  # no fixture is a cochain
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(REALIZE)), st.sampled_from(sorted(SCALARS)), st.data())
+def test_realize_agrees_with_check_on_drawn_documents(kind, field, data):
+    assert_realize_agrees_with_check(data.draw(documents(kind, field)))
 
 
 def readme_payloads():
