@@ -15,8 +15,9 @@ the same relative path on every checkout.  The sweep covers:
   the extension built from every valid cocycle fixture, each with three
   section documents written into the temporary copy: the default section,
   a `perturbed_section` and a non-section (zero);
-- `wells` on every extension document x automorphism-pair document, with
-  every combination of `--abelian` and `--lift`.
+- `wells` on every extension document x automorphism-pair document, and on
+  each of those valid extensions with its identity pair, written into the
+  temporary copy, each with every combination of `--abelian` and `--lift`.
 
 Each run prints one line: the command, its exit code and the first 16 hex
 digits of the sha256 of its stdout, its stderr and the file it wrote (`-`
@@ -42,7 +43,12 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from avglie import documents as docs  # noqa: E402
 from avglie.cli import main  # noqa: E402
-from avglie.extensions import build_extension, default_section, perturbed_section  # noqa: E402
+from avglie.extensions import (  # noqa: E402
+    AutomorphismPair,
+    build_extension,
+    default_section,
+    perturbed_section,
+)
 from avglie.linalg import Matrix  # noqa: E402
 
 EXTENSION_SUBS = ("build", "extract", "audit")
@@ -72,11 +78,10 @@ def fixture_kinds():
     return sorted(found)
 
 
-def write_sections(kinds):
-    """Write the default, a perturbed and a non-section document for each
-    valid extension fixture, and for the extension built from each valid
-    cocycle fixture, under `sections/`.  Returns (extension path, section
-    path) pairs, in order."""
+def valid_extensions(kinds):
+    """(path, extension) of each valid extension fixture and of the
+    extension built from each valid cocycle fixture, which is written under
+    `sections/`, in order."""
     os.makedirs("sections")
     extensions = []
     for path, kind in kinds:
@@ -89,6 +94,13 @@ def write_sections(kinds):
             built = os.path.join("sections", f"{stem_of(path)}-extension.json")
             write_document(built, docs.extension_doc(e))
             extensions.append((built, e))
+    return extensions
+
+
+def write_sections(extensions):
+    """Write the default, a perturbed and a non-section document for each
+    extension under `sections/`.  Returns (extension path, section path)
+    pairs, in order."""
     pairs = []
     for path, e in extensions:
         f, n, m = e.total.field, e.base.dim, e.coef.dim
@@ -103,6 +115,19 @@ def write_sections(kinds):
     return pairs
 
 
+def write_identity_pairs(extensions):
+    """Write the identity automorphism pair of each extension under
+    `sections/`.  Returns (extension path, pair path) pairs, in order."""
+    pairs = []
+    for path, e in extensions:
+        f = e.total.field
+        ident = AutomorphismPair(Matrix.identity(f, e.coef.dim), Matrix.identity(f, e.base.dim))
+        out = os.path.join("sections", f"{stem_of(path)}-identity-pair.json")
+        write_document(out, docs.pair_doc(e.base, e.coef, ident))
+        pairs.append((path, out))
+    return pairs
+
+
 def stem_of(path):
     return os.path.splitext(os.path.basename(path))[0]
 
@@ -112,9 +137,13 @@ def write_document(path, doc):
         fh.write(docs.dump_document(doc))
 
 
-def commands(kinds, sections):
+WELLS_FLAGS = ([], ["--abelian"], ["--lift"], ["--abelian", "--lift"])
+
+
+def commands(kinds, sections, identities):
     """(argv, output path or None) of every run, in a fixed order;
-    `sections` holds (extension path, section path) pairs."""
+    `sections` holds (extension path, section path) pairs and `identities`
+    (extension path, identity pair path) pairs."""
     paths = [p for p, _ in kinds]
     runs = []
     for path in paths:
@@ -134,10 +163,10 @@ def commands(kinds, sections):
         runs.append((["extension", "extract", path, "--section", section], None))
     extensions = [p for p, k in kinds if k == "extension"]
     pairs = [p for p, k in kinds if k == "automorphism_pair"]
-    for ext in extensions:
-        for pair in pairs:
-            for flags in ([], ["--abelian"], ["--lift"], ["--abelian", "--lift"]):
-                runs.append((["wells", ext, pair] + flags, None))
+    wells = [(ext, pair) for ext in extensions for pair in pairs] + identities
+    for ext, pair in wells:
+        for flags in WELLS_FLAGS:
+            runs.append((["wells", ext, pair] + flags, None))
     return runs
 
 
@@ -172,7 +201,9 @@ def sweep_lines():
         os.chdir(tmp)
         try:
             kinds = fixture_kinds()
-            return [run(argv, out) for argv, out in commands(kinds, write_sections(kinds))]
+            extensions = valid_extensions(kinds)
+            runs = commands(kinds, write_sections(extensions), write_identity_pairs(extensions))
+            return [run(argv, out) for argv, out in runs]
         finally:
             os.chdir(cwd)
 
