@@ -15,7 +15,7 @@ from functools import cache
 
 from . import documents as docs
 from .cohomology import cohomology_report
-from .errors import AvgLieError, FieldTooLarge, InternalError, ParseError, ValidationError, Verdict
+from .errors import AvgLieError, FieldTooLarge, ParseError, ValidationError, Verdict
 from .extensions import (
     abelian_wells,
     audit_round_trip,
@@ -211,48 +211,31 @@ def cmd_wells(args):
         return _finish(_verdict_report(pv))
     data = {}
     if args.abelian:
-        rep = induced_representation(e)
-        compatible = bool(check_compatible_pair(pair, rep))
-        data["compatible_pair"] = compatible
-        if not compatible:
-            return _finish(
-                _report(
-                    "fail",
-                    clause="compatible",
-                    notes={"message": "pair is not compatible with the action"},
-                    data=data,
-                )
-            )
-        cochain, zero = abelian_wells(pair, e)
+        data["compatible_pair"] = bool(check_compatible_pair(pair, induced_representation(e)))
+        if not data["compatible_pair"]:
+            notes = {"message": "pair is not compatible with the action"}
+            return _finish(_report("fail", clause="compatible", notes=notes, data=data))
+        w = abelian_wells(pair, e)
         data["difference"] = {
-            "chi": docs.altmap_doc(cochain.f),
-            "Phi": [e.total.field.format(x) for x in cochain.theta.entries],
+            "chi": docs.altmap_doc(w.cochain.f),
+            "Phi": [e.total.field.format(x) for x in w.cochain.theta.entries],
         }
-        data["zero_class"] = zero
-        data["inducible"] = zero
-        status = "pass" if zero else "fail"
-        clause = None if zero else "wells-nonzero"
-        if zero and args.lift:
-            w = wells_class(pair, e)
-            if w.phi is None:  # the abelian class is zero exactly when one exists
-                raise InternalError("zero abelian Wells class without an equivalence")
-            gamma = lift_automorphism(pair, e, w.phi)
-            data["gamma"] = docs.matrix_doc(gamma)
-        return _finish(_report(status, clause=clause, data=data))
-    w = wells_class(pair, e)
-    data["difference"] = {
-        "chi": docs.altmap_doc(w.delta_chi),
-        "psi": docs.tensor_doc(w.delta_psi),
-        "Phi": docs.matrix_doc(w.delta_phi),
-    }
+        data["zero_class"] = w.inducible
+    else:
+        w = wells_class(pair, e)
+        data["difference"] = {
+            "chi": docs.altmap_doc(w.delta_chi),
+            "psi": docs.tensor_doc(w.delta_psi),
+            "Phi": docs.matrix_doc(w.delta_phi),
+        }
+        if w.inducible:
+            data["phi"] = docs.matrix_doc(w.phi)
     data["inducible"] = w.inducible
-    if w.inducible:
-        data["phi"] = docs.matrix_doc(w.phi)
-        if args.lift:
-            gamma = lift_automorphism(pair, e, w.phi)
-            data["gamma"] = docs.matrix_doc(gamma)
-        return _finish(_report("pass", data=data))
-    return _finish(_report("fail", clause="wells-nonzero", data=data))
+    if not w.inducible:
+        return _finish(_report("fail", clause="wells-nonzero", data=data))
+    if args.lift:
+        data["gamma"] = docs.matrix_doc(lift_automorphism(pair, e, w.phi))
+    return _finish(_report("pass", data=data))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Non-abelian extensions, the Wells map, inducibility of automorphism
-pairs with constructive lifting, and the abelian specialization.
+pairs with constructive lifting, and the abelian specialization, where
+the Wells class is read as an averaging 2-cochain and checked against it.
 
 Extensions carry explicit inclusion and projection matrices, so externally
 authored extensions with scrambled bases are first-class inputs.  Every
@@ -674,7 +675,9 @@ def transform_cocycle(pair: AutomorphismPair, c: NonAbelianCocycle) -> NonAbelia
 
 @dataclass(frozen=True)
 class WellsResult:
-    """Difference cocycle components and the inducibility decision."""
+    """Difference cocycle components and the inducibility decision; on an
+    abelian kernel with delta_psi zero, `cochain` is the difference in the
+    averaging C^2(g, V)."""
 
     delta_chi: AltMap
     delta_psi: Tensor
@@ -685,12 +688,12 @@ class WellsResult:
     def inducible(self):
         return self.phi is not None
 
-    def difference_is_zero(self):
-        return (
-            self.delta_chi.is_zero()
-            and self.delta_psi.is_zero()
-            and self.delta_phi.is_zero()
-        )
+    @cached_property
+    def cochain(self) -> Cochain:
+        """The degree-2 cochain with f = delta_chi and theta(x) = delta_phi x."""
+        f, (m, n) = self.delta_chi.field, (self.delta_phi.rows, self.delta_phi.cols)
+        theta = Tensor(f, (n, m), [x for j in range(n) for x in self.delta_phi.col(j)])
+        return Cochain(f, n, m, 2, self.delta_chi, theta)
 
 
 def wells_class(pair: AutomorphismPair, e: ExtensionData) -> WellsResult:
@@ -713,7 +716,7 @@ def lift_automorphism(pair: AutomorphismPair, e: ExtensionData, phi: Matrix) -> 
     """
     basis = e._own_basis
     gamma = basis.block_map(pair, phi)
-    _require_automorphism(e, gamma)
+    check_algebra_automorphism(e.total, gamma, "gamma").require()
     if gamma.mul(e.i) != e.i.mul(pair.beta):
         raise ValidationError(
             Verdict.failed(
@@ -732,7 +735,7 @@ def project_automorphism(e: ExtensionData, gamma: Matrix) -> AutomorphismPair:
     """The pair (gamma restricted to the kernel, p gamma s): the diagonal
     blocks of gamma in the basis (s | i) of e's own section s, whose upper
     right block is p gamma i."""
-    _require_automorphism(e, gamma)
+    check_algebra_automorphism(e.total, gamma, "gamma").require()
     return _project(e, gamma)
 
 
@@ -750,10 +753,6 @@ def _project(e: ExtensionData, gamma: Matrix) -> AutomorphismPair:
     if not pv:
         raise InternalError(f"projected pair failed clause {pv.clause}")
     return pair
-
-
-def _require_automorphism(e: ExtensionData, gamma: Matrix):
-    check_algebra_automorphism(e.total, gamma, "gamma").require()
 
 
 # ---------------------------------------------------------------------------
@@ -996,32 +995,24 @@ def check_compatible_pair(pair: AutomorphismPair, r: Representation) -> Verdict:
     return Verdict.passed()
 
 
-def abelian_wells(pair: AutomorphismPair, e: ExtensionData):
-    """The difference class as a genuine degree-2 cochain.
+def abelian_wells(pair: AutomorphismPair, e: ExtensionData) -> WellsResult:
+    """`wells_class(pair, e)` on an abelian kernel, for a pair compatible
+    with the induced representation: its `cochain` represents the class
+    in the averaging H^2(g, V).
 
-    Returns (cochain, is_zero_class); coefficients must be abelian and the
-    pair compatible with the induced representation.
+    The clauses are `abelian`, the pair's (through `transform_cocycle`)
+    and `compatible`, in that order.  The zero class is decided twice, by
+    the equivalence solve and by `is_coboundary`; an InternalError reports
+    a disagreement, or a changed action.
     """
     induced = induced_representation(e)
-    orig = extract_cocycle(e)
-    check_automorphism_pair(pair, e.base, e.coef).require()
+    w = wells_class(pair, e)
     check_compatible_pair(pair, induced).require()
-    trans = transform_cocycle(pair, orig)
-    if trans.psi != orig.psi:
+    if not w.delta_psi.is_zero():
         raise InternalError("compatible pair changed the induced action")
-    f = e.total.field
-    n, m = e.base.dim, e.coef.dim
-    dphi = trans.Phi.sub(orig.Phi)
-    cochain = Cochain(
-        f,
-        n,
-        m,
-        2,
-        trans.chi.sub(orig.chi),
-        Tensor(f, (n, m), [x for j in range(n) for x in dphi.col(j)]),
-    )
-    preimage = is_coboundary(induced, cochain)
-    return cochain, preimage is not None
+    if (is_coboundary(induced, w.cochain) is not None) != w.inducible:
+        raise InternalError("the abelian Wells class and the equivalence solve disagree")
+    return w
 
 
 def compatible_pairs(e: ExtensionData):

@@ -369,7 +369,8 @@ def test_criterion_6_wells_inducibility():
             Matrix.identity(e.total.field, m), Matrix.identity(e.total.field, n)
         )
         w = wells_class(ident, e)
-        assert w.difference_is_zero() and w.inducible is True
+        assert w.delta_chi.is_zero() and w.delta_psi.is_zero() and w.delta_phi.is_zero()
+        assert w.inducible is True
     note(
         f"ACCEPTANCE 6: PASS - {projected} enumerated automorphisms project to "
         f"inducible pairs with verified lifts; {noninducible} declared "
@@ -471,8 +472,7 @@ def test_criterion_9_split_case():
     assert v.ok
     cpairs = compatible_pairs(e)
     for pair in cpairs:
-        cochain, zero = abelian_wells(pair, e)
-        assert zero
+        assert abelian_wells(pair, e).inducible
     assert v.notes["aut_total"] == v.notes["compatible_pairs"] * v.notes["kernel_fixing"]
     note(
         "ACCEPTANCE 9: PASS - split fixture extracts the zero cocycle, the "

@@ -349,26 +349,39 @@ def test_wells_decides_a_pair_over_q_with_nonabelian_coefficients(tmp_path, caps
         assert report["data"]["inducible"] is False
 
 
-def test_wells_abelian_lift_without_a_witness_is_an_error(monkeypatch, capsys):
-    from dataclasses import replace
-
+def test_wells_abelian_class_disagreeing_with_the_equivalence_solve_is_an_error(
+    monkeypatch, capsys
+):
+    """`abelian_wells` decides the zero class twice, by `is_coboundary` on
+    the difference and by the equivalence solve; read a zero class as
+    obstructed, or drop the witness, and it raises InternalError, which
+    `wells --abelian` reports as an error line with exit 1."""
+    import avglie.documents as docs
+    import avglie.extensions as ext
     from avglie import cli
+    from avglie.errors import InternalError
 
-    argv = ["wells", fixture_path("extension_f3.json"), fixture_path("pair_f3_identity.json"),
-            "--abelian", "--lift"]
+    ext_path, pair_path = fixture_path("extension_f3.json"), fixture_path("pair_f3_identity.json")
+    e = docs.realize_extension(docs.load_document(ext_path))
+    _, _, pair = docs.unchecked("automorphism_pair", docs.load_document(pair_path))
+    argv = ["wells", ext_path, pair_path, "--abelian"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    wells_class = cli.wells_class
-    monkeypatch.setattr(cli, "wells_class", lambda *a: replace(wells_class(*a), phi=None))
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    for name in ("is_coboundary", "cocycles_equivalent"):
+        with monkeypatch.context() as m:
+            m.setattr(ext, name, lambda *a: None)
+            with pytest.raises(InternalError):
+                ext.abelian_wells(pair, e)
+            assert cli.main(argv) == 1, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, name
 
 
 def test_wells_reads_the_extension_through_one_section(tmp_path, monkeypatch, capsys):
     """`wells --abelian --lift` on an extension without a stored section
     solves for the default section once, builds (s | i) once and extracts
-    the extension's cocycle once, for all four readers of the extension."""
+    the extension's cocycle once, for all four readers of the extension;
+    it transforms the cocycle once and checks the pair at most twice."""
     from dataclasses import replace
 
     import avglie.documents as docs
@@ -383,12 +396,15 @@ def test_wells_reads_the_extension_through_one_section(tmp_path, monkeypatch, ca
     ext_path, pair_path = tmp_path / "extension.json", tmp_path / "pair.json"
     ext_path.write_text(docs.dump_document(docs.extension_doc(e)))
     pair_path.write_text(docs.dump_document(docs.pair_doc(e.base, e.coef, ident)))
-    calls = {name: [] for name in ("default_section", "_section_basis", "_extract")}
+    calls = {name: [] for name in ("default_section", "_section_basis", "_extract",
+                                   "transform_cocycle", "check_automorphism_pair")}
     for name, seen in calls.items():
         def wrapper(*args, _inner=getattr(ext, name), _seen=seen):
             _seen.append(args[0])
             return _inner(*args)
         monkeypatch.setattr(ext, name, wrapper)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, wrapper)
     assert cli.main(["wells", str(ext_path), str(pair_path), "--abelian", "--lift"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["data"]["inducible"] is True and "gamma" in report["data"]
@@ -396,6 +412,8 @@ def test_wells_reads_the_extension_through_one_section(tmp_path, monkeypatch, ca
     assert len(calls["_section_basis"]) == 1
     # the other calls read the transformed cocycles off their own total spaces
     assert sum(isinstance(src, ext.ExtensionData) for src in calls["_extract"]) == 1
+    assert len(calls["transform_cocycle"]) == 1
+    assert len(calls["check_automorphism_pair"]) <= 2
 
 
 def test_wells_pair_mismatch():

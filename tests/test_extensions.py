@@ -449,7 +449,8 @@ def test_wells_identity_pair():
     e = extension_f3()
     ident = AutomorphismPair(Matrix(GF(3), [[1]]), Matrix(GF(3), [[1]]))
     w = wells_class(ident, e)
-    assert w.difference_is_zero() and w.inducible is True
+    assert w.delta_chi.is_zero() and w.delta_psi.is_zero() and w.delta_phi.is_zero()
+    assert w.inducible is True
     gamma = lift_automorphism(ident, e, w.phi)
     pair = project_automorphism(e, gamma)
     assert pair.beta == ident.beta and pair.alpha == ident.alpha
@@ -612,8 +613,8 @@ def test_abelian_wells_obstructed_pair():
     rep = induced_representation(e)
     pair = AutomorphismPair(Matrix(GF(3), [[2]]), Matrix(GF(3), [[1]]))
     assert check_compatible_pair(pair, rep).ok
-    cochain, zero = abelian_wells(pair, e)
-    assert not zero
+    w = abelian_wells(pair, e)
+    assert not w.inducible and not w.cochain.is_zero()
     assert wells_class(pair, e).inducible is False
     # exhaustive lift search agrees
     lifts = [
@@ -628,8 +629,8 @@ def test_abelian_wells_obstructed_pair():
 def test_abelian_wells_identity_zero_class():
     e = abelian_obstructed_extension()
     ident = AutomorphismPair(Matrix(GF(3), [[1]]), Matrix(GF(3), [[1]]))
-    cochain, zero = abelian_wells(ident, e)
-    assert zero and cochain.is_zero()
+    w = abelian_wells(ident, e)
+    assert w.inducible and w.cochain.is_zero()
 
 
 def test_abelian_wells_rejects_incompatible_pair():
@@ -699,8 +700,7 @@ def test_nonsplit_wells_vanishes_on_compatible_identity_only():
     e = split_f2_extension()
     rep = induced_representation(e)
     for pair in compatible_pairs(e):
-        cochain, zero = abelian_wells(pair, e)
-        assert zero
+        assert abelian_wells(pair, e).inducible
 
 
 def test_extensions_equivalent_search():

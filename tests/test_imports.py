@@ -188,14 +188,12 @@ OUTSIDE_CALLERS = {
     "parse_extension": "perfbench/tracing.py, tests: test_documents and test_schemas",
     "parse_pair": "perfbench/tracing.py, which spans every parse_* view",
     "parse_crossed": "perfbench/tracing.py, which spans every parse_* view",
-    "pair_doc": "perfbench/inputs.py, tools/gen_fixtures.py",
+    "pair_doc": "perfbench/inputs.py, tools/gen_fixtures.py, tools/cli_sweep.py",
     "bare_matrix_doc": "tools/cli_sweep.py, its section documents",
     "lie_doc": "tests only: the emitter of the lie_algebra kind, which no command writes",
     "Field.div": "tests only: the field API stays complete, and test_fields pins division",
     "PrimeField.elements": "tests only: the order affine_points and the searches follow",
     "Matrix.scale": "tests only: the loop oracles build action matrices with it",
-    "WellsResult.difference_is_zero": "tests only: the acceptance criteria read the "
-                                      "difference cocycle through it",
 }
 
 
